@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .deletion import optimal_quality
 from .errors import InvalidStateError, ShapeError, UnsupportedFormatError
-from .fidelity import fidelity_report, point_fidelities
+from .fidelity import _MIN_GRID, fidelity_report, point_fidelities
 from .hilbert import Ket, basis_ket, bloch_ket, ket, tensor, trace_distance
 from .machines import (
     apply as apply_machine,
@@ -148,8 +148,6 @@ def _run_quality(args) -> str:
 
 def _run_fidelity(args) -> str:
     if args.sweep is not None:
-        if args.sweep < 2:
-            raise ValueError("--sweep needs at least 2 points")
         rows = ["alpha_sq,f_a,f_b"]
         for x in np.linspace(0.0, 1.0, args.sweep):
             f_b, f_a = point_fidelities(math.sqrt(x), math.sqrt(1.0 - x))
@@ -182,8 +180,6 @@ def _run_nogo(args) -> str:
 
 def _run_signal(args) -> str:
     if args.sweep is not None:
-        if args.sweep < 2:
-            raise ValueError("--sweep needs at least 2 points")
         base = bob_delete_and_reduce(0.0)
         rows = ["theta,trace_distance_vs_theta0"]
         for theta in np.linspace(0.0, math.pi, args.sweep):
@@ -210,7 +206,7 @@ def _run_delete_demo(args) -> str:
         "output_norm": out_norm,
         "deletes_exactly": residual <= 1e-12,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _run_verify(args) -> str:
@@ -227,7 +223,7 @@ def _run_verify(args) -> str:
     if args.alphabet:
         alphabet = _parse_alphabet(args.alphabet, machine.input_shape.dims[0])
         payload["max_gram_residual"] = gram_preservation_check(machine, alphabet).max_gram_residual
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 _RUNNERS = {
@@ -250,14 +246,18 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error(f"--alpha-sq must lie in [0, 1], got {args.alpha_sq}")
     if args.command == "fidelity" and args.grid is not None:
         try:
-            _parse_grid(args.grid)
+            grid = _parse_grid(args.grid)
         except ValueError as exc:
             parser.error(str(exc))
-    if args.command == "nogo":
-        if args.overlap is not None and not 0.0 <= args.overlap <= 1.0:
-            parser.error(f"--overlap must lie in [0, 1], got {args.overlap}")
-        if args.sweep is not None and args.sweep < 2:
+        if min(grid) < _MIN_GRID:
+            parser.error(f"--grid must be at least {_MIN_GRID}x{_MIN_GRID}, got {args.grid}")
+    if args.command in ("fidelity", "nogo", "signal") and args.sweep is not None:
+        if args.sweep < 2:
             parser.error("--sweep needs at least 2 points")
+    if args.command == "nogo" and args.overlap is not None and not 0.0 <= args.overlap <= 1.0:
+        parser.error(f"--overlap must lie in [0, 1], got {args.overlap}")
+    if args.command == "signal" and args.sweep is None and args.format == "csv":
+        parser.error("the signal report is matrix-valued and has no CSV rendering")
     if args.command == "delete-demo" and args.dim < 2:
         parser.error("--dim must be >= 2")
 

@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidStateError
-from .hilbert import ALGEBRAIC_TOL, Ket, SpaceShape
+from .hilbert import Ket, SpaceShape, orthonormal_completion, qubit_ket
 
 __all__ = [
     "SymmetricState",
@@ -75,13 +74,6 @@ class SymmetricState:
         return Ket(SpaceShape((2,) * n), amps)
 
 
-def _require_qubit_amplitudes(alpha: complex, beta: complex) -> None:
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > ALGEBRAIC_TOL:
-        raise InvalidStateError(
-            f"|alpha|^2 + |beta|^2 = {abs(alpha) ** 2 + abs(beta) ** 2!r}, expected 1"
-        )
-
-
 def symmetric_expand(alpha: complex, beta: complex, n: int) -> SymmetricState:
     """Expand (alpha|0> + beta|1>)^(x)N over the normalized Dicke basis.
 
@@ -90,7 +82,7 @@ def symmetric_expand(alpha: complex, beta: complex, n: int) -> SymmetricState:
     """
     if n < 1:
         raise ValueError("need at least one copy")
-    _require_qubit_amplitudes(alpha, beta)
+    qubit_ket(alpha, beta)
     coeffs = np.array(
         [math.sqrt(math.comb(n, k)) * alpha ** (n - k) * beta**k for k in range(n + 1)],
         dtype=complex,
@@ -117,7 +109,6 @@ def ideal_delete_output(alpha: complex, beta: complex, n: int, m: int) -> Ket:
     its initial basis state.
     """
     _validate_n_m(n, m)
-    _require_qubit_amplitudes(alpha, beta)
     kept = symmetric_expand(alpha, beta, m).coefficients
     amps = np.zeros((n + 1, 3), dtype=complex)
     amps[: m + 1, 0] = kept
@@ -144,14 +135,13 @@ def actual_delete_output(
     <A_0|A_ideal> = <A_1|A_ideal> (1.0 is the bound-saturating choice).
     """
     _validate_n_m(n, m)
-    _require_qubit_amplitudes(alpha, beta)
+    qubit_ket(alpha, beta)
     t = float(ancilla_overlap)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"ancilla_overlap must lie in [0, 1], got {t}")
     s = math.sqrt(max(1.0 - t * t, 0.0))
     full = symmetric_expand(alpha, beta, n).coefficients
 
-    dim = (n + 1) * 3
     a0 = np.zeros(3, dtype=complex)
     a1 = np.zeros(3, dtype=complex)
     a0[0], a0[1] = t, s
@@ -167,41 +157,17 @@ def actual_delete_output(
     amps = full[0] * lead_0 + full[n] * lead_1
 
     if n > 1:
-        primes = _orthonormal_complement(dim, [lead_0, lead_1], count=n - 1, n=n)
+        # Candidates are scanned with the ancilla-0 column first (register
+        # cells (j, 0) for j = 1..n, then (0, 0), then the remaining cells in
+        # index order), which lets the garbage terms line up with the ideal
+        # output's middle Dicke components whenever the ancilla geometry
+        # allows it.
+        order = [j * 3 for j in range(1, n + 1)] + [0]
+        order += [j * 3 + c for c in (1, 2) for j in range(n + 1)]
+        primes = orthonormal_completion([lead_0, lead_1], order, n - 1)
         for k in range(1, n):
             amps = amps + full[k] * primes[k - 1]
     return Ket(_register_shape(n), amps)
-
-
-def _orthonormal_complement(
-    dim: int, anchors: list[np.ndarray], count: int, n: int
-) -> list[np.ndarray]:
-    """Deterministic orthonormal vectors orthogonal to the anchors.
-
-    Candidates are scanned with the ancilla-0 column first (register cells
-    (j, 0) for j = 1..n, then (0, 0), then the remaining cells in index
-    order), which lets the garbage terms line up with the ideal output's
-    middle Dicke components whenever the ancilla geometry allows it.
-    """
-    order = [j * 3 for j in range(1, n + 1)] + [0]
-    order += [j * 3 + c for c in (1, 2) for j in range(n + 1)]
-    used = [a / np.linalg.norm(a) for a in anchors]
-    out: list[np.ndarray] = []
-    for flat in order:
-        if len(out) == count:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[flat] = 1.0
-        for u in used:
-            v = v - np.vdot(u, v) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            v = v / norm
-            used.append(v)
-            out.append(v)
-    if len(out) < count:
-        raise RuntimeError("register too small for the requested orthonormal family")
-    return out
 
 
 def quality_bound(alpha_sq: float, n: int, m: int) -> float:

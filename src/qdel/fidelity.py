@@ -1,10 +1,14 @@
 """State-dependent deletion fidelities of the two-qubit conditional deleter.
 
-Everything here is driven through the machine itself: the output state comes
-from applying the conditional deleter by linearity, and the reduced density
-matrices come from partial traces of that output. Closed forms
-(F_b = 1 - |a|^2|b|^2, F_a = 1 - 2|a|^2|b|^2, averages 5/6 and 2/3) are used
-only as cross-checks, never as the computation path.
+Everything here is driven through the machine itself, which is applied to
+|psi>|psi>|A> by linearity. The fidelities come from the two-copy kernel of
+`machines` and contract its output in batches, a single point being a batch
+of one. `conditional_output` and the reduced density matrices `rho_ab`,
+`rho_a` and `rho_b` take the object route instead (tensor, apply, density
+matrix, partial trace); they are the reference the tests hold the batched
+values to. Closed forms (F_b = 1 - |a|^2|b|^2, F_a = 1 - 2|a|^2|b|^2,
+averages 5/6 and 2/3) are used only as cross-checks, never as the
+computation path.
 
 Bloch-sphere averages use Gauss-Legendre nodes in cos(theta) and the
 midpoint rule in phi; both are exact for the low-degree trigonometric
@@ -20,17 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidStateError
-from .hilbert import (
-    DensityMatrix,
-    Ket,
-    basis_ket,
-    density_of,
-    ket,
-    partial_trace,
-    state_fidelity,
-    tensor,
-)
-from .machines import BLANK_INDEX, conditional_deleter, apply
+from .hilbert import DensityMatrix, Ket, basis_ket, density_of, partial_trace, qubit_ket, tensor
+from .machines import BLANK_INDEX, _copies_output, apply, conditional_deleter
 
 __all__ = [
     "FidelityReport",
@@ -59,27 +54,13 @@ def _machine():
     return conditional_deleter()
 
 
-@lru_cache(maxsize=1)
-def _machine_matrix() -> np.ndarray:
-    return _machine().matrix
-
-
-def _qubit(alpha: complex, beta: complex) -> Ket:
-    psi = ket([alpha, beta], [2])
-    if not psi.is_normalized():
-        raise InvalidStateError(
-            f"|alpha|^2 + |beta|^2 = {abs(alpha) ** 2 + abs(beta) ** 2!r}, expected 1"
-        )
-    return psi
-
-
 def conditional_output(alpha: complex, beta: complex) -> Ket:
     """Machine output on two copies of alpha|0> + beta|1>, shape [2, 2, 3].
 
     Produced by the linearity engine, not assembled by hand:
     alpha^2 |0 blank A_0> + beta^2 |1 blank A_1> + alpha beta (|01> + |10>)|A>.
     """
-    psi = _qubit(alpha, beta)
+    psi = qubit_ket(alpha, beta)
     return apply(_machine(), tensor(psi, psi, basis_ket([3], 0)))
 
 
@@ -99,36 +80,31 @@ def rho_a(alpha: complex, beta: complex) -> DensityMatrix:
 
 
 def point_fidelities(alpha: complex, beta: complex) -> tuple[float, float]:
-    """(F_b, F_a) at one input state, through the full pipeline.
+    """(F_b, F_a) at one input state, as a batch of one through the kernel.
 
     F_b = <blank| rho_b |blank> measures how well mode b was blanked;
     F_a = <psi| rho_a |psi> measures how well mode a survived.
     """
-    psi = _qubit(alpha, beta)
-    blank = basis_ket([2], BLANK_INDEX)
-    f_b = state_fidelity(rho_b(alpha, beta), blank)
-    f_a = state_fidelity(rho_a(alpha, beta), psi)
-    return f_b, f_a
+    qubit_ket(alpha, beta)
+    f_b, f_a = _batched_fidelities(np.array([alpha]), np.array([beta]))
+    return float(f_b[0]), float(f_a[0])
 
 
 def _batched_fidelities(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pipeline: machine application + partial-trace contractions.
+    """(F_b, F_a) for a batch of inputs alpha|0> + beta|1>.
 
-    Same algebra as `point_fidelities`, restated as batched tensor
-    contractions so quadrature grids stay cheap.
+    The kernel's output is contracted directly: F_b is the weight of mode b
+    on the blank, F_a the weight of mode a on |psi>; both are the partial
+    traces of `rho_b`/`rho_a` taken in one step.
     """
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     betas = np.asarray(betas, dtype=complex).reshape(-1)
     psi = np.stack([alphas, betas], axis=1)  # (B, 2)
-    pair = np.einsum("na,nb->nab", psi, psi).reshape(-1, 4)
-    inp = np.zeros((pair.shape[0], 12), dtype=complex)
-    inp[:, [0, 3, 6, 9]] = pair  # ancilla slot 0 of each (a, b) cell
-    out = inp @ _machine_matrix().T
-    out = out.reshape(-1, 2, 2, 3)
+    out = _copies_output(_machine(), psi)  # (B, 2, 2, 3)
     f_b = np.sum(np.abs(out[:, :, BLANK_INDEX, :]) ** 2, axis=(1, 2))
     kept = np.einsum("na,nabc->nbc", psi.conj(), out)
     f_a = np.sum(np.abs(kept) ** 2, axis=(1, 2))
-    return np.real(f_b), np.real(f_a)
+    return f_b, f_a
 
 
 def _select_mode(mode: str) -> int:
@@ -137,13 +113,12 @@ def _select_mode(mode: str) -> int:
     return 0 if mode == "b" else 1
 
 
-def average_fidelity(mode: str, n_theta: int, n_phi: int) -> float:
-    """Bloch-sphere average of F_a or F_b over the full 2-D grid.
+def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
+    """Bloch-sphere averages (of F_b, of F_a) from one evaluation of the full 2-D grid.
 
     Normalized measure sin(theta) dtheta dphi / 4 pi; Gauss-Legendre in
     cos(theta), midpoint in phi.
     """
-    which = _select_mode(mode)
     if n_theta < _MIN_GRID or n_phi < _MIN_GRID:
         raise ValueError(f"grid must be at least {_MIN_GRID}x{_MIN_GRID}")
     u, w = np.polynomial.legendre.leggauss(n_theta)
@@ -151,9 +126,17 @@ def average_fidelity(mode: str, n_theta: int, n_phi: int) -> float:
     alpha = np.sqrt((1.0 + u) / 2.0)[:, None] * np.ones_like(phi)[None, :]
     beta = np.sqrt((1.0 - u) / 2.0)[:, None] * np.exp(1j * phi)[None, :]
     f_b, f_a = _batched_fidelities(alpha.ravel(), beta.ravel())
-    grid = (f_b, f_a)[which].reshape(n_theta, n_phi)
     # weights sum to 2 over u in [-1, 1]; phi average is a plain mean
-    return float(np.sum(w * np.mean(grid, axis=1)) / 2.0)
+    avg_b, avg_a = (
+        float(np.sum(w * np.mean(f.reshape(n_theta, n_phi), axis=1)) / 2.0) for f in (f_b, f_a)
+    )
+    return avg_b, avg_a
+
+
+def average_fidelity(mode: str, n_theta: int, n_phi: int) -> float:
+    """Bloch-sphere average of F_a or F_b over the full 2-D grid (see `_grid_averages`)."""
+    which = _select_mode(mode)
+    return _grid_averages(n_theta, n_phi)[which]
 
 
 def average_fidelity_theta(mode: str, n_theta: int) -> float:
@@ -200,8 +183,7 @@ def fidelity_report(alpha_sq: float, n_theta: int = 256, n_phi: int = 256) -> Fi
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"alpha_sq must lie in [0, 1], got {x}")
     f_b, f_a = point_fidelities(math.sqrt(x), math.sqrt(1.0 - x))
-    avg_b = average_fidelity("b", n_theta, n_phi)
-    avg_a = average_fidelity("a", n_theta, n_phi)
+    avg_b, avg_a = _grid_averages(n_theta, n_phi)
     err = max(abs(avg_b - AVG_DELETION_FIDELITY), abs(avg_a - AVG_RETENTION_FIDELITY))
     return FidelityReport(
         alpha_sq=x, f_b=f_b, f_a=f_a, avg_f_b=avg_b, avg_f_a=avg_a, quadrature_error=err

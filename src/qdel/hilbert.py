@@ -38,6 +38,7 @@ __all__ = [
     "ket",
     "basis_ket",
     "bloch_ket",
+    "qubit_ket",
     "tensor",
     "inner",
     "density_of",
@@ -46,6 +47,7 @@ __all__ = [
     "state_fidelity",
     "haar_qubit",
     "haar_ket",
+    "orthonormal_completion",
     "complex_pair",
     "ket_to_json",
     "ket_from_json",
@@ -203,6 +205,14 @@ def bloch_ket(theta: float, phi: float = 0.0) -> Ket:
     )
 
 
+def qubit_ket(alpha: complex, beta: complex) -> Ket:
+    """Qubit alpha|0> + beta|1>; raises InvalidStateError unless it is normalized."""
+    total = abs(alpha) ** 2 + abs(beta) ** 2
+    if not abs(total - 1.0) <= ALGEBRAIC_TOL:
+        raise InvalidStateError(f"|alpha|^2 + |beta|^2 = {total!r}, expected 1")
+    return ket([alpha, beta], [2])
+
+
 def tensor(*factors: Ket) -> Ket:
     """Kronecker product of kets, in the declared subsystem order.
 
@@ -263,8 +273,12 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dims != sigma.dims:
         raise ShapeError(f"shape mismatch: {rho.dims} vs {sigma.dims}")
-    eigs = np.linalg.eigvalsh(rho.entries - sigma.entries)
-    return 0.5 * float(np.sum(np.abs(eigs)))
+    return float(_half_trace_norms(rho.entries - sigma.entries))
+
+
+def _half_trace_norms(differences: np.ndarray) -> np.ndarray:
+    """(1/2) sum of |eigenvalues| of each Hermitian matrix in a (..., d, d) stack."""
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(differences)), axis=-1)
 
 
 def state_fidelity(rho: DensityMatrix, psi: Ket) -> float:
@@ -290,6 +304,36 @@ def haar_ket(dim: int, rng: np.random.Generator) -> Ket:
         return haar_qubit(rng)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return ket(v / np.linalg.norm(v), [dim])
+
+
+def orthonormal_completion(
+    anchors: Sequence[np.ndarray], order: Iterable[int], count: int
+) -> list[np.ndarray]:
+    """`count` orthonormal vectors orthogonal to the (non-empty) anchors, by Gram-Schmidt.
+
+    The candidates are the basis vectors e_k for k in `order`, each
+    orthogonalized against the normalized anchors and every vector accepted
+    before it; a candidate left with norm <= 1e-9 lies in their span and is
+    skipped. The result is deterministic given the anchors and the order.
+    """
+    used = [a / np.linalg.norm(a) for a in anchors]
+    dim = used[0].size
+    out: list[np.ndarray] = []
+    for k in order:
+        if len(out) == count:
+            break
+        v = np.zeros(dim, dtype=complex)
+        v[k] = 1.0
+        for u in used:
+            v = v - np.vdot(u, v) * u
+        norm = np.linalg.norm(v)
+        if norm > 1e-9:
+            v = v / norm
+            used.append(v)
+            out.append(v)
+    if len(out) < count:
+        raise RuntimeError("ran out of candidate vectors for the orthonormal completion")
+    return out
 
 
 # --- JSON wire format: complex numbers as [re, im], matrices row-major ------

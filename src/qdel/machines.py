@@ -22,18 +22,16 @@ import numpy as np
 from .errors import InvalidStateError, ShapeError
 from .hilbert import (
     ALGEBRAIC_TOL,
-    DensityMatrix,
     Ket,
+    _half_trace_norms,
     SpaceShape,
     as_shape,
     basis_ket,
     complex_pair,
-    density_of,
     haar_ket,
     ket,
-    partial_trace,
+    orthonormal_completion,
     tensor,
-    trace_distance,
 )
 
 __all__ = [
@@ -113,22 +111,17 @@ class BasisActionMachine:
 class AncillaConfig:
     """Ancilla bookkeeping for machines of shape [d, d, dim].
 
-    `initial_index` is the basis state the ancilla starts in; `final_indices`
-    maps an input-state label to the ancilla state it is left in after a
-    successful deletion (a basis index or an explicit ket).
+    The ancilla starts in basis state 0; `final_indices` maps an input-state
+    label to the ancilla state it is left in after a successful deletion (a
+    basis index or an explicit ket).
     """
 
     dim: int
-    initial_index: int = 0
     final_indices: Mapping[str, Union[int, Ket]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("ancilla dimension must be >= 2")
-        if not 0 <= self.initial_index < self.dim:
-            raise ValueError(
-                f"initial ancilla index {self.initial_index} out of range for dim {self.dim}"
-            )
         object.__setattr__(self, "final_indices", dict(self.final_indices))
         for label, state in self.final_indices.items():
             if isinstance(state, Ket):
@@ -193,6 +186,38 @@ def apply(machine: BasisActionMachine, state: Ket) -> Ket:
     return Ket(machine.output_shape, machine.matrix @ state.amplitudes)
 
 
+def _pair_output(machine: BasisActionMachine, pairs: np.ndarray) -> np.ndarray:
+    """Outputs on a (B, d, d) batch of two-register amplitudes, as (B, *output_dims).
+
+    The ancilla of a [d, d, m] machine starts in basis state 0, so only the
+    inputs |i, j, 0> enter: every m-th column of the matrix.
+    """
+    dims = machine.input_shape.dims
+    if len(dims) not in (2, 3) or dims[0] != dims[1]:
+        raise ShapeError(f"expected a [d, d] or [d, d, m] machine, got {dims}")
+    columns = machine.matrix[:, :: dims[2] if len(dims) == 3 else 1]
+    out = pairs.reshape(len(pairs), -1) @ columns.T
+    return out.reshape((-1,) + machine.output_shape.dims)
+
+
+def _copies_output(machine: BasisActionMachine, psis: np.ndarray) -> np.ndarray:
+    """Outputs on |psi>|psi>(|0>) for a (B, d) batch of one-copy amplitudes."""
+    psis = np.asarray(psis, dtype=complex)
+    return _pair_output(machine, np.einsum("na,nb->nab", psis, psis))
+
+
+def _residuals(outs: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Batched `deletion_residual` of kernel outputs `outs` on inputs `psis`.
+
+    1 for an output that vanishes.
+    """
+    n = len(outs)
+    norms = np.linalg.norm(outs.reshape(n, -1), axis=1)
+    kept = np.einsum("na,na...->n...", psis.conj(), outs)[:, BLANK_INDEX]
+    weights = np.linalg.norm(kept.reshape(n, -1), axis=1)
+    return 1.0 - np.divide(weights, norms, out=np.zeros(n), where=norms >= 1e-15)
+
+
 def check_isometry(machine: BasisActionMachine, tol: float = ALGEBRAIC_TOL) -> IsometryReport:
     """Compare the Gram matrix of all rule images against the identity."""
     m = machine.matrix
@@ -233,7 +258,7 @@ def qudit_pair_deleter(
     return BasisActionMachine(shape, shape, tuple(rules))
 
 
-_DEFAULT_ANCILLA = AncillaConfig(dim=3, initial_index=0, final_indices={"0": 1, "1": 2})
+_DEFAULT_ANCILLA = AncillaConfig(dim=3, final_indices={"0": 1, "1": 2})
 
 
 def conditional_deleter(ancilla: AncillaConfig = _DEFAULT_ANCILLA) -> BasisActionMachine:
@@ -253,51 +278,21 @@ def conditional_deleter(ancilla: AncillaConfig = _DEFAULT_ANCILLA) -> BasisActio
     if m < 3:
         raise ValueError("the conditional deleter needs an ancilla of dimension >= 3")
     shape = SpaceShape((2, 2, m))
-    a_init = ancilla.initial_index
-    declared: dict[int, Ket] = {}
+    declared: dict[int, np.ndarray] = {}
     for i in (0, 1):
         final = ancilla.final_ket(str(i))
         image = tensor(basis_ket([2], i), basis_ket([2], BLANK_INDEX), final)
-        declared[shape.flat_index((i, i, a_init))] = image
+        declared[shape.flat_index((i, i, 0))] = image.amplitudes
     for i, j in ((0, 1), (1, 0)):
-        declared[shape.flat_index((i, j, a_init))] = basis_ket(shape, (i, j, a_init))
+        declared[shape.flat_index((i, j, 0))] = basis_ket(shape, (i, j, 0)).amplitudes
 
-    rules = _complete_to_isometry(shape, declared)
+    filler = iter(
+        orthonormal_completion(list(declared.values()), range(shape.dim), shape.dim - len(declared))
+    )
+    rules = tuple(
+        Ket(shape, declared[k] if k in declared else next(filler)) for k in range(shape.dim)
+    )
     return BasisActionMachine(shape, shape, rules)
-
-
-def _complete_to_isometry(
-    shape: SpaceShape, declared: Mapping[int, Ket]
-) -> tuple[Ket, ...]:
-    """Fill undeclared rules with a deterministic orthonormal completion.
-
-    Walks the output basis in index order and Gram-Schmidt-orthogonalizes each
-    candidate against everything already assigned.
-    """
-    dim = shape.dim
-    assigned: dict[int, np.ndarray] = {
-        idx: k.amplitudes.copy() for idx, k in declared.items()
-    }
-    used = list(assigned.values())
-    candidate = 0
-    for in_index in range(dim):
-        if in_index in assigned:
-            continue
-        while True:
-            if candidate >= dim:
-                raise RuntimeError("ran out of basis vectors while completing the isometry")
-            v = np.zeros(dim, dtype=complex)
-            v[candidate] = 1.0
-            candidate += 1
-            for u in used:
-                v = v - np.vdot(u, v) * u
-            n = np.linalg.norm(v)
-            if n > 1e-6:
-                v = v / n
-                assigned[in_index] = v
-                used.append(v)
-                break
-    return tuple(Ket(shape, assigned[i]) for i in range(dim))
 
 
 def swap_deleter(d: int) -> BasisActionMachine:
@@ -325,24 +320,12 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     first, so the value is 0 exactly for perfect deletion and grows toward 1
     as the output leaves the subspace spanned by |psi>|blank>(x)ancilla.
     """
-    dims = machine.input_shape.dims
-    if len(dims) not in (2, 3) or dims[0] != dims[1]:
-        raise ShapeError(f"expected a [d, d] or [d, d, m] machine, got {dims}")
-    if psi.dims != (dims[0],):
-        raise ShapeError(f"input state has dims {psi.dims}, machine copies are {dims[0]}-level")
+    d = machine.input_shape.dims[0]
+    if psi.dims != (d,):
+        raise ShapeError(f"input state has dims {psi.dims}, machine copies are {d}-level")
     psi.require_normalized()
-    if len(dims) == 2:
-        state = tensor(psi, psi)
-    else:
-        state = tensor(psi, psi, basis_ket([dims[2]], BLANK_INDEX))
-    out = apply(machine, state)
-    norm = out.norm()
-    if norm < 1e-15:
-        return 1.0
-    arr = out.amplitudes.reshape(dims)
-    kept = np.einsum("a,a...->...", psi.amplitudes.conj(), arr)
-    weight = float(np.linalg.norm(np.atleast_1d(kept[BLANK_INDEX])))
-    return 1.0 - weight / norm
+    psis = psi.amplitudes[None]
+    return float(_residuals(_copies_output(machine, psis), psis)[0])
 
 
 def classify_deleter(
@@ -370,56 +353,49 @@ def classify_deleter(
             ancilla_dependence=0.0,
         )
 
-    # Ancilla images of the identical-basis rules; the machine must delete
-    # identical basis inputs, |i i A> -> |i blank a_i> with ||a_i|| = 1.
-    ancilla_images = np.zeros((d, m), dtype=complex)
-    a_init = BLANK_INDEX
-    for i in range(d):
-        rule = machine.rules[machine.input_shape.flat_index((i, i, a_init))]
-        block = rule.amplitudes.reshape(d, d, m)[i, BLANK_INDEX, :]
-        if abs(np.linalg.norm(block) - 1.0) > 1e-9:
+    # Ancilla images of the identical basis inputs; the machine must delete
+    # them, |i i A> -> |i blank a_i> with ||a_i|| = 1.
+    basis_out = _copies_output(machine, np.eye(d))
+    ancilla_images = basis_out[np.arange(d), np.arange(d), BLANK_INDEX]
+    for i, image in enumerate(ancilla_images):
+        if abs(np.linalg.norm(image) - 1.0) > 1e-9:
             raise InvalidStateError(
                 f"machine does not delete the identical basis input |{i}>|{i}>"
             )
-        ancilla_images[i] = block
 
     rng = np.random.default_rng(seed)
-    residuals: list[float] = []
-    ancilla_errors: list[float] = []
-    reduced: list[DensityMatrix] = []
-    for _ in range(samples):
-        psi = haar_ket(d, rng)
-        state = tensor(psi, psi, basis_ket([m], a_init))
-        out = apply(machine, state)
-        norm = out.norm()
-        arr = out.amplitudes.reshape(d, d, m)
-        kept = np.einsum("a,abc->bc", psi.amplitudes.conj(), arr)[BLANK_INDEX]
-        residuals.append(1.0 - float(np.linalg.norm(kept)) / norm)
+    psis = np.stack([haar_ket(d, rng).amplitudes for _ in range(samples)])
+    outs = _copies_output(machine, psis)
+    residuals = _residuals(outs, psis)
 
-        rho_c = partial_trace(density_of(out.normalized()), keep={2})
-        reduced.append(rho_c)
-        predicted = psi.amplitudes @ ancilla_images
-        pnorm = np.linalg.norm(predicted)
-        if pnorm < 1e-12:
-            ancilla_errors.append(1.0)
-        else:
-            target = density_of(ket(predicted / pnorm, [m]))
-            ancilla_errors.append(trace_distance(rho_c, target))
+    # Reduced ancilla of each normalized output, compared with the state the
+    # input amplitudes predict when carried onto the ancilla images.
+    flat = outs.reshape(samples, d * d, m)
+    norms = np.linalg.norm(flat, axis=(1, 2))
+    if np.any(norms < 1e-15):
+        raise InvalidStateError("cannot normalize a zero vector")
+    flat = flat / norms[:, None, None]
+    rho = np.einsum("nxa,nxb->nab", flat, flat.conj())
+    predicted = psis @ ancilla_images
+    pnorms = np.linalg.norm(predicted, axis=1)
+    lost = pnorms < 1e-12
+    predicted = predicted / np.where(lost, 1.0, pnorms)[:, None]
+    target = np.einsum("na,nb->nab", predicted, predicted.conj())
+    ancilla_errors = np.where(lost, 1.0, _half_trace_norms(rho - target))
 
-    dependence = 0.0
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            dependence = max(dependence, trace_distance(reduced[i], reduced[j]))
+    # pairwise distances, one stacked eigensolve per row to keep memory O(samples)
+    row_max = [np.max(_half_trace_norms(rho[i + 1 :] - rho[i])) for i in range(samples - 1)]
+    dependence = float(np.max(row_max, initial=0.0))
 
-    if max(residuals) <= 1e-10 and max(ancilla_errors) <= 1e-8:
+    if np.max(residuals) <= 1e-10 and np.max(ancilla_errors) <= 1e-8:
         kind = DeleterKind.SWAP_LIKE
     else:
         kind = DeleterKind.APPROXIMATE_DELETER
     return DeleterVerdict(
         kind=kind,
-        residual_stats=tuple(residuals),
+        residual_stats=tuple(residuals.tolist()),
         ancilla_dependence=dependence,
-        ancilla_errors=tuple(ancilla_errors),
+        ancilla_errors=tuple(ancilla_errors.tolist()),
     )
 
 
@@ -452,4 +428,7 @@ def machine_from_json(obj: Mapping, strict: bool = True) -> BasisActionMachine:
         ket([complex(re, im) for re, im in entries[i]], out_shape)
         for i in range(in_shape.dim)
     )
+    for i, rule in enumerate(rules):
+        if not np.all(np.isfinite(rule.amplitudes)):
+            raise InvalidStateError(f"rule {i} has a non-finite amplitude")
     return BasisActionMachine(in_shape, out_shape, rules, strict=strict)

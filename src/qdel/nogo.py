@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .hilbert import Ket, basis_ket, inner, ket, tensor
-from .machines import BasisActionMachine, apply
+from .machines import BasisActionMachine, _copies_output
 
 __all__ = [
     "Constraint",
@@ -135,32 +135,23 @@ def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> Gr
     """
     if not alphabet:
         raise ValueError("alphabet must not be empty")
-    inputs = []
+    dims = alphabet[0].dims
+    if any(psi.dims != dims for psi in alphabet):
+        raise ShapeError("alphabet states live on different spaces")
+    amps = np.stack([psi.amplitudes for psi in alphabet])
     if isinstance(machine, BasisActionMachine):
-        dims = machine.input_shape.dims
-        if len(dims) not in (2, 3) or dims[0] != dims[1]:
-            raise ShapeError(f"expected a [d, d] or [d, d, m] machine, got {dims}")
-        for psi in alphabet:
-            if psi.dims != (dims[0],):
-                raise ShapeError(
-                    f"alphabet state dims {psi.dims} do not match machine copies ({dims[0]},)"
-                )
-            pair = tensor(psi, psi)
-            if len(dims) == 3:
-                pair = tensor(pair, basis_ket([dims[2]], 0))
-            inputs.append(pair)
-        outputs = [apply(machine, v) for v in inputs]
+        d = machine.input_shape.dims[0]
+        if dims != (d,):
+            raise ShapeError(f"alphabet state dims {dims} do not match machine copies ({d},)")
+        outputs = _copies_output(machine, amps).reshape(len(alphabet), -1)
     else:
-        inputs = [tensor(psi, psi) for psi in alphabet]
-        outputs = [machine(v) for v in inputs]
+        outputs = np.stack([machine(tensor(psi, psi)).amplitudes for psi in alphabet])
 
-    worst = 0.0
-    for i in range(len(alphabet)):
-        for j in range(i + 1, len(alphabet)):
-            gin = inner(inputs[i], inputs[j])
-            gout = inner(outputs[i], outputs[j])
-            worst = max(worst, abs(gin - gout))
-    return GramReport(max_gram_residual=worst)
+    gram_in = (amps.conj() @ amps.T) ** 2  # <psi_i psi_i|psi_j psi_j> = <psi_i|psi_j>^2
+    gram_out = outputs.conj() @ outputs.T
+    pairs = np.triu_indices(len(alphabet), 1)
+    worst = np.max(np.abs(gram_in - gram_out)[pairs], initial=0.0)
+    return GramReport(max_gram_residual=float(worst))
 
 
 def ideal_deletion_map(alphabet: Sequence[Ket], sigma: Ket) -> Callable[[Ket], Ket]:

@@ -99,7 +99,7 @@ def _json_default(value):
 
 
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, default=_json_default) + "\n"
+    return json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
 
 
 def _quality_payload(r: QualityReport) -> dict:

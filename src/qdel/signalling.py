@@ -18,23 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ShapeError
-from .hilbert import (
-    DensityMatrix,
-    Ket,
-    SpaceShape,
-    basis_ket,
-    density_of,
-    ket,
-    partial_trace,
-    tensor,
-    trace_distance,
-)
-from .machines import BasisActionMachine, apply
+from .errors import InvalidStateError, ShapeError
+from .hilbert import DensityMatrix, Ket, SpaceShape, basis_ket, ket, trace_distance
+from .machines import BLANK_INDEX, BasisActionMachine, _pair_output
 
 __all__ = [
     "MeasurementOutcome",
@@ -124,31 +114,33 @@ def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> Measure
     )
 
 
-def _branch_mixture(theta: float, deleted: bool) -> DensityMatrix:
-    """Mix Bob's four conditioned branches, optionally after the hypothetical deletion.
+# branch rule: (Bob's collapsed amplitudes on (2, 4), the labels x and y his
+# particles collapsed to) -> the amplitudes he then holds, any axes after the
+# first four belonging to an ancilla that is traced out
+BranchRule = Callable[[np.ndarray, int, int], np.ndarray]
 
-    The delete-anything rule acts on each collapsed branch: identical qubits
-    (both psi or both psibar) become |state>|blank>|A_state>; different ones
-    pass through with the ancilla untouched. The ancilla is traced out
-    immediately, so the particular final ancilla states never matter.
+
+def _branch_mixture(theta: float, branch: BranchRule) -> DensityMatrix:
+    """Measure, apply `branch` to each of Bob's four collapsed branches, reduce and mix.
+
+    Each branch output is normalized, its ancilla traced out, and the
+    resulting states on particles (2, 4) are weighted by the outcome
+    probabilities.
     """
     state = two_singlets()
-    psi, bar = rotated_basis(theta)
-    bob_basis = (psi, bar)
-    blank = basis_ket([2], 0)
     acc = np.zeros((4, 4), dtype=complex)
     for k1 in (PSI, PSI_BAR):
         for k3 in (PSI, PSI_BAR):
             measured = alice_measure(state, theta, (k1, k3))
             if measured.post_state is None:
                 continue
-            x, y = 1 - k1, 1 - k3  # Bob's particles collapse to the opposite labels
-            if deleted and x == y:
-                branch = tensor(bob_basis[x], blank, basis_ket([3], 1 + x))
-            else:
-                branch = tensor(measured.post_state, basis_ket([3], 0))
-            rho24 = partial_trace(density_of(branch), keep={0, 1})
-            acc = acc + measured.probability * rho24.entries
+            # Bob's particles collapse to the opposite labels
+            out = branch(measured.post_state.amplitudes, 1 - k1, 1 - k3).reshape(4, -1)
+            norm = np.linalg.norm(out)
+            if norm < 1e-15:
+                raise InvalidStateError("cannot normalize a zero vector")
+            out = out / norm
+            acc = acc + measured.probability * (out @ out.conj().T)
     return DensityMatrix(SpaceShape((2, 2)), acc)
 
 
@@ -178,8 +170,18 @@ def bob_delete_and_reduce(theta: float) -> DensityMatrix:
 
     Computed through the measurement/deletion/partial-trace pipeline, then
     checked against the closed-form mixture; the pipeline value is returned.
+    The delete-anything rule acts on each collapsed branch: identical qubits
+    (both psi or both psibar) become |state>|blank>|A_state>; different ones
+    pass through. The ancilla is traced out at once and each |A_state> is a
+    pure state, so it is left out.
     """
-    pipeline = _branch_mixture(theta, deleted=True)
+    bob_basis = tuple(v.amplitudes for v in rotated_basis(theta))
+    blank = basis_ket([2], BLANK_INDEX).amplitudes
+
+    def delete_identical(post: np.ndarray, x: int, y: int) -> np.ndarray:
+        return np.kron(bob_basis[x], blank) if x == y else post
+
+    pipeline = _branch_mixture(theta, delete_identical)
     closed = deletion_mixture_closed_form(theta)
     dev = float(np.max(np.abs(pipeline.entries - closed.entries)))
     if dev > 1e-12:
@@ -191,7 +193,7 @@ def bob_delete_and_reduce(theta: float) -> DensityMatrix:
 
 def no_deletion_reduce(theta: float) -> DensityMatrix:
     """Bob's unconditioned reduced state when he does nothing (control arm)."""
-    return _branch_mixture(theta, deleted=False)
+    return _branch_mixture(theta, lambda post, x, y: post)
 
 
 def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> DensityMatrix:
@@ -204,17 +206,7 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
     dims = machine.input_shape.dims
     if len(dims) != 3 or dims[:2] != (2, 2):
         raise ShapeError(f"need a machine on [2, 2, m], got {dims}")
-    state = two_singlets()
-    acc = np.zeros((4, 4), dtype=complex)
-    for k1 in (PSI, PSI_BAR):
-        for k3 in (PSI, PSI_BAR):
-            measured = alice_measure(state, theta, (k1, k3))
-            if measured.post_state is None:
-                continue
-            branch = apply(machine, tensor(measured.post_state, basis_ket([dims[2]], 0)))
-            rho24 = partial_trace(density_of(branch.normalized()), keep={0, 1})
-            acc = acc + measured.probability * rho24.entries
-    return DensityMatrix(SpaceShape((2, 2)), acc)
+    return _branch_mixture(theta, lambda post, x, y: _pair_output(machine, post[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +224,6 @@ class SignallingReport:
     rho_without_deletion: tuple[DensityMatrix, DensityMatrix]
     distance_with: float
     distance_without: float
-    with_deletion: bool = True
 
     def __post_init__(self) -> None:
         if self.distance_without > 1e-10:
@@ -240,19 +231,10 @@ class SignallingReport:
                 f"no-signalling control failed: distance {self.distance_without:.3e}"
             )
 
-    @property
-    def distance(self) -> float:
-        return self.distance_with if self.with_deletion else self.distance_without
 
-
-def signalling_distance(
-    theta_1: float, theta_2: float, with_deletion: bool = True
-) -> SignallingReport:
-    """Trace distance between Bob's reduced states for Alice's two basis choices.
-
-    Both arms are always computed; `with_deletion` selects which one the
-    report's `distance` property exposes.
-    """
+def signalling_distance(theta_1: float, theta_2: float) -> SignallingReport:
+    """Trace distance between Bob's reduced states for Alice's two basis choices,
+    with and without the hypothetical deletion."""
     with_pair = (bob_delete_and_reduce(theta_1), bob_delete_and_reduce(theta_2))
     without_pair = (no_deletion_reduce(theta_1), no_deletion_reduce(theta_2))
     return SignallingReport(
@@ -262,5 +244,4 @@ def signalling_distance(
         rho_without_deletion=without_pair,
         distance_with=trace_distance(*with_pair),
         distance_without=trace_distance(*without_pair),
-        with_deletion=with_deletion,
     )

@@ -155,8 +155,31 @@ class TestVerify:
         assert code == 3
         assert "error" in err
 
+    def test_nan_amplitude_is_a_numeric_error(self, capsys, tmp_path):
+        payload = machine_to_json(swap_deleter(2))
+        payload["rules"][0]["out_amplitudes"][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", "--machine", str(path), "--alphabet", "0,1,+")
+        assert code == 3
+        assert out == "" and "non-finite" in err
+
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "--sweep", "1"],
+            ["signal", "--sweep", "1"],
+            ["fidelity", "--grid", "4x4"],
+            ["signal", "--format", "csv"],
+        ],
+    )
+    def test_rejected_before_computation(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, *argv)
+        assert err.value.code == 2
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "explode")

@@ -23,6 +23,7 @@ from qdel.hilbert import (
     basis_ket,
     ket,
     partial_trace,
+    state_fidelity,
     tensor,
 )
 
@@ -174,10 +175,12 @@ class TestPointFidelities:
         alphas = np.array([p[0] for p in pairs])
         betas = np.array([p[1] for p in pairs])
         f_b, f_a = _batched_fidelities(alphas, betas)
+        blank = basis_ket([2], 0)
+        # the object pipeline (apply -> density -> partial trace -> overlap) is the reference
         for i, (alpha, beta) in enumerate(pairs):
-            pb, pa = point_fidelities(alpha, beta)
-            assert f_b[i] == pytest.approx(pb, abs=1e-12)
-            assert f_a[i] == pytest.approx(pa, abs=1e-12)
+            psi = ket([alpha, beta], [2])
+            assert f_b[i] == pytest.approx(state_fidelity(rho_b(alpha, beta), blank), abs=1e-12)
+            assert f_a[i] == pytest.approx(state_fidelity(rho_a(alpha, beta), psi), abs=1e-12)
 
 
 class TestAverageFidelity:

@@ -5,6 +5,7 @@ import pytest
 
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.hilbert import (
+    Ket,
     SpaceShape,
     basis_ket,
     bloch_ket,
@@ -31,6 +32,8 @@ from qdel.machines import (
     qudit_pair_deleter,
     swap_deleter,
 )
+from qdel.machines import _copies_output
+from qdel.signalling import bob_machine_and_reduce
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -203,7 +206,7 @@ class TestConditionalDeleter:
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
 
     def test_custom_ancilla_config(self):
-        config = AncillaConfig(dim=4, initial_index=0, final_indices={"0": 2, "1": 3})
+        config = AncillaConfig(dim=4, final_indices={"0": 2, "1": 3})
         machine = conditional_deleter(config)
         out = apply(machine, basis_ket(machine.input_shape, (0, 0, 0)))
         np.testing.assert_allclose(
@@ -212,8 +215,6 @@ class TestConditionalDeleter:
         assert check_isometry(machine, 1e-12).is_isometry
 
     def test_ancilla_config_validation(self):
-        with pytest.raises(ValueError):
-            AncillaConfig(dim=3, initial_index=5)
         with pytest.raises(ValueError):
             AncillaConfig(dim=3, final_indices={"0": 7})
 
@@ -302,6 +303,32 @@ class TestClassifyDeleter:
             DeleterVerdict(
                 kind=DeleterKind.APPROXIMATE_DELETER, residual_stats=(), ancilla_dependence=0.0
             )
+
+
+class TestTwoCopyKernel:
+    def test_random_isometries_match_the_object_pipeline(self):
+        rng = np.random.default_rng(31)
+        for dims in ([2, 2, 3], [2, 2, 4], [3, 3, 3]):
+            shape = SpaceShape(tuple(dims))
+            gauss = rng.standard_normal((shape.dim,) * 2) + 1j * rng.standard_normal((shape.dim,) * 2)
+            q, _ = np.linalg.qr(gauss)
+            machine = BasisActionMachine(shape, shape, tuple(Ket(shape, c) for c in q.T))
+            d, m = dims[0], dims[2]
+            psis = [haar_ket(d, rng) for _ in range(5)]
+            outs = _copies_output(machine, np.stack([psi.amplitudes for psi in psis]))
+            assert outs.shape == (5, d, d, m)
+            for psi, out in zip(psis, outs):
+                reference = apply(machine, tensor(psi, psi, basis_ket([m], 0)))
+                np.testing.assert_allclose(out.reshape(-1), reference.amplitudes, atol=1e-12)
+                rho_copies = np.einsum("abc,dec->abde", out, out.conj()).reshape(d * d, d * d)
+                expected = partial_trace(density_of(reference), keep={0, 1}).entries
+                np.testing.assert_allclose(rho_copies, expected, atol=1e-12)
+            if d == 2:
+                # no-signalling: Bob's mixture after a legal machine ignores Alice's basis
+                base = bob_machine_and_reduce(0.0, machine).entries
+                for theta in rng.uniform(0.0, math.pi, 5):
+                    mixed = bob_machine_and_reduce(float(theta), machine).entries
+                    np.testing.assert_allclose(mixed, base, atol=1e-12)
 
 
 class TestNoDeletionWitness:

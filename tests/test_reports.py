@@ -7,7 +7,7 @@ from qdel.deletion import optimal_quality
 from qdel.errors import UnsupportedFormatError
 from qdel.fidelity import fidelity_report
 from qdel.hilbert import basis_ket, ket
-from qdel.machines import classify_deleter, swap_deleter
+from qdel.machines import DeleterKind, DeleterVerdict, classify_deleter, swap_deleter
 from qdel.nogo import nonorthogonal_constraints
 from qdel.reports import (
     RunManifest,
@@ -152,6 +152,13 @@ class TestEmissionErrors:
     def test_unknown_report_type(self):
         with pytest.raises(UnsupportedFormatError):
             emit_report({"not": "a report"}, "json")
+
+    def test_nan_is_refused_not_emitted(self):
+        verdict = DeleterVerdict(
+            kind=DeleterKind.SWAP_LIKE, residual_stats=(math.nan,), ancilla_dependence=0.0
+        )
+        with pytest.raises(ValueError):
+            emit_report(verdict, "json")
 
 
 class TestRunManifest:

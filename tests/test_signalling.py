@@ -173,10 +173,3 @@ class TestSignallingDistance:
         report = signalling_distance(0.0, math.pi / 4)
         assert report.distance_with == pytest.approx(0.25, abs=1e-12)
         assert report.distance_with > 0.05
-
-    def test_distance_property_follows_the_flag(self):
-        with_arm = signalling_distance(0.0, math.pi / 4, with_deletion=True)
-        without_arm = signalling_distance(0.0, math.pi / 4, with_deletion=False)
-        assert with_arm.distance == with_arm.distance_with
-        assert without_arm.distance == without_arm.distance_without
-        assert without_arm.distance < 1e-12
