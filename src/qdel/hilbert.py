@@ -164,13 +164,13 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ShapeError(f"expected a {d}x{d} matrix for {shape.dims}, got {mat.shape}")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > ALGEBRAIC_TOL:
+        if not herm_dev <= ALGEBRAIC_TOL:
             raise InvalidStateError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
         tr_dev = abs(complex(np.trace(mat)) - 1.0)
-        if tr_dev > ALGEBRAIC_TOL:
+        if not tr_dev <= ALGEBRAIC_TOL:
             raise InvalidStateError(f"trace differs from 1 by {tr_dev:.3e}")
         min_eig = float(np.min(np.linalg.eigvalsh(mat)))
-        if min_eig < -EIGEN_TOL:
+        if not -min_eig <= EIGEN_TOL:
             raise InvalidStateError(f"matrix has negative eigenvalue {min_eig:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "shape", shape)

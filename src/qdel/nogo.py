@@ -16,6 +16,7 @@ Gram-matrix preservation check for arbitrary machines and alphabets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -30,12 +31,14 @@ __all__ = [
     "ConstraintReport",
     "GramReport",
     "nonorthogonal_constraints",
+    "overlap_constraints",
     "sweep_overlap",
     "gram_preservation_check",
     "ideal_deletion_map",
 ]
 
 _SAT_TOL = 1e-10
+_ZERO = basis_ket([2], 0)  # psi1 = sigma of the overlap family; kets are immutable
 
 
 @dataclass(frozen=True)
@@ -104,23 +107,22 @@ def nonorthogonal_constraints(psi1: Ket, psi2: Ket, sigma: Ket) -> ConstraintRep
     )
 
 
-def sweep_overlap(n_points: int, phase: float = 0.0) -> list[ConstraintReport]:
-    """Constraint reports for psi2 = s e^{i phase}|0> + sqrt(1-s^2)|1> on an s grid.
+def overlap_constraints(s: float, phase: float = 0.0) -> ConstraintReport:
+    """The five conditions for psi1 = sigma = |0>, psi2 = s e^{i phase}|0> + sqrt(1-s^2)|1>."""
+    amp = complex(math.cos(phase), math.sin(phase)) * s
+    psi2 = ket([amp, math.sqrt(max(1.0 - s * s, 0.0))], [2])
+    return nonorthogonal_constraints(_ZERO, psi2, _ZERO)
 
-    psi1 = sigma = |0>, s running over [0, 1]. The max residual vanishes only
-    at s = 1 (for phase 0); a nonzero phase breaks even that endpoint, since
-    s^2 = s has no non-real solutions.
+
+def sweep_overlap(n_points: int, phase: float = 0.0) -> list[ConstraintReport]:
+    """`overlap_constraints` on the grid of n_points overlaps s spanning [0, 1].
+
+    The max residual vanishes only at s = 1 (for phase 0); a nonzero phase
+    breaks even that endpoint, since s^2 = s has no non-real solutions.
     """
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
-    psi1 = basis_ket([2], 0)
-    sigma = basis_ket([2], 0)
-    out = []
-    for s in np.linspace(0.0, 1.0, n_points):
-        c = complex(np.cos(phase), np.sin(phase)) * s
-        psi2 = ket([c, np.sqrt(max(1.0 - s * s, 0.0))], [2])
-        out.append(nonorthogonal_constraints(psi1, psi2, sigma))
-    return out
+    return [overlap_constraints(float(s), phase) for s in np.linspace(0.0, 1.0, n_points)]
 
 
 MachineLike = Union[BasisActionMachine, Callable[[Ket], Ket]]

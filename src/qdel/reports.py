@@ -1,4 +1,4 @@
-"""Report serialization, tolerance configuration, and seed management.
+"""Report serialization, per-operation sub-seeds and the CLI run manifest.
 
 JSON is the primary machine-readable format: complex numbers are emitted as
 [re, im] pairs and matrices as nested row-major arrays. Floats are rendered
@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
+from . import __version__
 from .deletion import QualityReport
 from .errors import UnsupportedFormatError
 from .fidelity import FidelityReport
@@ -23,9 +23,7 @@ from .nogo import ConstraintReport
 from .signalling import SignallingReport
 
 __all__ = [
-    "ToleranceConfig",
     "RunManifest",
-    "default_seed",
     "sub_seed",
     "emit_report",
     "Report",
@@ -37,46 +35,17 @@ _FORMATS = ("json", "csv", "table")
 
 
 @dataclass(frozen=True)
-class ToleranceConfig:
-    """Numeric tolerances shared by the analyses."""
-
-    algebraic_tol: float = 1e-12
-    eigen_tol: float = 1e-10
-    grid_step: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if min(self.algebraic_tol, self.eigen_tol, self.grid_step) <= 0.0:
-            raise ValueError("all tolerances must be strictly positive")
-        if self.algebraic_tol > self.eigen_tol:
-            raise ValueError("algebraic_tol must not exceed eigen_tol")
-
-
-@dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce a run bit-for-bit."""
+    """What a CLI run applied: its command line and, for verify, the isometry tolerance."""
 
-    seed: int
-    config: ToleranceConfig = field(default_factory=ToleranceConfig)
-    command: str = ""
-    version: str = "0.1.0"
+    command: str
+    tol: Optional[float] = None
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config": {
-                "algebraic_tol": self.config.algebraic_tol,
-                "eigen_tol": self.config.eigen_tol,
-                "grid_step": self.config.grid_step,
-            },
-            "command": self.command,
-            "version": self.version,
-        }
-
-
-def default_seed() -> int:
-    """Seed 0 unless overridden via the QDEL_SEED environment variable."""
-    raw = os.environ.get("QDEL_SEED", "")
-    return int(raw) if raw.strip() else 0
+        payload = {"command": self.command, "version": __version__}
+        if self.tol is not None:
+            payload["tol"] = self.tol
+        return payload
 
 
 def sub_seed(seed: int, module: str, operation: str) -> int:

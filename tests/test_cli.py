@@ -1,8 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qdel
 from qdel.cli import main
+from qdel.fidelity import point_fidelities
 from qdel.machines import machine_to_json, qudit_pair_deleter, swap_deleter
 
 
@@ -20,7 +27,7 @@ class TestQuality:
         assert payload["formula_value"] == pytest.approx(0.70711, abs=1e-5)
 
     def test_curve_csv(self, capsys):
-        code, out, _ = run(capsys, "quality", "--n", "2", "--m", "1", "--curve")
+        code, out, _ = run(capsys, "quality", "--n", "2", "--m", "1", "--format", "csv")
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "alpha_sq,bound"
@@ -59,6 +66,9 @@ class TestFidelity:
         assert code == 0
         assert lines[0] == "alpha_sq,f_a,f_b"
         assert len(lines) == 12
+        for line in lines[1:]:  # the batched sweep equals the one-point path exactly
+            x, f_a, f_b = map(float, line.split(","))
+            assert (f_b, f_a) == point_fidelities(math.sqrt(x), math.sqrt(1.0 - x))
 
     def test_alpha_sq_validated_before_computation(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -173,6 +183,14 @@ class TestUsageErrors:
             ["signal", "--sweep", "1"],
             ["fidelity", "--grid", "4x4"],
             ["signal", "--format", "csv"],
+            ["signal", "--theta1", "abc"],
+            ["nogo", "--phase", "x"],
+            ["verify", "--machine", "m.json", "--tol", "-1"],
+            ["verify", "--machine", "m.json", "--tol", "nan"],
+            ["quality", "--n", "2", "--m", "1", "--seed", "9"],
+            ["quality", "--n", "2", "--m", "1", "--curve"],
+            ["quality", "--n", "2", "--m", "1", "--tol", "1e-9"],
+            ["delete-demo", "--format", "json"],
         ],
     )
     def test_rejected_before_computation(self, capsys, argv):
@@ -193,11 +211,28 @@ class TestUsageErrors:
 
 class TestManifest:
     def test_manifest_goes_to_stderr(self, capsys):
-        code, out, err = run(
-            capsys, "quality", "--n", "2", "--m", "1", "--seed", "9", "--manifest"
-        )
+        code, out, err = run(capsys, "quality", "--n", "2", "--m", "1", "--manifest")
         assert code == 0
         manifest = json.loads(err)
-        assert manifest["seed"] == 9
         assert "quality" in manifest["command"]
+        assert "tol" not in manifest
         json.loads(out)  # report still parses
+
+    def test_verify_records_the_tolerance_it_applied(self, capsys, tmp_path):
+        path = tmp_path / "machine.json"
+        path.write_text(json.dumps(machine_to_json(swap_deleter(2))))
+        argv = ["verify", "--machine", str(path), "--tol", "1e-9", "--manifest"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(err)["tol"] == 1e-9
+        assert json.loads(out)["is_isometry"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(qdel.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "qdel", "quality", "--n", "2", "--m", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["n"] == 2

@@ -273,6 +273,13 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ShapeError):
             DensityMatrix(SpaceShape((2, 2)), np.eye(2) / 2)
 
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(SpaceShape((2,)), np.full((2, 2), np.nan))
+        payload = {"dims": [2], "entries": [[[math.nan, 0.0]] * 2] * 2}
+        with pytest.raises(InvalidStateError):
+            density_from_json(payload)
+
 
 class TestJsonRoundTrip:
     def test_ket(self):
