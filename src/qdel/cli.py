@@ -10,13 +10,12 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
 from .deletion import optimal_quality
-from .errors import InvalidStateError, ShapeError, UnsupportedFormatError
 from .fidelity import _MIN_GRID, _batched_fidelities, fidelity_report
 from .hilbert import Ket, basis_ket, bloch_ket, ket, tensor, trace_distance
 from .machines import (
@@ -77,8 +76,9 @@ def _int_at_least(low: int):
     return integer
 
 
-def _parse_alphabet(spec: str, dim: int) -> list[Ket]:
-    states = []
+def _parse_alphabet(spec: str) -> list[Union[int, Ket]]:
+    """Kets for +, - and bloch:THETA[:PHI]; a basis index waits for the machine's dimension."""
+    states: list[Union[int, Ket]] = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
@@ -88,15 +88,23 @@ def _parse_alphabet(spec: str, dim: int) -> list[Ket]:
         elif token == "-":
             states.append(ket([1 / math.sqrt(2), -1 / math.sqrt(2)], [2]))
         elif token.startswith("bloch:"):
-            angles = token[len("bloch:") :].split(":")
-            theta = _parse_angle(angles[0])
-            phi = _parse_angle(angles[1]) if len(angles) > 1 else 0.0
-            states.append(bloch_ket(theta, phi))
+            theta, colon, phi = token[len("bloch:") :].partition(":")
+            states.append(bloch_ket(_parse_angle(theta), _parse_angle(phi) if colon else 0.0))
         else:
-            states.append(basis_ket([dim], int(token)))
+            states.append(int(token))
     if not states:
-        raise ValueError("alphabet is empty")
+        raise argparse.ArgumentTypeError("alphabet is empty")
     return states
+
+
+def _alphabet_kets(alphabet: list[Union[int, Ket]], dim: int) -> list[Ket]:
+    """The parsed alphabet on a machine with `dim`-level copies; a misfit is a usage error."""
+    if dim != 2 and any(isinstance(state, Ket) for state in alphabet):
+        raise argparse.ArgumentTypeError(f"--alphabet: qubit states given for {dim}-level copies")
+    bad = [i for i in alphabet if not isinstance(i, Ket) and not 0 <= i < dim]
+    if bad:
+        raise argparse.ArgumentTypeError(f"--alphabet: index {bad[0]} outside dimension {dim}")
+    return [state if isinstance(state, Ket) else basis_ket([dim], state) for state in alphabet]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", default=None, help="output path (default stdout)")
     common.add_argument("--manifest", action="store_true", help="print a run manifest to stderr")
     report = argparse.ArgumentParser(add_help=False, parents=[common])
-    report.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    report.add_argument("--format", choices=("json", "csv", "table"), default=None)
 
     parser = argparse.ArgumentParser(
         prog="qdel",
@@ -118,22 +126,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_int_at_least(1), required=True)
 
     p = sub.add_parser("fidelity", parents=[report], help="conditional-deleter fidelities")
-    p.add_argument("--alpha-sq", type=_unit_interval, default=0.5)
-    p.add_argument("--average", action="store_true", help="emphasize the Bloch-sphere averages")
+    p.add_argument("--alpha-sq", type=_unit_interval, default=None)
+    p.add_argument("--average", action="store_true", default=None,
+                   help="emphasize the Bloch-sphere averages")
     p.add_argument("--grid", type=_parse_grid, default=None, metavar="AxB",
                    help="quadrature grid, e.g. 256x256")
     p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N",
                    help="emit CSV of (alpha_sq, f_a, f_b) over an N-point sweep")
 
     p = sub.add_parser("nogo", parents=[report], help="non-orthogonal deletion constraints")
-    p.add_argument("--overlap", type=_unit_interval, default=0.7071067811865476, metavar="S")
+    p.add_argument("--overlap", type=_unit_interval, default=None, metavar="S")
     p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N")
     p.add_argument("--phase", type=_parse_angle, default=0.0, metavar="CHI",
                    help="phase of the overlap (radians or Ndeg)")
 
     p = sub.add_parser("signal", parents=[report], help="no-signalling consistency check")
-    p.add_argument("--theta1", type=_parse_angle, default=0.0, metavar="T1")
-    p.add_argument("--theta2", type=_parse_angle, default=math.pi / 4, metavar="T2")
+    p.add_argument("--theta1", type=_parse_angle, default=None, metavar="T1")
+    p.add_argument("--theta2", type=_parse_angle, default=None, metavar="T2")
     p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N",
                    help="emit CSV of trace distance to the theta=0 mixture")
 
@@ -143,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="check a user-supplied machine")
     p.add_argument("--machine", required=True, metavar="FILE")
-    p.add_argument("--alphabet", default=None, metavar="SPEC",
+    p.add_argument("--alphabet", type=_parse_alphabet, default=None, metavar="SPEC",
                    help="comma-separated states: basis indices, +, -, bloch:THETA[:PHI]")
     p.add_argument("--tol", type=_positive_float, default=1e-10,
                    help="isometry tolerance (default 1e-10)")
@@ -169,13 +178,16 @@ def _run_quality(args) -> str:
     return emit_report(optimal_quality(args.n, args.m), args.format)
 
 
+def _sweep_csv(header: str, *columns) -> str:
+    rows = [header] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    return "\n".join(rows) + "\n"
+
+
 def _run_fidelity(args) -> str:
     if args.sweep is not None:
         xs = np.linspace(0.0, 1.0, args.sweep)
         f_b, f_a = _batched_fidelities(np.sqrt(xs), np.sqrt(1.0 - xs))
-        rows = ["alpha_sq,f_a,f_b"]
-        rows += [f"{float(x)!r},{float(a)!r},{float(b)!r}" for x, a, b in zip(xs, f_a, f_b)]
-        return "\n".join(rows) + "\n"
+        return _sweep_csv("alpha_sq,f_a,f_b", xs, f_a, f_b)
     if args.grid is not None:
         n_theta, n_phi = args.grid
     else:
@@ -186,22 +198,17 @@ def _run_fidelity(args) -> str:
 
 def _run_nogo(args) -> str:
     if args.sweep is not None:
-        reports = sweep_overlap(args.sweep, phase=args.phase)
-        rows = ["s,max_residual"]
-        grid = np.linspace(0.0, 1.0, args.sweep)
-        rows += [f"{float(s)!r},{r.max_residual!r}" for s, r in zip(grid, reports)]
-        return "\n".join(rows) + "\n"
+        residuals = [r.max_residual for r in sweep_overlap(args.sweep, phase=args.phase)]
+        return _sweep_csv("s,max_residual", np.linspace(0.0, 1.0, args.sweep), residuals)
     return emit_report(overlap_constraints(args.overlap, args.phase), args.format)
 
 
 def _run_signal(args) -> str:
     if args.sweep is not None:
         base = bob_delete_and_reduce(0.0)
-        rows = ["theta,trace_distance_vs_theta0"]
-        for theta in np.linspace(0.0, math.pi, args.sweep):
-            d = trace_distance(bob_delete_and_reduce(float(theta)), base)
-            rows.append(f"{float(theta)!r},{d!r}")
-        return "\n".join(rows) + "\n"
+        thetas = np.linspace(0.0, math.pi, args.sweep)
+        distances = [trace_distance(bob_delete_and_reduce(float(t)), base) for t in thetas]
+        return _sweep_csv("theta,trace_distance_vs_theta0", thetas, distances)
     return emit_report(signalling_distance(args.theta1, args.theta2), args.format)
 
 
@@ -235,7 +242,7 @@ def _run_verify(args) -> str:
         "max_gram_residual": None,
     }
     if args.alphabet:
-        alphabet = _parse_alphabet(args.alphabet, machine.input_shape.dims[0])
+        alphabet = _alphabet_kets(args.alphabet, machine.input_shape.dims[0])
         payload["max_gram_residual"] = gram_preservation_check(machine, alphabet).max_gram_residual
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -250,12 +257,31 @@ _RUNNERS = {
 }
 
 
+# Flags a --sweep run does not read, with the value each takes when omitted.
+# argparse gives them no default, so that one given alongside --sweep shows.
+_SWEEP_IGNORED = {
+    "fidelity": {"alpha_sq": 0.5, "average": False, "grid": None},
+    "nogo": {"overlap": 0.7071067811865476},
+    "signal": {"theta1": 0.0, "theta2": math.pi / 4},
+}
+
+
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Rules that join two flags; each flag's own range is checked by its argparse type."""
+    """Rules that join two flags, then defaults; argparse types check each flag's range."""
     if args.command == "quality" and args.m > args.n:
         parser.error(f"need 1 <= m <= n, got n={args.n}, m={args.m}")
+    ignored = _SWEEP_IGNORED.get(args.command, {})
+    if getattr(args, "sweep", None) is not None:
+        given = [f"--{d.replace('_', '-')}" for d in ignored if getattr(args, d) is not None]
+        if args.format not in (None, "csv"):
+            given.append(f"--format {args.format}")
+        if given:
+            parser.error(f"--sweep prints CSV and would ignore {', '.join(given)}")
     if args.command == "signal" and args.sweep is None and args.format == "csv":
         parser.error("the signal report is matrix-valued and has no CSV rendering")
+    for dest, value in {"format": "json", **ignored}.items():
+        if getattr(args, dest, value) is None:
+            setattr(args, dest, value)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -266,10 +292,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _emit_manifest(args, argv)
     try:
         text = _RUNNERS[args.command](args)
-    except (InvalidStateError, ShapeError, UnsupportedFormatError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except argparse.ArgumentTypeError as exc:  # a flag value the input shows to be wrong
+        parser.error(str(exc))
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:  # qdel's errors are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 3
     _write(text, args.out)

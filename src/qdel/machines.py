@@ -1,11 +1,10 @@
 """Deletion machines as linear maps declared on basis product states.
 
-A machine is fixed by its action on every computational basis state of its
-input space and extended to superpositions by linearity. That single
-extension rule is the engine behind every "actual output" computed in this
-package, and it is what makes perfect deletion of unknown states impossible:
-declaring |i,i> -> |i,blank> on the basis forces a quadratic, not linear,
-dependence on the input amplitudes.
+A machine is its matrix: column i is the image of input basis state i, and
+superpositions follow by linearity. That single extension rule is the engine
+behind every "actual output" computed in this package, and it is what makes
+perfect deletion of unknown states impossible: declaring |i,i> -> |i,blank>
+forces a quadratic, not linear, dependence on the input amplitudes.
 
 Machines are immutable and all checks are pure functions; concurrent use is
 safe. `classify_deleter` draws its samples deterministically from a seed.
@@ -29,7 +28,6 @@ from .hilbert import (
     basis_ket,
     complex_pair,
     haar_ket,
-    ket,
     orthonormal_completion,
     tensor,
 )
@@ -56,55 +54,42 @@ __all__ = [
 # fixed basis state is equivalent up to relabeling.
 BLANK_INDEX = 0
 
-_RULE_NORM_TOL = ALGEBRAIC_TOL
-
 
 @dataclass(frozen=True, eq=False)
 class BasisActionMachine:
-    """Linear map given by one output ket per input basis product state.
+    """Linear map given by its output-dim x input-dim matrix.
 
-    `rules[i]` is the image of input basis state `i` (row-major flat index).
-    With `strict=True` (the default) every rule image must be normalized
-    within 1e-12; `strict=False` admits arbitrary user-supplied rules so they
-    can be inspected and rejected by the verification tools instead of at
-    construction time.
+    Column `i` is the image of input basis state `i` (row-major flat index).
+    Every entry must be finite. With `strict=True` (the default) every column
+    must be normalized within 1e-12; `strict=False` admits arbitrary
+    user-supplied columns so they can be inspected and rejected by the
+    verification tools instead of at construction time.
     """
 
     input_shape: SpaceShape
     output_shape: SpaceShape
-    rules: tuple[Ket, ...]
+    matrix: np.ndarray
     strict: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
         in_shape = as_shape(self.input_shape)
         out_shape = as_shape(self.output_shape)
-        rules = tuple(self.rules)
-        if len(rules) != in_shape.dim:
-            raise ShapeError(
-                f"need exactly one rule per input basis state: "
-                f"{in_shape.dim} expected, {len(rules)} given"
-            )
-        for i, r in enumerate(rules):
-            if r.dims != out_shape.dims:
-                raise ShapeError(
-                    f"rule {i} lives on {r.dims}, machine output is {out_shape.dims}"
-                )
-            if self.strict and not r.is_normalized(_RULE_NORM_TOL):
-                raise InvalidStateError(f"rule {i} image is not normalized")
-        matrix = np.column_stack([r.amplitudes for r in rules])
+        matrix = np.array(self.matrix, dtype=complex)
+        want = (out_shape.dim, in_shape.dim)
+        if matrix.shape != want:
+            raise ShapeError(f"matrix is {matrix.shape}, need (output dim, input dim) {want}")
+        if not np.all(np.isfinite(matrix)):
+            raise InvalidStateError("machine matrix has a non-finite amplitude")
         matrix.setflags(write=False)
         object.__setattr__(self, "input_shape", in_shape)
         object.__setattr__(self, "output_shape", out_shape)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "matrix", matrix)
+        if self.strict and not self.rule_norms_ok():
+            raise InvalidStateError("every column (rule image) must be normalized")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Output-dim x input-dim matrix whose columns are the rule images."""
-        return self._matrix  # type: ignore[attr-defined]
-
-    def rule_norms_ok(self, tol: float = _RULE_NORM_TOL) -> bool:
-        return all(r.is_normalized(tol) for r in self.rules)
+    def rule_norms_ok(self, tol: float = ALGEBRAIC_TOL) -> bool:
+        norms = np.linalg.norm(self.matrix, axis=0)
+        return bool(np.all(np.abs(norms**2 - 1.0) <= tol))
 
 
 @dataclass(frozen=True)
@@ -176,8 +161,8 @@ class DeleterVerdict:
 def apply(machine: BasisActionMachine, state: Ket) -> Ket:
     """Extend the machine's basis action to `state` by linearity.
 
-    The output is sum_i <basis_i|state> * rules[i]; it is normalized only when
-    the machine is an isometry.
+    The output is sum_i <basis_i|state> * matrix[:, i]; it is normalized only
+    when the machine is an isometry.
     """
     if state.dims != machine.input_shape.dims:
         raise ShapeError(
@@ -239,23 +224,20 @@ def qudit_pair_deleter(
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
     shape = SpaceShape((d, d))
+    targets = np.arange(shape.dim).reshape(d, d)
+    targets[np.arange(d), np.arange(d)] = targets[:, BLANK_INDEX]  # |i,i> -> |i,blank>
+    matrix = np.eye(shape.dim, dtype=complex)[:, targets.reshape(-1)]
     if garbage is not None:
-        missing = [(i, j) for i in range(d) for j in range(d) if i != j and (i, j) not in garbage]
+        pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+        missing = [pair for pair in pairs if pair not in garbage]
         if missing:
             raise ValueError(f"garbage map is missing pairs {missing}")
-    rules = []
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                rules.append(basis_ket(shape, (i, BLANK_INDEX)))
-            elif garbage is not None:
-                g = garbage[(i, j)]
-                if g.dims != shape.dims:
-                    raise ShapeError(f"garbage state for {(i, j)} has dims {g.dims}")
-                rules.append(g.require_normalized())
-            else:
-                rules.append(basis_ket(shape, (i, j)))
-    return BasisActionMachine(shape, shape, tuple(rules))
+        for i, j in pairs:
+            g = garbage[(i, j)]
+            if g.dims != shape.dims:
+                raise ShapeError(f"garbage state for {(i, j)} has dims {g.dims}")
+            matrix[:, shape.flat_index((i, j))] = g.amplitudes
+    return BasisActionMachine(shape, shape, matrix)
 
 
 _DEFAULT_ANCILLA = AncillaConfig(dim=3, final_indices={"0": 1, "1": 2})
@@ -289,10 +271,8 @@ def conditional_deleter(ancilla: AncillaConfig = _DEFAULT_ANCILLA) -> BasisActio
     filler = iter(
         orthonormal_completion(list(declared.values()), range(shape.dim), shape.dim - len(declared))
     )
-    rules = tuple(
-        Ket(shape, declared[k] if k in declared else next(filler)) for k in range(shape.dim)
-    )
-    return BasisActionMachine(shape, shape, rules)
+    columns = [declared[k] if k in declared else next(filler) for k in range(shape.dim)]
+    return BasisActionMachine(shape, shape, np.column_stack(columns))
 
 
 def swap_deleter(d: int) -> BasisActionMachine:
@@ -305,12 +285,9 @@ def swap_deleter(d: int) -> BasisActionMachine:
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
     shape = SpaceShape((d, d, d))
-    rules = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                rules.append(basis_ket(shape, (i, k, j)))
-    return BasisActionMachine(shape, shape, tuple(rules))
+    # column (i, j, k) is e_(i, k, j)
+    swapped = np.arange(shape.dim).reshape(d, d, d).transpose(0, 2, 1).reshape(-1)
+    return BasisActionMachine(shape, shape, np.eye(shape.dim, dtype=complex)[:, swapped])
 
 
 def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
@@ -409,9 +386,9 @@ def machine_to_json(machine: BasisActionMachine) -> dict:
         "rules": [
             {
                 "in_index": i,
-                "out_amplitudes": [complex_pair(z) for z in r.amplitudes],
+                "out_amplitudes": [complex_pair(z) for z in column],
             }
-            for i, r in enumerate(machine.rules)
+            for i, column in enumerate(machine.matrix.T)
         ],
     }
 
@@ -424,11 +401,9 @@ def machine_from_json(obj: Mapping, strict: bool = True) -> BasisActionMachine:
         raise ShapeError(
             f"rules must cover in_index 0..{in_shape.dim - 1} exactly once, got {sorted(entries)}"
         )
-    rules = tuple(
-        ket([complex(re, im) for re, im in entries[i]], out_shape)
-        for i in range(in_shape.dim)
-    )
-    for i, rule in enumerate(rules):
-        if not np.all(np.isfinite(rule.amplitudes)):
-            raise InvalidStateError(f"rule {i} has a non-finite amplitude")
-    return BasisActionMachine(in_shape, out_shape, rules, strict=strict)
+    matrix = np.empty((out_shape.dim, in_shape.dim), dtype=complex)
+    for i, amplitudes in entries.items():
+        if len(amplitudes) != out_shape.dim:
+            raise ShapeError(f"rule {i} has {len(amplitudes)} amplitudes, need {out_shape.dim}")
+        matrix[:, i] = [complex(re, im) for re, im in amplitudes]
+    return BasisActionMachine(in_shape, out_shape, matrix, strict=strict)

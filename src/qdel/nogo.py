@@ -60,18 +60,19 @@ class ConstraintReport:
 
     overlap_s: complex
     constraints: tuple[Constraint, ...]
-    satisfiable: bool
-    trivial_only: bool
-
-    def __post_init__(self) -> None:
-        if len(self.constraints) != 5:
-            raise ValueError(f"expected exactly 5 constraints, got {len(self.constraints)}")
-        if self.satisfiable != all(c.residual < _SAT_TOL for c in self.constraints):
-            raise ValueError("satisfiable flag is inconsistent with the residuals")
 
     @property
     def max_residual(self) -> float:
         return max(c.residual for c in self.constraints)
+
+    @property
+    def satisfiable(self) -> bool:
+        return all(c.residual < _SAT_TOL for c in self.constraints)
+
+    @property
+    def trivial_only(self) -> bool:
+        """Satisfiable, with psi1 = psi2 = sigma; the conditions already force |s1| = |s2| = 1."""
+        return self.satisfiable and abs(self.overlap_s) > 1.0 - _SAT_TOL
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,7 @@ def nonorthogonal_constraints(psi1: Ket, psi2: Ket, sigma: Ket) -> ConstraintRep
         Constraint("<sigma|psi1> = 1  [11|21]", s1, 1.0),
         Constraint("<psi2|psi1> = <sigma|psi1>  [22|21]", inner(psi2, psi1), s1),
     )
-    satisfiable = all(c.residual < _SAT_TOL for c in constraints)
-    trivial = satisfiable and min(abs(s), abs(s1), abs(s2)) > 1.0 - _SAT_TOL
-    return ConstraintReport(
-        overlap_s=s, constraints=constraints, satisfiable=satisfiable, trivial_only=trivial
-    )
+    return ConstraintReport(overlap_s=s, constraints=constraints)
 
 
 def overlap_constraints(s: float, phase: float = 0.0) -> ConstraintReport:

@@ -165,6 +165,25 @@ class TestVerify:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "d, alphabet, named",
+        [(2, "7", "dimension 2"), (2, "0,-1", "dimension 2"), (3, "0,+", "3-level"),
+         (3, "bloch:1", "3-level")],
+    )
+    def test_alphabet_that_misfits_the_machine_is_a_usage_error(
+        self, capsys, tmp_path, d, alphabet, named
+    ):
+        path = self.write_machine(tmp_path, swap_deleter(d))
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "verify", "--machine", path, "--alphabet", alphabet)
+        assert err.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_qutrit_basis_alphabet_fits(self, capsys, tmp_path):
+        path = self.write_machine(tmp_path, swap_deleter(3))
+        code, out, _ = run(capsys, "verify", "--machine", path, "--alphabet", "0,1,2")
+        assert code == 0 and json.loads(out)["max_gram_residual"] == 0.0
+
     def test_nan_amplitude_is_a_numeric_error(self, capsys, tmp_path):
         payload = machine_to_json(swap_deleter(2))
         payload["rules"][0]["out_amplitudes"][0] = [float("nan"), 0.0]
@@ -191,12 +210,49 @@ class TestUsageErrors:
             ["quality", "--n", "2", "--m", "1", "--curve"],
             ["quality", "--n", "2", "--m", "1", "--tol", "1e-9"],
             ["delete-demo", "--format", "json"],
+            ["verify", "--machine", "m.json", "--alphabet", "bloch:abc"],
+            ["verify", "--machine", "m.json", "--alphabet", "bloch:1:2:3"],
+            ["verify", "--machine", "m.json", "--alphabet", "1.5"],
+            ["verify", "--machine", "m.json", "--alphabet", ","],
+            ["fidelity", "--sweep", "3", "--format", "table"],
+            ["fidelity", "--sweep", "3", "--format", "json"],
+            ["fidelity", "--sweep", "3", "--grid", "16x16"],
+            ["fidelity", "--sweep", "3", "--alpha-sq", "0.2"],
+            ["fidelity", "--sweep", "3", "--average"],
+            ["nogo", "--sweep", "3", "--overlap", "0.2"],
+            ["nogo", "--sweep", "3", "--format", "json"],
+            ["signal", "--sweep", "3", "--theta1", "0.4"],
+            ["signal", "--sweep", "3", "--theta2", "0"],
+            ["signal", "--sweep", "3", "--format", "table"],
         ],
     )
     def test_rejected_before_computation(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
             run(capsys, *argv)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fidelity", "--sweep", "5"], ["nogo", "--sweep", "5", "--phase", "0.3"],
+         ["signal", "--sweep", "5"]],
+    )
+    def test_sweep_takes_csv_or_no_format(self, capsys, argv):
+        omitted = run(capsys, *argv)
+        assert omitted[0] == 0
+        assert run(capsys, *argv, "--format", "csv") == omitted
+
+    @pytest.mark.parametrize(
+        "bare, spelled_out",
+        [
+            (["fidelity"], ["fidelity", "--alpha-sq", "0.5", "--format", "json"]),
+            (["nogo"], ["nogo", "--overlap", "0.7071067811865476"]),
+            (["signal"], ["signal", "--theta1", "0", "--theta2", "45deg"]),
+        ],
+    )
+    def test_omitted_flags_take_their_defaults(self, capsys, bare, spelled_out):
+        result = run(capsys, *bare)
+        assert result[0] == 0
+        assert run(capsys, *spelled_out) == result
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as err:

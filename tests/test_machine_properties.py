@@ -1,0 +1,89 @@
+"""Property tests of the machine layer: construction, norm checks and the wire format."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from qdel.errors import InvalidStateError, ShapeError
+from qdel.hilbert import Ket, SpaceShape
+from qdel.machines import BasisActionMachine, machine_from_json, machine_to_json
+
+# derandomized, so that every run draws the same examples and writes no example database
+PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+dims = st.lists(st.integers(2, 3), min_size=1, max_size=6).filter(lambda ds: math.prod(ds) <= 64)
+amplitudes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def shapes_and_matrices(draw):
+    """Drawn input and output shapes and a complex (output dim, input dim) matrix.
+
+    Half the draws scale every nonzero column to unit norm, so that both
+    answers of `rule_norms_ok` come up.
+    """
+    in_shape, out_shape = SpaceShape(tuple(draw(dims))), SpaceShape(tuple(draw(dims)))
+    matrix = draw(arrays(complex, (out_shape.dim, in_shape.dim), elements=amplitudes))
+    if draw(st.booleans()):
+        norms = np.linalg.norm(matrix, axis=0)
+        matrix = matrix / np.where(norms > 0.0, norms, 1.0)
+    return in_shape, out_shape, matrix
+
+
+def machines():
+    """Machines on drawn matrices, loaded without the norm check."""
+    return shapes_and_matrices().map(lambda t: BasisActionMachine(*t, strict=False))
+
+
+@PROPERTIES
+@given(machines())
+def test_wire_format_round_trip_is_byte_identical(machine):
+    text = json.dumps(machine_to_json(machine))
+    back = machine_from_json(json.loads(text), strict=False)
+    assert json.dumps(machine_to_json(back)) == text
+    assert back.matrix.tobytes() == machine.matrix.tobytes()
+
+
+@PROPERTIES
+@given(shapes_and_matrices())
+def test_non_strict_construction_keeps_the_matrix_bit_for_bit(drawn):
+    in_shape, out_shape, matrix = drawn
+    machine = BasisActionMachine(in_shape, out_shape, matrix, strict=False)
+    assert machine.matrix.tobytes() == matrix.tobytes()
+    assert not machine.matrix.flags.writeable
+
+
+@PROPERTIES
+@given(machines(), st.sampled_from([1e-12, 1e-9, 1e-3]))
+def test_rule_norms_ok_agrees_with_a_per_column_check(machine, tol):
+    columns = [Ket(machine.output_shape, column) for column in machine.matrix.T]
+    assert machine.rule_norms_ok(tol) == all(column.is_normalized(tol) for column in columns)
+
+
+@PROPERTIES
+@given(machines(), st.sampled_from([complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf]),
+       st.data())
+def test_non_finite_entries_are_refused_under_either_strictness(machine, bad, data):
+    matrix = machine.matrix.copy()
+    row = data.draw(st.integers(0, matrix.shape[0] - 1))
+    col = data.draw(st.integers(0, matrix.shape[1] - 1))
+    matrix[row, col] = bad
+    for strict in (True, False):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            BasisActionMachine(machine.input_shape, machine.output_shape, matrix, strict=strict)
+
+
+@PROPERTIES
+@given(machines(), st.data())
+def test_a_rule_of_the_wrong_length_is_a_shape_error(machine, data):
+    payload = machine_to_json(machine)
+    rule = data.draw(st.sampled_from(payload["rules"]))
+    n = len(rule["out_amplitudes"])
+    length = data.draw(st.integers(0, 2 * n).filter(lambda k: k != n))
+    rule["out_amplitudes"] = (rule["out_amplitudes"] * 2 + [[0.0, 0.0]])[:length]
+    with pytest.raises(ShapeError):
+        machine_from_json(payload, strict=False)

@@ -5,7 +5,6 @@ import pytest
 
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.hilbert import (
-    Ket,
     SpaceShape,
     basis_ket,
     bloch_ket,
@@ -40,37 +39,32 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def identity_machine(dims) -> BasisActionMachine:
     shape = SpaceShape(tuple(dims))
-    rules = tuple(basis_ket(shape, i) for i in range(shape.dim))
-    return BasisActionMachine(shape, shape, rules)
+    return BasisActionMachine(shape, shape, np.eye(shape.dim))
 
 
 def random_machine(rng, in_dims, out_dims) -> BasisActionMachine:
     in_shape, out_shape = SpaceShape(tuple(in_dims)), SpaceShape(tuple(out_dims))
-    rules = tuple(
-        ket(haar_ket(out_shape.dim, rng).amplitudes, out_shape) for _ in range(in_shape.dim)
-    )
-    return BasisActionMachine(in_shape, out_shape, rules)
+    columns = [haar_ket(out_shape.dim, rng).amplitudes for _ in range(in_shape.dim)]
+    return BasisActionMachine(in_shape, out_shape, np.column_stack(columns))
 
 
 class TestBasisActionMachine:
     def test_needs_one_rule_per_basis_state(self):
         shape = SpaceShape((2,))
         with pytest.raises(ShapeError):
-            BasisActionMachine(shape, shape, (basis_ket(shape, 0),))
+            BasisActionMachine(shape, shape, np.eye(2)[:, :1])
 
     def test_rules_must_be_normalized_when_strict(self):
         shape = SpaceShape((2,))
-        bad = ket([0.5, 0.0], [2])
+        bad = np.diag([0.5, 1.0])
         with pytest.raises(InvalidStateError):
-            BasisActionMachine(shape, shape, (bad, basis_ket(shape, 1)))
-        loose = BasisActionMachine(shape, shape, (bad, basis_ket(shape, 1)), strict=False)
+            BasisActionMachine(shape, shape, bad)
+        loose = BasisActionMachine(shape, shape, bad, strict=False)
         assert not loose.rule_norms_ok()
 
     def test_rule_shape_must_match_output(self):
         with pytest.raises(ShapeError):
-            BasisActionMachine(
-                SpaceShape((2,)), SpaceShape((3,)), (basis_ket([2], 0), basis_ket([2], 1))
-            )
+            BasisActionMachine(SpaceShape((2,)), SpaceShape((3,)), np.eye(2))
 
 
 class TestApply:
@@ -129,9 +123,7 @@ class TestCheckIsometry:
 
     def test_colliding_rules_fail_with_unit_deviation(self):
         shape = SpaceShape((2,))
-        machine = BasisActionMachine(
-            shape, shape, (basis_ket(shape, 0), basis_ket(shape, 0))
-        )
+        machine = BasisActionMachine(shape, shape, [[1.0, 1.0], [0.0, 0.0]])
         report = check_isometry(machine)
         assert not report.is_isometry
         assert report.max_gram_deviation == pytest.approx(1.0, abs=1e-15)
@@ -291,9 +283,9 @@ class TestClassifyDeleter:
 
     def test_unnormalized_rules_are_flagged(self):
         shape = SpaceShape((2, 2, 2))
-        rules = list(swap_deleter(2).rules)
-        rules[0] = ket(rules[0].amplitudes * 0.5, shape)
-        machine = BasisActionMachine(shape, shape, tuple(rules), strict=False)
+        matrix = swap_deleter(2).matrix.copy()
+        matrix[:, 0] *= 0.5
+        machine = BasisActionMachine(shape, shape, matrix, strict=False)
         verdict = classify_deleter(machine, samples=10, seed=1)
         assert verdict.kind is DeleterKind.NOT_LINEAR_CONSISTENT
         assert verdict.residual_stats == ()
@@ -312,7 +304,7 @@ class TestTwoCopyKernel:
             shape = SpaceShape(tuple(dims))
             gauss = rng.standard_normal((shape.dim,) * 2) + 1j * rng.standard_normal((shape.dim,) * 2)
             q, _ = np.linalg.qr(gauss)
-            machine = BasisActionMachine(shape, shape, tuple(Ket(shape, c) for c in q.T))
+            machine = BasisActionMachine(shape, shape, q)
             d, m = dims[0], dims[2]
             psis = [haar_ket(d, rng) for _ in range(5)]
             outs = _copies_output(machine, np.stack([psi.amplitudes for psi in psis]))
@@ -369,7 +361,7 @@ class TestMachineJson:
 
     def test_bloch_state_survives_round_trip(self):
         shape = SpaceShape((2,))
-        rules = (bloch_ket(0.7, 1.1), bloch_ket(2.0, 0.3))
-        machine = BasisActionMachine(shape, shape, rules)
+        columns = (bloch_ket(0.7, 1.1).amplitudes, bloch_ket(2.0, 0.3).amplitudes)
+        machine = BasisActionMachine(shape, shape, np.column_stack(columns))
         back = machine_from_json(machine_to_json(machine))
         np.testing.assert_array_equal(back.matrix, machine.matrix)

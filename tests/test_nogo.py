@@ -7,7 +7,6 @@ from qdel.errors import ShapeError
 from qdel.hilbert import basis_ket, bloch_ket, haar_qubit, inner, ket
 from qdel.machines import conditional_deleter, swap_deleter
 from qdel.nogo import (
-    ConstraintReport,
     gram_preservation_check,
     ideal_deletion_map,
     nonorthogonal_constraints,
@@ -59,16 +58,6 @@ class TestNonorthogonalConstraints:
     def test_non_qubit_rejected(self):
         with pytest.raises(ShapeError):
             nonorthogonal_constraints(basis_ket([3], 0), basis_ket([3], 0), basis_ket([3], 0))
-
-    def test_report_invariant(self):
-        report = nonorthogonal_constraints(basis_ket([2], 0), plus(), basis_ket([2], 0))
-        with pytest.raises(ValueError):
-            ConstraintReport(
-                overlap_s=report.overlap_s,
-                constraints=report.constraints,
-                satisfiable=True,
-                trivial_only=False,
-            )
 
 
 class TestSweepOverlap:
