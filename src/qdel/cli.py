@@ -242,7 +242,7 @@ def _run_verify(args) -> str:
         "max_gram_residual": None,
     }
     if args.alphabet:
-        alphabet = _alphabet_kets(args.alphabet, machine.input_shape.dims[0])
+        alphabet = _alphabet_kets(args.alphabet, machine.input_dims[0])
         payload["max_gram_residual"] = gram_preservation_check(machine, alphabet).max_gram_residual
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 

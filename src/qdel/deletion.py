@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import Ket, SpaceShape, orthonormal_completion, qubit_ket
+from .hilbert import Ket, orthonormal_completion, qubit_ket
 
 __all__ = [
     "SymmetricState",
@@ -30,7 +30,6 @@ __all__ = [
     "actual_delete_output",
     "quality_bound",
     "optimal_quality",
-    "deletion_error",
     "GRID_STEP",
 ]
 
@@ -60,19 +59,6 @@ class SymmetricState:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
-    def embed(self) -> Ket:
-        """Expansion into the full 2^N product space (for cross-validation).
-
-        The Dicke state with k ones spreads coefficient[k]/sqrt(C(N,k))
-        uniformly over all bit strings of weight k.
-        """
-        n = self.n_copies
-        amps = np.empty(2**n, dtype=complex)
-        scale = [self.coefficients[k] / math.sqrt(math.comb(n, k)) for k in range(n + 1)]
-        for idx in range(2**n):
-            amps[idx] = scale[idx.bit_count()]
-        return Ket(SpaceShape((2,) * n), amps)
-
 
 def symmetric_expand(alpha: complex, beta: complex, n: int) -> SymmetricState:
     """Expand (alpha|0> + beta|1>)^(x)N over the normalized Dicke basis.
@@ -97,10 +83,6 @@ def _validate_n_m(n: int, m: int) -> None:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
 
 
-def _register_shape(n: int) -> SpaceShape:
-    return SpaceShape((n + 1, 3))
-
-
 def ideal_delete_output(alpha: complex, beta: complex, n: int, m: int) -> Ket:
     """What a machine that knows the state would produce: M intact copies.
 
@@ -112,7 +94,7 @@ def ideal_delete_output(alpha: complex, beta: complex, n: int, m: int) -> Ket:
     kept = symmetric_expand(alpha, beta, m).coefficients
     amps = np.zeros((n + 1, 3), dtype=complex)
     amps[: m + 1, 0] = kept
-    return Ket(_register_shape(n), amps.reshape(-1))
+    return Ket((n + 1, 3), amps.reshape(-1))
 
 
 def actual_delete_output(
@@ -167,7 +149,7 @@ def actual_delete_output(
         primes = orthonormal_completion([lead_0, lead_1], order, n - 1)
         for k in range(1, n):
             amps = amps + full[k] * primes[k - 1]
-    return Ket(_register_shape(n), amps)
+    return Ket((n + 1, 3), amps)
 
 
 def quality_bound(alpha_sq: float, n: int, m: int) -> float:
@@ -266,11 +248,3 @@ def optimal_quality(n: int, m: int) -> QualityReport:
         formula_value=formula,
         agreement=abs(min_bound - formula),
     )
-
-
-def deletion_error(quality: float) -> float:
-    """Error introduced by the machine: 1 - quality."""
-    q = float(quality)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quality must lie in [0, 1], got {q}")
-    return 1.0 - q

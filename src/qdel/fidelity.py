@@ -35,7 +35,6 @@ __all__ = [
     "rho_a",
     "point_fidelities",
     "average_fidelity",
-    "average_fidelity_theta",
     "fidelity_report",
     "AVG_DELETION_FIDELITY",
     "AVG_RETENTION_FIDELITY",
@@ -107,12 +106,6 @@ def _batched_fidelities(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarr
     return f_b, f_a
 
 
-def _select_mode(mode: str) -> int:
-    if mode not in ("a", "b"):
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return 0 if mode == "b" else 1
-
-
 def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
     """Bloch-sphere averages (of F_b, of F_a) from one evaluation of the full 2-D grid.
 
@@ -135,20 +128,10 @@ def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
 
 def average_fidelity(mode: str, n_theta: int, n_phi: int) -> float:
     """Bloch-sphere average of F_a or F_b over the full 2-D grid (see `_grid_averages`)."""
-    which = _select_mode(mode)
-    return _grid_averages(n_theta, n_phi)[which]
-
-
-def average_fidelity_theta(mode: str, n_theta: int) -> float:
-    """1-D reduction of the average: the integrands depend only on |alpha|^2."""
-    which = _select_mode(mode)
-    if n_theta < _MIN_GRID:
-        raise ValueError(f"need at least {_MIN_GRID} polar nodes")
-    u, w = np.polynomial.legendre.leggauss(n_theta)
-    alpha = np.sqrt((1.0 + u) / 2.0)
-    beta = np.sqrt((1.0 - u) / 2.0)
-    f_b, f_a = _batched_fidelities(alpha, beta)
-    return float(np.sum(w * (f_b, f_a)[which]) / 2.0)
+    if mode not in ("a", "b"):
+        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    avg_b, avg_a = _grid_averages(n_theta, n_phi)
+    return avg_b if mode == "b" else avg_a
 
 
 @dataclass(frozen=True)

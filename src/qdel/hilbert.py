@@ -16,6 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -31,10 +32,8 @@ EIGEN_TOL = 1e-10
 __all__ = [
     "ALGEBRAIC_TOL",
     "EIGEN_TOL",
-    "SpaceShape",
     "Ket",
     "DensityMatrix",
-    "as_shape",
     "ket",
     "basis_ket",
     "bloch_ket",
@@ -49,58 +48,19 @@ __all__ = [
     "haar_ket",
     "orthonormal_completion",
     "complex_pair",
-    "ket_to_json",
-    "ket_from_json",
     "density_to_json",
-    "density_from_json",
 ]
 
 
-@dataclass(frozen=True)
-class SpaceShape:
-    """Ordered subsystem dimensions of a tensor-product space."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValueError("a space needs at least one subsystem")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"every subsystem dimension must be >= 2, got {dims}")
-
-    @property
-    def dim(self) -> int:
-        """Total dimension (product of subsystem dimensions)."""
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
-
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
-
-    def flat_index(self, indices: Sequence[int]) -> int:
-        """Row-major flat index of the basis product state |i_0, i_1, ...>."""
-        if len(indices) != len(self.dims):
-            raise ShapeError(f"expected {len(self.dims)} indices, got {len(indices)}")
-        flat = 0
-        for i, d in zip(indices, self.dims):
-            if not 0 <= i < d:
-                raise ValueError(f"basis index {i} out of range for dimension {d}")
-            flat = flat * d + i
-        return flat
-
-
-ShapeLike = Union[SpaceShape, Sequence[int]]
-
-
-def as_shape(shape: ShapeLike) -> SpaceShape:
-    if isinstance(shape, SpaceShape):
-        return shape
-    return SpaceShape(tuple(shape))
+def _dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple: non-empty, integers, each >= 2; else ShapeError."""
+    try:
+        out = tuple(operator.index(d) for d in dims)
+    except TypeError:
+        raise ShapeError(f"dims must be a sequence of integers, got {dims!r}") from None
+    if not out or min(out) < 2:
+        raise ShapeError(f"dims must be non-empty with every dimension >= 2, got {out}")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,36 +71,26 @@ class Ket:
     (machine outputs, in particular, are not in general).
     """
 
-    shape: SpaceShape
+    dims: tuple[int, ...]
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = as_shape(self.shape)
+        dims = _dims(self.dims)
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != shape.dim:
+        if amps.size != math.prod(dims):
             raise ShapeError(
                 f"amplitude vector of length {amps.size} does not match "
-                f"total dimension {shape.dim} of {shape.dims}"
+                f"total dimension {math.prod(dims)} of {dims}"
             )
         amps.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.shape.dims
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def is_normalized(self, tol: float = ALGEBRAIC_TOL) -> bool:
         return abs(self.norm() ** 2 - 1.0) <= tol
-
-    def normalized(self) -> "Ket":
-        n = self.norm()
-        if n < 1e-15:
-            raise InvalidStateError("cannot normalize a zero vector")
-        return Ket(self.shape, self.amplitudes / n)
 
     def require_normalized(self, tol: float = ALGEBRAIC_TOL) -> "Ket":
         if not self.is_normalized(tol):
@@ -154,15 +104,15 @@ class Ket:
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix over a product space."""
 
-    shape: SpaceShape
+    dims: tuple[int, ...]
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = as_shape(self.shape)
+        dims = _dims(self.dims)
         mat = np.array(self.entries, dtype=complex)
-        d = shape.dim
+        d = math.prod(dims)
         if mat.shape != (d, d):
-            raise ShapeError(f"expected a {d}x{d} matrix for {shape.dims}, got {mat.shape}")
+            raise ShapeError(f"expected a {d}x{d} matrix for {dims}, got {mat.shape}")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if not herm_dev <= ALGEBRAIC_TOL:
             raise InvalidStateError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -173,28 +123,26 @@ class DensityMatrix:
         if not -min_eig <= EIGEN_TOL:
             raise InvalidStateError(f"matrix has negative eigenvalue {min_eig:.3e}")
         mat.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", mat)
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.shape.dims
 
-
-def ket(amplitudes: Iterable[complex], dims: ShapeLike) -> Ket:
+def ket(amplitudes: Iterable[complex], dims: Sequence[int]) -> Ket:
     """Build a Ket from raw amplitudes over the given subsystem dimensions."""
-    return Ket(as_shape(dims), np.asarray(list(amplitudes), dtype=complex))
+    return Ket(dims, np.asarray(list(amplitudes), dtype=complex))
 
 
-def basis_ket(dims: ShapeLike, index: Union[int, Sequence[int]]) -> Ket:
+def basis_ket(dims: Sequence[int], index: Union[int, Sequence[int]]) -> Ket:
     """Computational basis state, addressed by flat index or per-subsystem indices."""
-    shape = as_shape(dims)
-    flat = shape.flat_index(index) if not isinstance(index, (int, np.integer)) else int(index)
-    if not 0 <= flat < shape.dim:
-        raise ValueError(f"basis index {flat} out of range for dimension {shape.dim}")
-    amps = np.zeros(shape.dim, dtype=complex)
-    amps[flat] = 1.0
-    return Ket(shape, amps)
+    dims = _dims(dims)
+    size = math.prod(dims)
+    if not isinstance(index, (int, np.integer)):
+        index = np.ravel_multi_index(tuple(index), dims)  # ValueError when out of range
+    if not 0 <= index < size:
+        raise ValueError(f"basis index {index} out of range for dimension {size}")
+    amps = np.zeros(size, dtype=complex)
+    amps[index] = 1.0
+    return Ket(dims, amps)
 
 
 def bloch_ket(theta: float, phi: float = 0.0) -> Ket:
@@ -216,7 +164,7 @@ def qubit_ket(alpha: complex, beta: complex) -> Ket:
 def tensor(*factors: Ket) -> Ket:
     """Kronecker product of kets, in the declared subsystem order.
 
-    The result's shape is the concatenation of the factor shapes. Bilinear in
+    The result's dims are the concatenation of the factors' dims. Bilinear in
     every slot; norms multiply, so unnormalized factors are accepted.
     """
     if not factors:
@@ -226,7 +174,7 @@ def tensor(*factors: Ket) -> Ket:
     for f in factors[1:]:
         amps = np.kron(amps, f.amplitudes)
         dims = dims + f.dims
-    return Ket(SpaceShape(dims), amps)
+    return Ket(dims, amps)
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -239,7 +187,7 @@ def inner(a: Ket, b: Ket) -> complex:
 def density_of(psi: Ket) -> DensityMatrix:
     """Rank-one projector |psi><psi| of a normalized state."""
     psi.require_normalized()
-    return DensityMatrix(psi.shape, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    return DensityMatrix(psi.dims, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -248,7 +196,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     The kept subsystems stay in their original order; the trace is preserved.
     """
     keep_set = sorted(set(int(k) for k in keep))
-    n = rho.shape.n_subsystems
+    n = len(rho.dims)
     if not keep_set:
         raise ValueError("must keep at least one subsystem")
     if keep_set[0] < 0 or keep_set[-1] >= n:
@@ -259,10 +207,8 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     for idx in sorted(set(range(n)) - set(keep_set), reverse=True):
         work = np.trace(work, axis1=idx, axis2=idx + len(dims))
         dims.pop(idx)
-    side = 1
-    for d in dims:
-        side *= d
-    return DensityMatrix(SpaceShape(tuple(dims)), work.reshape(side, side))
+    side = math.prod(dims)
+    return DensityMatrix(dims, work.reshape(side, side))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -344,27 +290,9 @@ def complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def ket_to_json(psi: Ket) -> dict:
-    return {
-        "dims": list(psi.dims),
-        "amplitudes": [complex_pair(z) for z in psi.amplitudes],
-    }
-
-
-def ket_from_json(obj: dict) -> Ket:
-    amps = [complex(re, im) for re, im in obj["amplitudes"]]
-    return ket(amps, obj["dims"])
-
-
 def density_to_json(rho: DensityMatrix) -> dict:
     return {
         "dims": list(rho.dims),
         "entries": [[complex_pair(z) for z in row] for row in rho.entries],
     }
 
-
-def density_from_json(obj: dict) -> DensityMatrix:
-    mat = np.array(
-        [[complex(re, im) for re, im in row] for row in obj["entries"]], dtype=complex
-    )
-    return DensityMatrix(as_shape(obj["dims"]), mat)

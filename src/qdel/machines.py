@@ -13,8 +13,9 @@ safe. `classify_deleter` draws its samples deterministically from a seed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -22,14 +23,11 @@ from .errors import InvalidStateError, ShapeError
 from .hilbert import (
     ALGEBRAIC_TOL,
     Ket,
+    _dims,
     _half_trace_norms,
-    SpaceShape,
-    as_shape,
-    basis_ket,
     complex_pair,
     haar_ket,
     orthonormal_completion,
-    tensor,
 )
 
 __all__ = [
@@ -66,23 +64,22 @@ class BasisActionMachine:
     verification tools instead of at construction time.
     """
 
-    input_shape: SpaceShape
-    output_shape: SpaceShape
+    input_dims: tuple[int, ...]
+    output_dims: tuple[int, ...]
     matrix: np.ndarray
     strict: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
-        in_shape = as_shape(self.input_shape)
-        out_shape = as_shape(self.output_shape)
+        input_dims, output_dims = _dims(self.input_dims), _dims(self.output_dims)
         matrix = np.array(self.matrix, dtype=complex)
-        want = (out_shape.dim, in_shape.dim)
+        want = (math.prod(output_dims), math.prod(input_dims))
         if matrix.shape != want:
             raise ShapeError(f"matrix is {matrix.shape}, need (output dim, input dim) {want}")
         if not np.all(np.isfinite(matrix)):
             raise InvalidStateError("machine matrix has a non-finite amplitude")
         matrix.setflags(write=False)
-        object.__setattr__(self, "input_shape", in_shape)
-        object.__setattr__(self, "output_shape", out_shape)
+        object.__setattr__(self, "input_dims", input_dims)
+        object.__setattr__(self, "output_dims", output_dims)
         object.__setattr__(self, "matrix", matrix)
         if self.strict and not self.rule_norms_ok():
             raise InvalidStateError("every column (rule image) must be normalized")
@@ -96,31 +93,24 @@ class BasisActionMachine:
 class AncillaConfig:
     """Ancilla bookkeeping for machines of shape [d, d, dim].
 
-    The ancilla starts in basis state 0; `final_indices` maps an input-state
-    label to the ancilla state it is left in after a successful deletion (a
-    basis index or an explicit ket).
+    The ancilla starts in basis state 0; `final_indices` maps each input-state
+    label, "0" and "1", to the basis index of the ancilla state it is left in
+    after a successful deletion.
     """
 
     dim: int
-    final_indices: Mapping[str, Union[int, Ket]] = field(default_factory=dict)
+    final_indices: Mapping[str, int]
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("ancilla dimension must be >= 2")
         object.__setattr__(self, "final_indices", dict(self.final_indices))
-        for label, state in self.final_indices.items():
-            if isinstance(state, Ket):
-                if state.dims != (self.dim,):
-                    raise ShapeError(f"final ancilla state {label!r} has wrong dims")
-                state.require_normalized()
-            elif not 0 <= int(state) < self.dim:
-                raise ValueError(f"final ancilla index {state} out of range for {label!r}")
-
-    def final_ket(self, label: str) -> Ket:
-        state = self.final_indices[label]
-        if isinstance(state, Ket):
-            return state
-        return basis_ket([self.dim], int(state))
+        if set(self.final_indices) != {"0", "1"}:
+            labels = list(self.final_indices)
+            raise ValueError(f"final_indices needs exactly the labels '0' and '1', got {labels}")
+        for label, index in self.final_indices.items():
+            if not isinstance(index, (int, np.integer)) or not 0 <= index < self.dim:
+                raise ValueError(f"final ancilla index {index!r} for {label!r} is out of range")
 
 
 @dataclass(frozen=True)
@@ -164,11 +154,9 @@ def apply(machine: BasisActionMachine, state: Ket) -> Ket:
     The output is sum_i <basis_i|state> * matrix[:, i]; it is normalized only
     when the machine is an isometry.
     """
-    if state.dims != machine.input_shape.dims:
-        raise ShapeError(
-            f"input lives on {state.dims}, machine expects {machine.input_shape.dims}"
-        )
-    return Ket(machine.output_shape, machine.matrix @ state.amplitudes)
+    if state.dims != machine.input_dims:
+        raise ShapeError(f"input lives on {state.dims}, machine expects {machine.input_dims}")
+    return Ket(machine.output_dims, machine.matrix @ state.amplitudes)
 
 
 def _pair_output(machine: BasisActionMachine, pairs: np.ndarray) -> np.ndarray:
@@ -177,12 +165,12 @@ def _pair_output(machine: BasisActionMachine, pairs: np.ndarray) -> np.ndarray:
     The ancilla of a [d, d, m] machine starts in basis state 0, so only the
     inputs |i, j, 0> enter: every m-th column of the matrix.
     """
-    dims = machine.input_shape.dims
+    dims = machine.input_dims
     if len(dims) not in (2, 3) or dims[0] != dims[1]:
         raise ShapeError(f"expected a [d, d] or [d, d, m] machine, got {dims}")
     columns = machine.matrix[:, :: dims[2] if len(dims) == 3 else 1]
     out = pairs.reshape(len(pairs), -1) @ columns.T
-    return out.reshape((-1,) + machine.output_shape.dims)
+    return out.reshape((-1,) + machine.output_dims)
 
 
 def _copies_output(machine: BasisActionMachine, psis: np.ndarray) -> np.ndarray:
@@ -207,7 +195,7 @@ def check_isometry(machine: BasisActionMachine, tol: float = ALGEBRAIC_TOL) -> I
     """Compare the Gram matrix of all rule images against the identity."""
     m = machine.matrix
     gram = m.conj().T @ m
-    dev = float(np.max(np.abs(gram - np.eye(machine.input_shape.dim))))
+    dev = float(np.max(np.abs(gram - np.eye(len(gram)))))
     return IsometryReport(is_isometry=dev <= tol, max_gram_deviation=dev)
 
 
@@ -219,25 +207,26 @@ def qudit_pair_deleter(
 
     Identical basis inputs are deleted, |i>|i> -> |i>|blank>; distinct inputs
     |i>|j> go to an arbitrary garbage state, by default the identity
-    pass-through |i>|j>. A custom `garbage` map must cover every pair i != j.
+    pass-through |i>|j>. A custom `garbage` map has exactly the keys (i, j)
+    with i != j, both in range.
     """
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
-    shape = SpaceShape((d, d))
-    targets = np.arange(shape.dim).reshape(d, d)
+    targets = np.arange(d * d).reshape(d, d)
     targets[np.arange(d), np.arange(d)] = targets[:, BLANK_INDEX]  # |i,i> -> |i,blank>
-    matrix = np.eye(shape.dim, dtype=complex)[:, targets.reshape(-1)]
+    matrix = np.eye(d * d, dtype=complex)[:, targets.reshape(-1)]
     if garbage is not None:
         pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
         missing = [pair for pair in pairs if pair not in garbage]
-        if missing:
-            raise ValueError(f"garbage map is missing pairs {missing}")
+        unknown = [key for key in garbage if key not in pairs]
+        if missing or unknown:
+            raise ValueError(f"garbage map is missing pairs {missing}, has unknown keys {unknown}")
         for i, j in pairs:
             g = garbage[(i, j)]
-            if g.dims != shape.dims:
+            if g.dims != (d, d):
                 raise ShapeError(f"garbage state for {(i, j)} has dims {g.dims}")
-            matrix[:, shape.flat_index((i, j))] = g.amplitudes
-    return BasisActionMachine(shape, shape, matrix)
+            matrix[:, i * d + j] = g.amplitudes
+    return BasisActionMachine((d, d), (d, d), matrix)
 
 
 _DEFAULT_ANCILLA = AncillaConfig(dim=3, final_indices={"0": 1, "1": 2})
@@ -259,20 +248,18 @@ def conditional_deleter(ancilla: AncillaConfig = _DEFAULT_ANCILLA) -> BasisActio
     m = ancilla.dim
     if m < 3:
         raise ValueError("the conditional deleter needs an ancilla of dimension >= 3")
-    shape = SpaceShape((2, 2, m))
-    declared: dict[int, np.ndarray] = {}
-    for i in (0, 1):
-        final = ancilla.final_ket(str(i))
-        image = tensor(basis_ket([2], i), basis_ket([2], BLANK_INDEX), final)
-        declared[shape.flat_index((i, i, 0))] = image.amplitudes
-    for i, j in ((0, 1), (1, 0)):
-        declared[shape.flat_index((i, j, 0))] = basis_ket(shape, (i, j, 0)).amplitudes
-
-    filler = iter(
-        orthonormal_completion(list(declared.values()), range(shape.dim), shape.dim - len(declared))
-    )
-    columns = [declared[k] if k in declared else next(filler) for k in range(shape.dim)]
-    return BasisActionMachine(shape, shape, np.column_stack(columns))
+    dims = (2, 2, m)
+    # declared rules, input cell -> output cell; every image is a basis state
+    images = {(i, i, 0): (i, BLANK_INDEX, ancilla.final_indices[str(i)]) for i in (0, 1)}
+    images.update({(i, j, 0): (i, j, 0) for i, j in ((0, 1), (1, 0))})
+    eye = np.eye(4 * m, dtype=complex)
+    declared = {
+        int(np.ravel_multi_index(k, dims)): eye[:, np.ravel_multi_index(v, dims)]
+        for k, v in images.items()
+    }
+    filler = iter(orthonormal_completion(list(declared.values()), range(4 * m), 4 * m - 4))
+    columns = [declared[k] if k in declared else next(filler) for k in range(4 * m)]
+    return BasisActionMachine(dims, dims, np.column_stack(columns))
 
 
 def swap_deleter(d: int) -> BasisActionMachine:
@@ -284,10 +271,9 @@ def swap_deleter(d: int) -> BasisActionMachine:
     """
     if d < 2:
         raise ValueError("qudit dimension must be >= 2")
-    shape = SpaceShape((d, d, d))
     # column (i, j, k) is e_(i, k, j)
-    swapped = np.arange(shape.dim).reshape(d, d, d).transpose(0, 2, 1).reshape(-1)
-    return BasisActionMachine(shape, shape, np.eye(shape.dim, dtype=complex)[:, swapped])
+    swapped = np.arange(d**3).reshape(d, d, d).transpose(0, 2, 1).reshape(-1)
+    return BasisActionMachine((d, d, d), (d, d, d), np.eye(d**3, dtype=complex)[:, swapped])
 
 
 def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
@@ -297,7 +283,7 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     first, so the value is 0 exactly for perfect deletion and grows toward 1
     as the output leaves the subspace spanned by |psi>|blank>(x)ancilla.
     """
-    d = machine.input_shape.dims[0]
+    d = machine.input_dims[0]
     if psi.dims != (d,):
         raise ShapeError(f"input state has dims {psi.dims}, machine copies are {d}-level")
     psi.require_normalized()
@@ -316,7 +302,7 @@ def classify_deleter(
     """
     if samples < 1:
         raise ValueError("samples must be a positive integer")
-    dims = machine.input_shape.dims
+    dims = machine.input_dims
     if len(dims) != 3 or dims[0] != dims[1] or dims[2] < dims[0]:
         raise ShapeError(
             f"classification needs an ancilla machine of shape [d, d, m] with m >= d, got {dims}"
@@ -381,8 +367,8 @@ def classify_deleter(
 
 def machine_to_json(machine: BasisActionMachine) -> dict:
     return {
-        "input_dims": list(machine.input_shape.dims),
-        "output_dims": list(machine.output_shape.dims),
+        "input_dims": list(machine.input_dims),
+        "output_dims": list(machine.output_dims),
         "rules": [
             {
                 "in_index": i,
@@ -394,16 +380,30 @@ def machine_to_json(machine: BasisActionMachine) -> dict:
 
 
 def machine_from_json(obj: Mapping, strict: bool = True) -> BasisActionMachine:
-    in_shape = as_shape(obj["input_dims"])
-    out_shape = as_shape(obj["output_dims"])
-    entries = {int(r["in_index"]): r["out_amplitudes"] for r in obj["rules"]}
-    if sorted(entries) != list(range(in_shape.dim)):
+    """Parse the wire format; a wrong JSON type is a ShapeError or an InvalidStateError."""
+    if not isinstance(obj, Mapping):
+        raise ShapeError(f"a machine is a JSON object, got {type(obj).__name__}")
+    input_dims, output_dims = _dims(obj["input_dims"]), _dims(obj["output_dims"])
+    n_in, n_out = math.prod(input_dims), math.prod(output_dims)
+    try:
+        entries = {int(r["in_index"]): r["out_amplitudes"] for r in obj["rules"]}
+    except TypeError as exc:
+        raise ShapeError(f"rules must be objects with an integer in_index: {exc}") from None
+    if sorted(entries) != list(range(n_in)):
         raise ShapeError(
-            f"rules must cover in_index 0..{in_shape.dim - 1} exactly once, got {sorted(entries)}"
+            f"rules must cover in_index 0..{n_in - 1} exactly once, got {sorted(entries)}"
         )
-    matrix = np.empty((out_shape.dim, in_shape.dim), dtype=complex)
+    # [re, im] pairs in a float array, read as complex without arithmetic on them
+    parts = np.empty((n_in, n_out, 2))
     for i, amplitudes in entries.items():
-        if len(amplitudes) != out_shape.dim:
-            raise ShapeError(f"rule {i} has {len(amplitudes)} amplitudes, need {out_shape.dim}")
-        matrix[:, i] = [complex(re, im) for re, im in amplitudes]
-    return BasisActionMachine(in_shape, out_shape, matrix, strict=strict)
+        try:
+            rule = np.array(amplitudes)
+        except ValueError:  # ragged nesting
+            raise ShapeError(f"rule {i}: out_amplitudes is not a list of [re, im] pairs") from None
+        if rule.dtype.kind not in "iuf":
+            raise InvalidStateError(f"rule {i}: out_amplitudes must hold numbers, got {rule.dtype}")
+        if rule.shape != (n_out, 2):
+            raise ShapeError(f"rule {i} has amplitudes of shape {rule.shape}, need ({n_out}, 2)")
+        parts[i] = rule
+    matrix = parts.view(complex)[..., 0].T
+    return BasisActionMachine(input_dims, output_dims, matrix, strict=strict)

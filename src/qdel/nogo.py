@@ -139,7 +139,7 @@ def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> Gr
         raise ShapeError("alphabet states live on different spaces")
     amps = np.stack([psi.amplitudes for psi in alphabet])
     if isinstance(machine, BasisActionMachine):
-        d = machine.input_shape.dims[0]
+        d = machine.input_dims[0]
         if dims != (d,):
             raise ShapeError(f"alphabet state dims {dims} do not match machine copies ({d},)")
         outputs = _copies_output(machine, amps).reshape(len(alphabet), -1)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidStateError, ShapeError
-from .hilbert import DensityMatrix, Ket, SpaceShape, basis_ket, ket, trace_distance
+from .hilbert import DensityMatrix, Ket, basis_ket, ket, trace_distance
 from .machines import BLANK_INDEX, BasisActionMachine, _pair_output
 
 __all__ = [
@@ -48,7 +48,7 @@ def two_singlets() -> Ket:
     """|singlet>_{12} (x) |singlet>_{34} over particles (1, 2, 3, 4)."""
     singlet = ket(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0), [2, 2])
     state = np.kron(singlet.amplitudes, singlet.amplitudes)
-    return Ket(SpaceShape((2, 2, 2, 2)), state)
+    return Ket((2, 2, 2, 2), state)
 
 
 def rotated_basis(theta: float) -> tuple[Ket, Ket]:
@@ -109,7 +109,7 @@ def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> Measure
     if prob < _ZERO_PROB:
         return MeasurementOutcome(post_state=None, probability=0.0)
     return MeasurementOutcome(
-        post_state=Ket(SpaceShape((2, 2)), post.reshape(-1) / math.sqrt(prob)),
+        post_state=Ket((2, 2), post.reshape(-1) / math.sqrt(prob)),
         probability=prob,
     )
 
@@ -141,7 +141,7 @@ def _branch_mixture(theta: float, branch: BranchRule) -> DensityMatrix:
                 raise InvalidStateError("cannot normalize a zero vector")
             out = out / norm
             acc = acc + measured.probability * (out @ out.conj().T)
-    return DensityMatrix(SpaceShape((2, 2)), acc)
+    return DensityMatrix((2, 2), acc)
 
 
 def deletion_mixture_closed_form(theta: float) -> DensityMatrix:
@@ -162,7 +162,7 @@ def deletion_mixture_closed_form(theta: float) -> DensityMatrix:
         + np.kron(proj(psi), proj(bar))
         + np.kron(proj(bar), proj(psi))
     )
-    return DensityMatrix(SpaceShape((2, 2)), entries)
+    return DensityMatrix((2, 2), entries)
 
 
 def bob_delete_and_reduce(theta: float) -> DensityMatrix:
@@ -203,7 +203,7 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
     and the ancilla is traced out. Legal machines leave the mixture
     basis-independent.
     """
-    dims = machine.input_shape.dims
+    dims = machine.input_dims
     if len(dims) != 3 or dims[:2] != (2, 2):
         raise ShapeError(f"need a machine on [2, 2, m], got {dims}")
     return _branch_mixture(theta, lambda post, x, y: _pair_output(machine, post[None])[0])

@@ -9,8 +9,9 @@ import pytest
 
 import qdel
 from qdel.cli import main
+from qdel.errors import InvalidStateError, ShapeError
 from qdel.fidelity import point_fidelities
-from qdel.machines import machine_to_json, qudit_pair_deleter, swap_deleter
+from qdel.machines import machine_from_json, machine_to_json, qudit_pair_deleter, swap_deleter
 
 
 def run(capsys, *argv):
@@ -192,6 +193,36 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--machine", str(path), "--alphabet", "0,1,+")
         assert code == 3
         assert out == "" and "non-finite" in err
+
+    @staticmethod
+    def retyped(path: list, value):
+        """The swap(2) wire format with the value at `path` replaced; [] replaces the whole."""
+        payload = machine_to_json(swap_deleter(2))
+        if not path:
+            return value
+        *parents, last = path
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return payload
+
+    @pytest.mark.parametrize("path, value", [
+        (["rules", 0, "out_amplitudes", 0], ["1", 0.0]),
+        (["rules", 0, "out_amplitudes"], 1.0),
+        ([], [machine_to_json(swap_deleter(2))]),
+        (["input_dims"], [[2]]),
+        (["rules", 0], [0, []]),
+    ], ids=["string_amplitude", "numeric_out_amplitudes", "top_level_list", "nested_dims",
+            "rule_not_an_object"])
+    def test_wrong_json_types_are_numeric_errors(self, capsys, tmp_path, path, value):
+        payload = self.retyped(path, value)
+        with pytest.raises((ShapeError, InvalidStateError)):
+            machine_from_json(payload, strict=False)
+        machine_file = tmp_path / "typed.json"
+        machine_file.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", "--machine", str(machine_file))
+        assert code == 3 and out == "" and err.startswith("error: ")
 
 
 class TestUsageErrors:

@@ -9,7 +9,6 @@ from qdel.fidelity import (
     AVG_RETENTION_FIDELITY,
     FidelityReport,
     average_fidelity,
-    average_fidelity_theta,
     conditional_output,
     fidelity_report,
     point_fidelities,
@@ -19,7 +18,6 @@ from qdel.fidelity import (
 )
 from qdel.fidelity import _batched_fidelities
 from qdel.hilbert import (
-    SpaceShape,
     basis_ket,
     ket,
     partial_trace,
@@ -37,11 +35,11 @@ def random_qubit_amplitudes(rng):
 
 
 def hand_assembled_output(alpha, beta) -> np.ndarray:
-    shape = SpaceShape((2, 2, 3))
+    dims = (2, 2, 3)
     return (
-        alpha**2 * basis_ket(shape, (0, 0, 1)).amplitudes
-        + beta**2 * basis_ket(shape, (1, 0, 2)).amplitudes
-        + alpha * beta * (basis_ket(shape, (0, 1, 0)).amplitudes + basis_ket(shape, (1, 0, 0)).amplitudes)
+        alpha**2 * basis_ket(dims, (0, 0, 1)).amplitudes
+        + beta**2 * basis_ket(dims, (1, 0, 2)).amplitudes
+        + alpha * beta * (basis_ket(dims, (0, 1, 0)).amplitudes + basis_ket(dims, (1, 0, 0)).amplitudes)
     )
 
 
@@ -194,12 +192,6 @@ class TestAverageFidelity:
         gap = average_fidelity("b", 128, 128) - average_fidelity("a", 128, 128)
         assert gap == pytest.approx(1.0 / 6.0, abs=1e-6)
 
-    def test_one_dimensional_reduction_agrees(self):
-        for mode in ("a", "b"):
-            full = average_fidelity(mode, 64, 64)
-            reduced = average_fidelity_theta(mode, 64)
-            assert abs(full - reduced) < 1e-10
-
     def test_error_does_not_grow_as_grid_doubles(self):
         # the integrands are quadratic in cos(theta), so the quadrature is
         # exact at every grid size; deviations sit at machine epsilon and may
@@ -217,7 +209,7 @@ class TestAverageFidelity:
         with pytest.raises(ValueError):
             average_fidelity("b", 4, 64)
         with pytest.raises(ValueError):
-            average_fidelity_theta("a", 7)
+            average_fidelity("a", 64, 7)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qdel.errors import InvalidStateError, ShapeError
-from qdel.hilbert import Ket, SpaceShape
+from qdel.hilbert import Ket
 from qdel.machines import BasisActionMachine, machine_from_json, machine_to_json
 
 # derandomized, so that every run draws the same examples and writes no example database
@@ -21,17 +21,18 @@ amplitudes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infini
 
 @st.composite
 def shapes_and_matrices(draw):
-    """Drawn input and output shapes and a complex (output dim, input dim) matrix.
+    """Drawn input and output dims and a complex (output dim, input dim) matrix.
 
     Half the draws scale every nonzero column to unit norm, so that both
     answers of `rule_norms_ok` come up.
     """
-    in_shape, out_shape = SpaceShape(tuple(draw(dims))), SpaceShape(tuple(draw(dims)))
-    matrix = draw(arrays(complex, (out_shape.dim, in_shape.dim), elements=amplitudes))
+    input_dims, output_dims = tuple(draw(dims)), tuple(draw(dims))
+    size = (math.prod(output_dims), math.prod(input_dims))
+    matrix = draw(arrays(complex, size, elements=amplitudes))
     if draw(st.booleans()):
         norms = np.linalg.norm(matrix, axis=0)
         matrix = matrix / np.where(norms > 0.0, norms, 1.0)
-    return in_shape, out_shape, matrix
+    return input_dims, output_dims, matrix
 
 
 def machines():
@@ -51,8 +52,8 @@ def test_wire_format_round_trip_is_byte_identical(machine):
 @PROPERTIES
 @given(shapes_and_matrices())
 def test_non_strict_construction_keeps_the_matrix_bit_for_bit(drawn):
-    in_shape, out_shape, matrix = drawn
-    machine = BasisActionMachine(in_shape, out_shape, matrix, strict=False)
+    input_dims, output_dims, matrix = drawn
+    machine = BasisActionMachine(input_dims, output_dims, matrix, strict=False)
     assert machine.matrix.tobytes() == matrix.tobytes()
     assert not machine.matrix.flags.writeable
 
@@ -60,7 +61,7 @@ def test_non_strict_construction_keeps_the_matrix_bit_for_bit(drawn):
 @PROPERTIES
 @given(machines(), st.sampled_from([1e-12, 1e-9, 1e-3]))
 def test_rule_norms_ok_agrees_with_a_per_column_check(machine, tol):
-    columns = [Ket(machine.output_shape, column) for column in machine.matrix.T]
+    columns = [Ket(machine.output_dims, column) for column in machine.matrix.T]
     assert machine.rule_norms_ok(tol) == all(column.is_normalized(tol) for column in columns)
 
 
@@ -74,7 +75,7 @@ def test_non_finite_entries_are_refused_under_either_strictness(machine, bad, da
     matrix[row, col] = bad
     for strict in (True, False):
         with pytest.raises(InvalidStateError, match="non-finite"):
-            BasisActionMachine(machine.input_shape, machine.output_shape, matrix, strict=strict)
+            BasisActionMachine(machine.input_dims, machine.output_dims, matrix, strict=strict)
 
 
 @PROPERTIES

@@ -5,7 +5,6 @@ import pytest
 
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.hilbert import (
-    SpaceShape,
     basis_ket,
     bloch_ket,
     density_of,
@@ -38,33 +37,29 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def identity_machine(dims) -> BasisActionMachine:
-    shape = SpaceShape(tuple(dims))
-    return BasisActionMachine(shape, shape, np.eye(shape.dim))
+    return BasisActionMachine(dims, dims, np.eye(math.prod(dims)))
 
 
 def random_machine(rng, in_dims, out_dims) -> BasisActionMachine:
-    in_shape, out_shape = SpaceShape(tuple(in_dims)), SpaceShape(tuple(out_dims))
-    columns = [haar_ket(out_shape.dim, rng).amplitudes for _ in range(in_shape.dim)]
-    return BasisActionMachine(in_shape, out_shape, np.column_stack(columns))
+    columns = [haar_ket(math.prod(out_dims), rng).amplitudes for _ in range(math.prod(in_dims))]
+    return BasisActionMachine(in_dims, out_dims, np.column_stack(columns))
 
 
 class TestBasisActionMachine:
     def test_needs_one_rule_per_basis_state(self):
-        shape = SpaceShape((2,))
         with pytest.raises(ShapeError):
-            BasisActionMachine(shape, shape, np.eye(2)[:, :1])
+            BasisActionMachine((2,), (2,), np.eye(2)[:, :1])
 
     def test_rules_must_be_normalized_when_strict(self):
-        shape = SpaceShape((2,))
         bad = np.diag([0.5, 1.0])
         with pytest.raises(InvalidStateError):
-            BasisActionMachine(shape, shape, bad)
-        loose = BasisActionMachine(shape, shape, bad, strict=False)
+            BasisActionMachine((2,), (2,), bad)
+        loose = BasisActionMachine((2,), (2,), bad, strict=False)
         assert not loose.rule_norms_ok()
 
     def test_rule_shape_must_match_output(self):
         with pytest.raises(ShapeError):
-            BasisActionMachine(SpaceShape((2,)), SpaceShape((3,)), np.eye(2))
+            BasisActionMachine((2,), (3,), np.eye(2))
 
 
 class TestApply:
@@ -122,8 +117,7 @@ class TestCheckIsometry:
         assert check_isometry(conditional_deleter(), 1e-12).is_isometry
 
     def test_colliding_rules_fail_with_unit_deviation(self):
-        shape = SpaceShape((2,))
-        machine = BasisActionMachine(shape, shape, [[1.0, 1.0], [0.0, 0.0]])
+        machine = BasisActionMachine((2,), (2,), [[1.0, 1.0], [0.0, 0.0]])
         report = check_isometry(machine)
         assert not report.is_isometry
         assert report.max_gram_deviation == pytest.approx(1.0, abs=1e-15)
@@ -132,9 +126,9 @@ class TestCheckIsometry:
         rng = np.random.default_rng(3)
         for machine in (swap_deleter(2), swap_deleter(3), conditional_deleter()):
             assert check_isometry(machine, 1e-12).is_isometry
-            dim = machine.input_shape.dim
+            dim = math.prod(machine.input_dims)
             for _ in range(100):
-                psi = ket(haar_ket(dim, rng).amplitudes, machine.input_shape)
+                psi = ket(haar_ket(dim, rng).amplitudes, machine.input_dims)
                 assert abs(apply(machine, psi).norm() - 1.0) < 1e-10
 
 
@@ -162,6 +156,12 @@ class TestQuditPairDeleter:
         with pytest.raises(ValueError):
             qudit_pair_deleter(2, garbage={(0, 1): basis_ket([2, 2], (0, 1))})
 
+    @pytest.mark.parametrize("extra", [(0, 7), (1, 1), (2, 0), "01"])
+    def test_garbage_key_that_is_no_off_diagonal_pair_rejected(self, extra):
+        garbage = {(0, 1): basis_ket([2, 2], (1, 1)), (1, 0): basis_ket([2, 2], (0, 1))}
+        with pytest.raises(ValueError, match="unknown keys"):
+            qudit_pair_deleter(2, garbage={**garbage, extra: "anything"})
+
     def test_balanced_superposition_leaves_residual(self):
         psi = ket([INV_SQRT2, INV_SQRT2], [2])
         assert deletion_residual(qudit_pair_deleter(2), psi) > 0.01
@@ -174,7 +174,7 @@ class TestQuditPairDeleter:
 class TestConditionalDeleter:
     def test_declared_rules(self):
         machine = conditional_deleter()
-        shape = machine.input_shape
+        dims = machine.input_dims
         cases = {
             (0, 0, 0): (0, 0, 1),
             (1, 1, 0): (1, 0, 2),
@@ -182,33 +182,40 @@ class TestConditionalDeleter:
             (1, 0, 0): (1, 0, 0),
         }
         for inp, expected in cases.items():
-            out = apply(machine, basis_ket(shape, inp))
-            np.testing.assert_allclose(out.amplitudes, basis_ket(shape, expected).amplitudes)
+            out = apply(machine, basis_ket(dims, inp))
+            np.testing.assert_allclose(out.amplitudes, basis_ket(dims, expected).amplitudes)
 
     def test_superposition_output_form(self):
         alpha, beta = 0.6, 0.8
         psi = ket([alpha, beta], [2])
         out = apply(conditional_deleter(), tensor(psi, psi, basis_ket([3], 0)))
-        shape = SpaceShape((2, 2, 3))
+        dims = (2, 2, 3)
         expected = (
-            alpha**2 * basis_ket(shape, (0, 0, 1)).amplitudes
-            + beta**2 * basis_ket(shape, (1, 0, 2)).amplitudes
-            + alpha * beta * (basis_ket(shape, (0, 1, 0)).amplitudes + basis_ket(shape, (1, 0, 0)).amplitudes)
+            alpha**2 * basis_ket(dims, (0, 0, 1)).amplitudes
+            + beta**2 * basis_ket(dims, (1, 0, 2)).amplitudes
+            + alpha * beta * (basis_ket(dims, (0, 1, 0)).amplitudes + basis_ket(dims, (1, 0, 0)).amplitudes)
         )
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
 
     def test_custom_ancilla_config(self):
         config = AncillaConfig(dim=4, final_indices={"0": 2, "1": 3})
         machine = conditional_deleter(config)
-        out = apply(machine, basis_ket(machine.input_shape, (0, 0, 0)))
+        out = apply(machine, basis_ket(machine.input_dims, (0, 0, 0)))
         np.testing.assert_allclose(
-            out.amplitudes, basis_ket(machine.input_shape, (0, 0, 2)).amplitudes
+            out.amplitudes, basis_ket(machine.input_dims, (0, 0, 2)).amplitudes
         )
         assert check_isometry(machine, 1e-12).is_isometry
 
     def test_ancilla_config_validation(self):
         with pytest.raises(ValueError):
-            AncillaConfig(dim=3, final_indices={"0": 7})
+            AncillaConfig(dim=3, final_indices={"0": 7, "1": 2})
+        with pytest.raises(ValueError):
+            AncillaConfig(dim=3, final_indices={"0": 1.7, "1": 2})  # no silent truncation to 1
+        # exactly the labels "0" and "1": a missing or an extra one is refused
+        # before conditional_deleter could look a label up
+        for final_indices in ({"0": 1}, {}, {"0": 1, "1": 2, "2": 0}, {0: 1, 1: 2}):
+            with pytest.raises(ValueError, match="exactly the labels"):
+                conditional_deleter(AncillaConfig(dim=3, final_indices=final_indices))
 
 
 class TestSwapDeleter:
@@ -282,10 +289,9 @@ class TestClassifyDeleter:
             classify_deleter(machine, samples=10, seed=1)
 
     def test_unnormalized_rules_are_flagged(self):
-        shape = SpaceShape((2, 2, 2))
         matrix = swap_deleter(2).matrix.copy()
         matrix[:, 0] *= 0.5
-        machine = BasisActionMachine(shape, shape, matrix, strict=False)
+        machine = BasisActionMachine((2, 2, 2), (2, 2, 2), matrix, strict=False)
         verdict = classify_deleter(machine, samples=10, seed=1)
         assert verdict.kind is DeleterKind.NOT_LINEAR_CONSISTENT
         assert verdict.residual_stats == ()
@@ -301,10 +307,10 @@ class TestTwoCopyKernel:
     def test_random_isometries_match_the_object_pipeline(self):
         rng = np.random.default_rng(31)
         for dims in ([2, 2, 3], [2, 2, 4], [3, 3, 3]):
-            shape = SpaceShape(tuple(dims))
-            gauss = rng.standard_normal((shape.dim,) * 2) + 1j * rng.standard_normal((shape.dim,) * 2)
+            n = math.prod(dims)
+            gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             q, _ = np.linalg.qr(gauss)
-            machine = BasisActionMachine(shape, shape, q)
+            machine = BasisActionMachine(dims, dims, q)
             d, m = dims[0], dims[2]
             psis = [haar_ket(d, rng) for _ in range(5)]
             outs = _copies_output(machine, np.stack([psi.amplitudes for psi in psis]))
@@ -342,7 +348,7 @@ class TestMachineJson:
     def test_round_trip(self):
         machine = conditional_deleter()
         back = machine_from_json(machine_to_json(machine))
-        assert back.input_shape.dims == machine.input_shape.dims
+        assert back.input_dims == machine.input_dims == (2, 2, 3)
         np.testing.assert_array_equal(back.matrix, machine.matrix)
 
     def test_missing_rule_rejected(self):
@@ -360,8 +366,7 @@ class TestMachineJson:
         assert not machine.rule_norms_ok()
 
     def test_bloch_state_survives_round_trip(self):
-        shape = SpaceShape((2,))
         columns = (bloch_ket(0.7, 1.1).amplitudes, bloch_ket(2.0, 0.3).amplitudes)
-        machine = BasisActionMachine(shape, shape, np.column_stack(columns))
+        machine = BasisActionMachine((2,), (2,), np.column_stack(columns))
         back = machine_from_json(machine_to_json(machine))
         np.testing.assert_array_equal(back.matrix, machine.matrix)
