@@ -36,6 +36,17 @@ def random_density(rng, dims) -> DensityMatrix:
     return DensityMatrix(dims, mat / np.trace(mat))
 
 
+class TestSpaceShape:
+    @pytest.mark.parametrize("dims", [(), (1,), (2, 1)])
+    def test_rejects_bad_dims(self, dims):
+        with pytest.raises(ShapeError):
+            Ket(dims, np.zeros(math.prod(dims)))
+
+    def test_flat_index_is_row_major(self):
+        for multi, flat in [((0, 0, 0), 0), ((0, 1, 2), 5), ((1, 0, 2), 8), ((1, 1, 2), 11)]:
+            assert basis_ket((2, 2, 3), multi).amplitudes[flat] == 1.0
+
+
 class TestKet:
     def test_dims_become_a_tuple_of_ints(self):
         psi = Ket(np.array([2, 3, 4]), np.zeros(24))
