@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .deletion import optimal_quality
 from .fidelity import _MIN_GRID, _batched_fidelities, fidelity_report
-from .hilbert import Ket, basis_ket, bloch_ket, ket, tensor, trace_distance
+from .hilbert import Ket, _half_trace_norms, basis_ket, bloch_ket, ket, tensor
 from .machines import (
     apply as apply_machine,
     check_isometry,
@@ -25,9 +25,9 @@ from .machines import (
     machine_from_json,
     qudit_pair_deleter,
 )
-from .nogo import gram_preservation_check, overlap_constraints, sweep_overlap
+from .nogo import _sweep_max_residuals, gram_preservation_check, overlap_constraints
 from .reports import RunManifest, emit_report
-from .signalling import bob_delete_and_reduce, signalling_distance
+from .signalling import _deletion_mixtures, signalling_distance
 
 __all__ = ["main", "entry"]
 
@@ -160,6 +160,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args starts each call from a fresh namespace
+# and _validate writes only to that namespace, so no call sees another's flags.
+_PARSER = _build_parser()
+
+
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -198,16 +203,15 @@ def _run_fidelity(args) -> str:
 
 def _run_nogo(args) -> str:
     if args.sweep is not None:
-        residuals = [r.max_residual for r in sweep_overlap(args.sweep, phase=args.phase)]
-        return _sweep_csv("s,max_residual", np.linspace(0.0, 1.0, args.sweep), residuals)
+        return _sweep_csv("s,max_residual", *_sweep_max_residuals(args.sweep, args.phase))
     return emit_report(overlap_constraints(args.overlap, args.phase), args.format)
 
 
 def _run_signal(args) -> str:
     if args.sweep is not None:
-        base = bob_delete_and_reduce(0.0)
         thetas = np.linspace(0.0, math.pi, args.sweep)
-        distances = [trace_distance(bob_delete_and_reduce(float(t)), base) for t in thetas]
+        mixtures = _deletion_mixtures(np.concatenate([[0.0], thetas]))
+        distances = _half_trace_norms(mixtures[1:] - mixtures[0])
         return _sweep_csv("theta,trace_distance_vs_theta0", thetas, distances)
     return emit_report(signalling_distance(args.theta1, args.theta2), args.format)
 
@@ -286,14 +290,13 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args = _PARSER.parse_args(argv)
+    _validate(_PARSER, args)
     _emit_manifest(args, argv)
     try:
         text = _RUNNERS[args.command](args)
     except argparse.ArgumentTypeError as exc:  # a flag value the input shows to be wrong
-        parser.error(str(exc))
+        _PARSER.error(str(exc))
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:  # qdel's errors are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -113,18 +113,27 @@ class DensityMatrix:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise ShapeError(f"expected a {d}x{d} matrix for {dims}, got {mat.shape}")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if not herm_dev <= ALGEBRAIC_TOL:
-            raise InvalidStateError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-        tr_dev = abs(complex(np.trace(mat)) - 1.0)
-        if not tr_dev <= ALGEBRAIC_TOL:
-            raise InvalidStateError(f"trace differs from 1 by {tr_dev:.3e}")
-        min_eig = float(np.min(np.linalg.eigvalsh(mat)))
-        if not -min_eig <= EIGEN_TOL:
-            raise InvalidStateError(f"matrix has negative eigenvalue {min_eig:.3e}")
+        _require_densities(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", mat)
+
+
+def _require_densities(stack: np.ndarray) -> None:
+    """Raise InvalidStateError unless every matrix of a (..., d, d) stack is a density matrix.
+
+    Each must be Hermitian and of unit trace to ALGEBRAIC_TOL and have no
+    eigenvalue below -EIGEN_TOL; the comparisons are written so that NaN fails.
+    """
+    herm_dev = float(np.max(np.abs(stack - np.swapaxes(stack, -1, -2).conj())))
+    if not herm_dev <= ALGEBRAIC_TOL:
+        raise InvalidStateError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
+    tr_dev = float(np.max(np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0)))
+    if not tr_dev <= ALGEBRAIC_TOL:
+        raise InvalidStateError(f"trace differs from 1 by {tr_dev:.3e}")
+    min_eig = float(np.min(np.linalg.eigvalsh(stack)))
+    if not -min_eig <= EIGEN_TOL:
+        raise InvalidStateError(f"matrix has negative eigenvalue {min_eig:.3e}")
 
 
 def ket(amplitudes: Iterable[complex], dims: Sequence[int]) -> Ket:
@@ -195,7 +204,10 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
     The kept subsystems stay in their original order; the trace is preserved.
     """
-    keep_set = sorted(set(int(k) for k in keep))
+    try:
+        keep_set = sorted(set(operator.index(k) for k in keep))
+    except TypeError:
+        raise ValueError(f"keep must hold subsystem indices, got {keep!r}") from None
     n = len(rho.dims)
     if not keep_set:
         raise ValueError("must keep at least one subsystem")

@@ -22,8 +22,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ShapeError
-from .hilbert import Ket, basis_ket, inner, ket, tensor
+from .errors import InvalidStateError, ShapeError
+from .hilbert import ALGEBRAIC_TOL, Ket, basis_ket, inner, ket, tensor
 from .machines import BasisActionMachine, _copies_output
 
 __all__ = [
@@ -122,6 +122,33 @@ def sweep_overlap(n_points: int, phase: float = 0.0) -> list[ConstraintReport]:
     return [overlap_constraints(float(s), phase) for s in np.linspace(0.0, 1.0, n_points)]
 
 
+def _sweep_max_residuals(n_points: int, phase: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The overlap grid of `sweep_overlap` and the max residual at each point, as arrays.
+
+    With psi1 = sigma = |0> and psi2 = z|0> + sqrt(1-s^2)|1>, z = s e^{i phase},
+    the inner products are <psi1|psi2> = <sigma|psi2> = z, <sigma|psi1> = 1
+    and <psi2|psi1> = conj(z), so each condition is a closed form in z.
+    """
+    if n_points < 2:
+        raise ValueError("need at least 2 grid points")
+    s = np.linspace(0.0, 1.0, n_points)
+    x, y = math.cos(phase) * s, math.sin(phase) * s  # z = x + iy
+    rest = np.sqrt(np.maximum(1.0 - s * s, 0.0))
+    norm_sq = x * x + y * y + rest * rest
+    worst = int(np.argmax(np.abs(norm_sq - 1.0)))
+    if not abs(norm_sq[worst] - 1.0) <= ALGEBRAIC_TOL:
+        raise InvalidStateError(f"state is not normalized: |psi|^2 = {norm_sq[worst]!r}")
+    zero = np.zeros_like(s)
+    residuals = np.stack([
+        np.hypot(x * x - y * y - x, x * y + y * x - y),  # |z^2 - z|          [11|22]
+        zero,                                            # |z - z|            [11|12]
+        np.hypot(x - 1.0, y),                            # |z - 1|            [22|12]
+        zero,                                            # |1 - 1|            [11|21]
+        np.hypot(x - 1.0, -y),                           # |conj(z) - 1|      [22|21]
+    ])
+    return s, np.max(residuals, axis=0)
+
+
 MachineLike = Union[BasisActionMachine, Callable[[Ket], Ket]]
 
 
@@ -138,6 +165,8 @@ def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> Gr
     if any(psi.dims != dims for psi in alphabet):
         raise ShapeError("alphabet states live on different spaces")
     amps = np.stack([psi.amplitudes for psi in alphabet])
+    if not np.all(np.isfinite(amps)):
+        raise InvalidStateError("alphabet state has a non-finite amplitude")
     if isinstance(machine, BasisActionMachine):
         d = machine.input_dims[0]
         if dims != (d,):

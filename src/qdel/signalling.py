@@ -23,13 +23,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidStateError, ShapeError
-from .hilbert import DensityMatrix, Ket, basis_ket, ket, trace_distance
+from .hilbert import DensityMatrix, Ket, _half_trace_norms, _require_densities
 from .machines import BLANK_INDEX, BasisActionMachine, _pair_output
 
 __all__ = [
     "MeasurementOutcome",
     "SignallingReport",
-    "two_singlets",
+    "TWO_SINGLETS",
     "rotated_basis",
     "basis_invariance_check",
     "alice_measure",
@@ -43,12 +43,16 @@ __all__ = [
 _ZERO_PROB = 1e-14
 PSI, PSI_BAR = 0, 1  # outcome labels: 0 projects onto psi(theta), 1 onto psibar(theta)
 
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+# |singlet>_{12} (x) |singlet>_{34} over particles (1, 2, 3, 4); kets are immutable
+TWO_SINGLETS = Ket((2, 2, 2, 2), np.kron(_SINGLET, _SINGLET))
+_BLANK = np.eye(2)[BLANK_INDEX]
 
-def two_singlets() -> Ket:
-    """|singlet>_{12} (x) |singlet>_{34} over particles (1, 2, 3, 4)."""
-    singlet = ket(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0), [2, 2])
-    state = np.kron(singlet.amplitudes, singlet.amplitudes)
-    return Ket((2, 2, 2, 2), state)
+
+def _rotated_bases(thetas: np.ndarray) -> np.ndarray:
+    """The bases at B angles as a (B, 2, 2) stack: rows psi(theta) and psibar(theta)."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    return np.stack([np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)], axis=-2)
 
 
 def rotated_basis(theta: float) -> tuple[Ket, Ket]:
@@ -58,8 +62,8 @@ def rotated_basis(theta: float) -> tuple[Ket, Ket]:
     (sign convention as printed; at theta = 0 psibar is -|1>, which is
     harmless everywhere density matrices are formed).
     """
-    c, s = math.cos(theta), math.sin(theta)
-    return ket([c, s], [2]), ket([s, -c], [2])
+    psi, bar = _rotated_bases(np.array([theta]))[0]
+    return Ket((2,), psi), Ket((2,), bar)
 
 
 def basis_invariance_check(theta: float) -> float:
@@ -68,9 +72,8 @@ def basis_invariance_check(theta: float) -> float:
     Expanding in {psi, psibar}^(x)4 must give exactly four terms of amplitude
     +-1/2 -- the same pattern in every basis -- and twelve zeros.
     """
-    psi, bar = rotated_basis(theta)
-    basis = np.stack([psi.amplitudes, bar.amplitudes])  # (2, 2): rows psi, psibar
-    state = two_singlets().amplitudes.reshape(2, 2, 2, 2)
+    basis = _rotated_bases(np.array([theta]))[0]  # (2, 2): rows psi, psibar
+    state = TWO_SINGLETS.amplitudes.reshape(2, 2, 2, 2)
     coeffs = np.einsum("ia,jb,kc,ld,abcd->ijkl", *(basis.conj(),) * 4, state)
 
     expected = np.zeros((2, 2, 2, 2), dtype=complex)
@@ -89,6 +92,15 @@ class MeasurementOutcome:
     probability: float
 
 
+def _project(state: np.ndarray, bases: np.ndarray, k1: int, k3: int) -> np.ndarray:
+    """Bob's unnormalized (B, 2, 2) amplitudes on particles (2, 4) after Alice's outcome.
+
+    `state` holds four-qubit amplitudes as (2, 2, 2, 2); Alice's particles 1
+    and 3 are projected onto row k1 and row k3 of each basis in `bases`.
+    """
+    return np.einsum("xa,xc,abcd->xbd", bases[:, k1].conj(), bases[:, k3].conj(), state)
+
+
 def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> MeasurementOutcome:
     """Project Alice's particles 1 and 3 onto a rotated-basis product outcome.
 
@@ -101,10 +113,8 @@ def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> Measure
     k1, k3 = outcome
     if k1 not in (PSI, PSI_BAR) or k3 not in (PSI, PSI_BAR):
         raise ValueError(f"outcome labels must be 0 (psi) or 1 (psibar), got {outcome}")
-    psi, bar = rotated_basis(theta)
-    basis = (psi.amplitudes, bar.amplitudes)
-    arr = state.amplitudes.reshape(2, 2, 2, 2)
-    post = np.einsum("a,c,abcd->bd", basis[k1].conj(), basis[k3].conj(), arr)
+    amps = state.amplitudes.reshape(2, 2, 2, 2)
+    post = _project(amps, _rotated_bases(np.array([theta])), k1, k3)[0]
     prob = float(np.sum(np.abs(post) ** 2))
     if prob < _ZERO_PROB:
         return MeasurementOutcome(post_state=None, probability=0.0)
@@ -114,34 +124,80 @@ def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> Measure
     )
 
 
-# branch rule: (Bob's collapsed amplitudes on (2, 4), the labels x and y his
-# particles collapsed to) -> the amplitudes he then holds, any axes after the
-# first four belonging to an ancilla that is traced out
+# branch rule: (Bob's collapsed amplitudes on (2, 4) as a (B, 2, 2) stack, the
+# labels x and y his particles collapsed to) -> the (B, ...) amplitudes he then
+# holds, any axes after the first two qubits belonging to an ancilla that is
+# traced out
 BranchRule = Callable[[np.ndarray, int, int], np.ndarray]
 
 
-def _branch_mixture(theta: float, branch: BranchRule) -> DensityMatrix:
-    """Measure, apply `branch` to each of Bob's four collapsed branches, reduce and mix.
+def _branch_mixtures(thetas: np.ndarray, branch: BranchRule) -> np.ndarray:
+    """Bob's mixtures on particles (2, 4) at each of B angles, as a checked (B, 4, 4) stack.
 
-    Each branch output is normalized, its ancilla traced out, and the
-    resulting states on particles (2, 4) are weighted by the outcome
-    probabilities.
+    Alice measures the two singlets in the basis at each angle; `branch` acts
+    on Bob's four collapsed branches, each branch output is normalized and
+    its ancilla traced out, and the branches are weighted by the outcome
+    probabilities (1/4 each for the two singlets).
     """
-    state = two_singlets()
-    acc = np.zeros((4, 4), dtype=complex)
+    bases = _rotated_bases(thetas)
+    state = TWO_SINGLETS.amplitudes.reshape(2, 2, 2, 2)
+    acc = np.zeros((len(bases), 4, 4), dtype=complex)
     for k1 in (PSI, PSI_BAR):
         for k3 in (PSI, PSI_BAR):
-            measured = alice_measure(state, theta, (k1, k3))
-            if measured.post_state is None:
-                continue
+            post = _project(state, bases, k1, k3)
+            prob = np.sum(np.abs(post) ** 2, axis=(1, 2))
+            post = post / np.sqrt(prob)[:, None, None]
             # Bob's particles collapse to the opposite labels
-            out = branch(measured.post_state.amplitudes, 1 - k1, 1 - k3).reshape(4, -1)
-            norm = np.linalg.norm(out)
-            if norm < 1e-15:
+            out = branch(post, 1 - k1, 1 - k3).reshape(len(bases), 4, -1)
+            norm = np.linalg.norm(out, axis=(1, 2))
+            if not np.all(norm >= 1e-15):
                 raise InvalidStateError("cannot normalize a zero vector")
-            out = out / norm
-            acc = acc + measured.probability * (out @ out.conj().T)
-    return DensityMatrix((2, 2), acc)
+            out = out / norm[:, None, None]
+            acc = acc + prob[:, None, None] * (out @ np.swapaxes(out, 1, 2).conj())
+    _require_densities(acc)
+    return acc
+
+
+def _closed_form_mixtures(thetas: np.ndarray) -> np.ndarray:
+    """`deletion_mixture_closed_form` at each of B angles, as a (B, 4, 4) stack."""
+    bases = _rotated_bases(thetas)
+    proj = np.einsum("xka,xkb->xkab", bases, bases.conj())  # (B, 2, 2, 2): P_psi, P_psibar
+    p_psi, p_bar, p_blank = proj[:, PSI], proj[:, PSI_BAR], np.outer(_BLANK, _BLANK)
+
+    def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum("...ab,...cd->...acbd", a, b).reshape(-1, 4, 4)
+
+    return 0.25 * (kron(p_psi, p_blank) + kron(p_bar, p_blank)
+                   + kron(p_psi, p_bar) + kron(p_bar, p_psi))
+
+
+def _deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
+    """Bob's mixtures after collapse plus hypothetical deletion at B angles, (B, 4, 4).
+
+    The delete-anything rule acts on each collapsed branch: identical qubits
+    (both psi or both psibar) become |state>|blank>|A_state>; different ones
+    pass through. The ancilla is traced out at once and each |A_state> is a
+    pure state, so it is left out. Each mixture is checked against the
+    closed form at its angle.
+    """
+    bases = _rotated_bases(thetas)
+
+    def delete_identical(post: np.ndarray, x: int, y: int) -> np.ndarray:
+        return np.einsum("xa,b->xab", bases[:, x], _BLANK) if x == y else post
+
+    pipeline = _branch_mixtures(thetas, delete_identical)
+    dev = np.max(np.abs(pipeline - _closed_form_mixtures(thetas)), axis=(1, 2))
+    worst = int(np.argmax(dev))
+    if not dev[worst] <= 1e-12:
+        raise ArithmeticError(
+            f"pipeline mixture at theta={float(thetas[worst])!r} deviates from the "
+            f"closed form by {dev[worst]:.3e}"
+        )
+    return pipeline
+
+
+def _one_point(mixtures: Callable[[np.ndarray], np.ndarray], theta: float) -> DensityMatrix:
+    return DensityMatrix((2, 2), mixtures(np.array([theta], dtype=float))[0])
 
 
 def deletion_mixture_closed_form(theta: float) -> DensityMatrix:
@@ -150,19 +206,7 @@ def deletion_mixture_closed_form(theta: float) -> DensityMatrix:
     (1/4)(P_psi (x) P_blank + P_psibar (x) P_blank
           + P_psi (x) P_psibar + P_psibar (x) P_psi).
     """
-    psi, bar = rotated_basis(theta)
-    blank = basis_ket([2], 0)
-
-    def proj(v: Ket) -> np.ndarray:
-        return np.outer(v.amplitudes, v.amplitudes.conj())
-
-    entries = 0.25 * (
-        np.kron(proj(psi), proj(blank))
-        + np.kron(proj(bar), proj(blank))
-        + np.kron(proj(psi), proj(bar))
-        + np.kron(proj(bar), proj(psi))
-    )
-    return DensityMatrix((2, 2), entries)
+    return _one_point(_closed_form_mixtures, theta)
 
 
 def bob_delete_and_reduce(theta: float) -> DensityMatrix:
@@ -170,30 +214,17 @@ def bob_delete_and_reduce(theta: float) -> DensityMatrix:
 
     Computed through the measurement/deletion/partial-trace pipeline, then
     checked against the closed-form mixture; the pipeline value is returned.
-    The delete-anything rule acts on each collapsed branch: identical qubits
-    (both psi or both psibar) become |state>|blank>|A_state>; different ones
-    pass through. The ancilla is traced out at once and each |A_state> is a
-    pure state, so it is left out.
     """
-    bob_basis = tuple(v.amplitudes for v in rotated_basis(theta))
-    blank = basis_ket([2], BLANK_INDEX).amplitudes
+    return _one_point(_deletion_mixtures, theta)
 
-    def delete_identical(post: np.ndarray, x: int, y: int) -> np.ndarray:
-        return np.kron(bob_basis[x], blank) if x == y else post
 
-    pipeline = _branch_mixture(theta, delete_identical)
-    closed = deletion_mixture_closed_form(theta)
-    dev = float(np.max(np.abs(pipeline.entries - closed.entries)))
-    if dev > 1e-12:
-        raise ArithmeticError(
-            f"pipeline mixture deviates from the closed form by {dev:.3e}"
-        )
-    return pipeline
+def _no_deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
+    return _branch_mixtures(thetas, lambda post, x, y: post)
 
 
 def no_deletion_reduce(theta: float) -> DensityMatrix:
     """Bob's unconditioned reduced state when he does nothing (control arm)."""
-    return _branch_mixture(theta, lambda post, x, y: post)
+    return _one_point(_no_deletion_mixtures, theta)
 
 
 def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> DensityMatrix:
@@ -206,7 +237,11 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
     dims = machine.input_dims
     if len(dims) != 3 or dims[:2] != (2, 2):
         raise ShapeError(f"need a machine on [2, 2, m], got {dims}")
-    return _branch_mixture(theta, lambda post, x, y: _pair_output(machine, post[None])[0])
+
+    def through_machine(post: np.ndarray, x: int, y: int) -> np.ndarray:
+        return _pair_output(machine, post)
+
+    return _one_point(lambda thetas: _branch_mixtures(thetas, through_machine), theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,13 +270,16 @@ class SignallingReport:
 def signalling_distance(theta_1: float, theta_2: float) -> SignallingReport:
     """Trace distance between Bob's reduced states for Alice's two basis choices,
     with and without the hypothetical deletion."""
-    with_pair = (bob_delete_and_reduce(theta_1), bob_delete_and_reduce(theta_2))
-    without_pair = (no_deletion_reduce(theta_1), no_deletion_reduce(theta_2))
+    thetas = np.array([theta_1, theta_2], dtype=float)
+    with_pair, without_pair = _deletion_mixtures(thetas), _no_deletion_mixtures(thetas)
+    distance_with, distance_without = _half_trace_norms(
+        np.stack([with_pair[0] - with_pair[1], without_pair[0] - without_pair[1]])
+    )
     return SignallingReport(
         theta_1=float(theta_1),
         theta_2=float(theta_2),
-        rho_with_deletion=with_pair,
-        rho_without_deletion=without_pair,
-        distance_with=trace_distance(*with_pair),
-        distance_without=trace_distance(*without_pair),
+        rho_with_deletion=tuple(DensityMatrix((2, 2), rho) for rho in with_pair),
+        rho_without_deletion=tuple(DensityMatrix((2, 2), rho) for rho in without_pair),
+        distance_with=float(distance_with),
+        distance_without=float(distance_without),
     )

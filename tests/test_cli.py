@@ -315,11 +315,32 @@ class TestManifest:
         assert json.loads(out)["is_isometry"] is True
 
 
-def test_python_dash_m_runs_the_cli():
+def run_fresh(*argv):
+    """(exit code, stdout, stderr) of `python -m qdel argv` in a new interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(qdel.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-m", "qdel", "quality", "--n", "2", "--m", "1"],
-        capture_output=True, text=True, timeout=60, env=env,
+        [sys.executable, "-m", "qdel", *argv], capture_output=True, text=True, timeout=60, env=env,
     )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["n"] == 2
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    code, out, err = run_fresh("quality", "--n", "2", "--m", "1")
+    assert code == 0, err
+    assert json.loads(out)["n"] == 2
+
+
+def test_one_parser_serves_every_call(capsys):
+    """Calls in one process match fresh processes: no flag or default leaks into the next call."""
+    calls = [
+        ["nogo", "--sweep", "3"], ["nogo", "--overlap", "0.5"],
+        ["signal", "--sweep", "3"], ["signal"],
+        ["nogo", "--sweep", "3", "--overlap", "0.2"], ["nogo"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == run_fresh(*argv), argv

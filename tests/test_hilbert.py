@@ -178,6 +178,17 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(rho, keep=set())
 
+    @pytest.mark.parametrize("keep", [{0.7}, {1.0}, {"0"}, [0, 0.5]])
+    def test_non_integer_keep_rejected(self, keep):
+        rho = density_of(basis_ket([2, 2], 0))
+        with pytest.raises(ValueError, match="subsystem indices"):
+            partial_trace(rho, keep=keep)
+
+    def test_numpy_integer_keep_accepted(self):
+        rho = density_of(basis_ket([2, 2], 1))
+        reduced = partial_trace(rho, keep=[np.int64(1)])
+        np.testing.assert_allclose(reduced.entries, [[0, 0], [0, 1]])
+
 
 class TestTraceDistance:
     def test_identical_states(self):

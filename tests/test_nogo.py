@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qdel.errors import ShapeError
-from qdel.hilbert import basis_ket, bloch_ket, haar_qubit, inner, ket
+from qdel.cli import main
+from qdel.errors import InvalidStateError, ShapeError
+from qdel.hilbert import Ket, basis_ket, bloch_ket, haar_qubit, inner, ket
 from qdel.machines import conditional_deleter, swap_deleter
 from qdel.nogo import (
     gram_preservation_check,
@@ -93,6 +94,22 @@ class TestSweepOverlap:
         with pytest.raises(ValueError):
             sweep_overlap(1)
 
+    @pytest.mark.parametrize("n", [2, 7, 1000])
+    @pytest.mark.parametrize("phase", [0.0, 0.3, -0.7, 1.0, math.pi / 2, 2.5, 3.14159])
+    def test_cli_sweep_rows_equal_the_object_path(self, capsys, n, phase):
+        """Exactly at phase 0; elsewhere the two paths may round apart by an ulp."""
+        assert main(["nogo", "--sweep", str(n), "--phase", repr(phase)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        reports = sweep_overlap(n, phase)
+        assert len(rows) == n
+        for (s, got), want, grid in zip(rows, reports, np.linspace(0.0, 1.0, n)):
+            assert float(s) == grid
+            want = want.max_residual
+            if phase == 0.0:
+                assert float(got) == want
+            else:
+                assert abs(float(got) - want) <= np.spacing(want)
+
 
 class TestGramPreservation:
     def test_isometric_machine_preserves_all_inner_products(self):
@@ -116,6 +133,11 @@ class TestGramPreservation:
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
             gram_preservation_check(swap_deleter(2), [])
+
+    def test_non_finite_alphabet_rejected(self):
+        alphabet = [basis_ket([2], 0), Ket((2,), [math.nan, 0.0])]
+        with pytest.raises(InvalidStateError):
+            gram_preservation_check(swap_deleter(2), alphabet)
 
     def test_alphabet_dimension_must_match(self):
         with pytest.raises(ShapeError):

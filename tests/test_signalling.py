@@ -2,17 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdel.errors import ShapeError
 from qdel.hilbert import (
+    Ket,
     basis_ket,
     ket,
     partial_trace,
     density_of,
+    tensor,
     trace_distance,
 )
-from qdel.machines import swap_deleter
+from qdel.machines import (
+    BasisActionMachine,
+    _pair_output,
+    apply,
+    conditional_deleter,
+    swap_deleter,
+)
 from qdel.signalling import (
+    TWO_SINGLETS,
+    _branch_mixtures,
+    _deletion_mixtures,
+    _no_deletion_mixtures,
     alice_measure,
     basis_invariance_check,
     bob_delete_and_reduce,
@@ -21,7 +34,6 @@ from qdel.signalling import (
     no_deletion_reduce,
     rotated_basis,
     signalling_distance,
-    two_singlets,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -29,20 +41,20 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 class TestTwoSinglets:
     def test_normalized(self):
-        assert abs(two_singlets().norm() - 1.0) < 1e-15
+        assert abs(TWO_SINGLETS.norm() - 1.0) < 1e-15
 
     def test_matches_direct_kronecker_construction(self):
         singlet = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2.0)
         np.testing.assert_allclose(
-            two_singlets().amplitudes, np.kron(singlet, singlet), atol=1e-15
+            TWO_SINGLETS.amplitudes, np.kron(singlet, singlet), atol=1e-15
         )
         # spot amplitude: |0101> carries (+1/sqrt2)(+1/sqrt2) = 1/2
-        state = two_singlets().amplitudes.reshape(2, 2, 2, 2)
+        state = TWO_SINGLETS.amplitudes.reshape(2, 2, 2, 2)
         assert state[0, 1, 0, 1] == pytest.approx(0.5, abs=1e-15)
         assert state[0, 1, 1, 0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_bobs_unconditioned_state_is_maximally_mixed(self):
-        reduced = partial_trace(density_of(two_singlets()), keep={1, 3})
+        reduced = partial_trace(density_of(TWO_SINGLETS), keep={1, 3})
         np.testing.assert_allclose(reduced.entries, np.eye(4) / 4, atol=1e-15)
 
 
@@ -59,7 +71,7 @@ class TestBasisInvariance:
 
 class TestAliceMeasure:
     def test_probabilities_sum_to_one(self):
-        state = two_singlets()
+        state = TWO_SINGLETS
         rng = np.random.default_rng(5)
         for _ in range(10):
             theta = rng.uniform(0.0, math.pi)
@@ -71,7 +83,7 @@ class TestAliceMeasure:
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_outcome_pins_bob_to_the_conjugate_pair(self):
-        state = two_singlets()
+        state = TWO_SINGLETS
         rng = np.random.default_rng(7)
         for _ in range(10):
             theta = rng.uniform(0.0, math.pi)
@@ -84,7 +96,7 @@ class TestAliceMeasure:
 
     def test_computational_basis_outcome(self):
         # theta = 0: outcome (psibar, psi) leaves Bob in |0>|1> up to phase
-        result = alice_measure(two_singlets(), 0.0, (1, 0))
+        result = alice_measure(TWO_SINGLETS, 0.0, (1, 0))
         expected = basis_ket([2, 2], (0, 1))
         overlap = abs(np.vdot(expected.amplitudes, result.post_state.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -101,7 +113,7 @@ class TestAliceMeasure:
 
     def test_outcome_labels_checked(self):
         with pytest.raises(ValueError):
-            alice_measure(two_singlets(), 0.0, (0, 2))
+            alice_measure(TWO_SINGLETS, 0.0, (0, 2))
 
 
 class TestBobDeleteAndReduce:
@@ -173,3 +185,78 @@ class TestSignallingDistance:
         report = signalling_distance(0.0, math.pi / 4)
         assert report.distance_with == pytest.approx(0.25, abs=1e-12)
         assert report.distance_with > 0.05
+
+
+def reference_mixture(theta, branch):
+    """Bob's mixture through the object pipeline, one branch at a time.
+
+    alice_measure -> branch -> density_of -> partial_trace onto Bob's
+    particles, weighted by the outcome probabilities. `branch` maps
+    (Bob's collapsed Ket, theta, x, y) to the Ket he then holds.
+    """
+    acc = np.zeros((4, 4), dtype=complex)
+    for k1 in (0, 1):
+        for k3 in (0, 1):
+            measured = alice_measure(TWO_SINGLETS, theta, (k1, k3))
+            out = branch(measured.post_state, theta, 1 - k1, 1 - k3)
+            out = Ket(out.dims, out.amplitudes / out.norm())
+            acc += measured.probability * partial_trace(density_of(out), keep={0, 1}).entries
+    return acc
+
+
+def delete_identical(post, theta, x, y):
+    return tensor(rotated_basis(theta)[x], basis_ket([2], 0)) if x == y else post
+
+
+def through(machine):
+    ancilla = basis_ket([machine.input_dims[2]], 0)
+    return lambda post, theta, x, y: apply(machine, tensor(post, ancilla))
+
+
+# the batched kernel sums in another order than the pipeline: a few ulps of entries <= 1/2
+KERNEL_TOL = 4 * np.finfo(float).eps
+
+
+class TestBatchedKernel:
+    THETAS = np.random.default_rng(29).uniform(-math.pi, 2.0 * math.pi, size=40)
+
+    @pytest.mark.parametrize(
+        "batched, branch",
+        [(_deletion_mixtures, delete_identical),
+         (_no_deletion_mixtures, lambda post, theta, x, y: post)],
+        ids=["deletion", "no_deletion"],
+    )
+    def test_every_slice_matches_the_object_pipeline(self, batched, branch):
+        mixtures = batched(self.THETAS)
+        assert mixtures.shape == (len(self.THETAS), 4, 4)
+        for theta, rho in zip(self.THETAS, mixtures):
+            np.testing.assert_allclose(rho, reference_mixture(float(theta), branch),
+                                       rtol=0, atol=KERNEL_TOL)
+
+    @pytest.mark.parametrize("machine", [swap_deleter(2), conditional_deleter()],
+                             ids=["swap", "conditional"])
+    def test_machine_slices_match_the_object_pipeline(self, machine):
+        mixtures = _branch_mixtures(self.THETAS, lambda post, x, y: _pair_output(machine, post))
+        for theta, rho in zip(self.THETAS, mixtures):
+            reference = reference_mixture(float(theta), through(machine))
+            np.testing.assert_allclose(rho, reference, rtol=0, atol=KERNEL_TOL)
+            one_point = bob_machine_and_reduce(float(theta), machine).entries
+            np.testing.assert_allclose(one_point, reference, rtol=0, atol=KERNEL_TOL)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(2, 4),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    thetas=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4),
+)
+def test_random_isometries_cannot_signal(m, extra, seed, thetas):
+    """QR of a complex Gaussian is an isometry on [2, 2, m]; Bob's mixture never moves."""
+    rng = np.random.default_rng(seed)
+    rows, cols = 4 * (m + extra), 4 * m
+    q, _ = np.linalg.qr(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    machine = BasisActionMachine((2, 2, m), (2, 2, m + extra), q)
+    base = bob_machine_and_reduce(0.0, machine).entries
+    for theta in thetas:
+        assert np.max(np.abs(bob_machine_and_reduce(theta, machine).entries - base)) <= 1e-12
