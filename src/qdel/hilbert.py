@@ -251,17 +251,39 @@ def state_fidelity(rho: DensityMatrix, psi: Ket) -> float:
 
 def haar_qubit(rng: np.random.Generator) -> Ket:
     """Haar-random qubit via theta = arccos(1 - 2u), phi = 2 pi v."""
-    theta = math.acos(1.0 - 2.0 * rng.random())
-    phi = 2.0 * math.pi * rng.random()
-    return bloch_ket(theta, phi)
+    return haar_ket(2, rng)
 
 
 def haar_ket(dim: int, rng: np.random.Generator) -> Ket:
-    """Haar-random state of one `dim`-level system (normalized complex Gaussian)."""
+    """Haar-random state of one `dim`-level system; see `_haar_amplitudes`."""
+    return Ket((dim,), _haar_amplitudes(dim, 1, rng)[0])
+
+
+def _haar_amplitudes(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, dim) amplitudes of Haar-random states, from one call on `rng`.
+
+    A qubit is cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> with
+    theta = arccos(1 - 2u), phi = 2 pi v for consecutive uniforms (u, v);
+    other dimensions normalize a complex Gaussian whose `dim` real parts
+    precede its `dim` imaginary parts. Row k is what the k-th of `count`
+    one-state draws on the same stream gives, bit for bit.
+    """
     if dim == 2:
-        return haar_qubit(rng)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return ket(v / np.linalg.norm(v), [dim])
+        u, v = rng.random((count, 2)).T
+        # libm's acos: numpy's vectorised arccos can differ in the last ulp,
+        # which would move every seeded qubit sample
+        half = 0.5 * np.array([math.acos(1.0 - 2.0 * x) for x in u.tolist()])
+        phi = 2.0 * math.pi * v
+        out = np.empty((count, 2), dtype=complex)
+        out[:, 0] = np.cos(half)
+        out[:, 1].real = np.cos(phi) * np.sin(half)
+        out[:, 1].imag = np.sin(phi) * np.sin(half)
+        return out
+    parts = rng.standard_normal((count, 2, dim))
+    v = parts[:, 0] + 1j * parts[:, 1]
+    # the one-row arithmetic of np.linalg.norm; its axis=1 form sums in another order
+    norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return v / norms[:, None]
 
 
 def orthonormal_completion(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -24,9 +25,9 @@ from .hilbert import (
     ALGEBRAIC_TOL,
     Ket,
     _dims,
+    _haar_amplitudes,
     _half_trace_norms,
     complex_pair,
-    haar_ket,
     orthonormal_completion,
 )
 
@@ -135,7 +136,9 @@ class DeleterVerdict:
         the state predicted by carrying the input amplitudes onto the ancilla
         images of the identical-basis rules.
     ancilla_dependence: max pairwise trace distance between reduced ancilla
-        states; large values mean the ancilla retains the input state.
+        states; large values mean the ancilla retains the input state. It is
+        the eigvalsh value of the maximising pair, exactly as a scan of every
+        pair would give it; 0.0 for one sample.
     """
 
     kind: DeleterKind
@@ -291,6 +294,83 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     return float(_residuals(_copies_output(machine, psis), psis)[0])
 
 
+def _int_at_least(value: object, least: int, name: str) -> int:
+    """`value` as an int if it is an integer, not a bool, and >= `least`; else ValueError."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
+
+
+# Pairs per block of the pairwise scan; the block's (pairs, m, m) complex
+# differences are its largest temporary.
+_PAIR_BLOCK = 512
+
+# Absolute widening of the half-trace-norm bounds. A difference of density
+# matrices has spectral norm <= 1, so the bounds and eigvalsh each round by
+# at most about m^2 eps (< 1e-12 for m <= 64).
+_BOUND_MARGIN = 1e-9
+
+
+def _half_trace_norm_bounds(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on (1/2) sum |eigenvalues| of each matrix of a (..., m, m) stack.
+
+    Each matrix is taken as Hermitian and traceless, a difference of two
+    density matrices; the bounds are widened by _BOUND_MARGIN. With
+    F^2 = ||D||_F^2 the half trace norm T satisfies
+    F / sqrt(2) <= T <= F sqrt(floor(m/2) ceil(m/2) / m), equal for m = 2.
+    For m = 3 it is the largest |root| of x^3 - (F^2/2) x - det D,
+    2 sqrt(p/3) cos(arccos|c| / 3) with p = F^2/2, c = (3 sqrt(3)/2) det D / p^(3/2).
+    """
+    m = diffs.shape[-1]
+    flat = diffs.reshape(diffs.shape[:-2] + (m * m,))
+    frob_sq = np.vecdot(flat, flat).real
+    if m == 3:
+        a, b, c = (diffs[..., k, k].real for k in range(3))
+        u, v, w = diffs[..., 1, 0], diffs[..., 2, 1], diffs[..., 2, 0]
+        det = a * b * c - a * np.abs(v) ** 2 - b * np.abs(w) ** 2 - c * np.abs(u) ** 2
+        det += 2.0 * (u * v * w.conj()).real
+        p = 0.5 * frob_sq
+        scale = p * np.sqrt(p)
+        cos3 = np.divide(np.abs(det), scale, out=np.zeros_like(det), where=scale > 0.0)
+        cos3 = np.minimum(1.5 * math.sqrt(3.0) * cos3, 1.0)
+        low = high = 2.0 * np.sqrt(p / 3.0) * np.cos(np.arccos(cos3) / 3.0)
+    else:
+        low = np.sqrt(0.5 * frob_sq)
+        high = np.sqrt(frob_sq * ((m // 2) * ((m + 1) // 2) / m))
+    return low - _BOUND_MARGIN, high + _BOUND_MARGIN
+
+
+def _max_pairwise_distance(rho: np.ndarray) -> float:
+    """max over i < j of the half trace norm of rho[j] - rho[i], as eigvalsh gives it.
+
+    `rho` is an (S, m, m) stack of density matrices. Row blocks of about
+    _PAIR_BLOCK pairs are bounded at once; `floor`, the largest lower bound
+    or confirmed value so far, never exceeds the answer, so a pair whose
+    upper bound is below it cannot hold the maximum. The rest go to
+    eigvalsh. 0.0 for S = 1.
+    """
+    n = len(rho)
+    best = floor = 0.0
+    start = 0
+    while start < n - 1:
+        width = n - 1 - start
+        stop = start + min(width, max(1, _PAIR_BLOCK // width))
+        diffs = rho[start + 1 :] - rho[start:stop, None]  # [r, k] = rho[start+1+k] - rho[start+r]
+        ahead = ~np.tri(stop - start, width, -1, dtype=bool)  # k >= r, that is j > i
+        low, high = _half_trace_norm_bounds(diffs)
+        floor = max(floor, float(np.max(low, where=ahead, initial=floor)))
+        near = ahead & (high >= floor)
+        if np.any(near):
+            best = max(best, float(np.max(_half_trace_norms(diffs[near]))))
+            floor = max(floor, best)
+        start = stop
+    return best
+
+
 def classify_deleter(
     machine: BasisActionMachine, samples: int, seed: int
 ) -> DeleterVerdict:
@@ -299,9 +379,21 @@ def classify_deleter(
     SwapLike: every sampled residual vanishes and the reduced ancilla
     reconstructs the input state. ApproximateDeleter: residuals are positive.
     NotLinearConsistent: the declared rules themselves are not normalized.
+
+    `samples` is a positive and `seed` a non-negative integer (bool is
+    neither); anything else is a ValueError. The `samples` inputs are drawn
+    from `np.random.default_rng(seed)` in one call.
+
+    `ancilla_dependence` is found without an eigensolve per pair: every pair
+    difference of reduced ancilla states is Hermitian and traceless, so cheap
+    invariants bound its half trace norm (exactly for m = 2 and m = 3, by
+    the Frobenius sandwich for m >= 4). Widened by a margin of 1e-9, far
+    above the rounding of either side, the bounds leave few pairs that can
+    still hold the maximum; only those reach eigvalsh, and the largest of
+    their values is returned.
     """
-    if samples < 1:
-        raise ValueError("samples must be a positive integer")
+    samples = _int_at_least(samples, 1, "samples")
+    seed = _int_at_least(seed, 0, "seed")
     dims = machine.input_dims
     if len(dims) != 3 or dims[0] != dims[1] or dims[2] < dims[0]:
         raise ShapeError(
@@ -326,8 +418,7 @@ def classify_deleter(
                 f"machine does not delete the identical basis input |{i}>|{i}>"
             )
 
-    rng = np.random.default_rng(seed)
-    psis = np.stack([haar_ket(d, rng).amplitudes for _ in range(samples)])
+    psis = _haar_amplitudes(d, samples, np.random.default_rng(seed))
     outs = _copies_output(machine, psis)
     residuals = _residuals(outs, psis)
 
@@ -346,9 +437,7 @@ def classify_deleter(
     target = np.einsum("na,nb->nab", predicted, predicted.conj())
     ancilla_errors = np.where(lost, 1.0, _half_trace_norms(rho - target))
 
-    # pairwise distances, one stacked eigensolve per row to keep memory O(samples)
-    row_max = [np.max(_half_trace_norms(rho[i + 1 :] - rho[i])) for i in range(samples - 1)]
-    dependence = float(np.max(row_max, initial=0.0))
+    dependence = _max_pairwise_distance(rho)
 
     if np.max(residuals) <= 1e-10 and np.max(ancilla_errors) <= 1e-8:
         kind = DeleterKind.SWAP_LIKE

@@ -21,6 +21,7 @@ from qdel.hilbert import (
     tensor,
     trace_distance,
 )
+from qdel.hilbert import _haar_amplitudes
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -101,6 +102,41 @@ class TestTensor:
             lhs = tensor(combo, phi).amplitudes
             rhs = a * tensor(psi1, phi).amplitudes + b * tensor(psi2, phi).amplitudes
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+class TestHaarSampling:
+    @staticmethod
+    def one_at_a_time(dim, count, rng):
+        """Reference: one state per draw, the qubit through its Bloch angles."""
+        rows = []
+        for _ in range(count):
+            if dim == 2:
+                theta = math.acos(1.0 - 2.0 * rng.random())
+                phi = 2.0 * math.pi * rng.random()
+                rows.append([math.cos(theta / 2.0),
+                             complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)])
+            else:
+                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                rows.append(v / np.linalg.norm(v))
+        return np.array(rows, dtype=complex).reshape(count, dim)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("count", [1, 7, 200])
+    def test_one_call_draws_what_single_draws_draw(self, dim, count):
+        batched_rng, single_rng = np.random.default_rng(count), np.random.default_rng(count)
+        batched = _haar_amplitudes(dim, count, batched_rng)
+        assert batched.tobytes() == self.one_at_a_time(dim, count, single_rng).tobytes()
+        assert batched_rng.random() == single_rng.random()  # the stream is left in step
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_haar_ket_is_one_row(self, dim):
+        batched = _haar_amplitudes(dim, 3, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        rows = [haar_ket(dim, rng) for _ in range(3)]
+        assert all(psi.dims == (dim,) and psi.is_normalized() for psi in rows)
+        assert np.stack([psi.amplitudes for psi in rows]).tobytes() == batched.tobytes()
+        if dim == 2:
+            assert haar_qubit(np.random.default_rng(4)).amplitudes.tobytes() == batched[0].tobytes()
 
 
 class TestInner:

@@ -1,4 +1,5 @@
-"""Property tests of the machine layer: construction, norm checks and the wire format."""
+"""Property tests of the machine layer: construction, norm checks, the wire format and the
+classifier's pairwise scan."""
 
 import json
 import math
@@ -9,8 +10,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qdel.errors import InvalidStateError, ShapeError
-from qdel.hilbert import Ket
-from qdel.machines import BasisActionMachine, machine_from_json, machine_to_json
+from qdel.hilbert import Ket, _half_trace_norms
+from qdel.machines import (
+    BasisActionMachine,
+    _max_pairwise_distance,
+    machine_from_json,
+    machine_to_json,
+)
 
 # derandomized, so that every run draws the same examples and writes no example database
 PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -88,3 +94,58 @@ def test_a_rule_of_the_wrong_length_is_a_shape_error(machine, data):
     rule["out_amplitudes"] = (rule["out_amplitudes"] * 2 + [[0.0, 0.0]])[:length]
     with pytest.raises(ShapeError):
         machine_from_json(payload, strict=False)
+
+
+def row_scan(rho):
+    """Reference: the all-pairs scan, one stacked eigensolve per row."""
+    row_max = [np.max(_half_trace_norms(rho[i + 1 :] - rho[i])) for i in range(len(rho) - 1)]
+    return float(np.max(row_max, initial=0.0))
+
+
+def density_stack(seed, count, m, rank):
+    """`count` random m x m density matrices of the given rank, normalized by their trace."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, m, rank)) + 1j * rng.standard_normal((count, m, rank))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+stacks = st.integers(2, 4).flatmap(
+    lambda m: st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 40), st.just(m),
+                        st.integers(1, m)))
+
+
+@PROPERTIES
+@given(stacks)
+def test_pairwise_scan_equals_the_all_pairs_eigensolve(drawn):
+    rho = density_stack(*drawn)
+    assert _max_pairwise_distance(rho) == row_scan(rho)
+
+
+@PROPERTIES
+@given(stacks, st.data())
+def test_pairwise_scan_is_exact_on_duplicated_rows(drawn, data):
+    rho = density_stack(*drawn)
+    picks = data.draw(st.lists(st.integers(0, len(rho) - 1), min_size=1, max_size=40))
+    rho = rho[picks]
+    assert _max_pairwise_distance(rho) == row_scan(rho)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 2, 40])
+def test_pairwise_scan_of_equal_states_is_zero(m, count):
+    rho = np.repeat(density_stack(9, 1, m, m), count, axis=0)
+    assert _max_pairwise_distance(rho) == row_scan(rho) == 0.0
+
+
+@PROPERTIES
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(2, 40), st.booleans())
+def test_pairwise_scan_is_exact_when_orthogonal_states_tie(m, seed, count, rotate):
+    """Projectors onto the basis, or onto the columns of a random unitary: every
+    unequal pair is at distance 1."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    columns = (u if rotate else np.eye(m, dtype=complex)).T[np.arange(count) % m]
+    rho = np.einsum("na,nb->nab", columns, columns.conj())
+    assert _max_pairwise_distance(rho) == row_scan(rho)
+    assert abs(row_scan(rho) - 1.0) <= 1e-12

@@ -277,6 +277,73 @@ class TestClassifyDeleter:
         with pytest.raises(ValueError):
             classify_deleter(swap_deleter(2), samples=0, seed=1)
 
+    @pytest.mark.parametrize("samples", [2.5, True, False, "3", None, -1, np.float64(3.0)])
+    def test_samples_must_be_a_positive_integer(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            classify_deleter(swap_deleter(2), samples=samples, seed=1)
+
+    @pytest.mark.parametrize("seed", [None, True, False, -1, 1.0, "1", np.True_])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # None would draw fresh entropy from the OS, and the verdict would not repeat
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            classify_deleter(swap_deleter(2), samples=5, seed=seed)
+
+    def test_numpy_integers_are_accepted(self):
+        verdict = classify_deleter(swap_deleter(2), samples=np.int64(5), seed=np.uint32(7))
+        assert verdict == classify_deleter(swap_deleter(2), samples=5, seed=7)
+
+    def test_one_sample_has_no_dependence(self):
+        for machine in (swap_deleter(2), swap_deleter(3), conditional_deleter()):
+            assert classify_deleter(machine, samples=1, seed=3).ancilla_dependence == 0.0
+
+    # Verdicts of the all-pairs eigensolve scan that preceded the bounded
+    # scan, on the same seeds: kind and ancilla_dependence must not move,
+    # the per-sample statistics not by more than 4 eps.
+    RECORDED_SMALL = {
+        "swap2": (
+            DeleterKind.SWAP_LIKE, 0.9650723360778382,
+            [-2.220446049250313e-16, 0.0, -2.220446049250313e-16, 1.1102230246251565e-16, 0.0, 0.0],
+            [1.8824747269678055e-16, 6.206335383118183e-17, 6.798699777552591e-17,
+             2.7755575615628914e-17, 0.0, 1.3877787807814457e-17],
+        ),
+        "conditional": (
+            DeleterKind.APPROXIMATE_DELETER, 0.8668380331531682,
+            [0.19040488593534788, 0.3840333022346766, 0.07821633941011175, 0.388585311973054,
+             0.07095736759055737, 0.31619031209507653],
+            [0.6118975631422278, 0.7762018004114173, 0.2770988713082654, 0.7497938373913642,
+             0.2618969828995096, 0.7449650336995557],
+        ),
+        "swap3": (
+            DeleterKind.SWAP_LIKE, 0.9740364685605729,
+            [2.220446049250313e-16, 0.0, 1.1102230246251565e-16, 1.1102230246251565e-16, 0.0, 0.0],
+            [2.896434946591119e-16, 9.020562075079397e-17, 1.5393646707704637e-16,
+             9.85704363057626e-17, 7.679498485057654e-17, 1.435530609672952e-16],
+        ),
+    }
+    # (samples, kind, ancilla_dependence) at seed 1, the sample counts of the audit benchmark
+    RECORDED_LARGE = {
+        "swap2": (200, DeleterKind.SWAP_LIKE, 0.9999907384551168),
+        "conditional": (150, DeleterKind.APPROXIMATE_DELETER, 0.998705719221473),
+        "swap3": (150, DeleterKind.SWAP_LIKE, 0.999944177918155),
+    }
+    MACHINES = {"swap2": lambda: swap_deleter(2), "conditional": conditional_deleter,
+                "swap3": lambda: swap_deleter(3)}
+
+    @pytest.mark.parametrize("name", ["swap2", "conditional", "swap3"])
+    def test_verdict_matches_the_recorded_all_pairs_scan(self, name):
+        kind, dependence, residuals, errors = self.RECORDED_SMALL[name]
+        verdict = classify_deleter(self.MACHINES[name](), samples=6, seed=5)
+        assert verdict.kind is kind
+        assert verdict.ancilla_dependence == dependence
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(verdict.residual_stats, residuals, rtol=0, atol=4 * eps)
+        np.testing.assert_allclose(verdict.ancilla_errors, errors, rtol=0, atol=4 * eps)
+
+        samples, kind, dependence = self.RECORDED_LARGE[name]
+        verdict = classify_deleter(self.MACHINES[name](), samples=samples, seed=1)
+        assert verdict.kind is kind
+        assert verdict.ancilla_dependence == dependence
+
     def test_needs_ancilla_structure(self):
         with pytest.raises(ShapeError):
             classify_deleter(qudit_pair_deleter(2), samples=10, seed=1)

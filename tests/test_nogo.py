@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdel.cli import main
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.hilbert import Ket, basis_ket, bloch_ket, haar_qubit, inner, ket
-from qdel.machines import conditional_deleter, swap_deleter
+from qdel.machines import BasisActionMachine, conditional_deleter, swap_deleter
 from qdel.nogo import (
     gram_preservation_check,
     ideal_deletion_map,
@@ -177,3 +179,26 @@ class TestIdealDeletionMap:
 
         other = tensor(basis_ket([2], 1), basis_ket([2], 0))
         assert mapping(other) is other
+
+
+@st.composite
+def isometries_and_alphabets(draw):
+    """A QR isometry from [d, d, m] into [d, d, m + extra], d in {2, 3}, and a drawn
+    alphabet of 1-6 normalized d-level states."""
+    d = draw(st.sampled_from([2, 3]))
+    m, extra = draw(st.integers(2, 4 if d == 2 else 3)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = d * d * (m + extra), d * d * m
+    q, _ = np.linalg.qr(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    machine = BasisActionMachine((d, d, m), (d, d, m + extra), q)
+    entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    vectors = draw(st.lists(arrays(complex, d, elements=entries).filter(
+        lambda v: np.linalg.norm(v) > 1e-3), min_size=1, max_size=6))
+    return machine, [Ket((d,), v / np.linalg.norm(v)) for v in vectors]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(isometries_and_alphabets())
+def test_every_isometry_preserves_the_gram_matrix(drawn):
+    machine, alphabet = drawn
+    assert gram_preservation_check(machine, alphabet).max_gram_residual <= 1e-12
