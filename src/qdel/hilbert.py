@@ -156,10 +156,12 @@ def basis_ket(dims: Sequence[int], index: Union[int, Sequence[int]]) -> Ket:
 
 def bloch_ket(theta: float, phi: float = 0.0) -> Ket:
     """Qubit cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    return ket(
-        [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)],
-        [2],
-    )
+    return ket(_bloch_amplitudes(theta, phi), [2])
+
+
+def _bloch_amplitudes(theta: float, phi: float) -> list:
+    """The two amplitudes of `bloch_ket`, in scalar libm arithmetic."""
+    return [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)]
 
 
 def qubit_ket(alpha: complex, beta: complex) -> Ket:
@@ -268,22 +270,18 @@ def _haar_amplitudes(dim: int, count: int, rng: np.random.Generator) -> np.ndarr
     precede its `dim` imaginary parts. Row k is what the k-th of `count`
     one-state draws on the same stream gives, bit for bit.
     """
+    # libm and np.linalg.norm row by row, the arithmetic of one-state draws:
+    # numpy's vectorised forms can differ from it in the last ulp
     if dim == 2:
-        u, v = rng.random((count, 2)).T
-        # libm's acos: numpy's vectorised arccos can differ in the last ulp,
-        # which would move every seeded qubit sample
-        half = 0.5 * np.array([math.acos(1.0 - 2.0 * x) for x in u.tolist()])
-        phi = 2.0 * math.pi * v
-        out = np.empty((count, 2), dtype=complex)
-        out[:, 0] = np.cos(half)
-        out[:, 1].real = np.cos(phi) * np.sin(half)
-        out[:, 1].imag = np.sin(phi) * np.sin(half)
-        return out
+        return np.array(
+            [
+                _bloch_amplitudes(math.acos(1.0 - 2.0 * u), 2.0 * math.pi * v)
+                for u, v in rng.random((count, 2)).tolist()
+            ],
+            dtype=complex,
+        )
     parts = rng.standard_normal((count, 2, dim))
-    v = parts[:, 0] + 1j * parts[:, 1]
-    # the one-row arithmetic of np.linalg.norm; its axis=1 form sums in another order
-    norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-    return v / norms[:, None]
+    return np.array([v / np.linalg.norm(v) for v in parts[:, 0] + 1j * parts[:, 1]])
 
 
 def orthonormal_completion(

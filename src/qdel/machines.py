@@ -306,8 +306,10 @@ def _int_at_least(value: object, least: int, name: str) -> int:
 
 
 # Pairs per block of the pairwise scan; the block's (pairs, m, m) complex
-# differences are its largest temporary.
-_PAIR_BLOCK = 512
+# differences are its largest temporary. Chosen by measurement: 512 pairs
+# ran the audit benchmark's pass 1.4x faster than 256 but raised its peak
+# RSS by 2.5% against the all-pairs scan, 256 by 1%.
+_PAIR_BLOCK = 256
 
 # Absolute widening of the half-trace-norm bounds. A difference of density
 # matrices has spectral norm <= 1, so the bounds and eigvalsh each round by
@@ -326,8 +328,8 @@ def _half_trace_norm_bounds(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2 sqrt(p/3) cos(arccos|c| / 3) with p = F^2/2, c = (3 sqrt(3)/2) det D / p^(3/2).
     """
     m = diffs.shape[-1]
-    flat = diffs.reshape(diffs.shape[:-2] + (m * m,))
-    frob_sq = np.vecdot(flat, flat).real
+    parts = diffs.reshape(diffs.shape[:-2] + (m * m,)).view(float)  # real and imaginary parts
+    frob_sq = np.einsum("...k,...k->...", parts, parts)
     if m == 3:
         a, b, c = (diffs[..., k, k].real for k in range(3))
         u, v, w = diffs[..., 1, 0], diffs[..., 2, 1], diffs[..., 2, 0]
