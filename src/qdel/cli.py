@@ -37,9 +37,10 @@ __all__ = ["main", "entry"]
 
 def _parse_angle(text: str) -> float:
     text = text.strip().lower()
-    if text.endswith("deg"):
-        return math.radians(float(text[:-3]))
-    return float(text)
+    value = math.radians(float(text[:-3])) if text.endswith("deg") else float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -66,11 +67,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, most: float = math.inf):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text}")
         return value
 
     return integer
@@ -147,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit CSV of trace distance to the theta=0 mixture")
 
     p = sub.add_parser("delete-demo", parents=[common], help="pair-deleter linearity obstruction")
-    p.add_argument("--dim", type=_int_at_least(2), default=2)
+    # dim^2 <= 4096: the pair's total dimension stays where hilbert's tolerances hold
+    p.add_argument("--dim", type=_int_at_least(2, most=64), default=2)
     p.add_argument("--alpha-sq", type=_unit_interval, default=0.5)
 
     p = sub.add_parser("verify", parents=[common], help="check a user-supplied machine")

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .hilbert import Ket, orthonormal_completion, qubit_ket
+from .hilbert import Ket, _int_at_least, orthonormal_completion, qubit_ket
 
 __all__ = [
-    "SymmetricState",
     "QualityReport",
     "symmetric_expand",
     "ideal_delete_output",
@@ -36,51 +34,38 @@ __all__ = [
 # dense-grid resolution for the numerical minimization of the bound
 GRID_STEP = 1e-4
 
-
-@dataclass(frozen=True, eq=False)
-class SymmetricState:
-    """N identical qubit copies in the (N+1)-amplitude symmetric representation.
-
-    coefficients[k] multiplies the normalized Dicke state with k ones;
-    coefficients[0] and coefficients[N] are alpha^N and beta^N exactly.
-    """
-
-    n_copies: int
-    alpha: complex
-    beta: complex
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=complex).reshape(-1)
-        if coeffs.size != self.n_copies + 1:
-            raise ValueError(
-                f"{self.n_copies} copies need {self.n_copies + 1} coefficients, got {coeffs.size}"
-            )
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
+# Refinement of the grid minimum: each pass evaluates _REFINE_POINTS points
+# across the bracket around the previous argmin and keeps its two
+# neighbours, shrinking the bracket 50-fold, until it is _REFINE_TOL wide.
+_REFINE_POINTS = 101
+_REFINE_TOL = 1e-10
 
 
-def symmetric_expand(alpha: complex, beta: complex, n: int) -> SymmetricState:
+def symmetric_expand(alpha: complex, beta: complex, n: int) -> np.ndarray:
     """Expand (alpha|0> + beta|1>)^(x)N over the normalized Dicke basis.
 
-    coefficient[k] = sqrt(C(N,k)) alpha^(N-k) beta^k, the unique choice that
-    reproduces the plain tensor power when embedded back into 2^N dimensions.
+    Returns the read-only (N+1,) coefficients: coefficient[k] multiplies the
+    normalized Dicke state with k ones and is sqrt(C(N,k)) alpha^(N-k) beta^k,
+    the unique choice that reproduces the plain tensor power when embedded
+    back into 2^N dimensions. coefficient[0] and coefficient[N] are alpha^N
+    and beta^N exactly.
     """
-    if n < 1:
-        raise ValueError("need at least one copy")
+    n = _int_at_least(n, 1, "n")
     qubit_ket(alpha, beta)
     coeffs = np.array(
         [math.sqrt(math.comb(n, k)) * alpha ** (n - k) * beta**k for k in range(n + 1)],
         dtype=complex,
     )
-    return SymmetricState(n_copies=n, alpha=complex(alpha), beta=complex(beta), coefficients=coeffs)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
-def _validate_n_m(n: int, m: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 1 <= m <= n:
+def _copy_counts(n: object, m: object) -> tuple[int, int]:
+    """n and m as ints with 1 <= m <= n; bools and non-integers are a ValueError."""
+    n, m = _int_at_least(n, 1, "n"), _int_at_least(m, 1, "m")
+    if m > n:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
+    return n, m
 
 
 def ideal_delete_output(alpha: complex, beta: complex, n: int, m: int) -> Ket:
@@ -90,10 +75,9 @@ def ideal_delete_output(alpha: complex, beta: complex, n: int, m: int) -> Ket:
     kept copies in their M-copy symmetric expansion and the ancilla left in
     its initial basis state.
     """
-    _validate_n_m(n, m)
-    kept = symmetric_expand(alpha, beta, m).coefficients
+    n, m = _copy_counts(n, m)
     amps = np.zeros((n + 1, 3), dtype=complex)
-    amps[: m + 1, 0] = kept
+    amps[: m + 1, 0] = symmetric_expand(alpha, beta, m)
     return Ket((n + 1, 3), amps.reshape(-1))
 
 
@@ -116,13 +100,12 @@ def actual_delete_output(
     ancilla states overlap the ideal one; `ancilla_overlap` sets
     <A_0|A_ideal> = <A_1|A_ideal> (1.0 is the bound-saturating choice).
     """
-    _validate_n_m(n, m)
-    qubit_ket(alpha, beta)
+    n, m = _copy_counts(n, m)
+    full = symmetric_expand(alpha, beta, n)
     t = float(ancilla_overlap)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"ancilla_overlap must lie in [0, 1], got {t}")
     s = math.sqrt(max(1.0 - t * t, 0.0))
-    full = symmetric_expand(alpha, beta, n).coefficients
 
     a0 = np.zeros(3, dtype=complex)
     a1 = np.zeros(3, dtype=complex)
@@ -158,7 +141,7 @@ def quality_bound(alpha_sq: float, n: int, m: int) -> float:
     |a|^(N+M) + |b|^(N+M) + sqrt(1 - |a|^2N - |b|^2N) sqrt(1 - |a|^2M - |b|^2M)
     with |b|^2 = 1 - |a|^2.
     """
-    _validate_n_m(n, m)
+    n, m = _copy_counts(n, m)
     x = float(alpha_sq)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"alpha_sq must lie in [0, 1], got {x}")
@@ -198,34 +181,22 @@ class QualityReport:
             raise ValueError("the closed form must be exactly 1 when nothing is deleted")
 
 
-def _golden_minimize(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section minimum of a smooth scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _bracket(xs: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
+    """The two neighbours in xs of the argmin of values, and that minimum."""
+    i = int(np.argmin(values))
+    return xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], float(values[i])
 
 
 def optimal_quality(n: int, m: int) -> QualityReport:
     """Closed-form optimum plus the dense-grid minimum of the bound.
 
-    The grid (step 1e-4 over |alpha|^2, golden-section refined to 1e-10)
-    serves as the independent oracle for the closed form
+    The grid (step 1e-4 over |alpha|^2, its minimum refined by further
+    grid passes to a bracket 1e-10 wide) serves as the independent oracle
+    for the closed form
 
         2 / 2^((N+M)/2) + sqrt((1 - 2/2^N)(1 - 2/2^M)).
     """
-    _validate_n_m(n, m)
+    n, m = _copy_counts(n, m)
     formula = 2.0 ** (1.0 - (n + m) / 2) + math.sqrt(
         (1.0 - 2.0 ** (1 - n)) * (1.0 - 2.0 ** (1 - m))
     )
@@ -233,12 +204,11 @@ def optimal_quality(n: int, m: int) -> QualityReport:
     npoints = round(1.0 / GRID_STEP) + 1
     xs = np.linspace(0.0, 1.0, npoints)
     vals = _bound_values(xs, n, m)
-    i = int(np.argmin(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, npoints - 1)]
-    x_star = _golden_minimize(lambda x: float(_bound_values(np.array([x]), n, m)[0]), lo, hi)
-    refined = float(_bound_values(np.array([x_star]), n, m)[0])
-    min_bound = min(float(vals[i]), refined)
+    lo, hi, min_bound = _bracket(xs, vals)
+    while hi - lo > _REFINE_TOL:
+        fine = np.linspace(lo, hi, _REFINE_POINTS)
+        lo, hi, refined = _bracket(fine, _bound_values(fine, n, m))
+        min_bound = min(min_bound, refined)
 
     return QualityReport(
         n=n,

@@ -63,6 +63,17 @@ def _dims(dims: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
+def _int_at_least(value: object, least: int, name: str) -> int:
+    """`value` as an int if it is an integer, not a bool, and >= `least`; else ValueError."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True, eq=False)
 class Ket:
     """Complex amplitude vector over a declared product of subsystems.

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -27,6 +26,7 @@ from .hilbert import (
     _dims,
     _haar_amplitudes,
     _half_trace_norms,
+    _int_at_least,
     complex_pair,
     orthonormal_completion,
 )
@@ -292,17 +292,6 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     psi.require_normalized()
     psis = psi.amplitudes[None]
     return float(_residuals(_copies_output(machine, psis), psis)[0])
-
-
-def _int_at_least(value: object, least: int, name: str) -> int:
-    """`value` as an int if it is an integer, not a bool, and >= `least`; else ValueError."""
-    try:
-        number = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or number < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return number
 
 
 # Pairs per block of the pairwise scan; the block's (pairs, m, m) complex

@@ -23,7 +23,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import InvalidStateError, ShapeError
-from .hilbert import ALGEBRAIC_TOL, Ket, basis_ket, inner, ket, tensor
+from .hilbert import ALGEBRAIC_TOL, Ket, _int_at_least, basis_ket, inner, ket, tensor
 from .machines import BasisActionMachine, _copies_output
 
 __all__ = [
@@ -80,6 +80,23 @@ class GramReport:
     max_gram_residual: float
 
 
+def _conditions(s, s1, s2, s21):
+    """The five (label, lhs, rhs) conditions in s = <psi1|psi2>, s1 = <sigma|psi1>,
+    s2 = <sigma|psi2> and s21 = <psi2|psi1>, scalars or arrays alike."""
+    return (
+        ("s^2 = s  [11|22]", s * s, s),
+        ("s = <sigma|psi2>  [11|12]", s, s2),
+        ("<sigma|psi2> = 1  [22|12]", s2, 1.0),
+        ("<sigma|psi1> = 1  [11|21]", s1, 1.0),
+        ("<psi2|psi1> = <sigma|psi1>  [22|21]", s21, s1),
+    )
+
+
+def _overlap_grid(n_points: int) -> np.ndarray:
+    """The n_points overlaps s spanning [0, 1] of `sweep_overlap`."""
+    return np.linspace(0.0, 1.0, _int_at_least(n_points, 2, "n_points"))
+
+
 def nonorthogonal_constraints(psi1: Ket, psi2: Ket, sigma: Ket) -> ConstraintReport:
     """Evaluate the five conditions for deleting copies of {psi1, psi2}.
 
@@ -92,16 +109,8 @@ def nonorthogonal_constraints(psi1: Ket, psi2: Ket, sigma: Ket) -> ConstraintRep
             raise ShapeError(f"{name} must be a single qubit, got dims {state.dims}")
         state.require_normalized()
     s = inner(psi1, psi2)
-    s1 = inner(sigma, psi1)
-    s2 = inner(sigma, psi2)
-    constraints = (
-        Constraint("s^2 = s  [11|22]", s * s, s),
-        Constraint("s = <sigma|psi2>  [11|12]", s, s2),
-        Constraint("<sigma|psi2> = 1  [22|12]", s2, 1.0),
-        Constraint("<sigma|psi1> = 1  [11|21]", s1, 1.0),
-        Constraint("<psi2|psi1> = <sigma|psi1>  [22|21]", inner(psi2, psi1), s1),
-    )
-    return ConstraintReport(overlap_s=s, constraints=constraints)
+    conditions = _conditions(s, inner(sigma, psi1), inner(sigma, psi2), inner(psi2, psi1))
+    return ConstraintReport(overlap_s=s, constraints=tuple(Constraint(*c) for c in conditions))
 
 
 def overlap_constraints(s: float, phase: float = 0.0) -> ConstraintReport:
@@ -117,9 +126,7 @@ def sweep_overlap(n_points: int, phase: float = 0.0) -> list[ConstraintReport]:
     The max residual vanishes only at s = 1 (for phase 0); a nonzero phase
     breaks even that endpoint, since s^2 = s has no non-real solutions.
     """
-    if n_points < 2:
-        raise ValueError("need at least 2 grid points")
-    return [overlap_constraints(float(s), phase) for s in np.linspace(0.0, 1.0, n_points)]
+    return [overlap_constraints(float(s), phase) for s in _overlap_grid(n_points)]
 
 
 def _sweep_max_residuals(n_points: int, phase: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -127,26 +134,19 @@ def _sweep_max_residuals(n_points: int, phase: float = 0.0) -> tuple[np.ndarray,
 
     With psi1 = sigma = |0> and psi2 = z|0> + sqrt(1-s^2)|1>, z = s e^{i phase},
     the inner products are <psi1|psi2> = <sigma|psi2> = z, <sigma|psi1> = 1
-    and <psi2|psi1> = conj(z), so each condition is a closed form in z.
+    and <psi2|psi1> = conj(z).
     """
-    if n_points < 2:
-        raise ValueError("need at least 2 grid points")
-    s = np.linspace(0.0, 1.0, n_points)
-    x, y = math.cos(phase) * s, math.sin(phase) * s  # z = x + iy
+    s = _overlap_grid(n_points)
+    z = complex(math.cos(phase), math.sin(phase)) * s
     rest = np.sqrt(np.maximum(1.0 - s * s, 0.0))
-    norm_sq = x * x + y * y + rest * rest
+    norm_sq = z.real * z.real + z.imag * z.imag + rest * rest
     worst = int(np.argmax(np.abs(norm_sq - 1.0)))
     if not abs(norm_sq[worst] - 1.0) <= ALGEBRAIC_TOL:
         raise InvalidStateError(f"state is not normalized: |psi|^2 = {norm_sq[worst]!r}")
-    zero = np.zeros_like(s)
-    residuals = np.stack([
-        np.hypot(x * x - y * y - x, x * y + y * x - y),  # |z^2 - z|          [11|22]
-        zero,                                            # |z - z|            [11|12]
-        np.hypot(x - 1.0, y),                            # |z - 1|            [22|12]
-        zero,                                            # |1 - 1|            [11|21]
-        np.hypot(x - 1.0, -y),                           # |conj(z) - 1|      [22|21]
-    ])
-    return s, np.max(residuals, axis=0)
+    # hypot, not np.abs: the vectorised complex abs rounds up to 2 ulp away
+    # from the scalar abs that Constraint.residual takes
+    diffs = [lhs - rhs for _, lhs, rhs in _conditions(z, np.ones_like(z), z, z.conj())]
+    return s, np.max([np.hypot(d.real, d.imag) for d in diffs], axis=0)
 
 
 MachineLike = Union[BasisActionMachine, Callable[[Ket], Ket]]

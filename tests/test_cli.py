@@ -255,12 +255,31 @@ class TestUsageErrors:
             ["signal", "--sweep", "3", "--theta1", "0.4"],
             ["signal", "--sweep", "3", "--theta2", "0"],
             ["signal", "--sweep", "3", "--format", "table"],
+            ["delete-demo", "--dim", "65"],
+            ["delete-demo", "--dim", "100000"],
         ],
     )
     def test_rejected_before_computation(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
             run(capsys, *argv)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["signal", "--theta1", "nan"],
+            ["signal", "--theta2", "infdeg"],
+            ["nogo", "--sweep", "5", "--phase", "inf"],
+            ["nogo", "--overlap", "0.5", "--phase=-inf"],
+            ["verify", "--machine", "m.json", "--alphabet", "bloch:nan"],
+            ["verify", "--machine", "m.json", "--alphabet", "bloch:1:1e400deg"],
+        ],
+    )
+    def test_non_finite_angle_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, *argv)
+        assert err.value.code == 2
+        assert "angle must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qdel.deletion import (
+    GRID_STEP,
     QualityReport,
+    _bound_values,
     actual_delete_output,
     ideal_delete_output,
     optimal_quality,
@@ -17,15 +19,34 @@ from qdel.hilbert import inner, ket, tensor
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def dicke_embedding(state) -> np.ndarray:
+def dicke_embedding(coefficients: np.ndarray) -> np.ndarray:
     """The symmetric coefficients spread over the full 2^N product space.
 
     The normalized Dicke state with k ones puts coefficient[k]/sqrt(C(N,k))
     on every bit string of weight k; an oracle independent of `tensor`.
     """
-    n = state.n_copies
-    scale = [state.coefficients[k] / math.sqrt(math.comb(n, k)) for k in range(n + 1)]
+    n = len(coefficients) - 1
+    scale = [coefficients[k] / math.sqrt(math.comb(n, k)) for k in range(n + 1)]
     return np.array([scale[idx.bit_count()] for idx in range(2**n)], dtype=complex)
+
+
+def golden_minimize(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Golden-section minimum of a smooth scalar function on [lo, hi]; the scalar reference."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def random_qubit_amplitudes(rng):
@@ -36,8 +57,9 @@ def random_qubit_amplitudes(rng):
 
 class TestSymmetricExpand:
     def test_basis_state_has_single_term(self):
-        state = symmetric_expand(1.0, 0.0, 3)
-        np.testing.assert_allclose(state.coefficients, [1, 0, 0, 0])
+        coeffs = symmetric_expand(1.0, 0.0, 3)
+        np.testing.assert_allclose(coeffs, [1, 0, 0, 0])
+        assert coeffs.shape == (4,) and not coeffs.flags.writeable
 
     def test_balanced_two_copies_against_projection_oracle(self):
         # oracle: expand ((|0>+|1>)/sqrt2)^(x)2 and project onto
@@ -50,17 +72,17 @@ class TestSymmetricExpand:
             ket([0, 0, 0, 1], [2, 2]),
         ]
         expected = [inner(d, product) for d in dicke]
-        state = symmetric_expand(INV_SQRT2, INV_SQRT2, 2)
-        np.testing.assert_allclose(state.coefficients, expected, atol=1e-12)
-        np.testing.assert_allclose(state.coefficients, [0.5, INV_SQRT2, 0.5], atol=1e-12)
+        coeffs = symmetric_expand(INV_SQRT2, INV_SQRT2, 2)
+        np.testing.assert_allclose(coeffs, expected, atol=1e-12)
+        np.testing.assert_allclose(coeffs, [0.5, INV_SQRT2, 0.5], atol=1e-12)
 
     def test_extreme_coefficients_are_exact_powers(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 5):
             alpha, beta = random_qubit_amplitudes(rng)
-            state = symmetric_expand(alpha, beta, n)
-            assert state.coefficients[0] == complex(alpha) ** n
-            assert state.coefficients[n] == complex(beta) ** n
+            coeffs = symmetric_expand(alpha, beta, n)
+            assert coeffs[0] == complex(alpha) ** n
+            assert coeffs[n] == complex(beta) ** n
 
     def test_embedding_is_normalized(self):
         rng = np.random.default_rng(5)
@@ -90,7 +112,7 @@ class TestIdealDeleteOutput:
         alpha, beta = random_qubit_amplitudes(rng)
         out = ideal_delete_output(alpha, beta, 2, 2).amplitudes.reshape(3, 3)
         np.testing.assert_allclose(
-            out[:, 0], symmetric_expand(alpha, beta, 2).coefficients, atol=1e-14
+            out[:, 0], symmetric_expand(alpha, beta, 2), atol=1e-14
         )
         np.testing.assert_allclose(out[:, 1:], 0.0)
 
@@ -103,7 +125,7 @@ class TestIdealDeleteOutput:
     def test_kept_block_is_m_copy_expansion(self):
         out = ideal_delete_output(INV_SQRT2, INV_SQRT2, 3, 2).amplitudes.reshape(4, 3)
         np.testing.assert_allclose(
-            out[:3, 0], symmetric_expand(INV_SQRT2, INV_SQRT2, 2).coefficients, atol=1e-14
+            out[:3, 0], symmetric_expand(INV_SQRT2, INV_SQRT2, 2), atol=1e-14
         )
 
     def test_m_larger_than_n_rejected(self):
@@ -220,6 +242,24 @@ class TestOptimalQuality:
         assert report.bound_curve[0, 0] == 0.0
         assert report.bound_curve[-1, 0] == 1.0
 
+    @pytest.mark.parametrize(
+        "n, m",
+        [(n, m) for n in range(1, 13) for m in range(1, n + 1)]
+        + [(34, 2), (36, 4), (64, 32), (128, 2), (200, 100), (1000, 3), (4096, 2)],
+    )
+    def test_min_bound_matches_the_golden_section_reference(self, n, m):
+        xs = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
+        vals = _bound_values(xs, n, m)
+        i = int(np.argmin(vals))
+        x_star = golden_minimize(
+            lambda x: float(_bound_values(np.array([x]), n, m)[0]),
+            xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)],
+        )
+        reference = min(float(vals[i]), float(_bound_values(np.array([x_star]), n, m)[0]))
+        min_bound = optimal_quality(n, m).min_bound
+        assert abs(min_bound - reference) <= 1e-15
+        assert min_bound <= vals[i]
+
     def test_report_invariant(self):
         with pytest.raises(ValueError):
             QualityReport(
@@ -227,3 +267,28 @@ class TestOptimalQuality:
                 formula_value=0.9, agreement=0.4,
             )
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: optimal_quality(2.5, 1),
+        lambda: optimal_quality(True, 1),
+        lambda: optimal_quality(3, 0),
+        lambda: quality_bound(0.3, 4.5, 2),
+        lambda: symmetric_expand(1, 0, 2.5),
+        lambda: symmetric_expand(1, 0, False),
+        lambda: ideal_delete_output(1, 0, 2, "1"),
+        lambda: actual_delete_output(1, 0, 2.0, 1),
+    ],
+    ids=["float_n", "bool_n", "zero_m", "float_n_bound", "float_copies", "bool_copies",
+         "str_m", "float_n_actual"],
+)
+def test_copy_counts_must_be_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_copy_counts_are_accepted():
+    report = optimal_quality(np.int64(3), np.int32(2))
+    assert (report.n, report.m) == (3, 2) and type(report.n) is int
+    assert report.formula_value == optimal_quality(3, 2).formula_value

@@ -10,6 +10,7 @@ from qdel.errors import InvalidStateError, ShapeError
 from qdel.hilbert import Ket, basis_ket, bloch_ket, haar_qubit, inner, ket
 from qdel.machines import BasisActionMachine, conditional_deleter, swap_deleter
 from qdel.nogo import (
+    _sweep_max_residuals,
     gram_preservation_check,
     ideal_deletion_map,
     nonorthogonal_constraints,
@@ -53,6 +54,20 @@ class TestNonorthogonalConstraints:
         assert len(report.constraints) == 5
         assert all("|" in c.label for c in report.constraints)
 
+    def test_each_condition_pairs_the_overlaps_its_label_names(self):
+        psi1, psi2, sigma = bloch_ket(0.7, 0.3), bloch_ket(1.9, -1.1), bloch_ket(2.6, 2.0)
+        s, s1, s2 = inner(psi1, psi2), inner(sigma, psi1), inner(sigma, psi2)
+        expected = [
+            ("s^2 = s  [11|22]", s * s, s),
+            ("s = <sigma|psi2>  [11|12]", s, s2),
+            ("<sigma|psi2> = 1  [22|12]", s2, 1.0),
+            ("<sigma|psi1> = 1  [11|21]", s1, 1.0),
+            ("<psi2|psi1> = <sigma|psi1>  [22|21]", inner(psi2, psi1), s1),
+        ]
+        report = nonorthogonal_constraints(psi1, psi2, sigma)
+        assert [(c.label, c.lhs, c.rhs) for c in report.constraints] == expected
+        assert report.overlap_s == s
+
     def test_complex_overlap_breaks_the_quadratic_condition(self):
         psi2 = ket([INV_SQRT2 * 1j, INV_SQRT2], [2])
         report = nonorthogonal_constraints(basis_ket([2], 0), psi2, basis_ket([2], 0))
@@ -93,8 +108,10 @@ class TestSweepOverlap:
         assert all(r.max_residual > 1e-3 for r in reports[1:])
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_overlap(1)
+        for sweep in (sweep_overlap, _sweep_max_residuals):
+            for n_points in (1, 2.5, True):
+                with pytest.raises(ValueError, match="n_points"):
+                    sweep(n_points)
 
     @pytest.mark.parametrize("n", [2, 7, 1000])
     @pytest.mark.parametrize("phase", [0.0, 0.3, -0.7, 1.0, math.pi / 2, 2.5, 3.14159])
