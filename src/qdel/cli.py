@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 flag/usage error, 3 numeric error during computation.
 Angles are radians by default; append ``deg`` for degrees (``--theta1 45deg``).
+argparse reads a value such as ``-45deg`` or ``-1e-3`` as an option, so a
+negative angle with ``deg`` or an exponent is written ``--theta1=-45deg``.
 """
 
 from __future__ import annotations
@@ -110,6 +112,10 @@ def _alphabet_kets(alphabet: list[Union[int, Ket]], dim: int) -> list[Ket]:
     return [state if isinstance(state, Ket) else basis_ket([dim], state) for state in alphabet]
 
 
+def _angle_help(flag: str, what: str) -> str:
+    return f"{what} (radians or Ndeg); a negative angle with deg or an exponent needs {flag}=VALUE"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=None, help="output path (default stdout)")
@@ -141,11 +147,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=_unit_interval, default=None, metavar="S")
     p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N")
     p.add_argument("--phase", type=_parse_angle, default=0.0, metavar="CHI",
-                   help="phase of the overlap (radians or Ndeg)")
+                   help=_angle_help("--phase", "phase of the overlap"))
 
     p = sub.add_parser("signal", parents=[report], help="no-signalling consistency check")
-    p.add_argument("--theta1", type=_parse_angle, default=None, metavar="T1")
-    p.add_argument("--theta2", type=_parse_angle, default=None, metavar="T2")
+    p.add_argument("--theta1", type=_parse_angle, default=None, metavar="T1",
+                   help=_angle_help("--theta1", "Alice's first basis angle"))
+    p.add_argument("--theta2", type=_parse_angle, default=None, metavar="T2",
+                   help=_angle_help("--theta2", "Alice's second basis angle"))
     p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N",
                    help="emit CSV of trace distance to the theta=0 mixture")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Ket, _int_at_least, orthonormal_completion, qubit_ket
+from .hilbert import Ket, _int_at_least, qubit_ket
 
 __all__ = [
     "QualityReport",
@@ -81,13 +81,7 @@ def ideal_delete_output(alpha: complex, beta: complex, n: int, m: int) -> Ket:
     return Ket((n + 1, 3), amps.reshape(-1))
 
 
-def actual_delete_output(
-    alpha: complex,
-    beta: complex,
-    n: int,
-    m: int,
-    ancilla_overlap: float = 1.0,
-) -> Ket:
+def actual_delete_output(alpha: complex, beta: complex, n: int, m: int) -> Ket:
     """Best-case output of a linear N-to-M deleter on N unknown copies.
 
     Only the two basis terms delete cleanly:
@@ -96,43 +90,18 @@ def actual_delete_output(
         + sum_k f_k |k'>,
 
     with the |k'> orthonormal and orthogonal to both leading terms. The
-    designer's only freedom on the leading terms is how well the final
-    ancilla states overlap the ideal one; `ancilla_overlap` sets
-    <A_0|A_ideal> = <A_1|A_ideal> (1.0 is the bound-saturating choice).
+    bound is reached when both final ancilla states are the ideal one,
+    A_0 = A_1 = |0>, so every term is a basis state of the [N+1, 3]
+    register with the ancilla in |0>: the leading terms take cells (0, 0)
+    and (M, 0), and the k-th garbage term, k = 1..N-1, the k-th of the
+    cells (j, 0) with j = 1..N, j != M. The garbage terms thereby line up
+    with the ideal output's middle Dicke components where they can.
     """
     n, m = _copy_counts(n, m)
-    full = symmetric_expand(alpha, beta, n)
-    t = float(ancilla_overlap)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"ancilla_overlap must lie in [0, 1], got {t}")
-    s = math.sqrt(max(1.0 - t * t, 0.0))
-
-    a0 = np.zeros(3, dtype=complex)
-    a1 = np.zeros(3, dtype=complex)
-    a0[0], a0[1] = t, s
-    a1[0], a1[2] = t, s
-
-    def reg(j: int, anc: np.ndarray) -> np.ndarray:
-        v = np.zeros((n + 1, 3), dtype=complex)
-        v[j, :] = anc
-        return v.reshape(-1)
-
-    lead_0 = reg(0, a0)  # all copies were |0>: M zeros kept, ancilla A_0
-    lead_1 = reg(m, a1)  # all copies were |1>: Dicke index M, ancilla A_1
-    amps = full[0] * lead_0 + full[n] * lead_1
-
-    if n > 1:
-        # Candidates are scanned with the ancilla-0 column first (register
-        # cells (j, 0) for j = 1..n, then (0, 0), then the remaining cells in
-        # index order), which lets the garbage terms line up with the ideal
-        # output's middle Dicke components whenever the ancilla geometry
-        # allows it.
-        order = [j * 3 for j in range(1, n + 1)] + [0]
-        order += [j * 3 + c for c in (1, 2) for j in range(n + 1)]
-        primes = orthonormal_completion([lead_0, lead_1], order, n - 1)
-        for k in range(1, n):
-            amps = amps + full[k] * primes[k - 1]
-    return Ket((n + 1, 3), amps)
+    amps = np.zeros((n + 1, 3), dtype=complex)
+    rows = [0] + [j for j in range(1, n + 1) if j != m] + [m]
+    amps[rows, 0] = symmetric_expand(alpha, beta, n)
+    return Ket((n + 1, 3), amps.reshape(-1))
 
 
 def quality_bound(alpha_sq: float, n: int, m: int) -> float:

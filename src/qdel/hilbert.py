@@ -46,7 +46,6 @@ __all__ = [
     "state_fidelity",
     "haar_qubit",
     "haar_ket",
-    "orthonormal_completion",
     "complex_pair",
     "density_to_json",
 ]
@@ -100,11 +99,11 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = ALGEBRAIC_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= ALGEBRAIC_TOL
 
-    def require_normalized(self, tol: float = ALGEBRAIC_TOL) -> "Ket":
-        if not self.is_normalized(tol):
+    def require_normalized(self) -> "Ket":
+        if not self.is_normalized():
             raise InvalidStateError(
                 f"state is not normalized: |psi|^2 = {self.norm() ** 2!r}"
             )
@@ -293,36 +292,6 @@ def _haar_amplitudes(dim: int, count: int, rng: np.random.Generator) -> np.ndarr
         )
     parts = rng.standard_normal((count, 2, dim))
     return np.array([v / np.linalg.norm(v) for v in parts[:, 0] + 1j * parts[:, 1]])
-
-
-def orthonormal_completion(
-    anchors: Sequence[np.ndarray], order: Iterable[int], count: int
-) -> list[np.ndarray]:
-    """`count` orthonormal vectors orthogonal to the (non-empty) anchors, by Gram-Schmidt.
-
-    The candidates are the basis vectors e_k for k in `order`, each
-    orthogonalized against the normalized anchors and every vector accepted
-    before it; a candidate left with norm <= 1e-9 lies in their span and is
-    skipped. The result is deterministic given the anchors and the order.
-    """
-    used = [a / np.linalg.norm(a) for a in anchors]
-    dim = used[0].size
-    out: list[np.ndarray] = []
-    for k in order:
-        if len(out) == count:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
-        for u in used:
-            v = v - np.vdot(u, v) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            v = v / norm
-            used.append(v)
-            out.append(v)
-    if len(out) < count:
-        raise RuntimeError("ran out of candidate vectors for the orthonormal completion")
-    return out
 
 
 # --- JSON wire format: complex numbers as [re, im], matrices row-major ------

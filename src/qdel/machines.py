@@ -28,13 +28,11 @@ from .hilbert import (
     _half_trace_norms,
     _int_at_least,
     complex_pair,
-    orthonormal_completion,
 )
 
 __all__ = [
     "BLANK_INDEX",
     "BasisActionMachine",
-    "AncillaConfig",
     "IsometryReport",
     "DeleterKind",
     "DeleterVerdict",
@@ -88,30 +86,6 @@ class BasisActionMachine:
     def rule_norms_ok(self, tol: float = ALGEBRAIC_TOL) -> bool:
         norms = np.linalg.norm(self.matrix, axis=0)
         return bool(np.all(np.abs(norms**2 - 1.0) <= tol))
-
-
-@dataclass(frozen=True)
-class AncillaConfig:
-    """Ancilla bookkeeping for machines of shape [d, d, dim].
-
-    The ancilla starts in basis state 0; `final_indices` maps each input-state
-    label, "0" and "1", to the basis index of the ancilla state it is left in
-    after a successful deletion.
-    """
-
-    dim: int
-    final_indices: Mapping[str, int]
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError("ancilla dimension must be >= 2")
-        object.__setattr__(self, "final_indices", dict(self.final_indices))
-        if set(self.final_indices) != {"0", "1"}:
-            labels = list(self.final_indices)
-            raise ValueError(f"final_indices needs exactly the labels '0' and '1', got {labels}")
-        for label, index in self.final_indices.items():
-            if not isinstance(index, (int, np.integer)) or not 0 <= index < self.dim:
-                raise ValueError(f"final ancilla index {index!r} for {label!r} is out of range")
 
 
 @dataclass(frozen=True)
@@ -232,37 +206,32 @@ def qudit_pair_deleter(
     return BasisActionMachine((d, d), (d, d), matrix)
 
 
-_DEFAULT_ANCILLA = AncillaConfig(dim=3, final_indices={"0": 1, "1": 2})
-
-
-def conditional_deleter(ancilla: AncillaConfig = _DEFAULT_ANCILLA) -> BasisActionMachine:
-    """Two-qubit deleter with ancilla, shape [2, 2, ancilla.dim].
+def conditional_deleter() -> BasisActionMachine:
+    """Two-qubit deleter with a 3-level ancilla, shape [2, 2, 3].
 
     Identical input qubits are deleted and the ancilla records which state
-    was seen; distinct inputs pass through untouched:
+    was seen, A_0 = |1> and A_1 = |2>; distinct inputs pass through
+    untouched. The ancilla starts in |A> = |0>:
 
         |0 0 A> -> |0 blank A_0>     |0 1 A> -> |0 1 A>
         |1 1 A> -> |1 blank A_1>     |1 0 A> -> |1 0 A>
 
-    Rules for input ancilla states other than |A> are a fixed orthonormal
-    completion (Gram-Schmidt over the output basis in index order), which
-    makes the whole machine a well-defined isometry.
+    Every other input basis state goes to an output basis state no rule
+    uses, both taken in index order, so the matrix is a permutation and the
+    machine an isometry. Which ancilla basis states stand for A_0 and A_1 is
+    a relabelling, as BLANK_INDEX is.
     """
-    m = ancilla.dim
-    if m < 3:
-        raise ValueError("the conditional deleter needs an ancilla of dimension >= 3")
-    dims = (2, 2, m)
-    # declared rules, input cell -> output cell; every image is a basis state
-    images = {(i, i, 0): (i, BLANK_INDEX, ancilla.final_indices[str(i)]) for i in (0, 1)}
-    images.update({(i, j, 0): (i, j, 0) for i, j in ((0, 1), (1, 0))})
-    eye = np.eye(4 * m, dtype=complex)
+    dims = (2, 2, 3)
+    # declared rules, input cell -> output cell
+    cells = {(i, i, 0): (i, BLANK_INDEX, 1 + i) for i in (0, 1)}
+    cells.update({(i, j, 0): (i, j, 0) for i, j in ((0, 1), (1, 0))})
     declared = {
-        int(np.ravel_multi_index(k, dims)): eye[:, np.ravel_multi_index(v, dims)]
-        for k, v in images.items()
+        int(np.ravel_multi_index(k, dims)): int(np.ravel_multi_index(v, dims))
+        for k, v in cells.items()
     }
-    filler = iter(orthonormal_completion(list(declared.values()), range(4 * m), 4 * m - 4))
-    columns = [declared[k] if k in declared else next(filler) for k in range(4 * m)]
-    return BasisActionMachine(dims, dims, np.column_stack(columns))
+    free = iter(sorted(set(range(12)) - set(declared.values())))
+    targets = [declared[k] if k in declared else next(free) for k in range(12)]
+    return BasisActionMachine(dims, dims, np.eye(12, dtype=complex)[:, targets])
 
 
 def swap_deleter(d: int) -> BasisActionMachine:

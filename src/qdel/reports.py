@@ -61,14 +61,8 @@ def sub_seed(seed: int, module: str, operation: str) -> int:
 # --- emission ----------------------------------------------------------------
 
 
-def _json_default(value):
-    if isinstance(value, complex):
-        return complex_pair(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _quality_payload(r: QualityReport) -> dict:

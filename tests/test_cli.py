@@ -12,6 +12,7 @@ from qdel.cli import main
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.fidelity import point_fidelities
 from qdel.machines import machine_from_json, machine_to_json, qudit_pair_deleter, swap_deleter
+from qdel.nogo import _conditions
 
 
 def run(capsys, *argv):
@@ -87,6 +88,16 @@ class TestNogo:
             abs(0.5 - 2.0 ** -0.5), abs=1e-12
         )
 
+    def test_table_lists_the_five_residuals_in_condition_order(self, capsys):
+        code, out, _ = run(capsys, "nogo", "--overlap", "0.5", "--format", "table")
+        assert code == 0
+        labels = [label for label, _, _ in _conditions(0.5, 1.0, 0.5, 0.5)]
+        width = max(len(label) for label in labels)
+        rows = [line for line in out.splitlines() if "  residual " in line]
+        assert [row[:width] for row in rows] == [label.ljust(width) for label in labels]
+        residuals = [float(row.rsplit(" ", 1)[1]) for row in rows]
+        assert residuals == pytest.approx([0.25, 0.0, 0.5, 0.0, 0.5], abs=1e-12)
+
     def test_sweep_csv(self, capsys):
         code, out, _ = run(capsys, "nogo", "--sweep", "21")
         lines = out.strip().split("\n")
@@ -111,6 +122,12 @@ class TestSignal:
         payload = json.loads(out)
         assert code == 0
         assert payload["distance_with"] < 1e-12  # 45deg == pi/4
+
+    def test_negative_degree_angle_takes_the_equals_form(self, capsys):
+        code, out, _ = run(capsys, "signal", "--theta1=-45deg", "--theta2", "0")
+        _, radians, _ = run(capsys, "signal", "--theta1=-0.7853981633974483", "--theta2", "0")
+        assert code == 0
+        assert out == radians
 
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "signal", "--sweep", "11")

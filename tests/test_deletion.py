@@ -135,13 +135,13 @@ class TestIdealDeleteOutput:
 
 class TestActualDeleteOutput:
     def test_basis_state_quality_equals_ancilla_overlap(self):
-        for t in (0.0, 0.3, 1.0):
-            actual = actual_delete_output(1.0, 0.0, 3, 1, ancilla_overlap=t)
-            ideal = ideal_delete_output(1.0, 0.0, 3, 1)
-            assert abs(inner(actual, ideal)) == pytest.approx(t, abs=1e-12)
+        # the final ancilla state is the ideal one, an overlap of 1
+        actual = actual_delete_output(1.0, 0.0, 3, 1)
+        ideal = ideal_delete_output(1.0, 0.0, 3, 1)
+        assert abs(inner(actual, ideal)) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_to_one_balanced_quality(self):
-        actual = actual_delete_output(INV_SQRT2, INV_SQRT2, 2, 1, ancilla_overlap=1.0)
+        actual = actual_delete_output(INV_SQRT2, INV_SQRT2, 2, 1)
         ideal = ideal_delete_output(INV_SQRT2, INV_SQRT2, 2, 1)
         assert abs(inner(actual, ideal)) == pytest.approx(INV_SQRT2, abs=1e-12)
 
@@ -150,9 +150,8 @@ class TestActualDeleteOutput:
         for _ in range(50):
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, n + 1))
-            t = rng.random()
             alpha, beta = random_qubit_amplitudes(rng)
-            out = actual_delete_output(alpha, beta, n, m, ancilla_overlap=t)
+            out = actual_delete_output(alpha, beta, n, m)
             assert abs(out.norm() - 1.0) < 1e-12
 
     def test_quality_never_exceeds_bound(self):
@@ -161,14 +160,10 @@ class TestActualDeleteOutput:
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, n + 1))
             alpha, beta = random_qubit_amplitudes(rng)
-            actual = actual_delete_output(alpha, beta, n, m, ancilla_overlap=1.0)
+            actual = actual_delete_output(alpha, beta, n, m)
             ideal = ideal_delete_output(alpha, beta, n, m)
             q = abs(inner(actual, ideal))
             assert q <= quality_bound(abs(alpha) ** 2, n, m) + 1e-10
-
-    def test_bad_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            actual_delete_output(1.0, 0.0, 2, 1, ancilla_overlap=1.5)
 
 
 class TestQualityBound:

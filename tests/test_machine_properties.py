@@ -68,7 +68,8 @@ def test_non_strict_construction_keeps_the_matrix_bit_for_bit(drawn):
 @given(machines(), st.sampled_from([1e-12, 1e-9, 1e-3]))
 def test_rule_norms_ok_agrees_with_a_per_column_check(machine, tol):
     columns = [Ket(machine.output_dims, column) for column in machine.matrix.T]
-    assert machine.rule_norms_ok(tol) == all(column.is_normalized(tol) for column in columns)
+    assert machine.rule_norms_ok() == all(column.is_normalized() for column in columns)
+    assert machine.rule_norms_ok(tol) == all(abs(c.norm() ** 2 - 1.0) <= tol for c in columns)
 
 
 @PROPERTIES

@@ -16,7 +16,6 @@ from qdel.hilbert import (
     trace_distance,
 )
 from qdel.machines import (
-    AncillaConfig,
     BasisActionMachine,
     DeleterKind,
     DeleterVerdict,
@@ -197,25 +196,11 @@ class TestConditionalDeleter:
         )
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
 
-    def test_custom_ancilla_config(self):
-        config = AncillaConfig(dim=4, final_indices={"0": 2, "1": 3})
-        machine = conditional_deleter(config)
-        out = apply(machine, basis_ket(machine.input_dims, (0, 0, 0)))
-        np.testing.assert_allclose(
-            out.amplitudes, basis_ket(machine.input_dims, (0, 0, 2)).amplitudes
-        )
-        assert check_isometry(machine, 1e-12).is_isometry
-
-    def test_ancilla_config_validation(self):
-        with pytest.raises(ValueError):
-            AncillaConfig(dim=3, final_indices={"0": 7, "1": 2})
-        with pytest.raises(ValueError):
-            AncillaConfig(dim=3, final_indices={"0": 1.7, "1": 2})  # no silent truncation to 1
-        # exactly the labels "0" and "1": a missing or an extra one is refused
-        # before conditional_deleter could look a label up
-        for final_indices in ({"0": 1}, {}, {"0": 1, "1": 2, "2": 0}, {0: 1, 1: 2}):
-            with pytest.raises(ValueError, match="exactly the labels"):
-                conditional_deleter(AncillaConfig(dim=3, final_indices=final_indices))
+    def test_every_column_is_a_basis_state(self):
+        # declared rules at inputs 0, 3, 6 and 9; the free inputs take the
+        # unused outputs in index order
+        targets = [1, 0, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11]
+        np.testing.assert_array_equal(conditional_deleter().matrix, np.eye(12)[:, targets])
 
 
 class TestSwapDeleter:
