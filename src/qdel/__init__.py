@@ -4,143 +4,25 @@ Small dense state-vector machinery, the deletion machines the principle
 rules out (and the swap that it does not), the N-to-M quality bound and its
 optimum, state-dependent deletion fidelities, the unitarity obstruction for
 non-orthogonal alphabets, and the no-signalling consistency check.
+
+The root re-exports every library module's ``__all__``; each module's list
+is the one place its public names are written down.
 """
 
 __version__ = "0.1.0"
 
-from .errors import InvalidStateError, ShapeError, UnsupportedFormatError
-from .hilbert import (
-    DensityMatrix,
-    Ket,
-    basis_ket,
-    bloch_ket,
-    density_of,
-    haar_ket,
-    haar_qubit,
-    inner,
-    ket,
-    partial_trace,
-    state_fidelity,
-    tensor,
-    trace_distance,
-)
-from .machines import (
-    BasisActionMachine,
-    DeleterKind,
-    DeleterVerdict,
-    IsometryReport,
-    apply,
-    check_isometry,
-    classify_deleter,
-    conditional_deleter,
-    deletion_residual,
-    machine_from_json,
-    machine_to_json,
-    qudit_pair_deleter,
-    swap_deleter,
-)
-from .deletion import (
-    QualityReport,
-    actual_delete_output,
-    ideal_delete_output,
-    optimal_quality,
-    quality_bound,
-    symmetric_expand,
-)
-from .fidelity import (
-    FidelityReport,
-    average_fidelity,
-    conditional_output,
-    fidelity_report,
-    point_fidelities,
-    rho_a,
-    rho_ab,
-    rho_b,
-)
-from .nogo import (
-    ConstraintReport,
-    GramReport,
-    gram_preservation_check,
-    ideal_deletion_map,
-    nonorthogonal_constraints,
-    sweep_overlap,
-)
-from .signalling import (
-    MeasurementOutcome,
-    SignallingReport,
-    TWO_SINGLETS,
-    alice_measure,
-    basis_invariance_check,
-    bob_delete_and_reduce,
-    bob_machine_and_reduce,
-    deletion_mixture_closed_form,
-    no_deletion_reduce,
-    signalling_distance,
-)
-from .reports import RunManifest, emit_report, sub_seed
+from .errors import *
+from .hilbert import *
+from .machines import *
+from .deletion import *
+from .fidelity import *
+from .nogo import *
+from .signalling import *
+from .reports import *
+from . import deletion, errors, fidelity, hilbert, machines, nogo, reports, signalling
 
-__all__ = [
-    "__version__",
-    "ShapeError",
-    "InvalidStateError",
-    "UnsupportedFormatError",
-    "Ket",
-    "DensityMatrix",
-    "ket",
-    "basis_ket",
-    "bloch_ket",
-    "tensor",
-    "inner",
-    "density_of",
-    "partial_trace",
-    "trace_distance",
-    "state_fidelity",
-    "haar_qubit",
-    "haar_ket",
-    "BasisActionMachine",
-    "IsometryReport",
-    "DeleterKind",
-    "DeleterVerdict",
-    "apply",
-    "check_isometry",
-    "qudit_pair_deleter",
-    "conditional_deleter",
-    "swap_deleter",
-    "deletion_residual",
-    "classify_deleter",
-    "machine_to_json",
-    "machine_from_json",
-    "QualityReport",
-    "symmetric_expand",
-    "ideal_delete_output",
-    "actual_delete_output",
-    "quality_bound",
-    "optimal_quality",
-    "FidelityReport",
-    "conditional_output",
-    "rho_ab",
-    "rho_b",
-    "rho_a",
-    "point_fidelities",
-    "average_fidelity",
-    "fidelity_report",
-    "ConstraintReport",
-    "GramReport",
-    "nonorthogonal_constraints",
-    "sweep_overlap",
-    "gram_preservation_check",
-    "ideal_deletion_map",
-    "MeasurementOutcome",
-    "SignallingReport",
-    "TWO_SINGLETS",
-    "basis_invariance_check",
-    "alice_measure",
-    "bob_delete_and_reduce",
-    "deletion_mixture_closed_form",
-    "bob_machine_and_reduce",
-    "no_deletion_reduce",
-    "signalling_distance",
-    "RunManifest",
-    "sub_seed",
-    "emit_report",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, hilbert, machines, deletion, fidelity, nogo, signalling, reports)
+    for name in module.__all__
 ]

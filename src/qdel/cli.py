@@ -259,7 +259,7 @@ def _run_verify(args) -> str:
     }
     if args.alphabet:
         alphabet = _alphabet_kets(args.alphabet, machine.input_dims[0])
-        payload["max_gram_residual"] = gram_preservation_check(machine, alphabet).max_gram_residual
+        payload["max_gram_residual"] = gram_preservation_check(machine, alphabet)
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -306,13 +306,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _validate(_PARSER, args)
     _emit_manifest(args, argv)
     try:
-        text = _RUNNERS[args.command](args)
+        _write(_RUNNERS[args.command](args), args.out)
     except argparse.ArgumentTypeError as exc:  # a flag value the input shows to be wrong
         _PARSER.error(str(exc))
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:  # qdel's errors are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    _write(text, args.out)
     return 0
 
 

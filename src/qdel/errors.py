@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ShapeError", "InvalidStateError", "UnsupportedFormatError"]
+
 
 class ShapeError(ValueError):
     """Operands live on incompatible tensor-product spaces."""

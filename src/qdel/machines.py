@@ -123,6 +123,11 @@ class DeleterVerdict:
     def __post_init__(self) -> None:
         if self.kind is DeleterKind.APPROXIMATE_DELETER and not self.residual_stats:
             raise ValueError("an approximate-deleter verdict needs residual samples")
+        if len(self.ancilla_errors) != len(self.residual_stats):
+            raise ValueError(
+                f"{len(self.residual_stats)} residual samples need as many ancilla errors, "
+                f"got {len(self.ancilla_errors)}"
+            )
 
 
 def apply(machine: BasisActionMachine, state: Ket) -> Ket:
@@ -435,12 +440,13 @@ def machine_from_json(obj: Mapping, strict: bool = True) -> BasisActionMachine:
     input_dims, output_dims = _dims(obj["input_dims"]), _dims(obj["output_dims"])
     n_in, n_out = math.prod(input_dims), math.prod(output_dims)
     try:
-        entries = {int(r["in_index"]): r["out_amplitudes"] for r in obj["rules"]}
-    except TypeError as exc:
+        indices = [_int_at_least(r["in_index"], 0, "in_index") for r in obj["rules"]]
+        entries = {i: r["out_amplitudes"] for i, r in zip(indices, obj["rules"])}
+    except (TypeError, ValueError) as exc:
         raise ShapeError(f"rules must be objects with an integer in_index: {exc}") from None
-    if sorted(entries) != list(range(n_in)):
+    if sorted(indices) != list(range(n_in)):
         raise ShapeError(
-            f"rules must cover in_index 0..{n_in - 1} exactly once, got {sorted(entries)}"
+            f"rules must cover in_index 0..{n_in - 1} exactly once, got {sorted(indices)}"
         )
     # [re, im] pairs in a float array, read as complex without arithmetic on them
     parts = np.empty((n_in, n_out, 2))

@@ -29,7 +29,6 @@ from .machines import BasisActionMachine, _copies_output
 __all__ = [
     "Constraint",
     "ConstraintReport",
-    "GramReport",
     "nonorthogonal_constraints",
     "overlap_constraints",
     "sweep_overlap",
@@ -73,11 +72,6 @@ class ConstraintReport:
     def trivial_only(self) -> bool:
         """Satisfiable, with psi1 = psi2 = sigma; the conditions already force |s1| = |s2| = 1."""
         return self.satisfiable and abs(self.overlap_s) > 1.0 - _SAT_TOL
-
-
-@dataclass(frozen=True)
-class GramReport:
-    max_gram_residual: float
 
 
 def _conditions(s, s1, s2, s21):
@@ -152,11 +146,11 @@ def _sweep_max_residuals(n_points: int, phase: float = 0.0) -> tuple[np.ndarray,
 MachineLike = Union[BasisActionMachine, Callable[[Ket], Ket]]
 
 
-def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> GramReport:
+def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> float:
     """Compare input and output Gram matrices over identical-copy inputs.
 
     For every alphabet pair (i, j): input_i = psi_i psi_i (with the ancilla
-    attached when the machine has one), output_i = machine(input_i); reports
+    attached when the machine has one), output_i = machine(input_i); returns
     the largest |<in_i|in_j> - <out_i|out_j>|. Isometries give 0.
     """
     if not alphabet:
@@ -179,7 +173,7 @@ def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> Gr
     gram_out = outputs.conj() @ outputs.T
     pairs = np.triu_indices(len(alphabet), 1)
     worst = np.max(np.abs(gram_in - gram_out)[pairs], initial=0.0)
-    return GramReport(max_gram_residual=float(worst))
+    return float(worst)
 
 
 def ideal_deletion_map(alphabet: Sequence[Ket], sigma: Ket) -> Callable[[Ket], Ket]:

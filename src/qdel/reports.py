@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from . import __version__
 from .deletion import QualityReport
@@ -26,10 +26,7 @@ __all__ = [
     "RunManifest",
     "sub_seed",
     "emit_report",
-    "Report",
 ]
-
-Report = Union[QualityReport, FidelityReport, ConstraintReport, SignallingReport, DeleterVerdict]
 
 _FORMATS = ("json", "csv", "table")
 
@@ -133,7 +130,7 @@ _PAYLOADS = {
 }
 
 
-def _csv_lines(report: Report) -> list[str]:
+def _csv_lines(report) -> list[str]:
     if isinstance(report, QualityReport):
         rows = ["alpha_sq,bound"]
         rows += [f"{float(x)!r},{float(v)!r}" for x, v in report.bound_curve]
@@ -151,8 +148,7 @@ def _csv_lines(report: Report) -> list[str]:
         return rows
     if isinstance(report, DeleterVerdict):
         rows = ["sample,residual,ancilla_error"]
-        errors = report.ancilla_errors or (float("nan"),) * len(report.residual_stats)
-        for i, (res, err) in enumerate(zip(report.residual_stats, errors)):
+        for i, (res, err) in enumerate(zip(report.residual_stats, report.ancilla_errors)):
             rows.append(f"{i},{res!r},{err!r}")
         return rows
     raise UnsupportedFormatError(
@@ -173,7 +169,7 @@ def _table_lines(payload: dict) -> list[str]:
     return lines
 
 
-def emit_report(report: Report, format: str = "json") -> str:
+def emit_report(report, format: str = "json") -> str:
     """Serialize a report deterministically in the requested format."""
     if format not in _FORMATS:
         raise UnsupportedFormatError(f"unknown format {format!r}; choose from {_FORMATS}")

@@ -41,6 +41,12 @@ class TestQuality:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["n"] == 3
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no_dir", "a_dir"])
+    def test_unwritable_out_is_a_numeric_error(self, capsys, tmp_path, target):
+        out_path = str(tmp_path / target)
+        code, out, err = run(capsys, "quality", "--n", "2", "--m", "1", "--out", out_path)
+        assert code == 3 and out == "" and err.startswith("error: ")
+
     def test_bad_n_m_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "quality", "--n", "1", "--m", "2")
@@ -230,8 +236,11 @@ class TestVerify:
         ([], [machine_to_json(swap_deleter(2))]),
         (["input_dims"], [[2]]),
         (["rules", 0], [0, []]),
+        (["rules"], machine_to_json(swap_deleter(2))["rules"] * 2),
+        (["rules", 1, "in_index"], 1.7),
+        (["rules", 1, "in_index"], True),
     ], ids=["string_amplitude", "numeric_out_amplitudes", "top_level_list", "nested_dims",
-            "rule_not_an_object"])
+            "rule_not_an_object", "repeated_in_index", "fractional_in_index", "boolean_in_index"])
     def test_wrong_json_types_are_numeric_errors(self, capsys, tmp_path, path, value):
         payload = self.retyped(path, value)
         with pytest.raises((ShapeError, InvalidStateError)):

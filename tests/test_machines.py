@@ -354,6 +354,14 @@ class TestClassifyDeleter:
                 kind=DeleterKind.APPROXIMATE_DELETER, residual_stats=(), ancilla_dependence=0.0
             )
 
+    @pytest.mark.parametrize("errors", [(), (0.0,), (0.0, 0.0, 0.0)])
+    def test_one_ancilla_error_per_residual_sample(self, errors):
+        with pytest.raises(ValueError):
+            DeleterVerdict(
+                kind=DeleterKind.SWAP_LIKE, residual_stats=(0.0, 0.0), ancilla_dependence=0.0,
+                ancilla_errors=errors,
+            )
+
 
 class TestTwoCopyKernel:
     def test_random_isometries_match_the_object_pipeline(self):

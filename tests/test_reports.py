@@ -128,7 +128,8 @@ class TestEmissionErrors:
 
     def test_nan_is_refused_not_emitted(self):
         verdict = DeleterVerdict(
-            kind=DeleterKind.SWAP_LIKE, residual_stats=(math.nan,), ancilla_dependence=0.0
+            kind=DeleterKind.SWAP_LIKE, residual_stats=(math.nan,), ancilla_dependence=0.0,
+            ancilla_errors=(0.0,),
         )
         with pytest.raises(ValueError):
             emit_report(verdict, "json")
