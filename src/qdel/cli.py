@@ -1,6 +1,7 @@
 """Command-line interface: every analysis as a subcommand with stable output.
 
-Exit codes: 0 success, 2 flag/usage error, 3 numeric error during computation.
+Exit codes: 0 success, 2 flag/usage error, 3 numeric error during computation
+(an allocation numpy refuses included).
 Angles are radians by default; append ``deg`` for degrees (``--theta1 45deg``).
 argparse reads a value such as ``-45deg`` or ``-1e-3`` as an option, so a
 negative angle with ``deg`` or an exponent is written ``--theta1=-45deg``.
@@ -250,10 +251,10 @@ def _run_delete_demo(args) -> str:
 def _run_verify(args) -> str:
     with open(args.machine, "r", encoding="utf-8") as fh:
         machine = machine_from_json(json.load(fh), strict=False)
-    iso = check_isometry(machine, args.tol)
+    deviation = check_isometry(machine)
     payload = {
-        "is_isometry": iso.is_isometry,
-        "max_gram_deviation": iso.max_gram_deviation,
+        "is_isometry": deviation <= args.tol,
+        "max_gram_deviation": deviation,
         "rules_normalized": machine.rule_norms_ok(1e-9),
         "max_gram_residual": None,
     }
@@ -309,7 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _write(_RUNNERS[args.command](args), args.out)
     except argparse.ArgumentTypeError as exc:  # a flag value the input shows to be wrong
         _PARSER.error(str(exc))
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:  # qdel's errors are ValueErrors
+    # qdel's errors are ValueErrors; a MemoryError is a --grid or --sweep numpy cannot allocate
+    except (ValueError, ArithmeticError, OSError, KeyError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     return 0

@@ -33,7 +33,6 @@ from .hilbert import (
 __all__ = [
     "BLANK_INDEX",
     "BasisActionMachine",
-    "IsometryReport",
     "DeleterKind",
     "DeleterVerdict",
     "apply",
@@ -86,12 +85,6 @@ class BasisActionMachine:
     def rule_norms_ok(self, tol: float = ALGEBRAIC_TOL) -> bool:
         norms = np.linalg.norm(self.matrix, axis=0)
         return bool(np.all(np.abs(norms**2 - 1.0) <= tol))
-
-
-@dataclass(frozen=True)
-class IsometryReport:
-    is_isometry: bool
-    max_gram_deviation: float
 
 
 class DeleterKind(enum.Enum):
@@ -173,12 +166,11 @@ def _residuals(outs: np.ndarray, psis: np.ndarray) -> np.ndarray:
     return 1.0 - np.divide(weights, norms, out=np.zeros(n), where=norms >= 1e-15)
 
 
-def check_isometry(machine: BasisActionMachine, tol: float = ALGEBRAIC_TOL) -> IsometryReport:
-    """Compare the Gram matrix of all rule images against the identity."""
+def check_isometry(machine: BasisActionMachine) -> float:
+    """max |G - I| over the Gram matrix G of all rule images; isometries give 0."""
     m = machine.matrix
     gram = m.conj().T @ m
-    dev = float(np.max(np.abs(gram - np.eye(len(gram)))))
-    return IsometryReport(is_isometry=dev <= tol, max_gram_deviation=dev)
+    return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
 
 def qudit_pair_deleter(
@@ -433,24 +425,36 @@ def machine_to_json(machine: BasisActionMachine) -> dict:
     }
 
 
-def machine_from_json(obj: Mapping, strict: bool = True) -> BasisActionMachine:
-    """Parse the wire format; a wrong JSON type is a ShapeError or an InvalidStateError."""
+def _member(obj: object, key: str, where: str):
+    """obj[key]; a missing key, or an obj that is not a JSON object, is a ShapeError."""
     if not isinstance(obj, Mapping):
-        raise ShapeError(f"a machine is a JSON object, got {type(obj).__name__}")
-    input_dims, output_dims = _dims(obj["input_dims"]), _dims(obj["output_dims"])
+        raise ShapeError(f"{where} is a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ShapeError(f"{where} has no {key!r} key")
+    return obj[key]
+
+
+def machine_from_json(obj: Mapping, strict: bool = True) -> BasisActionMachine:
+    """Parse the wire format; a wrong type or missing key is a ShapeError or InvalidStateError."""
+    input_dims = _dims(_member(obj, "input_dims", "a machine"))
+    output_dims = _dims(_member(obj, "output_dims", "a machine"))
+    rules = _member(obj, "rules", "a machine")
+    if not isinstance(rules, list):
+        raise ShapeError(f"rules is a list of objects, got {type(rules).__name__}")
     n_in, n_out = math.prod(input_dims), math.prod(output_dims)
+    rows = [(_member(r, "in_index", f"rules[{n}]"), _member(r, "out_amplitudes", f"rules[{n}]"))
+            for n, r in enumerate(rules)]
     try:
-        indices = [_int_at_least(r["in_index"], 0, "in_index") for r in obj["rules"]]
-        entries = {i: r["out_amplitudes"] for i, r in zip(indices, obj["rules"])}
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"rules must be objects with an integer in_index: {exc}") from None
+        indices = [_int_at_least(i, 0, f"rules[{n}].in_index") for n, (i, _) in enumerate(rows)]
+    except ValueError as exc:
+        raise ShapeError(str(exc)) from None
     if sorted(indices) != list(range(n_in)):
         raise ShapeError(
             f"rules must cover in_index 0..{n_in - 1} exactly once, got {sorted(indices)}"
         )
     # [re, im] pairs in a float array, read as complex without arithmetic on them
     parts = np.empty((n_in, n_out, 2))
-    for i, amplitudes in entries.items():
+    for i, (_, amplitudes) in zip(indices, rows):
         try:
             rule = np.array(amplitudes)
         except ValueError:  # ragged nesting

@@ -80,8 +80,8 @@ def _conditions(s, s1, s2, s21):
     return (
         ("s^2 = s  [11|22]", s * s, s),
         ("s = <sigma|psi2>  [11|12]", s, s2),
-        ("<sigma|psi2> = 1  [22|12]", s2, 1.0),
-        ("<sigma|psi1> = 1  [11|21]", s1, 1.0),
+        ("<sigma|psi2> = 1  [22|12]", s2, 1 + 0j),
+        ("<sigma|psi1> = 1  [11|21]", s1, 1 + 0j),
         ("<psi2|psi1> = <sigma|psi1>  [22|21]", s21, s1),
     )
 

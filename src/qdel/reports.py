@@ -3,23 +3,28 @@
 JSON is the primary machine-readable format: complex numbers are emitted as
 [re, im] pairs and matrices as nested row-major arrays. Floats are rendered
 with Python's shortest round-trip repr so that serialize -> parse -> compare
-is exact and two identical runs emit byte-identical output.
+is exact and two identical runs emit byte-identical output. A report's JSON
+object is its dataclass fields in declaration order, then the derived
+properties `_KEYS` names; array fields appear only in CSV.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .deletion import QualityReport
 from .errors import UnsupportedFormatError
 from .fidelity import FidelityReport
-from .hilbert import complex_pair, density_to_json
+from .hilbert import DensityMatrix, complex_pair, density_to_json
 from .machines import DeleterVerdict
-from .nogo import ConstraintReport
+from .nogo import Constraint, ConstraintReport
 from .signalling import SignallingReport
 
 __all__ = [
@@ -29,6 +34,7 @@ __all__ = [
 ]
 
 _FORMATS = ("json", "csv", "table")
+_REPORTS = (QualityReport, FidelityReport, ConstraintReport, SignallingReport, DeleterVerdict)
 
 
 @dataclass(frozen=True)
@@ -58,76 +64,34 @@ def sub_seed(seed: int, module: str, operation: str) -> int:
 # --- emission ----------------------------------------------------------------
 
 
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+# Each encoded type's JSON keys: its fields in declaration order, then its derived properties.
+_KEYS = {cls: tuple(f.name for f in fields(cls)) for cls in (*_REPORTS, Constraint)}
+_KEYS[Constraint] += ("residual",)
+_KEYS[ConstraintReport] += ("satisfiable", "trivial_only", "max_residual")
 
 
-def _quality_payload(r: QualityReport) -> dict:
-    return {
-        "n": r.n,
-        "m": r.m,
-        "min_bound": r.min_bound,
-        "formula_value": r.formula_value,
-        "agreement": r.agreement,
-    }
+def _encode(value):
+    if isinstance(value, (int, float, str)):  # bool is an int, numpy's float64 a float
+        return value
+    if isinstance(value, complex):
+        return complex_pair(value)
+    if isinstance(value, DensityMatrix):
+        return density_to_json(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return _payload(value)  # a nested Constraint
 
 
-def _fidelity_payload(r: FidelityReport) -> dict:
-    return {
-        "alpha_sq": r.alpha_sq,
-        "f_b": r.f_b,
-        "f_a": r.f_a,
-        "avg_f_b": r.avg_f_b,
-        "avg_f_a": r.avg_f_a,
-        "quadrature_error": r.quadrature_error,
-    }
-
-
-def _constraint_payload(r: ConstraintReport) -> dict:
-    return {
-        "overlap_s": complex_pair(r.overlap_s),
-        "constraints": [
-            {
-                "label": c.label,
-                "lhs": complex_pair(c.lhs),
-                "rhs": complex_pair(c.rhs),
-                "residual": c.residual,
-            }
-            for c in r.constraints
-        ],
-        "satisfiable": r.satisfiable,
-        "trivial_only": r.trivial_only,
-        "max_residual": r.max_residual,
-    }
-
-
-def _signalling_payload(r: SignallingReport) -> dict:
-    return {
-        "theta_1": r.theta_1,
-        "theta_2": r.theta_2,
-        "rho_with_deletion": [density_to_json(m) for m in r.rho_with_deletion],
-        "rho_without_deletion": [density_to_json(m) for m in r.rho_without_deletion],
-        "distance_with": r.distance_with,
-        "distance_without": r.distance_without,
-    }
-
-
-def _verdict_payload(r: DeleterVerdict) -> dict:
-    return {
-        "kind": r.kind.value,
-        "residual_stats": list(r.residual_stats),
-        "ancilla_dependence": r.ancilla_dependence,
-        "ancilla_errors": list(r.ancilla_errors),
-    }
-
-
-_PAYLOADS = {
-    QualityReport: _quality_payload,
-    FidelityReport: _fidelity_payload,
-    ConstraintReport: _constraint_payload,
-    SignallingReport: _signalling_payload,
-    DeleterVerdict: _verdict_payload,
-}
+def _payload(report) -> dict:
+    """The report's JSON object; array fields (the quality bound curve) are left to CSV."""
+    payload = {}
+    for key in _KEYS[type(report)]:
+        value = getattr(report, key)
+        if not isinstance(value, np.ndarray):
+            payload[key] = _encode(value)
+    return payload
 
 
 def _csv_lines(report) -> list[str]:
@@ -136,14 +100,14 @@ def _csv_lines(report) -> list[str]:
         rows += [f"{float(x)!r},{float(v)!r}" for x, v in report.bound_curve]
         return rows
     if isinstance(report, FidelityReport):
-        p = _fidelity_payload(report)
+        p = _payload(report)
         return [",".join(p), ",".join(repr(v) for v in p.values())]
     if isinstance(report, ConstraintReport):
         rows = ["label,lhs_re,lhs_im,rhs_re,rhs_im,residual"]
         for c in report.constraints:
             rows.append(
                 f"\"{c.label}\",{c.lhs.real!r},{c.lhs.imag!r},"
-                f"{complex(c.rhs).real!r},{complex(c.rhs).imag!r},{c.residual!r}"
+                f"{c.rhs.real!r},{c.rhs.imag!r},{c.residual!r}"
             )
         return rows
     if isinstance(report, DeleterVerdict):
@@ -173,11 +137,10 @@ def emit_report(report, format: str = "json") -> str:
     """Serialize a report deterministically in the requested format."""
     if format not in _FORMATS:
         raise UnsupportedFormatError(f"unknown format {format!r}; choose from {_FORMATS}")
-    payload_fn = _PAYLOADS.get(type(report))
-    if payload_fn is None:
+    if type(report) not in _REPORTS:
         raise UnsupportedFormatError(f"{type(report).__name__} is not an emittable report")
     if format == "json":
-        return _dumps(payload_fn(report))
+        return json.dumps(_payload(report), indent=2, allow_nan=False) + "\n"
     if format == "csv":
         return "\n".join(_csv_lines(report)) + "\n"
-    return "\n".join(_table_lines(payload_fn(report))) + "\n"
+    return "\n".join(_table_lines(_payload(report))) + "\n"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qdel
+from qdel import cli
 from qdel.cli import main
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.fidelity import point_fidelities
@@ -82,6 +83,15 @@ class TestFidelity:
         with pytest.raises(SystemExit) as err:
             run(capsys, "fidelity", "--alpha-sq", "1.5")
         assert err.value.code == 2
+
+    def test_refused_allocation_is_a_numeric_error(self, capsys, monkeypatch):
+        def refuse(args):  # a --grid too large for numpy, without allocating anything
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setitem(cli._RUNNERS, "fidelity", refuse)
+        code, out, err = run(capsys, "fidelity", "--alpha-sq", "0.3", "--grid", "1000000x8")
+        assert code == 3 and out == ""
+        assert err == "error: Unable to allocate 7.28 TiB for an array\n"
 
 
 class TestNogo:
@@ -219,7 +229,8 @@ class TestVerify:
 
     @staticmethod
     def retyped(path: list, value):
-        """The swap(2) wire format with the value at `path` replaced; [] replaces the whole."""
+        """The swap(2) wire format with the value at `path` replaced, or deleted for None;
+        [] replaces the whole."""
         payload = machine_to_json(swap_deleter(2))
         if not path:
             return value
@@ -227,7 +238,10 @@ class TestVerify:
         target = payload
         for key in parents:
             target = target[key]
-        target[last] = value
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
         return payload
 
     @pytest.mark.parametrize("path, value", [
@@ -249,6 +263,21 @@ class TestVerify:
         machine_file.write_text(json.dumps(payload))
         code, out, err = run(capsys, "verify", "--machine", str(machine_file))
         assert code == 3 and out == "" and err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("path, named", [
+        (["input_dims"], "a machine has no 'input_dims' key"),
+        (["output_dims"], "a machine has no 'output_dims' key"),
+        (["rules"], "a machine has no 'rules' key"),
+        (["rules", 1, "in_index"], "rules[1] has no 'in_index' key"),
+        (["rules", 2, "out_amplitudes"], "rules[2] has no 'out_amplitudes' key"),
+    ], ids=["input_dims", "output_dims", "rules", "in_index", "out_amplitudes"])
+    def test_missing_key_is_named(self, capsys, tmp_path, path, named):
+        machine_file = tmp_path / "missing.json"
+        machine_file.write_text(json.dumps(self.retyped(path, None)))
+        code, out, err = run(capsys, "verify", "--machine", str(machine_file))
+        assert code == 3 and out == ""
+        assert err == f"error: {named}\n"
 
 
 class TestUsageErrors:

@@ -117,6 +117,29 @@ class TestVerdictEmission:
         assert payload["kind"] == "SwapLike"
 
 
+def test_json_key_order_is_the_field_order_then_derived_properties():
+    verdict = classify_deleter(swap_deleter(2), samples=5, seed=1)
+    constraints = nonorthogonal_constraints(
+        basis_ket([2], 0), ket([INV_SQRT2, INV_SQRT2], [2]), basis_ket([2], 0)
+    )
+    expected = [
+        (optimal_quality(2, 1), ["n", "m", "min_bound", "formula_value", "agreement"]),
+        (fidelity_report(0.5, n_theta=16, n_phi=16),
+         ["alpha_sq", "f_b", "f_a", "avg_f_b", "avg_f_a", "quadrature_error"]),
+        (constraints, ["overlap_s", "constraints", "satisfiable", "trivial_only", "max_residual"]),
+        (signalling_distance(0.0, math.pi / 4),
+         ["theta_1", "theta_2", "rho_with_deletion", "rho_without_deletion", "distance_with",
+          "distance_without"]),
+        (verdict, ["kind", "residual_stats", "ancilla_dependence", "ancilla_errors"]),
+    ]
+    for report, keys in expected:
+        assert list(json.loads(emit_report(report, "json"))) == keys, type(report).__name__
+    entries = json.loads(emit_report(constraints, "json"))["constraints"]
+    assert [list(entry) for entry in entries] == [["label", "lhs", "rhs", "residual"]] * 5
+    # complex as annotated, so the encoder's complex rule is what writes [re, im]
+    assert all(type(c.lhs) is complex and type(c.rhs) is complex for c in constraints.constraints)
+
+
 class TestEmissionErrors:
     def test_unknown_format(self):
         with pytest.raises(UnsupportedFormatError):
