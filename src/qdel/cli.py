@@ -29,7 +29,7 @@ from .machines import (
     qudit_pair_deleter,
 )
 from .nogo import _sweep_max_residuals, gram_preservation_check, overlap_constraints
-from .reports import RunManifest, emit_report
+from .reports import RunManifest, _csv, emit_report
 from .signalling import _deletion_mixtures, signalling_distance
 
 __all__ = ["main", "entry"]
@@ -138,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fidelity", parents=[report], help="conditional-deleter fidelities")
     p.add_argument("--alpha-sq", type=_unit_interval, default=None)
     p.add_argument("--average", action="store_true", default=None,
-                   help="emphasize the Bloch-sphere averages")
+                   help="average over a 256x256 grid instead of 64x64; no effect with --grid")
     p.add_argument("--grid", type=_parse_grid, default=None, metavar="AxB",
                    help="quadrature grid, e.g. 256x256")
     p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N",
@@ -196,16 +196,11 @@ def _run_quality(args) -> str:
     return emit_report(optimal_quality(args.n, args.m), args.format)
 
 
-def _sweep_csv(header: str, *columns) -> str:
-    rows = [header] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
-    return "\n".join(rows) + "\n"
-
-
 def _run_fidelity(args) -> str:
     if args.sweep is not None:
         xs = np.linspace(0.0, 1.0, args.sweep)
         f_b, f_a = _batched_fidelities(np.sqrt(xs), np.sqrt(1.0 - xs))
-        return _sweep_csv("alpha_sq,f_a,f_b", xs, f_a, f_b)
+        return _csv("alpha_sq,f_a,f_b", xs, f_a, f_b)
     if args.grid is not None:
         n_theta, n_phi = args.grid
     else:
@@ -216,7 +211,7 @@ def _run_fidelity(args) -> str:
 
 def _run_nogo(args) -> str:
     if args.sweep is not None:
-        return _sweep_csv("s,max_residual", *_sweep_max_residuals(args.sweep, args.phase))
+        return _csv("s,max_residual", *_sweep_max_residuals(args.sweep, args.phase))
     return emit_report(overlap_constraints(args.overlap, args.phase), args.format)
 
 
@@ -225,7 +220,7 @@ def _run_signal(args) -> str:
         thetas = np.linspace(0.0, math.pi, args.sweep)
         mixtures = _deletion_mixtures(np.concatenate([[0.0], thetas]))
         distances = _half_trace_norms(mixtures[1:] - mixtures[0])
-        return _sweep_csv("theta,trace_distance_vs_theta0", thetas, distances)
+        return _csv("theta,trace_distance_vs_theta0", thetas, distances)
     return emit_report(signalling_distance(args.theta1, args.theta2), args.format)
 
 

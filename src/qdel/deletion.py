@@ -33,6 +33,8 @@ __all__ = [
 
 # dense-grid resolution for the numerical minimization of the bound
 GRID_STEP = 1e-4
+_GRID = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
+_GRID.setflags(write=False)
 
 # Refinement of the grid minimum: each pass evaluates _REFINE_POINTS points
 # across the bracket around the previous argmin and keeps its two
@@ -125,20 +127,18 @@ def _bound_values(xs: np.ndarray, n: int, m: int) -> np.ndarray:
     return first + np.sqrt(f1 * f2)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QualityReport:
     """Closed-form optimal quality next to its independent numerical check.
 
-    bound_curve holds (|alpha|^2, bound) grid samples; min_bound is the grid
-    minimum after local refinement; formula_value is the closed form;
-    agreement is their absolute difference. The two genuinely disagree for
-    some (N, M) because the closed form equals the bound at the balanced
-    state |alpha|^2 = 1/2, which is not always where the bound is smallest.
+    min_bound is the grid minimum after local refinement; formula_value is the
+    closed form; agreement is their absolute difference. The two genuinely
+    disagree for some (N, M) because the closed form equals the bound at the
+    balanced state |alpha|^2 = 1/2, which is not always where it is smallest.
     """
 
     n: int
     m: int
-    bound_curve: np.ndarray
     min_bound: float
     formula_value: float
     agreement: float
@@ -148,6 +148,11 @@ class QualityReport:
             raise ValueError(f"min_bound {self.min_bound} outside [0, 1]")
         if self.n == self.m and self.formula_value != 1.0:
             raise ValueError("the closed form must be exactly 1 when nothing is deleted")
+
+    @property
+    def bound_curve(self) -> np.ndarray:
+        """(|alpha|^2, bound) samples on the GRID_STEP grid, as a (points, 2) array."""
+        return np.column_stack([_GRID, _bound_values(_GRID, self.n, self.m)])
 
 
 def _bracket(xs: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
@@ -170,10 +175,7 @@ def optimal_quality(n: int, m: int) -> QualityReport:
         (1.0 - 2.0 ** (1 - n)) * (1.0 - 2.0 ** (1 - m))
     )
 
-    npoints = round(1.0 / GRID_STEP) + 1
-    xs = np.linspace(0.0, 1.0, npoints)
-    vals = _bound_values(xs, n, m)
-    lo, hi, min_bound = _bracket(xs, vals)
+    lo, hi, min_bound = _bracket(_GRID, _bound_values(_GRID, n, m))
     while hi - lo > _REFINE_TOL:
         fine = np.linspace(lo, hi, _REFINE_POINTS)
         lo, hi, refined = _bracket(fine, _bound_values(fine, n, m))
@@ -182,7 +184,6 @@ def optimal_quality(n: int, m: int) -> QualityReport:
     return QualityReport(
         n=n,
         m=m,
-        bound_curve=np.column_stack([xs, vals]),
         min_bound=min_bound,
         formula_value=formula,
         agreement=abs(min_bound - formula),

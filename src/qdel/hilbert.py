@@ -252,10 +252,10 @@ def _half_trace_norms(differences: np.ndarray) -> np.ndarray:
 
 
 def state_fidelity(rho: DensityMatrix, psi: Ket) -> float:
-    """Overlap <psi|rho|psi> of a mixed state with a pure target, in [0, 1]."""
+    """Overlap <psi|rho|psi> of a mixed state with a normalized pure target, in [0, 1]."""
     if rho.dims != psi.dims:
         raise ShapeError(f"shape mismatch: {rho.dims} vs {psi.dims}")
-    v = psi.amplitudes
+    v = psi.require_normalized().amplitudes
     val = float(np.real(np.vdot(v, rho.entries @ v)))
     # eigenvalue slack of the PSD check can push the quadratic form epsilon out of range
     return min(max(val, 0.0), 1.0)

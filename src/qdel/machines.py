@@ -260,10 +260,10 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     return float(_residuals(_copies_output(machine, psis), psis)[0])
 
 
-# Pairs per block of the pairwise scan; the block's (pairs, m, m) complex
-# differences are its largest temporary. Chosen by measurement: 512 pairs
-# ran the audit benchmark's pass 1.4x faster than 256 but raised its peak
-# RSS by 2.5% against the all-pairs scan, 256 by 1%.
+# Pairs per chunk of the pairwise scan. On the audit benchmark's jobs (seed 13,
+# 30 passes, 2 cores) 128/256/512/1024 pairs peaked at 37.71/37.77/37.84/38.28 MB
+# RSS, row blocks at 37.67, with best passes of 34-38/25-28/21-23/19-21 ms; at
+# 256 the int64 pair indices (318 kB at S = 200) are most of the rise.
 _PAIR_BLOCK = 256
 
 # Absolute widening of the half-trace-norm bounds. A difference of density
@@ -273,7 +273,7 @@ _BOUND_MARGIN = 1e-9
 
 
 def _half_trace_norm_bounds(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on (1/2) sum |eigenvalues| of each matrix of a (..., m, m) stack.
+    """Lower and upper bounds on (1/2) sum |eigenvalues| of each matrix of a (k, m, m) stack.
 
     Each matrix is taken as Hermitian and traceless, a difference of two
     density matrices; the bounds are widened by _BOUND_MARGIN. With
@@ -283,11 +283,11 @@ def _half_trace_norm_bounds(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2 sqrt(p/3) cos(arccos|c| / 3) with p = F^2/2, c = (3 sqrt(3)/2) det D / p^(3/2).
     """
     m = diffs.shape[-1]
-    parts = diffs.reshape(diffs.shape[:-2] + (m * m,)).view(float)  # real and imaginary parts
-    frob_sq = np.einsum("...k,...k->...", parts, parts)
+    parts = diffs.reshape(len(diffs), m * m).view(float)  # real and imaginary parts
+    frob_sq = np.einsum("ij,ij->i", parts, parts)
     if m == 3:
-        a, b, c = (diffs[..., k, k].real for k in range(3))
-        u, v, w = diffs[..., 1, 0], diffs[..., 2, 1], diffs[..., 2, 0]
+        a, b, c = (diffs[:, k, k].real for k in range(3))
+        u, v, w = diffs[:, 1, 0], diffs[:, 2, 1], diffs[:, 2, 0]
         det = a * b * c - a * np.abs(v) ** 2 - b * np.abs(w) ** 2 - c * np.abs(u) ** 2
         det += 2.0 * (u * v * w.conj()).real
         p = 0.5 * frob_sq
@@ -304,27 +304,22 @@ def _half_trace_norm_bounds(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _max_pairwise_distance(rho: np.ndarray) -> float:
     """max over i < j of the half trace norm of rho[j] - rho[i], as eigvalsh gives it.
 
-    `rho` is an (S, m, m) stack of density matrices. Row blocks of about
-    _PAIR_BLOCK pairs are bounded at once; `floor`, the largest lower bound
-    or confirmed value so far, never exceeds the answer, so a pair whose
-    upper bound is below it cannot hold the maximum. The rest go to
-    eigvalsh. 0.0 for S = 1.
+    `rho` is an (S, m, m) stack of density matrices. The pairs are bounded in
+    chunks of _PAIR_BLOCK; `floor`, the largest lower bound or confirmed
+    value so far, never exceeds the answer, so a pair whose upper bound is
+    below it cannot hold the maximum. The rest go to eigvalsh. 0.0 for S = 1.
     """
-    n = len(rho)
+    first, second = np.triu_indices(len(rho), 1)
     best = floor = 0.0
-    start = 0
-    while start < n - 1:
-        width = n - 1 - start
-        stop = start + min(width, max(1, _PAIR_BLOCK // width))
-        diffs = rho[start + 1 :] - rho[start:stop, None]  # [r, k] = rho[start+1+k] - rho[start+r]
-        ahead = ~np.tri(stop - start, width, -1, dtype=bool)  # k >= r, that is j > i
+    for start in range(0, len(first), _PAIR_BLOCK):
+        chunk = slice(start, start + _PAIR_BLOCK)
+        diffs = rho[second[chunk]] - rho[first[chunk]]
         low, high = _half_trace_norm_bounds(diffs)
-        floor = max(floor, float(np.max(low, where=ahead, initial=floor)))
-        near = ahead & (high >= floor)
+        floor = max(floor, float(np.max(low)))
+        near = high >= floor
         if np.any(near):
             best = max(best, float(np.max(_half_trace_norms(diffs[near]))))
             floor = max(floor, best)
-        start = stop
     return best
 
 

@@ -5,7 +5,8 @@ JSON is the primary machine-readable format: complex numbers are emitted as
 with Python's shortest round-trip repr so that serialize -> parse -> compare
 is exact and two identical runs emit byte-identical output. A report's JSON
 object is its dataclass fields in declaration order, then the derived
-properties `_KEYS` names; array fields appear only in CSV.
+properties `_KEYS` names. Every CSV, a report's or a CLI sweep's, comes
+from `_csv`.
 """
 
 from __future__ import annotations
@@ -85,36 +86,36 @@ def _encode(value):
 
 
 def _payload(report) -> dict:
-    """The report's JSON object; array fields (the quality bound curve) are left to CSV."""
-    payload = {}
-    for key in _KEYS[type(report)]:
-        value = getattr(report, key)
-        if not isinstance(value, np.ndarray):
-            payload[key] = _encode(value)
-    return payload
+    """The report's JSON object: the values of `_KEYS[type(report)]`, each encoded."""
+    return {key: _encode(getattr(report, key)) for key in _KEYS[type(report)]}
 
 
-def _csv_lines(report) -> list[str]:
+def _csv(header: str, *columns) -> str:
+    """CSV text: the header line, then row k from item k of every column.
+
+    An array column is read with `tolist`, other columns as they are. Numbers
+    are written with repr, the shortest round-trip form; a column of strings
+    is written in double quotes.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    texts = [map('"{}"'.format if c and isinstance(c[0], str) else repr, c) for c in columns]
+    return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
+
+
+def _csv_report(report) -> str:
     if isinstance(report, QualityReport):
-        rows = ["alpha_sq,bound"]
-        rows += [f"{float(x)!r},{float(v)!r}" for x, v in report.bound_curve]
-        return rows
+        return _csv("alpha_sq,bound", *report.bound_curve.T)
     if isinstance(report, FidelityReport):
         p = _payload(report)
-        return [",".join(p), ",".join(repr(v) for v in p.values())]
+        return _csv(",".join(p), *([v] for v in p.values()))
     if isinstance(report, ConstraintReport):
-        rows = ["label,lhs_re,lhs_im,rhs_re,rhs_im,residual"]
-        for c in report.constraints:
-            rows.append(
-                f"\"{c.label}\",{c.lhs.real!r},{c.lhs.imag!r},"
-                f"{c.rhs.real!r},{c.rhs.imag!r},{c.residual!r}"
-            )
-        return rows
+        cs = report.constraints
+        lhs, rhs = np.array([c.lhs for c in cs]), np.array([c.rhs for c in cs])
+        return _csv("label,lhs_re,lhs_im,rhs_re,rhs_im,residual", [c.label for c in cs],
+                    lhs.real, lhs.imag, rhs.real, rhs.imag, [c.residual for c in cs])
     if isinstance(report, DeleterVerdict):
-        rows = ["sample,residual,ancilla_error"]
-        for i, (res, err) in enumerate(zip(report.residual_stats, report.ancilla_errors)):
-            rows.append(f"{i},{res!r},{err!r}")
-        return rows
+        return _csv("sample,residual,ancilla_error", range(len(report.residual_stats)),
+                    report.residual_stats, report.ancilla_errors)
     raise UnsupportedFormatError(
         f"{type(report).__name__} is matrix-valued and has no CSV rendering"
     )
@@ -142,5 +143,5 @@ def emit_report(report, format: str = "json") -> str:
     if format == "json":
         return json.dumps(_payload(report), indent=2, allow_nan=False) + "\n"
     if format == "csv":
-        return "\n".join(_csv_lines(report)) + "\n"
+        return _csv_report(report)
     return "\n".join(_table_lines(_payload(report))) + "\n"

@@ -62,6 +62,12 @@ class TestFidelity:
         assert payload["avg_f_b"] == pytest.approx(5.0 / 6.0, abs=1e-6)
         assert payload["avg_f_a"] == pytest.approx(2.0 / 3.0, abs=1e-6)
 
+    @pytest.mark.parametrize("flags, grid", [(["--average"], "256x256"), ([], "64x64")])
+    def test_average_only_sets_the_default_grid(self, capsys, flags, grid):
+        code, out, _ = run(capsys, "fidelity", *flags, "--alpha-sq", "0.3")
+        assert code == 0
+        assert run(capsys, "fidelity", "--grid", grid, "--alpha-sq", "0.3") == (0, out, "")
+
     def test_pointwise(self, capsys):
         code, out, _ = run(capsys, "fidelity", "--alpha-sq", "0.5")
         payload = json.loads(out)

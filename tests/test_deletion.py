@@ -258,8 +258,7 @@ class TestOptimalQuality:
     def test_report_invariant(self):
         with pytest.raises(ValueError):
             QualityReport(
-                n=2, m=2, bound_curve=np.zeros((1, 2)), min_bound=0.5,
-                formula_value=0.9, agreement=0.4,
+                n=2, m=2, min_bound=0.5, formula_value=0.9, agreement=0.4,
             )
 
 

@@ -280,6 +280,12 @@ class TestStateFidelity:
         with pytest.raises(ShapeError):
             state_fidelity(density_of(basis_ket([2], 0)), basis_ket([3], 0))
 
+    @pytest.mark.parametrize("amplitudes", [[2.0, 0.0], [0.5, 0.0], [math.nan, 0.0]])
+    def test_unnormalized_target_is_refused(self, amplitudes):
+        # <psi|rho|psi> is 4.0, 0.25 and nan here, none of them a fidelity
+        with pytest.raises(InvalidStateError, match="not normalized"):
+            state_fidelity(density_of(basis_ket([2], 0)), Ket((2,), amplitudes))
+
 
 class TestBlochKet:
     def test_north_pole(self):

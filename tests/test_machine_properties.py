@@ -12,7 +12,9 @@ from hypothesis.extra.numpy import arrays
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.hilbert import Ket, _half_trace_norms
 from qdel.machines import (
+    _BOUND_MARGIN,
     BasisActionMachine,
+    _half_trace_norm_bounds,
     _max_pairwise_distance,
     machine_from_json,
     machine_to_json,
@@ -150,3 +152,29 @@ def test_pairwise_scan_is_exact_when_orthogonal_states_tie(m, seed, count, rotat
     rho = np.einsum("na,nb->nab", columns, columns.conj())
     assert _max_pairwise_distance(rho) == row_scan(rho)
     assert abs(row_scan(rho) - 1.0) <= 1e-12
+
+
+def assert_bounds_are_exact(diffs):
+    """Unwidened, both bounds are the eigvalsh half trace norm to rounding (m = 2 and 3)."""
+    low, high = _half_trace_norm_bounds(diffs)
+    exact = _half_trace_norms(diffs)
+    assert np.max(np.abs(low + _BOUND_MARGIN - exact)) <= 1e-14
+    assert np.max(np.abs(high - _BOUND_MARGIN - exact)) <= 1e-14
+
+
+@PROPERTIES
+@given(st.integers(2, 3), st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 3))
+def test_bounds_are_exact_on_density_differences(m, seed, count, rank):
+    rho = density_stack(seed, 2 * count, m, min(rank, m))
+    assert_bounds_are_exact(rho[count:] - rho[:count])
+
+
+@PROPERTIES
+@given(st.integers(0, 2**32 - 1), st.floats(1e-6, 0.5), st.integers(1, 16), st.sampled_from([1, -1]))
+def test_three_level_bound_is_exact_near_a_double_eigenvalue(seed, a, digits, sign):
+    """Spectra near sign * (2a, -a, -a), where the cubic branch's arccos argument tends to 1."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    e1, e2 = a * 10.0**-digits * rng.standard_normal((2, 20))
+    spectra = sign * np.stack([2 * a + e1, -a + e2, -a - e1 - e2], axis=1)
+    assert_bounds_are_exact((u * spectra[:, None, :]) @ u.conj().T)
