@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import platform
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -40,13 +41,19 @@ _REPORTS = (QualityReport, FidelityReport, ConstraintReport, SignallingReport, D
 
 @dataclass(frozen=True)
 class RunManifest:
-    """What a CLI run applied: its command line and, for verify, the isometry tolerance."""
+    """What a CLI run applied: its command line and, for verify, the isometry tolerance.
+
+    Its JSON also names the qdel, Python and numpy versions that ran it.
+    """
 
     command: str
     tol: Optional[float] = None
 
     def to_json(self) -> dict:
-        payload = {"command": self.command, "version": __version__}
+        payload = {
+            "command": self.command, "version": __version__,
+            "python": platform.python_version(), "numpy": np.__version__,
+        }
         if self.tol is not None:
             payload["tol"] = self.tol
         return payload

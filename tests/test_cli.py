@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdel
@@ -383,6 +385,7 @@ class TestManifest:
         manifest = json.loads(err)
         assert "quality" in manifest["command"]
         assert "tol" not in manifest
+        assert (manifest["python"], manifest["numpy"]) == (platform.python_version(), np.__version__)
         json.loads(out)  # report still parses
 
     def test_verify_records_the_tolerance_it_applied(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qdel.fidelity import (
     rho_ab,
     rho_b,
 )
-from qdel.fidelity import _batched_fidelities
+from qdel.fidelity import _POINT_BLOCK, _batched_fidelities, _grid_averages
 from qdel.hilbert import (
     basis_ket,
     ket,
@@ -168,14 +169,19 @@ class TestPointFidelities:
             assert f_a < f_b
 
     def test_batched_matches_pointwise(self):
+        # two full slices of the kernel and one point beyond them
         rng = np.random.default_rng(13)
-        pairs = [random_qubit_amplitudes(rng) for _ in range(50)]
-        alphas = np.array([p[0] for p in pairs])
-        betas = np.array([p[1] for p in pairs])
+        pairs = [random_qubit_amplitudes(rng) for _ in range(2 * _POINT_BLOCK + 1)]
+        alphas, betas = (np.array(column) for column in zip(*pairs))
         f_b, f_a = _batched_fidelities(alphas, betas)
-        blank = basis_ket([2], 0)
-        # the object pipeline (apply -> density -> partial trace -> overlap) is the reference
+        # a point's weights do not depend on the batch or the slice it falls in
         for i, (alpha, beta) in enumerate(pairs):
+            assert (f_b[i], f_a[i]) == point_fidelities(alpha, beta)
+        blank = basis_ket([2], 0)
+        block_ends = [k * _POINT_BLOCK + e for k in range(2) for e in (0, _POINT_BLOCK - 1)]
+        # the object pipeline (apply -> density -> partial trace -> overlap) is the reference
+        for i in [*range(50), *block_ends, len(pairs) - 1]:
+            alpha, beta = pairs[i]
             psi = ket([alpha, beta], [2])
             assert f_b[i] == pytest.approx(state_fidelity(rho_b(alpha, beta), blank), abs=1e-12)
             assert f_a[i] == pytest.approx(state_fidelity(rho_a(alpha, beta), psi), abs=1e-12)
@@ -183,14 +189,26 @@ class TestPointFidelities:
 
 class TestAverageFidelity:
     def test_deletion_average(self):
-        assert average_fidelity("b", 256, 256) == pytest.approx(AVG_DELETION_FIDELITY, abs=1e-6)
+        assert average_fidelity("b", 256, 256) == pytest.approx(AVG_DELETION_FIDELITY, abs=1e-14)
 
     def test_retention_average(self):
-        assert average_fidelity("a", 256, 256) == pytest.approx(AVG_RETENTION_FIDELITY, abs=1e-6)
+        assert average_fidelity("a", 256, 256) == pytest.approx(AVG_RETENTION_FIDELITY, abs=1e-14)
 
     def test_mode_gap_averages_to_one_sixth(self):
         gap = average_fidelity("b", 128, 128) - average_fidelity("a", 128, 128)
-        assert gap == pytest.approx(1.0 / 6.0, abs=1e-6)
+        assert gap == pytest.approx(1.0 / 6.0, abs=1e-14)
+
+    def test_grid_average_memory_stays_below_40_mb(self):
+        # the kernel walks the 262,144 points in slices, so only the grid
+        # coordinates and the two result arrays are whole (about 13 MB)
+        _grid_averages(512, 512)
+        tracemalloc.start()
+        try:
+            _grid_averages(512, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_error_does_not_grow_as_grid_doubles(self):
         # the integrands are quadratic in cos(theta), so the quadrature is
@@ -199,9 +217,10 @@ class TestAverageFidelity:
         closed = {"b": AVG_DELETION_FIDELITY, "a": AVG_RETENTION_FIDELITY}
         for mode in ("a", "b"):
             errors = [
-                abs(average_fidelity(mode, g, g) - closed[mode]) for g in (16, 32, 64, 128, 256)
+                abs(average_fidelity(mode, g, g) - closed[mode])
+                for g in (8, 16, 32, 64, 128, 256, 512)
             ]
-            assert all(e < 1e-9 for e in errors)
+            assert all(e < 1e-14 for e in errors)
             for prev, nxt in zip(errors, errors[1:]):
                 assert nxt <= prev + 1e-14
 
@@ -210,6 +229,9 @@ class TestAverageFidelity:
             average_fidelity("b", 4, 64)
         with pytest.raises(ValueError):
             average_fidelity("a", 64, 7)
+        for n_theta, n_phi in ((8.5, 8), (8, 8.0), (True, 8), (8, True), (16.0, 16)):
+            with pytest.raises(ValueError):
+                average_fidelity("b", n_theta, n_phi)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -223,11 +245,16 @@ class TestFidelityReport:
         assert report.f_a == pytest.approx(0.5, abs=1e-12)
         assert report.quadrature_error < 1e-9
 
+    def test_report_names_its_grid(self):
+        report = fidelity_report(0.3, n_theta=16, n_phi=np.int64(24))
+        assert (report.n_theta, report.n_phi) == (16, 24)
+        assert type(report.n_phi) is int
+
     def test_invariants_enforced(self):
         with pytest.raises(InvalidStateError):
             FidelityReport(
                 alpha_sq=0.5, f_b=0.9, f_a=0.5, avg_f_b=5 / 6, avg_f_a=2 / 3,
-                quadrature_error=0.0,
+                quadrature_error=0.0, n_theta=8, n_phi=8,
             )
 
     def test_bad_alpha_sq_rejected(self):

@@ -1,6 +1,8 @@
 import json
 import math
+import platform
 
+import numpy as np
 import pytest
 
 from qdel import __version__
@@ -67,9 +69,10 @@ class TestFidelityEmission:
     def test_table_columns_align(self):
         report = fidelity_report(0.5, n_theta=16, n_phi=16)
         lines = emit_report(report, "table").strip().split("\n")
-        assert len(lines) == 6
+        assert len(lines) == 8
         values = {line.split()[0] for line in lines}
-        assert {"alpha_sq", "f_b", "f_a", "avg_f_b", "avg_f_a", "quadrature_error"} == values
+        assert {"alpha_sq", "f_b", "f_a", "avg_f_b", "avg_f_a", "quadrature_error", "n_theta",
+                "n_phi"} == values
 
 
 class TestConstraintEmission:
@@ -125,7 +128,8 @@ def test_json_key_order_is_the_field_order_then_derived_properties():
     expected = [
         (optimal_quality(2, 1), ["n", "m", "min_bound", "formula_value", "agreement"]),
         (fidelity_report(0.5, n_theta=16, n_phi=16),
-         ["alpha_sq", "f_b", "f_a", "avg_f_b", "avg_f_a", "quadrature_error"]),
+         ["alpha_sq", "f_b", "f_a", "avg_f_b", "avg_f_a", "quadrature_error", "n_theta",
+          "n_phi"]),
         (constraints, ["overlap_s", "constraints", "satisfiable", "trivial_only", "max_residual"]),
         (signalling_distance(0.0, math.pi / 4),
          ["theta_1", "theta_2", "rho_with_deletion", "rho_without_deletion", "distance_with",
@@ -162,7 +166,8 @@ class TestRunManifest:
     def test_serialization(self):
         payload = RunManifest(command="qdel verify --machine m.json", tol=1e-9).to_json()
         assert payload == {
-            "command": "qdel verify --machine m.json", "version": __version__, "tol": 1e-9,
+            "command": "qdel verify --machine m.json", "version": __version__,
+            "python": platform.python_version(), "numpy": np.__version__, "tol": 1e-9,
         }
 
     def test_identical_manifests_reproduce_identical_reports(self):
