@@ -117,7 +117,8 @@ def _angle_help(flag: str, what: str) -> str:
     return f"{what} (radians or Ndeg); a negative angle with deg or an exponent needs {flag}=VALUE"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=None, help="output path (default stdout)")
     common.add_argument("--manifest", action="store_true", help="print a run manifest to stderr")
@@ -170,12 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive_float, default=1e-10,
                    help="isometry tolerance (default 1e-10)")
 
-    return parser
+    return parser, sub.choices
 
 
 # Built once per process: parse_args starts each call from a fresh namespace
 # and _validate writes only to that namespace, so no call sees another's flags.
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -296,17 +297,27 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             setattr(args, dest, value)
 
 
+# qdel's errors are ValueErrors; a MemoryError is a --grid or --sweep numpy cannot allocate
+_NUMERIC_ERRORS = (ValueError, ArithmeticError, OSError, KeyError, MemoryError)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command. A usage error prints the subcommand's usage line and no manifest."""
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _PARSER.parse_args(argv)
-    _validate(_PARSER, args)
-    _emit_manifest(args, argv)
+    parser = _COMMANDS[args.command]
+    _validate(parser, args)
     try:
-        _write(_RUNNERS[args.command](args), args.out)
-    except argparse.ArgumentTypeError as exc:  # a flag value the input shows to be wrong
-        _PARSER.error(str(exc))
-    # qdel's errors are ValueErrors; a MemoryError is a --grid or --sweep numpy cannot allocate
-    except (ValueError, ArithmeticError, OSError, KeyError, MemoryError) as exc:
+        try:
+            text = _RUNNERS[args.command](args)
+        except argparse.ArgumentTypeError as exc:  # a flag value the input shows to be wrong
+            parser.error(str(exc))
+        except _NUMERIC_ERRORS:
+            _emit_manifest(args, argv)
+            raise
+        _emit_manifest(args, argv)
+        _write(text, args.out)
+    except _NUMERIC_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     return 0

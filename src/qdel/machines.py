@@ -97,6 +97,9 @@ class DeleterKind(enum.Enum):
 class DeleterVerdict:
     """Outcome of sampling a candidate deleter on Haar-random inputs.
 
+    samples, seed: the sample count and the seed of the generator the inputs
+        were drawn from. A verdict on rules that are not normalized draws
+        none and holds no per-sample values.
     residual_stats: per-sample distance of the output from the ideal-deletion
         subspace |psi>|blank>(x)ancilla.
     ancilla_errors: per-sample trace distance between the reduced ancilla and
@@ -109,6 +112,8 @@ class DeleterVerdict:
     """
 
     kind: DeleterKind
+    samples: int
+    seed: int
     residual_stats: tuple[float, ...]
     ancilla_dependence: float
     ancilla_errors: tuple[float, ...] = ()
@@ -116,6 +121,10 @@ class DeleterVerdict:
     def __post_init__(self) -> None:
         if self.kind is DeleterKind.APPROXIMATE_DELETER and not self.residual_stats:
             raise ValueError("an approximate-deleter verdict needs residual samples")
+        if self.residual_stats and len(self.residual_stats) != self.samples:
+            raise ValueError(
+                f"{self.samples} samples need as many residuals, got {len(self.residual_stats)}"
+            )
         if len(self.ancilla_errors) != len(self.residual_stats):
             raise ValueError(
                 f"{len(self.residual_stats)} residual samples need as many ancilla errors, "
@@ -260,10 +269,11 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     return float(_residuals(_copies_output(machine, psis), psis)[0])
 
 
-# Pairs per chunk of the pairwise scan. On the audit benchmark's jobs (seed 13,
-# 30 passes, 2 cores) 128/256/512/1024 pairs peaked at 37.71/37.77/37.84/38.28 MB
-# RSS, row blocks at 37.67, with best passes of 34-38/25-28/21-23/19-21 ms; at
-# 256 the int64 pair indices (318 kB at S = 200) are most of the rise.
+# Candidate pairs per chunk of the pairwise scan. On the audit benchmark's jobs
+# (seed 13, 30 passes, one thread, 2-core host) chunks of 128/256/512/1024
+# candidates and one unchunked stack peaked at 38.0/38.15/38.3/38.6/39.9 MB RSS,
+# with best passes of 7.2-7.4/6.4-6.6/6.0-6.6/6.3-6.5/6.3-6.6 ms. swap_deleter(3)
+# keeps about 4,900 of its 11,175 pairs, so an unchunked stack costs 1.7 MB.
 _PAIR_BLOCK = 256
 
 # Absolute widening of the half-trace-norm bounds. A difference of density
@@ -304,13 +314,35 @@ def _half_trace_norm_bounds(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _max_pairwise_distance(rho: np.ndarray) -> float:
     """max over i < j of the half trace norm of rho[j] - rho[i], as eigvalsh gives it.
 
-    `rho` is an (S, m, m) stack of density matrices. The pairs are bounded in
-    chunks of _PAIR_BLOCK; `floor`, the largest lower bound or confirmed
-    value so far, never exceeds the answer, so a pair whose upper bound is
-    below it cannot hold the maximum. The rest go to eigvalsh. 0.0 for S = 1.
+    `rho` is an (S, m, m) stack of density matrices. One real Gram matrix of
+    the stack gives every squared Frobenius distance, F^2_ij = n_i + n_j -
+    2 <x_i, x_j>. Its dot products have 2 m^2 terms, so the expansion's
+    rounding is below (8 m^2 + 10) u times the largest n_i (u = eps / 2, and
+    n_i <= 1 for a density matrix); F^2 is widened by twice that. `floor`
+    starts at the exact lower bound of the pair with the largest F^2, and
+    only the pairs whose sandwich bound F sqrt(floor(m/2) ceil(m/2) / m) +
+    _BOUND_MARGIN reaches it are candidates. They are bounded by invariants
+    in chunks of _PAIR_BLOCK, in i < j order. `floor`, the largest lower bound
+    or confirmed value so far, never exceeds the answer, so a pair whose
+    upper bound is below it cannot hold the maximum. The rest go to eigvalsh.
+    0.0 for S = 1.
     """
-    first, second = np.triu_indices(len(rho), 1)
-    best = floor = 0.0
+    count, m = len(rho), rho.shape[-1]
+    x = rho.reshape(count, m * m).view(float)
+    frob_sq = x @ x.T
+    norms = frob_sq.diagonal().copy()
+    frob_sq *= -2.0
+    frob_sq += norms[:, None]
+    frob_sq += norms
+    frob_sq += 8.0 * (m * m + 2) * np.finfo(float).eps * norms.max()
+
+    i, j = sorted(divmod(int(np.argmax(frob_sq)), count))
+    low, _ = _half_trace_norm_bounds(rho[j : j + 1] - rho[i : i + 1])
+    floor = max(0.0, float(low[0]))
+    # the sandwich's upper bound reaches `floor` exactly when F reaches `reach`
+    reach = max(floor - _BOUND_MARGIN, 0.0) / math.sqrt((m // 2) * ((m + 1) // 2) / m)
+    first, second = np.nonzero(np.triu(frob_sq >= reach * reach, 1))
+    best = 0.0
     for start in range(0, len(first), _PAIR_BLOCK):
         chunk = slice(start, start + _PAIR_BLOCK)
         diffs = rho[second[chunk]] - rho[first[chunk]]
@@ -338,11 +370,14 @@ def classify_deleter(
 
     `ancilla_dependence` is found without an eigensolve per pair: every pair
     difference of reduced ancilla states is Hermitian and traceless, so cheap
-    invariants bound its half trace norm (exactly for m = 2 and m = 3, by
-    the Frobenius sandwich for m >= 4). Widened by a margin of 1e-9, far
-    above the rounding of either side, the bounds leave few pairs that can
-    still hold the maximum; only those reach eigvalsh, and the largest of
-    their values is returned.
+    invariants bound its half trace norm. First one Gram matrix of the
+    samples gives every pair's Frobenius distance F, and the Frobenius
+    sandwich on F drops the pairs that cannot reach the farthest pair's lower
+    bound. The pairs left are bounded exactly for m = 2 and m = 3, by the
+    sandwich for m >= 4. Widened by a margin of 1e-9, far above the rounding
+    of either side, the bounds leave few pairs that can still hold the
+    maximum; only those reach eigvalsh, and the largest of their values is
+    returned. The verdict records `samples` and `seed`.
     """
     samples = _int_at_least(samples, 1, "samples")
     seed = _int_at_least(seed, 0, "seed")
@@ -356,6 +391,8 @@ def classify_deleter(
     if not machine.rule_norms_ok():
         return DeleterVerdict(
             kind=DeleterKind.NOT_LINEAR_CONSISTENT,
+            samples=samples,
+            seed=seed,
             residual_stats=(),
             ancilla_dependence=0.0,
         )
@@ -397,6 +434,8 @@ def classify_deleter(
         kind = DeleterKind.APPROXIMATE_DELETER
     return DeleterVerdict(
         kind=kind,
+        samples=samples,
+        seed=seed,
         residual_stats=tuple(residuals.tolist()),
         ancilla_dependence=dependence,
         ancilla_errors=tuple(ancilla_errors.tolist()),

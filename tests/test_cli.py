@@ -397,6 +397,50 @@ class TestManifest:
         assert json.loads(err)["tol"] == 1e-9
         assert json.loads(out)["is_isometry"] is True
 
+    def test_a_usage_error_prints_no_manifest(self, capsys, tmp_path):
+        path = tmp_path / "machine.json"
+        path.write_text(json.dumps(machine_to_json(swap_deleter(2))))
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--machine", str(path), "--alphabet", "0,5", "--manifest")
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: qdel verify ")
+        assert captured.err.endswith("error: --alphabet: index 5 outside dimension 2\n")
+        assert '"command"' not in captured.err
+
+    def test_a_numeric_error_keeps_its_manifest(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, "verify", "--machine", str(path), "--manifest")
+        manifest, error = err.split("}\n")
+        assert code == 3 and out == ""
+        assert json.loads(manifest + "}")["command"].endswith("--manifest")
+        assert error.startswith("error: ") and "missing.json" in error
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["quality", "--n", "2", "--m", "3"], "need 1 <= m <= n, got n=2, m=3"),
+     (["fidelity", "--sweep", "5", "--format", "table"],
+      "--sweep prints CSV and would ignore --format table"),
+     (["nogo", "--sweep", "3", "--overlap", "0.2"],
+      "--sweep prints CSV and would ignore --overlap"),
+     (["signal", "--format", "csv"], "the signal report is matrix-valued and has no CSV rendering"),
+     (["verify", "--alphabet", "0,+"], "--alphabet: qubit states given for 3-level copies")],
+    ids=["quality", "fidelity_sweep", "nogo_sweep", "signal_csv", "verify_alphabet"],
+)
+def test_usage_errors_after_parsing_read_like_argparse(capsys, tmp_path, argv, message):
+    """Each prints its subcommand's usage line and `qdel <command>: error:`, as argparse does."""
+    if argv[0] == "verify":
+        path = tmp_path / "machine.json"
+        path.write_text(json.dumps(machine_to_json(swap_deleter(3))))
+        argv = [*argv, "--machine", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"usage: qdel {argv[0]} [-h] ")
+    assert captured.err.endswith(f"qdel {argv[0]}: error: {message}\n")
+
 
 def run_fresh(*argv):
     """(exit code, stdout, stderr) of `python -m qdel argv` in a new interpreter."""

@@ -113,8 +113,9 @@ def density_stack(seed, count, m, rank):
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
-stacks = st.integers(2, 4).flatmap(
-    lambda m: st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 40), st.just(m),
+# up to 200 states, so that the candidate pairs can fill several _PAIR_BLOCK chunks
+stacks = st.integers(2, 5).flatmap(
+    lambda m: st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 200), st.just(m),
                         st.integers(1, m)))
 
 
@@ -134,7 +135,27 @@ def test_pairwise_scan_is_exact_on_duplicated_rows(drawn, data):
     assert _max_pairwise_distance(rho) == row_scan(rho)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@PROPERTIES
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(2, 200),
+       st.sampled_from([1e-8, 3e-8, 1e-7]))
+def test_pairwise_scan_is_exact_on_near_equal_states(m, seed, count, spread):
+    """Differences of about `spread`, where the Gram expansion n_i + n_j - 2 <x_i, x_j>
+    cancels all but the last few digits."""
+    base, spreads = density_stack(seed, 1, m, m), density_stack(seed + 1, count, m, m)
+    rho = (1.0 - spread) * base + spread * spreads
+    assert _max_pairwise_distance(rho) == row_scan(rho)
+
+
+@PROPERTIES
+@given(st.integers(0, 2**32 - 1), st.integers(100, 200))
+def test_pairwise_scan_is_exact_on_pure_three_level_states(seed, count):
+    """Rank-1 m = 3 stacks, as swap_deleter(3) gives: the Frobenius sandwich is loose there
+    and keeps thousands of candidate pairs."""
+    rho = density_stack(seed, count, 3, 1)
+    assert _max_pairwise_distance(rho) == row_scan(rho)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("count", [1, 2, 40])
 def test_pairwise_scan_of_equal_states_is_zero(m, count):
     rho = np.repeat(density_stack(9, 1, m, m), count, axis=0)

@@ -29,6 +29,7 @@ from qdel.machines import (
     qudit_pair_deleter,
     swap_deleter,
 )
+from qdel import machines
 from qdel.machines import _copies_output
 from qdel.signalling import bob_machine_and_reduce
 
@@ -325,6 +326,50 @@ class TestClassifyDeleter:
         assert verdict.kind is kind
         assert verdict.ancilla_dependence == dependence
 
+    # (machine, samples, seed, the all-pairs scan's ancilla_dependence, ceiling on the pairs
+    # bounded, ceiling on the matrices sent to eigvalsh) for the classifier jobs of the audit
+    # benchmark at seed 1: their sub-seeds are three draws of random.Random(1).randrange(2**32).
+    # The Gram prefilter bounds 2, 455 and 4,878 pairs and sends 1 matrix each to eigvalsh;
+    # a scan of every pair bounds 19,900, 11,175 and 11,175.
+    PINNED_WORK = [
+        ("swap2", 200, 3280387012, 0.9999949297249833, 20, 3),
+        ("conditional", 150, 1095513148, 0.9899577737256833, 1_000, 3),
+        ("swap3", 150, 1930549411, 0.9999763660139952, 6_000, 3),
+    ]
+
+    @pytest.mark.parametrize("name, samples, seed, dependence, most_bounded, most_solved",
+                             PINNED_WORK, ids=[job[0] for job in PINNED_WORK])
+    def test_pairwise_stage_work_is_pinned(
+        self, monkeypatch, name, samples, seed, dependence, most_bounded, most_solved
+    ):
+        """A return to bounding every pair, or to eigvalsh on many, fails here."""
+        counts = {"bounded": 0, "solved": 0, "pairwise": False}
+        bounds, norms, scan = (machines._half_trace_norm_bounds, machines._half_trace_norms,
+                               machines._max_pairwise_distance)
+
+        def counted_bounds(diffs):
+            counts["bounded"] += len(diffs)
+            return bounds(diffs)
+
+        def counted_norms(diffs):  # also serves the per-sample ancilla errors, not counted
+            counts["solved"] += len(diffs) if counts["pairwise"] else 0
+            return norms(diffs)
+
+        def counted_scan(rho):
+            counts["pairwise"] = True
+            try:
+                return scan(rho)
+            finally:
+                counts["pairwise"] = False
+
+        monkeypatch.setattr(machines, "_half_trace_norm_bounds", counted_bounds)
+        monkeypatch.setattr(machines, "_half_trace_norms", counted_norms)
+        monkeypatch.setattr(machines, "_max_pairwise_distance", counted_scan)
+        verdict = classify_deleter(self.MACHINES[name](), samples=samples, seed=seed)
+        assert verdict.ancilla_dependence == dependence
+        assert 1 <= counts["bounded"] <= most_bounded
+        assert 1 <= counts["solved"] <= most_solved
+
     def test_needs_ancilla_structure(self):
         with pytest.raises(ShapeError):
             classify_deleter(qudit_pair_deleter(2), samples=10, seed=1)
@@ -347,16 +392,36 @@ class TestClassifyDeleter:
     def test_verdict_invariant(self):
         with pytest.raises(ValueError):
             DeleterVerdict(
-                kind=DeleterKind.APPROXIMATE_DELETER, residual_stats=(), ancilla_dependence=0.0
+                kind=DeleterKind.APPROXIMATE_DELETER, samples=1, seed=0, residual_stats=(),
+                ancilla_dependence=0.0,
             )
 
     @pytest.mark.parametrize("errors", [(), (0.0,), (0.0, 0.0, 0.0)])
     def test_one_ancilla_error_per_residual_sample(self, errors):
         with pytest.raises(ValueError):
             DeleterVerdict(
-                kind=DeleterKind.SWAP_LIKE, residual_stats=(0.0, 0.0), ancilla_dependence=0.0,
-                ancilla_errors=errors,
+                kind=DeleterKind.SWAP_LIKE, samples=2, seed=0, residual_stats=(0.0, 0.0),
+                ancilla_dependence=0.0, ancilla_errors=errors,
             )
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_one_residual_per_recorded_sample(self, samples):
+        with pytest.raises(ValueError, match="2 samples need as many residuals"):
+            DeleterVerdict(
+                kind=DeleterKind.SWAP_LIKE, samples=2, seed=0, residual_stats=(0.0,) * samples,
+                ancilla_dependence=0.0, ancilla_errors=(0.0,) * samples,
+            )
+
+    @pytest.mark.parametrize("rules_normalized", [True, False])
+    def test_verdict_records_its_sample_count_and_seed(self, rules_normalized):
+        matrix = swap_deleter(2).matrix.copy()
+        if not rules_normalized:
+            matrix[:, 0] *= 0.5
+        machine = BasisActionMachine((2, 2, 2), (2, 2, 2), matrix, strict=False)
+        verdict = classify_deleter(machine, samples=np.int64(7), seed=np.uint32(3))
+        assert (verdict.samples, verdict.seed) == (7, 3)
+        assert type(verdict.samples) is int and type(verdict.seed) is int
+        assert len(verdict.residual_stats) == (7 if rules_normalized else 0)
 
 
 class TestTwoCopyKernel:

@@ -119,6 +119,14 @@ class TestVerdictEmission:
         payload = json.loads(emit_report(verdict, "json"))
         assert payload["kind"] == "SwapLike"
 
+    def test_sample_count_and_seed_are_emitted(self):
+        verdict = classify_deleter(swap_deleter(2), samples=5, seed=2**40 + 1)
+        payload = json.loads(emit_report(verdict, "json"))
+        assert (payload["samples"], payload["seed"]) == (5, 2**40 + 1)
+        table = emit_report(verdict, "table").split("\n")
+        assert table[:3] == ["kind                SwapLike", "samples             5",
+                             f"seed                {2**40 + 1}"]
+
 
 def test_json_key_order_is_the_field_order_then_derived_properties():
     verdict = classify_deleter(swap_deleter(2), samples=5, seed=1)
@@ -134,7 +142,8 @@ def test_json_key_order_is_the_field_order_then_derived_properties():
         (signalling_distance(0.0, math.pi / 4),
          ["theta_1", "theta_2", "rho_with_deletion", "rho_without_deletion", "distance_with",
           "distance_without"]),
-        (verdict, ["kind", "residual_stats", "ancilla_dependence", "ancilla_errors"]),
+        (verdict, ["kind", "samples", "seed", "residual_stats", "ancilla_dependence",
+                   "ancilla_errors"]),
     ]
     for report, keys in expected:
         assert list(json.loads(emit_report(report, "json"))) == keys, type(report).__name__
@@ -155,8 +164,8 @@ class TestEmissionErrors:
 
     def test_nan_is_refused_not_emitted(self):
         verdict = DeleterVerdict(
-            kind=DeleterKind.SWAP_LIKE, residual_stats=(math.nan,), ancilla_dependence=0.0,
-            ancilla_errors=(0.0,),
+            kind=DeleterKind.SWAP_LIKE, samples=1, seed=0, residual_stats=(math.nan,),
+            ancilla_dependence=0.0, ancilla_errors=(0.0,),
         )
         with pytest.raises(ValueError):
             emit_report(verdict, "json")
