@@ -122,8 +122,8 @@ def quality_bound(alpha_sq: float, n: int, m: int) -> float:
 def _bound_values(xs: np.ndarray, n: int, m: int) -> np.ndarray:
     y = 1.0 - xs
     first = xs ** ((n + m) / 2) + y ** ((n + m) / 2)
-    f1 = np.clip(1.0 - (xs**n + y**n), 0.0, None)
-    f2 = np.clip(1.0 - (xs**m + y**m), 0.0, None)
+    f1 = np.maximum(1.0 - (xs**n + y**n), 0.0)
+    f2 = np.maximum(1.0 - (xs**m + y**m), 0.0)
     return first + np.sqrt(f1 * f2)
 
 

@@ -13,7 +13,9 @@ used only as cross-checks, never as the computation path.
 
 Bloch-sphere averages use Gauss-Legendre nodes in cos(theta) and the
 midpoint rule in phi; both are exact for the low-degree trigonometric
-integrands that appear here.
+integrands that appear here. The Gauss-Legendre rule is built once per grid
+size per process (numpy builds it from an n x n eigenproblem); the grid, the
+kernel pass and the averages are computed afresh on every call.
 """
 
 from __future__ import annotations
@@ -58,17 +60,32 @@ AVG_RETENTION_FIDELITY = 2.0 / 3.0
 _MIN_GRID = 8
 
 # Points per slice of `_batched_fidelities`. Measured on a 2-core host at
-# 1024/2048/4096/8192/16384 points: `_grid_averages(512, 512)` peaked at
-# 10.7/11.3/12.6/15.3/20.5 MB under tracemalloc (106.0 MB unsliced) and took
-# 66.8/61.2/59.8/59.0/59.7 ms (best of 15, interleaved in one process); the
-# perfbench `quadrature` workload peaked at 48.3/49.3/51.1/54.7/61.6 MB RSS.
-# 4096 is within 2% of the fastest at 3.6 MB less RSS than 8192.
+# 1024/2048/4096/8192/16384 points, with the Gauss-Legendre rule cached:
+# `_grid_averages(512, 512)` peaked at 10.7/11.3/12.6/15.3/20.5 MB under
+# tracemalloc (106.0 MB unsliced) and took 1.04-1.06/1.01-1.02/1/1.01-1.02/
+# 1.08 times as long as at 4096 (median of 60 interleaved rounds, in each of
+# two processes; 4096 itself 70-72 ms median); the perfbench `quadrature`
+# workload peaked at 48.1/49.0/50.7/53.9/60.0 MB RSS. 4096 is the fastest,
+# at 3.2 MB less RSS than 8192.
 _POINT_BLOCK = 4096
 
 
 @lru_cache(maxsize=1)
 def _machine():
     return conditional_deleter()
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Only the rule is kept: it is a constant of n, and building it solves an
+    n x n eigenproblem (26-35 ms at n = 512 on a 2-core host). A rule holds
+    16 n bytes.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def conditional_output(alpha: complex, beta: complex) -> Ket:
@@ -120,7 +137,7 @@ def _batched_fidelities(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarr
     f_b, f_a = np.empty(len(alphas)), np.empty(len(alphas))
     for start in range(0, len(alphas), _POINT_BLOCK):
         block = slice(start, start + _POINT_BLOCK)
-        psi = np.stack([alphas[block], betas[block]], axis=1).astype(complex)  # (b, 2)
+        psi = np.stack([alphas[block], betas[block]], axis=1).astype(complex, copy=False)  # (b, 2)
         out = _copies_output(_machine(), psi)  # (b, 2, 2, 3)
         kept = np.einsum("na,nabc->nbc", psi.conj(), out)
         # (b, 12) real and imaginary parts of the amplitudes each weight sums
@@ -139,7 +156,7 @@ def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
     """
     n_theta = _int_at_least(n_theta, _MIN_GRID, "n_theta")
     n_phi = _int_at_least(n_phi, _MIN_GRID, "n_phi")
-    u, w = np.polynomial.legendre.leggauss(n_theta)
+    u, w = _gauss_legendre(n_theta)
     phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
     alpha = np.sqrt((1.0 + u) / 2.0)[:, None] * np.ones_like(phi)[None, :]
     beta = np.sqrt((1.0 - u) / 2.0)[:, None] * np.exp(1j * phi)[None, :]

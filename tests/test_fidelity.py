@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from qdel.fidelity import (
     rho_ab,
     rho_b,
 )
-from qdel.fidelity import _POINT_BLOCK, _batched_fidelities, _grid_averages
+from qdel import fidelity
+from qdel.fidelity import _POINT_BLOCK, _batched_fidelities, _gauss_legendre, _grid_averages
 from qdel.hilbert import (
     basis_ket,
     ket,
@@ -236,6 +238,49 @@ class TestAverageFidelity:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             average_fidelity("c", 64, 64)
+
+    def test_grid_work_is_pinned(self, monkeypatch):
+        """One rule build per grid size, and every call sends its whole grid to the kernel."""
+        _gauss_legendre.cache_clear()
+        builds, points = Counter(), []
+        leggauss, batched = np.polynomial.legendre.leggauss, fidelity._batched_fidelities
+
+        def counted_leggauss(n):
+            builds[n] += 1
+            return leggauss(n)
+
+        def counted_batched(alphas, betas):
+            points.append(np.size(alphas))
+            return batched(alphas, betas)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
+        monkeypatch.setattr(fidelity, "_batched_fidelities", counted_batched)
+        for bad in (True, 16.0, 4):  # refused before a rule is built or cached
+            with pytest.raises(ValueError):
+                _grid_averages(bad, 16)
+        assert _gauss_legendre.cache_info().currsize == 0
+        for _ in range(3):
+            for n_theta, n_phi in ((16, 24), (32, 8)):
+                points.clear()
+                _grid_averages(n_theta, n_phi)
+                assert points == [n_theta * n_phi]
+                points.clear()
+                fidelity_report(0.3, n_theta=n_theta, n_phi=n_phi)
+                assert points == [1, n_theta * n_phi]  # the point, then the grid
+        assert builds == {16: 1, 32: 1}
+
+    def test_cached_rule_is_numpy_rule_read_only(self):
+        _gauss_legendre.cache_clear()
+        for n in (8, 64, 512):
+            cold = _grid_averages(n, n)
+            nodes, weights = _gauss_legendre(n)
+            fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(n)
+            assert nodes.tobytes() == fresh_nodes.tobytes()
+            assert weights.tobytes() == fresh_weights.tobytes()
+            for array in (nodes, weights):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+            assert _grid_averages(n, n) == cold
 
 
 class TestFidelityReport:
