@@ -141,7 +141,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--average", action="store_true", default=None,
                    help="average over a 256x256 grid instead of 64x64; no effect with --grid")
     p.add_argument("--grid", type=_parse_grid, default=None, metavar="AxB",
-                   help="quadrature grid, e.g. 256x256")
+                   help="quadrature grid, e.g. 256x256; at most 2^28 points")
     p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N",
                    help="emit CSV of (alpha_sq, f_a, f_b) over an N-point sweep")
 

@@ -15,7 +15,11 @@ Bloch-sphere averages use Gauss-Legendre nodes in cos(theta) and the
 midpoint rule in phi; both are exact for the low-degree trigonometric
 integrands that appear here. The Gauss-Legendre rule is built once per grid
 size per process (numpy builds it from an n x n eigenproblem); the grid, the
-kernel pass and the averages are computed afresh on every call.
+kernel pass and the averages are computed afresh on every call. The grid is
+never held whole: it is built and sent through the kernel in bands of theta
+rows, about `_POINT_BLOCK` points each, and only the per-row phi means are
+kept, so a grid's memory does not grow with its size. A grid above
+`_MAX_GRID_POINTS` points is refused.
 """
 
 from __future__ import annotations
@@ -59,15 +63,20 @@ AVG_RETENTION_FIDELITY = 2.0 / 3.0
 
 _MIN_GRID = 8
 
-# Points per slice of `_batched_fidelities`. Measured on a 2-core host at
-# 1024/2048/4096/8192/16384 points, with the Gauss-Legendre rule cached:
-# `_grid_averages(512, 512)` peaked at 10.7/11.3/12.6/15.3/20.5 MB under
-# tracemalloc (106.0 MB unsliced) and took 1.04-1.06/1.01-1.02/1/1.01-1.02/
-# 1.08 times as long as at 4096 (median of 60 interleaved rounds, in each of
-# two processes; 4096 itself 70-72 ms median); the perfbench `quadrature`
-# workload peaked at 48.1/49.0/50.7/53.9/60.0 MB RSS. 4096 is the fastest,
-# at 3.2 MB less RSS than 8192.
+# Points per slice of `_batched_fidelities`, and so per theta-row band of
+# `_grid_averages`. Measured on a 2-core host at 1024/2048/4096/8192/16384
+# points: `_grid_averages(512, 512)` peaked at 0.5/1.0/1.9/3.7/7.4 MB under
+# tracemalloc and took 1.24-1.26/1.07-1.12/1/0.97/1.97-2.00 times as long as
+# at 4096 (median of 60 interleaved rounds, in each of two processes; 4096
+# itself 50-54 ms median); the perfbench `quadrature` workload peaked at
+# 41.0/41.0/41.0/41.8/46.0 MB RSS. 8192 is 3% faster at 0.8 MB more RSS;
+# 4096 is kept.
 _POINT_BLOCK = 4096
+
+# Largest grid `_grid_averages` accepts, 268,435,456 points: about a minute
+# of kernel time on a 2-core host. The grid is streamed, so a larger one would
+# not fail to allocate; it would run for hours instead.
+_MAX_GRID_POINTS = 2**28
 
 
 @lru_cache(maxsize=1)
@@ -149,22 +158,35 @@ def _batched_fidelities(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarr
 
 
 def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
-    """Bloch-sphere averages (of F_b, of F_a) from one evaluation of the full 2-D grid.
+    """Bloch-sphere averages (of F_b, of F_a) over an n_theta x n_phi grid.
 
     Normalized measure sin(theta) dtheta dphi / 4 pi; Gauss-Legendre in
-    cos(theta), midpoint in phi.
+    cos(theta), midpoint in phi. The grid goes through the kernel in bands of
+    whole theta rows, about _POINT_BLOCK points each, so only one band and the
+    (n_theta,) row means are held; each row's phi mean is still one np.mean
+    over that row's values. A grid above _MAX_GRID_POINTS is refused before
+    the rule is built.
     """
     n_theta = _int_at_least(n_theta, _MIN_GRID, "n_theta")
     n_phi = _int_at_least(n_phi, _MIN_GRID, "n_phi")
+    if n_theta * n_phi > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid {n_theta}x{n_phi} has {n_theta * n_phi:,} points,"
+            f" above the limit of {_MAX_GRID_POINTS:,}"
+        )
     u, w = _gauss_legendre(n_theta)
     phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
-    alpha = np.sqrt((1.0 + u) / 2.0)[:, None] * np.ones_like(phi)[None, :]
-    beta = np.sqrt((1.0 - u) / 2.0)[:, None] * np.exp(1j * phi)[None, :]
-    f_b, f_a = _batched_fidelities(alpha.ravel(), beta.ravel())
+    ones, phase = np.ones_like(phi)[None, :], np.exp(1j * phi)[None, :]
+    row_means = np.empty((2, n_theta))
+    rows = max(1, _POINT_BLOCK // n_phi)
+    for start in range(0, n_theta, rows):
+        band = slice(start, start + rows)
+        alpha = np.sqrt((1.0 + u[band]) / 2.0)[:, None] * ones
+        beta = np.sqrt((1.0 - u[band]) / 2.0)[:, None] * phase
+        for means, f in zip(row_means, _batched_fidelities(alpha, beta)):
+            means[band] = np.mean(f.reshape(alpha.shape), axis=1)
     # weights sum to 2 over u in [-1, 1]; phi average is a plain mean
-    avg_b, avg_a = (
-        float(np.sum(w * np.mean(f.reshape(n_theta, n_phi), axis=1)) / 2.0) for f in (f_b, f_a)
-    )
+    avg_b, avg_a = (float(np.sum(w * means) / 2.0) for means in row_means)
     return avg_b, avg_a
 
 

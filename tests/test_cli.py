@@ -101,6 +101,14 @@ class TestFidelity:
         assert code == 3 and out == ""
         assert err == "error: Unable to allocate 7.28 TiB for an array\n"
 
+    def test_grid_over_the_point_limit_is_a_numeric_error(self, capsys):
+        # refused before the grid is built, where streaming it would run for hours
+        code, out, err = run(capsys, "fidelity", "--alpha-sq", "0.3", "--grid", "512x100000000")
+        assert code == 3 and out == ""
+        assert err == (
+            "error: grid 512x100000000 has 51,200,000,000 points, above the limit of 268,435,456\n"
+        )
+
 
 class TestNogo:
     def test_overlap_report(self, capsys):

@@ -51,6 +51,18 @@ def projector(amplitudes) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def whole_grid_averages(n_theta, n_phi):
+    """The grid averages from the whole n_theta x n_phi grid at once: the banded path's oracle."""
+    u, w = np.polynomial.legendre.leggauss(n_theta)
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
+    alpha = np.sqrt((1.0 + u) / 2.0)[:, None] * np.ones_like(phi)[None, :]
+    beta = np.sqrt((1.0 - u) / 2.0)[:, None] * np.exp(1j * phi)[None, :]
+    f_b, f_a = _batched_fidelities(alpha.ravel(), beta.ravel())
+    return tuple(
+        float(np.sum(w * np.mean(f.reshape(n_theta, n_phi), axis=1)) / 2.0) for f in (f_b, f_a)
+    )
+
+
 class TestConditionalOutput:
     def test_pole_state(self):
         out = conditional_output(1.0, 0.0)
@@ -200,9 +212,9 @@ class TestAverageFidelity:
         gap = average_fidelity("b", 128, 128) - average_fidelity("a", 128, 128)
         assert gap == pytest.approx(1.0 / 6.0, abs=1e-14)
 
-    def test_grid_average_memory_stays_below_40_mb(self):
-        # the kernel walks the 262,144 points in slices, so only the grid
-        # coordinates and the two result arrays are whole (about 13 MB)
+    def test_grid_average_memory_stays_below_4_mb(self):
+        # the grid goes through the kernel in theta-row bands of one slice,
+        # so only a band and the row means are held (about 1.9 MB)
         _grid_averages(512, 512)
         tracemalloc.start()
         try:
@@ -210,7 +222,14 @@ class TestAverageFidelity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert peak < 4 * 2**20
+
+    # (513, 511): n_phi does not divide the slice; (100, 4097): a row is longer than one
+    @pytest.mark.parametrize("grid", [(8, 8), (9, 13), (513, 511), (100, 4097), (512, 512)])
+    def test_banded_grid_is_bit_identical_to_the_whole_grid(self, grid):
+        expected = whole_grid_averages(*grid)
+        assert _grid_averages(*grid) == expected
+        assert (average_fidelity("b", *grid), average_fidelity("a", *grid)) == expected
 
     def test_error_does_not_grow_as_grid_doubles(self):
         # the integrands are quadratic in cos(theta), so the quadrature is
@@ -258,7 +277,16 @@ class TestAverageFidelity:
         for bad in (True, 16.0, 4):  # refused before a rule is built or cached
             with pytest.raises(ValueError):
                 _grid_averages(bad, 16)
-        assert _gauss_legendre.cache_info().currsize == 0
+        # over the point limit: refused before a rule is built or a point is sent
+        with pytest.raises(ValueError, match="51,200,000,000 points"):
+            _grid_averages(512, 100_000_000)
+        limit = fidelity._MAX_GRID_POINTS
+        monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", 16 * 24)
+        with pytest.raises(ValueError, match="16x25 has 400 points, above the limit of 384"):
+            _grid_averages(16, 25)
+        assert _gauss_legendre.cache_info().currsize == 0 and points == []
+        _grid_averages(16, 24)  # the limit itself is accepted
+        monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", limit)
         for _ in range(3):
             for n_theta, n_phi in ((16, 24), (32, 8)):
                 points.clear()
@@ -267,7 +295,13 @@ class TestAverageFidelity:
                 points.clear()
                 fidelity_report(0.3, n_theta=n_theta, n_phi=n_phi)
                 assert points == [1, n_theta * n_phi]  # the point, then the grid
-        assert builds == {16: 1, 32: 1}
+        # larger grids go in bands of whole theta rows, one kernel slice or one row each
+        bands = {(512, 512): [_POINT_BLOCK] * 64, (100, 4097): [4097] * 100}
+        for (n_theta, n_phi), expected in bands.items():
+            points.clear()
+            _grid_averages(n_theta, n_phi)
+            assert points == expected and sum(points) == n_theta * n_phi
+        assert builds == {16: 1, 32: 1, 512: 1, 100: 1}
 
     def test_cached_rule_is_numpy_rule_read_only(self):
         _gauss_legendre.cache_clear()
