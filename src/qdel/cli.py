@@ -1,7 +1,8 @@
 """Command-line interface: every analysis as a subcommand with stable output.
 
-Exit codes: 0 success, 2 flag/usage error, 3 numeric error during computation
-(an allocation numpy refuses included).
+Outside --sweep, a subcommand emits the report of one analysis, which owns its
+thresholds. Exit codes: 0 success, 2 flag/usage error, 3 numeric error during
+computation (an allocation numpy refuses and a machine file nested too deeply included).
 Angles are radians by default; append ``deg`` for degrees (``--theta1 45deg``).
 argparse reads a value such as ``-45deg`` or ``-1e-3`` as an option, so a
 negative angle with ``deg`` or an exponent is written ``--theta1=-45deg``.
@@ -20,15 +21,10 @@ import numpy as np
 from . import __version__
 from .deletion import optimal_quality
 from .fidelity import _MIN_GRID, _batched_fidelities, fidelity_report
-from .hilbert import Ket, _half_trace_norms, basis_ket, bloch_ket, ket, tensor
-from .machines import (
-    apply as apply_machine,
-    check_isometry,
-    deletion_residual,
-    machine_from_json,
-    qudit_pair_deleter,
-)
-from .nogo import _sweep_max_residuals, gram_preservation_check, overlap_constraints
+from .hilbert import Ket, _half_trace_norms, basis_ket, bloch_ket, ket
+# apply stays bound as apply_machine: perfbench's span test checks that this binding is wrapped
+from .machines import apply as apply_machine, delete_demo_report, machine_from_json  # noqa: F401
+from .nogo import _sweep_max_residuals, overlap_constraints, verify_report
 from .reports import RunManifest, _csv, emit_report
 from .signalling import _deletion_mixtures, signalling_distance
 
@@ -141,7 +137,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--average", action="store_true", default=None,
                    help="average over a 256x256 grid instead of 64x64; no effect with --grid")
     p.add_argument("--grid", type=_parse_grid, default=None, metavar="AxB",
-                   help="quadrature grid, e.g. 256x256; at most 2^28 points")
+                   help="quadrature grid, e.g. 256x256; at most 4096 theta rows, 2^28 points")
     p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N",
                    help="emit CSV of (alpha_sq, f_a, f_b) over an N-point sweep")
 
@@ -226,38 +222,17 @@ def _run_signal(args) -> str:
 
 
 def _run_delete_demo(args) -> str:
-    machine = qudit_pair_deleter(args.dim)
-    x = args.alpha_sq
-    amps = np.zeros(args.dim, dtype=complex)
-    amps[0] = math.sqrt(x)
-    amps[1] = math.sqrt(1.0 - x)
-    psi = ket(amps, [args.dim])
-    residual = deletion_residual(machine, psi)
-    out_norm = apply_machine(machine, tensor(psi, psi)).norm()
-    payload = {
-        "dim": args.dim,
-        "alpha_sq": x,
-        "residual": residual,
-        "output_norm": out_norm,
-        "deletes_exactly": residual <= 1e-12,
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return emit_report(delete_demo_report(args.dim, args.alpha_sq), "json")
 
 
 def _run_verify(args) -> str:
-    with open(args.machine, "r", encoding="utf-8") as fh:
-        machine = machine_from_json(json.load(fh), strict=False)
-    deviation = check_isometry(machine)
-    payload = {
-        "is_isometry": deviation <= args.tol,
-        "max_gram_deviation": deviation,
-        "rules_normalized": machine.rule_norms_ok(1e-9),
-        "max_gram_residual": None,
-    }
-    if args.alphabet:
-        alphabet = _alphabet_kets(args.alphabet, machine.input_dims[0])
-        payload["max_gram_residual"] = gram_preservation_check(machine, alphabet)
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    try:
+        with open(args.machine, "r", encoding="utf-8") as fh:
+            machine = machine_from_json(json.load(fh), strict=False)
+    except RecursionError:  # json's decoder recurses once per level of nesting
+        raise ValueError(f"{args.machine}: JSON nested too deeply to read") from None
+    alphabet = args.alphabet and _alphabet_kets(args.alphabet, machine.input_dims[0])
+    return emit_report(verify_report(machine, args.tol, alphabet), "json")
 
 
 _RUNNERS = {

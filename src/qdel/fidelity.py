@@ -19,7 +19,7 @@ kernel pass and the averages are computed afresh on every call. The grid is
 never held whole: it is built and sent through the kernel in bands of theta
 rows, about `_POINT_BLOCK` points each, and only the per-row phi means are
 kept, so a grid's memory does not grow with its size. A grid above
-`_MAX_GRID_POINTS` points is refused.
+`_MAX_GRID_POINTS` points, or above `_MAX_THETA_ROWS` theta rows, is refused.
 """
 
 from __future__ import annotations
@@ -77,6 +77,12 @@ _POINT_BLOCK = 4096
 # of kernel time on a 2-core host. The grid is streamed, so a larger one would
 # not fail to allocate; it would run for hours instead.
 _MAX_GRID_POINTS = 2**28
+
+# Most theta rows `_grid_averages` accepts. numpy's n-point Gauss-Legendre rule
+# solves a dense n x n eigenproblem, so its cost grows as n^3 in n_theta
+# alone: 0.03/0.15/1.0/7.9 s at 512/1024/2048/4096 rows (one BLAS thread,
+# 2-core host), and 8 n^2 bytes, 3.2 GB at 20,000 rows.
+_MAX_THETA_ROWS = 4096
 
 
 @lru_cache(maxsize=1)
@@ -164,8 +170,8 @@ def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
     cos(theta), midpoint in phi. The grid goes through the kernel in bands of
     whole theta rows, about _POINT_BLOCK points each, so only one band and the
     (n_theta,) row means are held; each row's phi mean is still one np.mean
-    over that row's values. A grid above _MAX_GRID_POINTS is refused before
-    the rule is built.
+    over that row's values. A grid above _MAX_GRID_POINTS points or
+    _MAX_THETA_ROWS theta rows is refused before the rule is built.
     """
     n_theta = _int_at_least(n_theta, _MIN_GRID, "n_theta")
     n_phi = _int_at_least(n_phi, _MIN_GRID, "n_phi")
@@ -173,6 +179,11 @@ def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
         raise ValueError(
             f"grid {n_theta}x{n_phi} has {n_theta * n_phi:,} points,"
             f" above the limit of {_MAX_GRID_POINTS:,}"
+        )
+    if n_theta > _MAX_THETA_ROWS:
+        raise ValueError(
+            f"grid {n_theta}x{n_phi} has {n_theta:,} theta rows, above the limit of"
+            f" {_MAX_THETA_ROWS:,}"
         )
     u, w = _gauss_legendre(n_theta)
     phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)

@@ -28,6 +28,7 @@ from .hilbert import (
     _half_trace_norms,
     _int_at_least,
     complex_pair,
+    tensor,
 )
 
 __all__ = [
@@ -41,6 +42,8 @@ __all__ = [
     "conditional_deleter",
     "swap_deleter",
     "deletion_residual",
+    "DeleteDemoReport",
+    "delete_demo_report",
     "classify_deleter",
     "machine_to_json",
     "machine_from_json",
@@ -269,6 +272,43 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     return float(_residuals(_copies_output(machine, psis), psis)[0])
 
 
+@dataclass(frozen=True)
+class DeleteDemoReport:
+    """The linearity obstruction at one input.
+
+    `qudit_pair_deleter(dim)` is fed two copies of sqrt(alpha_sq)|0> +
+    sqrt(1 - alpha_sq)|1>. residual is `deletion_residual` there and
+    output_norm the norm of the machine's output; `deletes_exactly` holds for
+    a residual of at most 1e-12, as at the basis states alpha_sq = 0 and 1.
+    """
+
+    dim: int
+    alpha_sq: float
+    residual: float
+    output_norm: float
+
+    @property
+    def deletes_exactly(self) -> bool:
+        return self.residual <= 1e-12
+
+
+def delete_demo_report(dim: int, alpha_sq: float) -> DeleteDemoReport:
+    """Run the pair deleter on two copies of the input `DeleteDemoReport` describes.
+
+    `dim` is at least 2 and `alpha_sq` lies in [0, 1]; anything else is a ValueError.
+    """
+    x = float(alpha_sq)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"alpha_sq must lie in [0, 1], got {x}")
+    machine = qudit_pair_deleter(dim)
+    amps = np.zeros(dim, dtype=complex)
+    amps[0] = math.sqrt(x)
+    amps[1] = math.sqrt(1.0 - x)
+    psi = Ket((dim,), amps)
+    residual = deletion_residual(machine, psi)
+    return DeleteDemoReport(dim, x, residual, apply(machine, tensor(psi, psi)).norm())
+
+
 # Candidate pairs per chunk of the pairwise scan. On the audit benchmark's jobs
 # (seed 13, 30 passes, one thread, 2-core host) chunks of 128/256/512/1024
 # candidates and one unchunked stack peaked at 38.0/38.15/38.3/38.6/39.9 MB RSS,
@@ -476,6 +516,8 @@ def machine_from_json(obj: Mapping, strict: bool = True) -> BasisActionMachine:
     if not isinstance(rules, list):
         raise ShapeError(f"rules is a list of objects, got {type(rules).__name__}")
     n_in, n_out = math.prod(input_dims), math.prod(output_dims)
+    if len(rules) != n_in:  # before anything of size n_in is built
+        raise ShapeError(f"rules must number {n_in}, one per in_index, got {len(rules)}")
     rows = [(_member(r, "in_index", f"rules[{n}]"), _member(r, "out_amplitudes", f"rules[{n}]"))
             for n, r in enumerate(rules)]
     try:

@@ -11,20 +11,21 @@ of the four declared transformations
 s = <psi1|psi2>; they hold simultaneously only in the trivial case
 psi1 = psi2 = sigma. This module evaluates the conditions numerically for
 concrete states and sweeps them over the overlap range, and provides a
-Gram-matrix preservation check for arbitrary machines and alphabets.
+Gram-matrix preservation check for arbitrary machines and alphabets, which
+`verify_report` joins with the isometry check of a user's machine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidStateError, ShapeError
 from .hilbert import ALGEBRAIC_TOL, Ket, _int_at_least, basis_ket, inner, ket, tensor
-from .machines import BasisActionMachine, _copies_output
+from .machines import BasisActionMachine, _copies_output, check_isometry
 
 __all__ = [
     "Constraint",
@@ -33,6 +34,8 @@ __all__ = [
     "overlap_constraints",
     "sweep_overlap",
     "gram_preservation_check",
+    "VerifyReport",
+    "verify_report",
     "ideal_deletion_map",
 ]
 
@@ -174,6 +177,43 @@ def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> fl
     pairs = np.triu_indices(len(alphabet), 1)
     worst = np.max(np.abs(gram_in - gram_out)[pairs], initial=0.0)
     return float(worst)
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """A machine checked against the unitarity argument.
+
+    is_isometry: max_gram_deviation is within the tolerance `verify_report`
+        was given. max_gram_deviation: `check_isometry`, max |G - I| over the
+        Gram matrix of the rule images.
+    rules_normalized: every rule image has squared norm 1 within 1e-9.
+    max_gram_residual: `gram_preservation_check` over the alphabet; None
+        when no alphabet was given.
+    """
+
+    is_isometry: bool
+    max_gram_deviation: float
+    rules_normalized: bool
+    max_gram_residual: Optional[float]
+
+
+def verify_report(
+    machine: BasisActionMachine, tol: float, alphabet: Optional[Sequence[Ket]] = None
+) -> VerifyReport:
+    """The `VerifyReport` of a machine, its isometry judged within `tol`.
+
+    `tol` is positive and finite, else a ValueError. Without an alphabet
+    `max_gram_residual` is None.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    deviation = check_isometry(machine)
+    return VerifyReport(
+        is_isometry=deviation <= tol,
+        max_gram_deviation=deviation,
+        rules_normalized=machine.rule_norms_ok(1e-9),
+        max_gram_residual=None if alphabet is None else gram_preservation_check(machine, alphabet),
+    )
 
 
 def ideal_deletion_map(alphabet: Sequence[Ket], sigma: Ket) -> Callable[[Ket], Ket]:

@@ -1,12 +1,12 @@
 """Report serialization, per-operation sub-seeds and the CLI run manifest.
 
 JSON is the primary machine-readable format: complex numbers are emitted as
-[re, im] pairs and matrices as nested row-major arrays. Floats are rendered
-with Python's shortest round-trip repr so that serialize -> parse -> compare
-is exact and two identical runs emit byte-identical output. A report's JSON
-object is its dataclass fields in declaration order, then the derived
-properties `_KEYS` names. Every CSV, a report's or a CLI sweep's, comes
-from `_csv`.
+[re, im] pairs, matrices as nested row-major arrays and None as null. Floats
+are rendered with Python's shortest round-trip repr so that serialize ->
+parse -> compare is exact and two identical runs emit byte-identical output.
+A report's JSON object is its dataclass fields in declaration order, then
+the derived properties `_KEYS` names. Every CSV, a report's or a CLI
+sweep's, comes from `_csv`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .deletion import QualityReport
 from .errors import UnsupportedFormatError
 from .fidelity import FidelityReport
 from .hilbert import DensityMatrix, complex_pair, density_to_json
-from .machines import DeleterVerdict
-from .nogo import Constraint, ConstraintReport
+from .machines import DeleteDemoReport, DeleterVerdict
+from .nogo import Constraint, ConstraintReport, VerifyReport
 from .signalling import SignallingReport
 
 __all__ = [
@@ -36,7 +36,10 @@ __all__ = [
 ]
 
 _FORMATS = ("json", "csv", "table")
-_REPORTS = (QualityReport, FidelityReport, ConstraintReport, SignallingReport, DeleterVerdict)
+_REPORTS = (
+    QualityReport, FidelityReport, ConstraintReport, SignallingReport, DeleterVerdict,
+    DeleteDemoReport, VerifyReport,
+)
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,11 @@ def sub_seed(seed: int, module: str, operation: str) -> int:
 _KEYS = {cls: tuple(f.name for f in fields(cls)) for cls in (*_REPORTS, Constraint)}
 _KEYS[Constraint] += ("residual",)
 _KEYS[ConstraintReport] += ("satisfiable", "trivial_only", "max_residual")
+_KEYS[DeleteDemoReport] += ("deletes_exactly",)
 
 
 def _encode(value):
-    if isinstance(value, (int, float, str)):  # bool is an int, numpy's float64 a float
+    if value is None or isinstance(value, (int, float, str)):  # bool is an int, float64 a float
         return value
     if isinstance(value, complex):
         return complex_pair(value)
@@ -123,9 +127,7 @@ def _csv_report(report) -> str:
     if isinstance(report, DeleterVerdict):
         return _csv("sample,residual,ancilla_error", range(len(report.residual_stats)),
                     report.residual_stats, report.ancilla_errors)
-    raise UnsupportedFormatError(
-        f"{type(report).__name__} is matrix-valued and has no CSV rendering"
-    )
+    raise UnsupportedFormatError(f"{type(report).__name__} has no CSV rendering")
 
 
 def _table_lines(payload: dict) -> list[str]:

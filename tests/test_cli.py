@@ -14,8 +14,20 @@ from qdel import cli
 from qdel.cli import main
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.fidelity import point_fidelities
-from qdel.machines import machine_from_json, machine_to_json, qudit_pair_deleter, swap_deleter
-from qdel.nogo import _conditions
+from qdel.hilbert import ket, tensor
+from qdel.machines import (
+    BasisActionMachine,
+    apply,
+    check_isometry,
+    conditional_deleter,
+    deletion_residual,
+    machine_from_json,
+    machine_to_json,
+    qudit_pair_deleter,
+    swap_deleter,
+)
+from qdel.nogo import _conditions, gram_preservation_check
+from qdel.reports import emit_report
 
 
 def run(capsys, *argv):
@@ -100,6 +112,12 @@ class TestFidelity:
         code, out, err = run(capsys, "fidelity", "--alpha-sq", "0.3", "--grid", "1000000x8")
         assert code == 3 and out == ""
         assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+    def test_grid_over_the_theta_row_limit_is_a_numeric_error(self, capsys):
+        # under the point limit, but its rule alone would be a 4097 x 4097 eigenproblem
+        code, out, err = run(capsys, "fidelity", "--alpha-sq", "0.3", "--grid", "4097x8")
+        assert code == 3 and out == ""
+        assert err == "error: grid 4097x8 has 4,097 theta rows, above the limit of 4,096\n"
 
     def test_grid_over_the_point_limit_is_a_numeric_error(self, capsys):
         # refused before the grid is built, where streaming it would run for hours
@@ -233,6 +251,13 @@ class TestVerify:
         path = self.write_machine(tmp_path, swap_deleter(3))
         code, out, _ = run(capsys, "verify", "--machine", path, "--alphabet", "0,1,2")
         assert code == 0 and json.loads(out)["max_gram_residual"] == 0.0
+
+    def test_deeply_nested_file_is_a_numeric_error(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, "verify", "--machine", str(path))
+        assert code == 3 and out == ""
+        assert err == f"error: {path}: JSON nested too deeply to read\n"
 
     def test_nan_amplitude_is_a_numeric_error(self, capsys, tmp_path):
         payload = machine_to_json(swap_deleter(2))
@@ -479,3 +504,109 @@ def test_one_parser_serves_every_call(capsys):
             code = exc.code
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == run_fresh(*argv), argv
+
+
+def hand_built_delete_demo(dim: int, x: float) -> str:
+    """delete-demo's JSON as the CLI once assembled it, field by field."""
+    machine = qudit_pair_deleter(dim)
+    amps = np.zeros(dim, dtype=complex)
+    amps[0] = math.sqrt(x)
+    amps[1] = math.sqrt(1.0 - x)
+    psi = ket(amps, [dim])
+    residual = deletion_residual(machine, psi)
+    out_norm = apply(machine, tensor(psi, psi)).norm()
+    payload = {
+        "dim": dim,
+        "alpha_sq": x,
+        "residual": residual,
+        "output_norm": out_norm,
+        "deletes_exactly": residual <= 1e-12,
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def hand_built_verify(machine, tol: float, alphabet) -> str:
+    """verify's JSON as the CLI once assembled it, field by field."""
+    deviation = check_isometry(machine)
+    payload = {
+        "is_isometry": deviation <= tol,
+        "max_gram_deviation": deviation,
+        "rules_normalized": machine.rule_norms_ok(1e-9),
+        "max_gram_residual": None,
+    }
+    if alphabet:
+        payload["max_gram_residual"] = gram_preservation_check(machine, alphabet)
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])  # --dim 64 builds a 4096 x 4096 matrix: 1.4 s each
+@pytest.mark.parametrize("alpha_sq", ["0", "0.3", "0.5", "1.0", "0.123456789"])
+def test_delete_demo_bytes_are_the_hand_built_json(capsys, dim, alpha_sq):
+    code, out, err = run(capsys, "delete-demo", "--dim", str(dim), "--alpha-sq", alpha_sq)
+    assert (code, err) == (0, "")
+    assert out == hand_built_delete_demo(dim, float(alpha_sq))
+
+
+def qr_machine() -> BasisActionMachine:
+    """A [2, 2] unitary from QR, whose Gram deviation is a few ulp, not 0."""
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)) + 0j)
+    return BasisActionMachine((2, 2), (2, 2), q)
+
+
+@pytest.mark.parametrize("machine", [swap_deleter(2), conditional_deleter(), qudit_pair_deleter(2),
+                                     qr_machine()], ids=["swap2", "conditional", "pair2", "qr"])
+@pytest.mark.parametrize("tol", [None, "1e-20"])
+@pytest.mark.parametrize("alphabet", [None, "0,1,+,-,bloch:0.3:1.2"])
+def test_verify_bytes_are_the_hand_built_json(capsys, tmp_path, machine, tol, alphabet):
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(machine_to_json(machine)))
+    argv = ["verify", "--machine", str(path)]
+    argv += [] if tol is None else ["--tol", tol]
+    argv += [] if alphabet is None else ["--alphabet", alphabet]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    loaded = machine_from_json(json.loads(path.read_text()), strict=False)
+    kets = alphabet and cli._alphabet_kets(cli._parse_alphabet(alphabet), 2)
+    assert out == hand_built_verify(loaded, 1e-10 if tol is None else float(tol), kets)
+
+
+def test_tol_flips_is_isometry_and_no_alphabet_is_null(capsys, tmp_path):
+    """The byte cases above include an is_isometry that --tol flips and a null residual."""
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(machine_to_json(qr_machine())))
+    loose = json.loads(run(capsys, "verify", "--machine", str(path))[1])
+    strict = json.loads(run(capsys, "verify", "--machine", str(path), "--tol", "1e-20")[1])
+    assert loose["is_isometry"] is True and strict["is_isometry"] is False
+    assert loose["max_gram_residual"] is None and 0.0 < loose["max_gram_deviation"] < 1e-14
+
+
+EMITTING = [
+    ["quality", "--n", "3", "--m", "2"],
+    ["fidelity", "--grid", "8x8"],
+    ["nogo", "--overlap", "0.5"],
+    ["signal", "--format", "table"],
+    ["delete-demo", "--dim", "3", "--alpha-sq", "0.3"],
+    ["verify", "--alphabet", "0,1,+"],
+]
+
+
+def test_every_subcommand_is_covered_by_the_emission_spy():
+    assert [argv[0] for argv in EMITTING] == list(cli._RUNNERS)
+
+
+@pytest.mark.parametrize("argv", EMITTING, ids=lambda argv: argv[0])
+def test_every_report_reaches_stdout_through_emit_report(capsys, monkeypatch, tmp_path, argv):
+    """Outside --sweep, stdout is exactly one emit_report result: no hand-built path."""
+    if argv[0] == "verify":
+        path = tmp_path / "machine.json"
+        path.write_text(json.dumps(machine_to_json(swap_deleter(2))))
+        argv = [*argv, "--machine", str(path)]
+    emitted = []
+
+    def spy(report, format="json"):
+        emitted.append(emit_report(report, format))
+        return emitted[-1]
+
+    monkeypatch.setattr(cli, "emit_report", spy)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and emitted == [out]

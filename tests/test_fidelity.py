@@ -284,9 +284,22 @@ class TestAverageFidelity:
         monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", 16 * 24)
         with pytest.raises(ValueError, match="16x25 has 400 points, above the limit of 384"):
             _grid_averages(16, 25)
-        assert _gauss_legendre.cache_info().currsize == 0 and points == []
-        _grid_averages(16, 24)  # the limit itself is accepted
         monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", limit)
+        # over the theta-row limit: refused before its n x n rule is built
+        rows = fidelity._MAX_THETA_ROWS
+        monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", 16)
+        with pytest.raises(ValueError, match="17x8 has 17 theta rows, above the limit of 16"):
+            _grid_averages(17, 8)
+        monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", rows)
+        message = "grid 4097x8 has 4,097 theta rows, above the limit of 4,096$"
+        with pytest.raises(ValueError, match=message):
+            _grid_averages(4097, 8)
+        assert _gauss_legendre.cache_info().currsize == 0 and points == [] and builds == {}
+        monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", 16 * 24)
+        monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", 16)
+        _grid_averages(16, 24)  # both limits themselves are accepted
+        monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", limit)
+        monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", rows)
         for _ in range(3):
             for n_theta, n_phi in ((16, 24), (32, 8)):
                 points.clear()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qdel.machines import (
     check_isometry,
     classify_deleter,
     conditional_deleter,
+    delete_demo_report,
     deletion_residual,
     machine_from_json,
     machine_to_json,
@@ -166,6 +168,24 @@ class TestQuditPairDeleter:
     def test_basis_states_delete_exactly(self):
         assert deletion_residual(qudit_pair_deleter(2), basis_ket([2], 0)) < 1e-12
         assert deletion_residual(qudit_pair_deleter(2), basis_ket([2], 1)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_demo_report_deletes_exactly_only_on_basis_states(self, dim):
+        for x in (0.0, 1.0):
+            report = delete_demo_report(dim, x)
+            assert report.deletes_exactly and report.residual <= 1e-12
+            assert report.output_norm == pytest.approx(1.0, abs=1e-15)
+        report = delete_demo_report(dim, 0.5)
+        psi = ket([math.sqrt(0.5)] * 2 + [0.0] * (dim - 2), [dim])
+        assert not report.deletes_exactly
+        assert (report.dim, report.alpha_sq) == (dim, 0.5)
+        assert report.residual == deletion_residual(qudit_pair_deleter(dim), psi)
+        assert report.output_norm == apply(qudit_pair_deleter(dim), tensor(psi, psi)).norm()
+
+    @pytest.mark.parametrize("dim, alpha_sq", [(2, 1.5), (2, -0.1), (2, math.nan), (1, 0.5)])
+    def test_demo_report_refuses_what_has_no_input(self, dim, alpha_sq):
+        with pytest.raises(ValueError):
+            delete_demo_report(dim, alpha_sq)
 
 
 class TestConditionalDeleter:
@@ -477,6 +497,18 @@ class TestMachineJson:
         payload["rules"] = payload["rules"][:-1]
         with pytest.raises(ShapeError):
             machine_from_json(payload)
+
+    def test_wrong_rule_count_is_refused_before_anything_input_sized_is_built(self):
+        # 2^20 input basis states and no rule: a list of 2^20 indices alone is 40 MB
+        payload = {"input_dims": [2] * 20, "output_dims": [2], "rules": []}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match="rules must number 1048576, .* got 0$"):
+                machine_from_json(payload, strict=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_non_strict_load_keeps_bad_rules(self):
         payload = machine_to_json(swap_deleter(2))

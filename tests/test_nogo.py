@@ -8,13 +8,20 @@ from hypothesis.extra.numpy import arrays
 from qdel.cli import main
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.hilbert import Ket, basis_ket, bloch_ket, haar_qubit, inner, ket
-from qdel.machines import BasisActionMachine, conditional_deleter, swap_deleter
+from qdel.machines import (
+    BasisActionMachine,
+    check_isometry,
+    conditional_deleter,
+    qudit_pair_deleter,
+    swap_deleter,
+)
 from qdel.nogo import (
     _sweep_max_residuals,
     gram_preservation_check,
     ideal_deletion_map,
     nonorthogonal_constraints,
     sweep_overlap,
+    verify_report,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -173,6 +180,40 @@ class TestGramPreservation:
             gram = gram_preservation_check(mapping, [psi1, psi2])
             assert (five > 1e-12) == (gram > 1e-12)
             assert five > 0 and gram > 0
+
+
+class TestVerifyReport:
+    def test_isometry_with_an_alphabet(self):
+        alphabet = [basis_ket([2], 0), plus(), bloch_ket(0.3, 1.2)]
+        report = verify_report(swap_deleter(2), 1e-10, alphabet)
+        assert report.is_isometry and report.rules_normalized
+        assert report.max_gram_deviation == check_isometry(swap_deleter(2)) == 0.0
+        assert report.max_gram_residual == gram_preservation_check(swap_deleter(2), alphabet)
+
+    def test_without_an_alphabet_the_gram_residual_is_none(self):
+        report = verify_report(qudit_pair_deleter(2), 1e-10)
+        assert report.max_gram_residual is None
+        assert not report.is_isometry and report.rules_normalized
+        assert report.max_gram_deviation == 1.0
+
+    def test_tolerance_decides_is_isometry(self):
+        # a unitary from QR rounds to a deviation of a few ulp
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)) + 0j)
+        machine = BasisActionMachine((2, 2), (2, 2), q)
+        deviation = check_isometry(machine)
+        assert 0.0 < deviation < 1e-14
+        assert verify_report(machine, deviation).is_isometry
+        assert not verify_report(machine, deviation / 2).is_isometry
+
+    def test_unnormalized_rules_are_reported(self):
+        machine = BasisActionMachine((2,), (2,), np.diag([1.0, 1.0 + 1e-8]), strict=False)
+        report = verify_report(machine, 1e-10)
+        assert not report.rules_normalized and not report.is_isometry
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            verify_report(swap_deleter(2), tol)
 
 
 class TestIdealDeletionMap:

@@ -1,17 +1,32 @@
+import enum
 import json
 import math
 import platform
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from qdel import __version__
-from qdel.deletion import optimal_quality
+from qdel import __version__, reports
+from qdel.deletion import QualityReport, optimal_quality
 from qdel.errors import UnsupportedFormatError
-from qdel.fidelity import fidelity_report
-from qdel.hilbert import basis_ket, ket
-from qdel.machines import DeleterKind, DeleterVerdict, classify_deleter, swap_deleter
-from qdel.nogo import nonorthogonal_constraints
+from qdel.fidelity import FidelityReport, fidelity_report
+from qdel.hilbert import DensityMatrix, basis_ket, bloch_ket, ket
+from qdel.machines import (
+    DeleterKind,
+    DeleterVerdict,
+    classify_deleter,
+    conditional_deleter,
+    delete_demo_report,
+    qudit_pair_deleter,
+    swap_deleter,
+)
+from qdel.nogo import (
+    ConstraintReport,
+    nonorthogonal_constraints,
+    overlap_constraints,
+    verify_report,
+)
 from qdel.reports import RunManifest, emit_report, sub_seed
 from qdel.signalling import signalling_distance
 
@@ -144,6 +159,10 @@ def test_json_key_order_is_the_field_order_then_derived_properties():
           "distance_without"]),
         (verdict, ["kind", "samples", "seed", "residual_stats", "ancilla_dependence",
                    "ancilla_errors"]),
+        (delete_demo_report(2, 0.5),
+         ["dim", "alpha_sq", "residual", "output_norm", "deletes_exactly"]),
+        (verify_report(swap_deleter(2), 1e-10),
+         ["is_isometry", "max_gram_deviation", "rules_normalized", "max_gram_residual"]),
     ]
     for report, keys in expected:
         assert list(json.loads(emit_report(report, "json"))) == keys, type(report).__name__
@@ -151,6 +170,80 @@ def test_json_key_order_is_the_field_order_then_derived_properties():
     assert [list(entry) for entry in entries] == [["label", "lhs", "rhs", "residual"]] * 5
     # complex as annotated, so the encoder's complex rule is what writes [re, im]
     assert all(type(c.lhs) is complex and type(c.rhs) is complex for c in constraints.constraints)
+
+
+# One report of every emittable type, with complex, matrix, per-sample and null values.
+SAMPLES = [
+    optimal_quality(4, 2),
+    fidelity_report(0.3, n_theta=16, n_phi=16),
+    overlap_constraints(0.6, 0.4),
+    signalling_distance(0.2, 0.9),
+    classify_deleter(conditional_deleter(), samples=6, seed=3),
+    delete_demo_report(3, 0.3),
+    verify_report(swap_deleter(2), 1e-10, [basis_ket([2], 0), bloch_ket(0.3, 1.2)]),
+    verify_report(qudit_pair_deleter(2), 1e-10),
+]
+
+# The rows each CSV rendering holds, from the report's own values.
+CSV_ROWS = {
+    QualityReport: lambda r: r.bound_curve.tolist(),
+    FidelityReport: lambda r: [[getattr(r, f.name) for f in fields(r)]],
+    ConstraintReport: lambda r: [[c.label, c.lhs.real, c.lhs.imag, c.rhs.real, c.rhs.imag,
+                                  c.residual] for c in r.constraints],
+    DeleterVerdict: lambda r: [[i, *pair] for i, pair in
+                               enumerate(zip(r.residual_stats, r.ancilla_errors))],
+}
+
+
+def holds_exactly(parsed, value) -> bool:
+    """Whether parsed JSON is exactly the report value: every number equal, bool and null kept."""
+    if isinstance(value, complex):
+        return parsed == [value.real, value.imag]
+    if isinstance(value, DensityMatrix):
+        entries_hold = holds_exactly(parsed["entries"], value.entries)
+        return parsed["dims"] == list(value.dims) and entries_hold
+    if isinstance(value, (tuple, np.ndarray)):
+        return len(parsed) == len(value) and all(map(holds_exactly, parsed, value))
+    if isinstance(value, enum.Enum):
+        return parsed == value.value
+    if is_dataclass(value):
+        return all(holds_exactly(parsed[key], getattr(value, key)) for key in parsed)
+    return parsed == value and isinstance(parsed, bool) == isinstance(value, bool)
+
+
+def test_samples_cover_every_report_type():
+    assert {type(report) for report in SAMPLES} == set(reports._REPORTS)
+
+
+@pytest.mark.parametrize("report", SAMPLES, ids=lambda r: type(r).__name__)
+def test_every_rendering_parses_back_to_the_report(report):
+    payload = json.loads(emit_report(report, "json"))
+    assert payload and holds_exactly(payload, report)
+
+    if type(report) in CSV_ROWS:
+        header, *lines = emit_report(report, "csv").splitlines()
+        cells = [[c[1:-1] if c.startswith('"') else float(c) for c in line.split(",")]
+                 for line in lines]
+        assert cells == CSV_ROWS[type(report)](report)
+        assert len(header.split(",")) == len(cells[0])
+    else:
+        with pytest.raises(UnsupportedFormatError, match="has no CSV rendering"):
+            emit_report(report, "csv")
+
+    # the table: one "key  value" line per scalar, then a rounded residual per constraint
+    flat, _, rest = emit_report(report, "table").rstrip("\n").partition("\n\n")
+    scalars = [key for key, value in payload.items() if not isinstance(value, (list, dict))]
+    assert [line.split()[0] for line in flat.splitlines()] == scalars
+    for line in flat.splitlines():
+        key, text = line.split(None, 1)
+        value = getattr(report, key)
+        if isinstance(value, float):
+            assert float(text) == value
+        else:
+            assert text == str(value.value if isinstance(value, enum.Enum) else value)
+    residuals = [float(line.rsplit(" residual ", 1)[1]) for line in rest.splitlines()]
+    constraints = getattr(report, "constraints", ())
+    assert residuals == [round(c.residual, 12) for c in constraints]
 
 
 class TestEmissionErrors:
