@@ -1,13 +1,13 @@
 """State-dependent deletion fidelities of the two-qubit conditional deleter.
 
 Everything here is driven through the machine itself, which is applied to
-|psi>|psi>|A> by linearity. The fidelities come from the two-copy kernel of
-`machines` and contract its output in batches, a single point being a batch
-of one. The kernel streams a batch in slices of `_POINT_BLOCK` points, so
-its memory does not grow with the grid. `conditional_output` and the
-reduced density matrices `rho_ab`, `rho_a` and `rho_b` take the object
-route instead (tensor, apply, density matrix, partial trace); they are the
-reference the tests hold the batched values to. Closed forms
+|psi>|psi>|A> by linearity. F_b and F_a are two entries of the weight table
+`machines._weights` forms from the two-copy kernel's output, in batches
+streamed in slices of `_POINT_BLOCK` points; a point is a batch of one.
+`conditional_output` and the reduced density matrices `rho_ab`, `rho_a`
+and `rho_b` take the object route instead (tensor, apply, density matrix,
+partial trace); they are the reference the tests hold the batched values
+to. Closed forms
 (F_b = 1 - |a|^2|b|^2, F_a = 1 - 2|a|^2|b|^2, averages 5/6 and 2/3) are
 used only as cross-checks, never as the computation path.
 
@@ -41,7 +41,7 @@ from .hilbert import (
     qubit_ket,
     tensor,
 )
-from .machines import BLANK_INDEX, _copies_output, apply, conditional_deleter
+from .machines import _copies_output, _weights, apply, conditional_deleter
 
 __all__ = [
     "FidelityReport",
@@ -62,6 +62,8 @@ AVG_DELETION_FIDELITY = 5.0 / 6.0
 AVG_RETENTION_FIDELITY = 2.0 / 3.0
 
 _MIN_GRID = 8
+
+_MACHINE = conditional_deleter()
 
 # Points per slice of `_batched_fidelities`, and so per theta-row band of
 # `_grid_averages`. Measured on a 2-core host at 1024/2048/4096/8192/16384
@@ -85,11 +87,6 @@ _MAX_GRID_POINTS = 2**28
 _MAX_THETA_ROWS = 4096
 
 
-@lru_cache(maxsize=1)
-def _machine():
-    return conditional_deleter()
-
-
 @lru_cache(maxsize=8)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
@@ -110,7 +107,7 @@ def conditional_output(alpha: complex, beta: complex) -> Ket:
     alpha^2 |0 blank A_0> + beta^2 |1 blank A_1> + alpha beta (|01> + |10>)|A>.
     """
     psi = qubit_ket(alpha, beta)
-    return apply(_machine(), tensor(psi, psi, basis_ket([3], 0)))
+    return apply(_MACHINE, tensor(psi, psi, basis_ket([3], 0)))
 
 
 def rho_ab(alpha: complex, beta: complex) -> DensityMatrix:
@@ -140,26 +137,16 @@ def point_fidelities(alpha: complex, beta: complex) -> tuple[float, float]:
 
 
 def _batched_fidelities(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F_b, F_a) for a batch of inputs alpha|0> + beta|1>.
-
-    The kernel's output is contracted directly: F_b is the weight of mode b
-    on the blank, F_a the weight of mode a on |psi>; both are the partial
-    traces of `rho_b`/`rho_a` taken in one step. The batch is walked in
-    slices of _POINT_BLOCK points, so no intermediate grows with it; each
-    weight is a dot of the real and imaginary parts with themselves.
+    """(F_b, F_a) for a batch of inputs alpha|0> + beta|1>: the `_weights` entries with mode b
+    on the blank and with mode a on |psi>, the partial traces of `rho_b`/`rho_a` in one step.
+    The batch is walked in slices of _POINT_BLOCK points, so no intermediate grows with it.
     """
     alphas, betas = np.broadcast_arrays(np.ravel(alphas), np.ravel(betas))
     f_b, f_a = np.empty(len(alphas)), np.empty(len(alphas))
     for start in range(0, len(alphas), _POINT_BLOCK):
         block = slice(start, start + _POINT_BLOCK)
         psi = np.stack([alphas[block], betas[block]], axis=1).astype(complex, copy=False)  # (b, 2)
-        out = _copies_output(_machine(), psi)  # (b, 2, 2, 3)
-        kept = np.einsum("na,nabc->nbc", psi.conj(), out)
-        # (b, 12) real and imaginary parts of the amplitudes each weight sums
-        blank = out[:, :, BLANK_INDEX, :].reshape(len(out), -1).view(float)
-        kept = kept.reshape(len(out), -1).view(float)
-        f_b[block] = np.einsum("ij,ij->i", blank, blank)
-        f_a[block] = np.einsum("ij,ij->i", kept, kept)
+        (_, f_b[block]), (f_a[block], _) = _weights(_copies_output(_MACHINE, psi), psi)
     return f_b, f_a
 
 

@@ -86,8 +86,9 @@ class BasisActionMachine:
             raise InvalidStateError("every column (rule image) must be normalized")
 
     def rule_norms_ok(self, tol: float = ALGEBRAIC_TOL) -> bool:
-        norms = np.linalg.norm(self.matrix, axis=0)
-        return bool(np.all(np.abs(norms**2 - 1.0) <= tol))
+        re, im = self.matrix.real, self.matrix.imag  # views: no temporary the size of the matrix
+        norms_sq = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+        return bool(np.all(np.abs(norms_sq - 1.0) <= tol))
 
 
 class DeleterKind(enum.Enum):
@@ -166,16 +167,24 @@ def _copies_output(machine: BasisActionMachine, psis: np.ndarray) -> np.ndarray:
     return _pair_output(machine, np.einsum("na,nb->nab", psis, psis))
 
 
-def _residuals(outs: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """Batched `deletion_residual` of kernel outputs `outs` on inputs `psis`.
-
-    1 for an output that vanishes.
+def _weights(outs: np.ndarray, psis: np.ndarray) -> tuple:
+    """((||out||^2, ||<blank|_b out||^2), (||<psi|_a out||^2, ||<psi|_a <blank|_b out||^2)) of
+    kernel outputs `outs` on inputs `psis`: (B,) dots of each row's real and imaginary parts.
     """
-    n = len(outs)
-    norms = np.linalg.norm(outs.reshape(n, -1), axis=1)
-    kept = np.einsum("na,na...->n...", psis.conj(), outs)[:, BLANK_INDEX]
-    weights = np.linalg.norm(kept.reshape(n, -1), axis=1)
-    return 1.0 - np.divide(weights, norms, out=np.zeros(n), where=norms >= 1e-15)
+    (n, d), b = psis.shape, outs.shape[2]
+    kept = np.einsum("na,nax->nx", psis.conj(), outs.reshape(n, d, -1))
+    # (B, a, b, rest) and (B, b, rest), the rest as interleaved real and imaginary parts
+    out, kept = outs.reshape(n, d, b, -1).view(float), kept.reshape(n, b, -1).view(float)
+    rows = [p.reshape(n, -1) for p in (out, out[:, :, BLANK_INDEX], kept, kept[:, BLANK_INDEX])]
+    w = [np.einsum("ij,ij->i", row, row) for row in rows]
+    return (w[0], w[1]), (w[2], w[3])
+
+
+def _residual(weights: tuple) -> np.ndarray:
+    """1 - sqrt(||<psi|<blank| out||^2 / ||out||^2), clamped at 0; 1 for a vanishing output."""
+    (whole, _), (_, kept) = weights
+    ratio = np.divide(kept, whole, out=np.zeros(len(whole)), where=whole >= 1e-30)
+    return np.maximum(1.0 - np.sqrt(ratio), 0.0)
 
 
 def check_isometry(machine: BasisActionMachine) -> float:
@@ -261,15 +270,15 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     """Failure of the machine, fed |psi>|psi>(|A>), to land in the ideal-deletion subspace.
 
     Returns 1 - ||(<psi| (x) <blank| (x) I) out|| with the output normalized
-    first, so the value is 0 exactly for perfect deletion and grows toward 1
-    as the output leaves the subspace spanned by |psi>|blank>(x)ancilla.
+    first, clamped at 0: 0 exactly for perfect deletion, growing toward 1 as
+    the output leaves the subspace spanned by |psi>|blank>(x)ancilla.
     """
     d = machine.input_dims[0]
     if psi.dims != (d,):
         raise ShapeError(f"input state has dims {psi.dims}, machine copies are {d}-level")
     psi.require_normalized()
     psis = psi.amplitudes[None]
-    return float(_residuals(_copies_output(machine, psis), psis)[0])
+    return float(_residual(_weights(_copies_output(machine, psis), psis))[0])
 
 
 @dataclass(frozen=True)
@@ -449,7 +458,7 @@ def classify_deleter(
 
     psis = _haar_amplitudes(d, samples, np.random.default_rng(seed))
     outs = _copies_output(machine, psis)
-    residuals = _residuals(outs, psis)
+    residuals = _residual(_weights(outs, psis))
 
     # Reduced ancilla of each normalized output, compared with the state the
     # input amplitudes predict when carried onto the ancilla images.
@@ -524,10 +533,9 @@ def machine_from_json(obj: Mapping, strict: bool = True) -> BasisActionMachine:
         indices = [_int_at_least(i, 0, f"rules[{n}].in_index") for n, (i, _) in enumerate(rows)]
     except ValueError as exc:
         raise ShapeError(str(exc)) from None
-    if sorted(indices) != list(range(n_in)):
-        raise ShapeError(
-            f"rules must cover in_index 0..{n_in - 1} exactly once, got {sorted(indices)}"
-        )
+    missing = min(set(range(n_in)).difference(indices), default=None)  # a repeat leaves a gap
+    if missing is not None:
+        raise ShapeError(f"no rule has in_index {missing}; rules cover 0..{n_in - 1} once each")
     # [re, im] pairs in a float array, read as complex without arithmetic on them
     parts = np.empty((n_in, n_out, 2))
     for i, (_, amplitudes) in zip(indices, rows):

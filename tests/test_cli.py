@@ -252,6 +252,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--machine", path, "--alphabet", "0,1,2")
         assert code == 0 and json.loads(out)["max_gram_residual"] == 0.0
 
+    def test_a_repeated_index_names_the_missing_one_in_a_short_line(self, capsys, tmp_path):
+        # 1,024 rules: a message listing every index would run to thousands of characters
+        rules = [{"in_index": i, "out_amplitudes": [[1.0, 0.0], [0.0, 0.0]]} for i in range(1024)]
+        rules[700]["in_index"] = 5
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps({"input_dims": [32, 32], "output_dims": [2], "rules": rules}))
+        code, out, err = run(capsys, "verify", "--machine", str(path))
+        assert code == 3 and out == ""
+        assert "no rule has in_index 700" in err and len(err) < 200
+
     def test_deeply_nested_file_is_a_numeric_error(self, capsys, tmp_path):
         path = tmp_path / "nested.json"
         path.write_text("[" * 200_000 + "]" * 200_000)

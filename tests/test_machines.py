@@ -6,6 +6,7 @@ import pytest
 
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.hilbert import (
+    Ket,
     basis_ket,
     bloch_ket,
     density_of,
@@ -32,7 +33,7 @@ from qdel.machines import (
     swap_deleter,
 )
 from qdel import machines
-from qdel.machines import _copies_output
+from qdel.machines import _copies_output, _weights
 from qdel.signalling import bob_machine_and_reduce
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -62,6 +63,18 @@ class TestBasisActionMachine:
     def test_rule_shape_must_match_output(self):
         with pytest.raises(ShapeError):
             BasisActionMachine((2,), (3,), np.eye(2))
+
+    def test_construction_holds_no_third_copy_of_the_matrix(self):
+        # the builder's identity and its column permutation are live while the constructor
+        # copies one of them; the norm check must add nothing the size of the matrix
+        qudit_pair_deleter(2)
+        tracemalloc.start()
+        try:
+            machine = qudit_pair_deleter(32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * machine.matrix.nbytes
 
 
 class TestApply:
@@ -294,6 +307,13 @@ class TestClassifyDeleter:
         verdict = classify_deleter(swap_deleter(2), samples=np.int64(5), seed=np.uint32(7))
         assert verdict == classify_deleter(swap_deleter(2), samples=5, seed=7)
 
+    def test_residuals_are_never_negative(self):
+        # exact deleters put the whole output in the subspace, where 1 - ||kept|| / ||out||
+        # rounds to either side of 0
+        for machine in (swap_deleter(2), swap_deleter(3), conditional_deleter()):
+            for seed in range(5):
+                assert min(classify_deleter(machine, samples=150, seed=seed).residual_stats) >= 0.0
+
     def test_one_sample_has_no_dependence(self):
         for machine in (swap_deleter(2), swap_deleter(3), conditional_deleter()):
             assert classify_deleter(machine, samples=1, seed=3).ancilla_dependence == 0.0
@@ -468,6 +488,40 @@ class TestTwoCopyKernel:
                 for theta in rng.uniform(0.0, math.pi, 5):
                     mixed = bob_machine_and_reduce(float(theta), machine).entries
                     np.testing.assert_allclose(mixed, base, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [[2, 2, 3], [2, 2, 4], [3, 3, 3], [3, 3]])
+    @pytest.mark.parametrize("isometry", [True, False], ids=["isometry", "non_isometry"])
+    def test_weights_match_the_object_route(self, dims, isometry):
+        rng = np.random.default_rng(37)
+        n, d = math.prod(dims), dims[0]
+        gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        matrix = np.linalg.qr(gauss)[0] if isometry else gauss
+        machine = BasisActionMachine(dims, dims, matrix, strict=isometry)
+        psis = [haar_ket(d, rng) for _ in range(4)]
+        amps = np.stack([psi.amplitudes for psi in psis])
+        (whole, blank), (kept, kept_blank) = _weights(_copies_output(machine, amps), amps)
+        ancilla = [basis_ket(dims[2:], 0)] if len(dims) == 3 else []
+        blank_ket = basis_ket([d], 0)
+        for k, psi in enumerate(psis):
+            out = apply(machine, tensor(psi, psi, *ancilla))
+            norm_sq = out.norm() ** 2
+            rho = density_of(Ket(out.dims, out.amplitudes / out.norm()))
+            rho_a = partial_trace(rho, keep={0}).entries
+            rho_b = partial_trace(rho, keep={1}).entries
+            rho_ab = partial_trace(rho, keep={0, 1}).entries
+            psi_blank = tensor(psi, blank_ket).amplitudes
+            expected = [
+                norm_sq,
+                norm_sq * (blank_ket.amplitudes.conj() @ rho_b @ blank_ket.amplitudes).real,
+                norm_sq * (psi.amplitudes.conj() @ rho_a @ psi.amplitudes).real,
+                norm_sq * (psi_blank.conj() @ rho_ab @ psi_blank).real,
+            ]
+            got = [whole[k], blank[k], kept[k], kept_blank[k]]
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_a_vanishing_output_has_residual_one(self):
+        machine = BasisActionMachine((2, 2, 3), (2, 2, 3), np.zeros((12, 12)), strict=False)
+        assert deletion_residual(machine, haar_ket(2, np.random.default_rng(41))) == 1.0
 
 
 class TestNoDeletionWitness:
