@@ -4,8 +4,12 @@ N identical copies of a qubit live in the (N+1)-dimensional symmetric
 subspace; a deleting machine is supposed to keep M copies and blank the
 rest. This module builds the ideal and best-case actual outputs of such a
 machine, evaluates the closed-form upper bound on the overlap ("quality")
-between them, and cross-checks the published optimum against an independent
-numerical minimization of the bound.
+between them, and sets the published optimum next to the bound's exact
+minimum over inputs. The bound depends on |alpha|^2 only through
+t = |alpha|^2 |beta|^2, so that minimum is the least of its values at
+balance and at the roots of dB/dt on 0 < |alpha|^2 < 1/2: a 257-point scan
+of the closed-form slope brackets each root, and Illinois regula falsi
+refines it.
 
 The constructed outputs live on a compact [N+1, 3] register: coordinate j of
 the first factor encodes "Dicke state j of the M kept copies, blanks
@@ -31,16 +35,25 @@ __all__ = [
     "GRID_STEP",
 ]
 
-# dense-grid resolution for the numerical minimization of the bound
+# resolution of the bound curve (QualityReport.bound_curve, the CSV rendering)
 GRID_STEP = 1e-4
 _GRID = np.linspace(0.0, 1.0, round(1.0 / GRID_STEP) + 1)
 _GRID.setflags(write=False)
 
-# Refinement of the grid minimum: each pass evaluates _REFINE_POINTS points
-# across the bracket around the previous argmin and keeps its two
-# neighbours, shrinking the bracket 50-fold, until it is _REFINE_TOL wide.
-_REFINE_POINTS = 101
-_REFINE_TOL = 1e-10
+# The slope scan: _SCAN_POINTS geometric points from min(1/(8N), 1/4) (no
+# lower than _EDGE, below which 1 - |alpha|^2 keeps too few bits for the
+# slope) up to 1/4, then as many even ones up to _LAST, where dB/dt equals
+# its balanced value to rounding. A root's bracket is refined until it is
+# _ROOT_TOL of its upper end wide.
+_SCAN_POINTS = 129
+_EDGE = 2.0**-40
+_LAST = 0.5 - 2.0**-30
+_ROOT_TOL = 1e-13
+_UNIT = np.linspace(0.0, 1.0, _SCAN_POINTS)
+_EVEN = np.linspace(0.25, _LAST, _SCAN_POINTS)[1:]
+
+# How balance, |alpha|^2 = 1/2, sits on the bound (QualityReport.kind)
+_KINDS = ("global_minimum", "local_minimum", "local_maximum")
 
 
 def symmetric_expand(alpha: complex, beta: complex, n: int) -> np.ndarray:
@@ -127,14 +140,92 @@ def _bound_values(xs: np.ndarray, n: int, m: int) -> np.ndarray:
     return first + np.sqrt(f1 * f2)
 
 
+def _slope(x, n: float, m: float, ops=np):
+    """dB/dt at |alpha|^2 = x in (0, 1/2), t = x(1 - x): x an array with ops=np, a float with math.
+
+    Each term of the bound has the slope k (x^(k-1) - y^(k-1)) in x, y = 1 - x,
+    and dt/dx = y - x, so dB/dt holds the quotients (y^k - x^k) / (y - x),
+    written y^(k-1) expm1(k ln r) / expm1(ln r) with r = x/y, which keeps
+    their relative accuracy up to balance.
+    """
+    y = 1.0 - x
+    log_r = ops.log1p((x - y) / y)
+    unit = ops.expm1(log_r)
+
+    def quotient(k):
+        return y ** (k - 1) * (ops.expm1(k * log_r) / unit)
+
+    f1 = 1.0 - x**n - y**n
+    f2 = 1.0 - x**m - y**m
+    root = (n * quotient(n - 1) * f2 + m * quotient(m - 1) * f1) / (2.0 * ops.sqrt(f1 * f2))
+    p = (n + m) / 2
+    return root - p * quotient(p - 1)
+
+
+def _root(n: float, m: float, a: float, b: float, ha: float, hb: float) -> tuple[float, float]:
+    """The sign change ha < 0 <= hb of _slope on [a, b], narrowed by Illinois regula falsi."""
+    side = 0
+    while b - a > _ROOT_TOL * b:
+        c = b - hb * (b - a) / (hb - ha)
+        if not a < c < b:
+            break
+        hc = _slope(c, n, m, math)
+        if hc == 0.0:
+            return c, c
+        if hc < 0.0:
+            if side < 0:  # the same end moved twice: halve the other end's weight
+                hb /= 2
+            a, ha, side = c, hc, -1
+        else:
+            if side > 0:
+                ha /= 2
+            b, hb, side = c, hc, 1
+    return a, b
+
+
+def _minimum(n: int, m: int) -> tuple[float, float, str]:
+    """The bound's least value on [0, 1/2], where it is reached, and balance's kind.
+
+    The candidates are balance, both ends of every refined root bracket and,
+    when the slope is already positive there (only once 1/(8N) < _EDGE), the
+    scan's first point, standing in for the unresolved edge. The edge
+    |alpha|^2 = 0 itself is no candidate: the bound is 1 there, and by
+    Cauchy-Schwarz never below its balanced value.
+    """
+    if not 1 < m < n:  # the bound is 1 at M = N, |alpha|^(N+1) + |beta|^(N+1) at M = 1
+        return float(_bound_values(np.array([0.5]), n, m)[0]), 0.5, "global_minimum"
+    nf, mf = float(n), float(m)
+    start = min(max(1.0 / (8.0 * nf), _EDGE), 0.25)
+    xs = np.concatenate([start * (0.25 / start) ** _UNIT, _EVEN])
+    slopes = _slope(xs, nf, mf)
+    falling = slopes < 0.0
+    ups = np.flatnonzero(falling[:-1] & ~falling[1:]).tolist()
+    xs, slopes = xs.tolist(), slopes.tolist()
+    candidates = [0.5]
+    for i in ups:
+        candidates += _root(nf, mf, xs[i], xs[i + 1], slopes[i], slopes[i + 1])
+    if not falling[0]:
+        candidates.append(xs[0])
+    values = _bound_values(np.array(candidates), n, m)
+    i = int(np.argmin(values))  # the first minimum, so balance wins a tie
+    if i == 0:
+        kind = "global_minimum"
+    else:
+        kind = "local_minimum" if slopes[-1] < 0.0 else "local_maximum"
+    return float(values[i]), candidates[i], kind
+
+
 @dataclass(frozen=True)
 class QualityReport:
-    """Closed-form optimal quality next to its independent numerical check.
+    """Closed-form optimal quality next to the bound's exact minimum over inputs.
 
-    min_bound is the grid minimum after local refinement; formula_value is the
-    closed form; agreement is their absolute difference. The two genuinely
-    disagree for some (N, M) because the closed form equals the bound at the
-    balanced state |alpha|^2 = 1/2, which is not always where it is smallest.
+    min_bound is the least value of the bound, found among its stationary
+    points; argmin_alpha_sq is the |alpha|^2 in [0, 1/2] where it is reached.
+    formula_value is the closed form; agreement is their absolute difference.
+    The two genuinely disagree for some (N, M) because the closed form equals
+    the bound at the balanced state |alpha|^2 = 1/2, which is not always where
+    it is smallest: kind says whether balance is the bound's global minimum,
+    a local minimum only, or a local maximum.
     """
 
     n: int
@@ -142,12 +233,20 @@ class QualityReport:
     min_bound: float
     formula_value: float
     agreement: float
+    argmin_alpha_sq: float
+    kind: str
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_bound <= 1.0 + 1e-12:
             raise ValueError(f"min_bound {self.min_bound} outside [0, 1]")
         if self.n == self.m and self.formula_value != 1.0:
             raise ValueError("the closed form must be exactly 1 when nothing is deleted")
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if not 0.0 <= self.argmin_alpha_sq <= 0.5:
+            raise ValueError(f"argmin_alpha_sq {self.argmin_alpha_sq} outside [0, 1/2]")
+        if (self.kind == "global_minimum") != (self.argmin_alpha_sq == 0.5):
+            raise ValueError("balance is the global minimum exactly when the argmin is 1/2")
 
     @property
     def bound_curve(self) -> np.ndarray:
@@ -155,36 +254,29 @@ class QualityReport:
         return np.column_stack([_GRID, _bound_values(_GRID, self.n, self.m)])
 
 
-def _bracket(xs: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
-    """The two neighbours in xs of the argmin of values, and that minimum."""
-    i = int(np.argmin(values))
-    return xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], float(values[i])
-
-
 def optimal_quality(n: int, m: int) -> QualityReport:
-    """Closed-form optimum plus the dense-grid minimum of the bound.
+    """Closed-form optimum next to the bound's exact minimum over inputs.
 
-    The grid (step 1e-4 over |alpha|^2, its minimum refined by further
-    grid passes to a bracket 1e-10 wide) serves as the independent oracle
-    for the closed form
+    The closed form is
 
-        2 / 2^((N+M)/2) + sqrt((1 - 2/2^N)(1 - 2/2^M)).
+        2 / 2^((N+M)/2) + sqrt((1 - 2/2^N)(1 - 2/2^M)),
+
+    the bound at balance; the minimum is the least value of the bound at
+    balance and at the stationary points on 0 < |alpha|^2 < 1/2, each the
+    root of dB/dt bracketed by a scan of that slope and refined by regula
+    falsi.
     """
     n, m = _copy_counts(n, m)
     formula = 2.0 ** (1.0 - (n + m) / 2) + math.sqrt(
         (1.0 - 2.0 ** (1 - n)) * (1.0 - 2.0 ** (1 - m))
     )
-
-    lo, hi, min_bound = _bracket(_GRID, _bound_values(_GRID, n, m))
-    while hi - lo > _REFINE_TOL:
-        fine = np.linspace(lo, hi, _REFINE_POINTS)
-        lo, hi, refined = _bracket(fine, _bound_values(fine, n, m))
-        min_bound = min(min_bound, refined)
-
+    min_bound, argmin, kind = _minimum(n, m)
     return QualityReport(
         n=n,
         m=m,
         min_bound=min_bound,
         formula_value=formula,
         agreement=abs(min_bound - formula),
+        argmin_alpha_sq=argmin,
+        kind=kind,
     )

@@ -62,6 +62,18 @@ class TestQuality:
         code, out, err = run(capsys, "quality", "--n", "2", "--m", "1", "--out", out_path)
         assert code == 3 and out == "" and err.startswith("error: ")
 
+    def test_large_n_has_a_finite_minimum(self, capsys):
+        code, out, _ = run(capsys, "quality", "--n", "16384", "--m", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert math.isfinite(payload["min_bound"]) and payload["min_bound"] < 0.05
+        assert payload["kind"] == "local_maximum"
+
+    def test_n_beyond_a_float_is_a_numeric_error(self, capsys):
+        code, out, err = run(capsys, "quality", "--n", str(10**400), "--m", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_bad_n_m_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "quality", "--n", "1", "--m", "2")

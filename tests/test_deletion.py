@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdel.deletion import (
+    _GRID,
     GRID_STEP,
     QualityReport,
     _bound_values,
@@ -225,7 +226,7 @@ class TestOptimalQuality:
 
     def test_known_off_balance_minimum(self):
         # first (n, m) where the bound dips below its balanced-state value:
-        # the grid finds ~0.9971074 near |alpha|^2 = 0.321 while the closed
+        # its minimum is ~0.9971074 near |alpha|^2 = 0.321 while the closed
         # form gives 0.9971911, a gap of ~8.4e-5
         report = optimal_quality(6, 5)
         assert 5e-5 < report.agreement < 2e-4
@@ -259,7 +260,62 @@ class TestOptimalQuality:
         with pytest.raises(ValueError):
             QualityReport(
                 n=2, m=2, min_bound=0.5, formula_value=0.9, agreement=0.4,
+                argmin_alpha_sq=0.5, kind="global_minimum",
             )
+
+    @pytest.mark.parametrize(
+        "argmin, kind",
+        [(0.3, "global_minimum"), (0.5, "local_maximum"), (0.5, "local_minimum"),
+         (0.6, "local_maximum"), (0.5, "minimum")],
+    )
+    def test_kind_must_match_the_argmin(self, argmin, kind):
+        with pytest.raises(ValueError):
+            QualityReport(
+                n=6, m=5, min_bound=0.99, formula_value=0.997, agreement=0.007,
+                argmin_alpha_sq=argmin, kind=kind,
+            )
+
+    def test_balance_kind_and_argmin(self):
+        for n, m in [(1, 1), (5, 5), (2, 1), (12, 1), (3, 2), (5, 4)]:
+            report = optimal_quality(n, m)
+            assert (report.argmin_alpha_sq, report.kind) == (0.5, "global_minimum")
+            assert report.min_bound == quality_bound(0.5, n, m)
+        report = optimal_quality(6, 5)
+        assert report.kind == "local_maximum"
+        assert report.argmin_alpha_sq == pytest.approx(0.321, abs=1e-3)
+        assert quality_bound(report.argmin_alpha_sq, 6, 5) == report.min_bound
+
+    @pytest.mark.parametrize("n, m", [(6, 5), (12, 4), (34, 2), (36, 4), (4096, 2), (16384, 2)])
+    def test_min_bound_matches_a_50_digit_reference(self, n, m):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            half = mp.mpf(1) / 2
+
+            def bound(x):
+                y = 1 - x
+                return (x ** (mp.mpf(n + m) / 2) + y ** (mp.mpf(n + m) / 2)
+                        + mp.sqrt((1 - x**n - y**n) * (1 - x**m - y**m)))
+
+            # the dense grid's argmin, folded into [0, 1/2], brackets the stationary point
+            x0 = float(_GRID[int(np.argmin(_bound_values(_GRID, n, m)))])
+            x0 = min(x0, 1.0 - x0)
+            x_star = mp.findroot(lambda x: mp.diff(bound, x),
+                                 (mp.mpf(x0) - GRID_STEP, mp.mpf(x0) + GRID_STEP),
+                                 solver="anderson")
+            reference = min(bound(x_star), bound(half))
+        assert abs(optimal_quality(n, m).min_bound - reference) <= 1e-15
+
+    def test_fixed_m_plateau_of_the_closed_form(self):
+        # for M = 2 the closed form tends to 1/sqrt(2) while the true minimum keeps falling
+        reports = [optimal_quality(n, 2) for n in (34, 256, 4096, 16384)]
+        formulas = [r.formula_value for r in reports]
+        minima = [r.min_bound for r in reports]
+        assert formulas == sorted(formulas, reverse=True)
+        assert abs(formulas[-1] - INV_SQRT2) < 1e-4
+        assert minima == sorted(minima, reverse=True)
+        assert minima[0] == pytest.approx(0.5550, abs=5e-5)
+        assert minima[-1] == pytest.approx(0.0406, abs=5e-5)
+        assert all(r.kind == "local_maximum" for r in reports)
 
 
 @pytest.mark.parametrize(

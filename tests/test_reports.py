@@ -46,7 +46,8 @@ class TestQualityEmission:
     def test_json_schema(self):
         report = optimal_quality(2, 1)
         payload = json.loads(emit_report(report, "json"))
-        assert set(payload) == {"n", "m", "min_bound", "formula_value", "agreement"}
+        assert set(payload) == {"n", "m", "min_bound", "formula_value", "agreement",
+                                "argmin_alpha_sq", "kind"}
         assert payload["formula_value"] == report.formula_value
         assert payload["min_bound"] == report.min_bound
 
@@ -149,7 +150,8 @@ def test_json_key_order_is_the_field_order_then_derived_properties():
         basis_ket([2], 0), ket([INV_SQRT2, INV_SQRT2], [2]), basis_ket([2], 0)
     )
     expected = [
-        (optimal_quality(2, 1), ["n", "m", "min_bound", "formula_value", "agreement"]),
+        (optimal_quality(2, 1), ["n", "m", "min_bound", "formula_value", "agreement",
+                                 "argmin_alpha_sq", "kind"]),
         (fidelity_report(0.5, n_theta=16, n_phi=16),
          ["alpha_sq", "f_b", "f_a", "avg_f_b", "avg_f_a", "quadrature_error", "n_theta",
           "n_phi"]),
