@@ -280,8 +280,9 @@ def _haar_amplitudes(dim: int, count: int, rng: np.random.Generator) -> np.ndarr
     precede its `dim` imaginary parts. Row k is what the k-th of `count`
     one-state draws on the same stream gives, bit for bit.
     """
-    # libm and np.linalg.norm row by row, the arithmetic of one-state draws:
-    # numpy's vectorised forms can differ from it in the last ulp
+    # the arithmetic of one-state draws: libm for the qubit, and for other
+    # dimensions np.linalg.norm's sum of the real and imaginary parts' dots,
+    # which vecdot repeats per row; einsum and norm(axis=1) differ in the last ulp
     if dim == 2:
         return np.array(
             [
@@ -291,7 +292,8 @@ def _haar_amplitudes(dim: int, count: int, rng: np.random.Generator) -> np.ndarr
             dtype=complex,
         )
     parts = rng.standard_normal((count, 2, dim))
-    return np.array([v / np.linalg.norm(v) for v in parts[:, 0] + 1j * parts[:, 1]])
+    z = parts[:, 0] + 1j * parts[:, 1]
+    return z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
 
 
 # --- JSON wire format: complex numbers as [re, im], matrices row-major ------

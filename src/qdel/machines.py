@@ -99,27 +99,30 @@ class DeleterKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DeleterVerdict:
-    """Outcome of sampling a candidate deleter on Haar-random inputs.
+    """Outcome of certifying a candidate deleter and sampling it on Haar-random inputs.
 
     samples, seed: the sample count and the seed of the generator the inputs
         were drawn from. A verdict on rules that are not normalized draws
         none and holds no per-sample values.
     residual_stats: per-sample distance of the output from the ideal-deletion
         subspace |psi>|blank>(x)ancilla.
+    swap_deviation: the swap certificate's deviation, the largest norm of
+        M|i j 0> + M|j i 0> - |i, blank, a_j> - |j, blank, a_i> over i <= j,
+        with a_i the ancilla image of |i i 0>; it is 0 exactly when no input
+        leaves a residual.
+    gram_deviation: max |A^dagger A - I| over the ancilla images a_i; 0 when
+        they are orthonormal, so that the ancilla holds the input state.
     ancilla_errors: per-sample trace distance between the reduced ancilla and
         the state predicted by carrying the input amplitudes onto the ancilla
         images of the identical-basis rules.
-    ancilla_dependence: max pairwise trace distance between reduced ancilla
-        states; large values mean the ancilla retains the input state. It is
-        the eigvalsh value of the maximising pair, exactly as a scan of every
-        pair would give it; 0.0 for one sample.
     """
 
     kind: DeleterKind
     samples: int
     seed: int
     residual_stats: tuple[float, ...]
-    ancilla_dependence: float
+    swap_deviation: float
+    gram_deviation: float
     ancilla_errors: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -318,124 +321,62 @@ def delete_demo_report(dim: int, alpha_sq: float) -> DeleteDemoReport:
     return DeleteDemoReport(dim, x, residual, apply(machine, tensor(psi, psi)).norm())
 
 
-# Candidate pairs per chunk of the pairwise scan. On the audit benchmark's jobs
-# (seed 13, 30 passes, one thread, 2-core host) chunks of 128/256/512/1024
-# candidates and one unchunked stack peaked at 38.0/38.15/38.3/38.6/39.9 MB RSS,
-# with best passes of 7.2-7.4/6.4-6.6/6.0-6.6/6.3-6.5/6.3-6.6 ms. swap_deleter(3)
-# keeps about 4,900 of its 11,175 pairs, so an unchunked stack costs 1.7 MB.
-_PAIR_BLOCK = 256
-
-# Absolute widening of the half-trace-norm bounds. A difference of density
-# matrices has spectral norm <= 1, so the bounds and eigvalsh each round by
-# at most about m^2 eps (< 1e-12 for m <= 64).
-_BOUND_MARGIN = 1e-9
+# Tolerance of the classifier's exact checks: the swap certificate's deviation
+# and each basis-deletion ancilla image's distance from unit norm.
+_DELETION_TOL = 1e-9
 
 
-def _half_trace_norm_bounds(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on (1/2) sum |eigenvalues| of each matrix of a (k, m, m) stack.
+def _swap_certificate(machine: BasisActionMachine) -> tuple[np.ndarray, float, float]:
+    """(ancilla images a_i, deviation, Gram deviation) of a [d, d, m] machine.
 
-    Each matrix is taken as Hermitian and traceless, a difference of two
-    density matrices; the bounds are widened by _BOUND_MARGIN. With
-    F^2 = ||D||_F^2 the half trace norm T satisfies
-    F / sqrt(2) <= T <= F sqrt(floor(m/2) ceil(m/2) / m), equal for m = 2.
-    For m = 3 it is the largest |root| of x^3 - (F^2/2) x - det D,
-    2 sqrt(p/3) cos(arccos|c| / 3) with p = F^2/2, c = (3 sqrt(3)/2) det D / p^(3/2).
+    a_i is the blank-slot ancilla part of M|i i 0>. On |psi psi 0> the output
+    is sum_ij psi_i psi_j M|i j 0>, and it is |psi>|blank>|sum_i psi_i a_i>
+    for every psi exactly when, for every i <= j,
+        M|i j 0> + M|j i 0> = |i, blank, a_j> + |j, blank, a_i>.
+    The deviation is the largest norm of the difference of the two sides over
+    those pairs, and the Gram deviation max |A^dagger A - I| over the a_i.
     """
-    m = diffs.shape[-1]
-    parts = diffs.reshape(len(diffs), m * m).view(float)  # real and imaginary parts
-    frob_sq = np.einsum("ij,ij->i", parts, parts)
-    if m == 3:
-        a, b, c = (diffs[:, k, k].real for k in range(3))
-        u, v, w = diffs[:, 1, 0], diffs[:, 2, 1], diffs[:, 2, 0]
-        det = a * b * c - a * np.abs(v) ** 2 - b * np.abs(w) ** 2 - c * np.abs(u) ** 2
-        det += 2.0 * (u * v * w.conj()).real
-        p = 0.5 * frob_sq
-        scale = p * np.sqrt(p)
-        cos3 = np.divide(np.abs(det), scale, out=np.zeros_like(det), where=scale > 0.0)
-        cos3 = np.minimum(1.5 * math.sqrt(3.0) * cos3, 1.0)
-        low = high = 2.0 * np.sqrt(p / 3.0) * np.cos(np.arccos(cos3) / 3.0)
-    else:
-        low = np.sqrt(0.5 * frob_sq)
-        high = np.sqrt(frob_sq * ((m // 2) * ((m + 1) // 2) / m))
-    return low - _BOUND_MARGIN, high + _BOUND_MARGIN
-
-
-def _max_pairwise_distance(rho: np.ndarray) -> float:
-    """max over i < j of the half trace norm of rho[j] - rho[i], as eigvalsh gives it.
-
-    `rho` is an (S, m, m) stack of density matrices. One real Gram matrix of
-    the stack gives every squared Frobenius distance, F^2_ij = n_i + n_j -
-    2 <x_i, x_j>. Its dot products have 2 m^2 terms, so the expansion's
-    rounding is below (8 m^2 + 10) u times the largest n_i (u = eps / 2, and
-    n_i <= 1 for a density matrix); F^2 is widened by twice that. `floor`
-    starts at the exact lower bound of the pair with the largest F^2, and
-    only the pairs whose sandwich bound F sqrt(floor(m/2) ceil(m/2) / m) +
-    _BOUND_MARGIN reaches it are candidates. They are bounded by invariants
-    in chunks of _PAIR_BLOCK, in i < j order. `floor`, the largest lower bound
-    or confirmed value so far, never exceeds the answer, so a pair whose
-    upper bound is below it cannot hold the maximum. The rest go to eigvalsh.
-    0.0 for S = 1.
-    """
-    count, m = len(rho), rho.shape[-1]
-    x = rho.reshape(count, m * m).view(float)
-    frob_sq = x @ x.T
-    norms = frob_sq.diagonal().copy()
-    frob_sq *= -2.0
-    frob_sq += norms[:, None]
-    frob_sq += norms
-    frob_sq += 8.0 * (m * m + 2) * np.finfo(float).eps * norms.max()
-
-    i, j = sorted(divmod(int(np.argmax(frob_sq)), count))
-    low, _ = _half_trace_norm_bounds(rho[j : j + 1] - rho[i : i + 1])
-    floor = max(0.0, float(low[0]))
-    # the sandwich's upper bound reaches `floor` exactly when F reaches `reach`
-    reach = max(floor - _BOUND_MARGIN, 0.0) / math.sqrt((m // 2) * ((m + 1) // 2) / m)
-    first, second = np.nonzero(np.triu(frob_sq >= reach * reach, 1))
-    best = 0.0
-    for start in range(0, len(first), _PAIR_BLOCK):
-        chunk = slice(start, start + _PAIR_BLOCK)
-        diffs = rho[second[chunk]] - rho[first[chunk]]
-        low, high = _half_trace_norm_bounds(diffs)
-        floor = max(floor, float(np.max(low)))
-        near = high >= floor
-        if np.any(near):
-            best = max(best, float(np.max(_half_trace_norms(diffs[near]))))
-            floor = max(floor, best)
-    return best
+    d, m = machine.input_dims[0], machine.input_dims[2]
+    pairs = np.eye(d * d).reshape(d * d, d, d)
+    columns = _pair_output(machine, pairs).reshape(d, d, d, d, m)  # [i, j] is M|i j 0>
+    index = np.arange(d)
+    images = columns[index, index, index, BLANK_INDEX]
+    sides = columns + columns.swapaxes(0, 1)
+    sides[index[:, None], index, index[:, None], BLANK_INDEX] -= images  # |i, blank, a_j>
+    sides[index[:, None], index, index, BLANK_INDEX] -= images[:, None]  # |j, blank, a_i>
+    upper = np.triu_indices(d)
+    deviation = np.max(np.linalg.norm(sides[upper].reshape(len(upper[0]), -1), axis=1))
+    gram = images.conj() @ images.T
+    return images, float(deviation), float(np.max(np.abs(gram - np.eye(d))))
 
 
 def classify_deleter(
     machine: BasisActionMachine, samples: int, seed: int
 ) -> DeleterVerdict:
-    """Sample the machine on Haar-random inputs and classify its behavior.
+    """Classify the machine by its swap certificate and sample it on Haar-random inputs.
 
-    SwapLike: every sampled residual vanishes and the reduced ancilla
-    reconstructs the input state. ApproximateDeleter: residuals are positive.
-    NotLinearConsistent: the declared rules themselves are not normalized.
+    SwapLike: the certificate holds, its deviation at most _DELETION_TOL, so
+    the output on |psi psi 0> is |psi>|blank>|sum_i psi_i a_i> for every psi
+    and the ancilla carries the input amplitudes. ApproximateDeleter: it does
+    not, and some input leaves a residual. NotLinearConsistent: the declared rules themselves are not
+    normalized. A machine whose identical basis inputs |i i 0> do not leave a
+    unit-norm ancilla image is an InvalidStateError.
 
     `samples` is a positive and `seed` a non-negative integer (bool is
     neither); anything else is a ValueError. The `samples` inputs are drawn
-    from `np.random.default_rng(seed)` in one call.
-
-    `ancilla_dependence` is found without an eigensolve per pair: every pair
-    difference of reduced ancilla states is Hermitian and traceless, so cheap
-    invariants bound its half trace norm. First one Gram matrix of the
-    samples gives every pair's Frobenius distance F, and the Frobenius
-    sandwich on F drops the pairs that cannot reach the farthest pair's lower
-    bound. The pairs left are bounded exactly for m = 2 and m = 3, by the
-    sandwich for m >= 4. Widened by a margin of 1e-9, far above the rounding
-    of either side, the bounds leave few pairs that can still hold the
-    maximum; only those reach eigvalsh, and the largest of their values is
-    returned. The verdict records `samples` and `seed`.
+    from `np.random.default_rng(seed)` in one call; their residuals and
+    ancilla errors are reported, and the verdict records `samples` and `seed`.
     """
     samples = _int_at_least(samples, 1, "samples")
     seed = _int_at_least(seed, 0, "seed")
     dims = machine.input_dims
-    if len(dims) != 3 or dims[0] != dims[1] or dims[2] < dims[0]:
+    if len(dims) != 3 or dims[0] != dims[1] or dims[2] < dims[0] or machine.output_dims != dims:
         raise ShapeError(
-            f"classification needs an ancilla machine of shape [d, d, m] with m >= d, got {dims}"
+            f"classification needs a machine from [d, d, m] to [d, d, m] with m >= d, "
+            f"got {dims} -> {machine.output_dims}"
         )
     d, m = dims[0], dims[2]
+    ancilla_images, deviation, gram_deviation = _swap_certificate(machine)
 
     if not machine.rule_norms_ok():
         return DeleterVerdict(
@@ -443,30 +384,29 @@ def classify_deleter(
             samples=samples,
             seed=seed,
             residual_stats=(),
-            ancilla_dependence=0.0,
+            swap_deviation=deviation,
+            gram_deviation=gram_deviation,
         )
 
-    # Ancilla images of the identical basis inputs; the machine must delete
-    # them, |i i A> -> |i blank a_i> with ||a_i|| = 1.
-    basis_out = _copies_output(machine, np.eye(d))
-    ancilla_images = basis_out[np.arange(d), np.arange(d), BLANK_INDEX]
+    # The machine must delete the identical basis inputs, |i i A> -> |i blank a_i>
+    # with ||a_i|| = 1.
     for i, image in enumerate(ancilla_images):
-        if abs(np.linalg.norm(image) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(image) - 1.0) > _DELETION_TOL:
             raise InvalidStateError(
                 f"machine does not delete the identical basis input |{i}>|{i}>"
             )
 
     psis = _haar_amplitudes(d, samples, np.random.default_rng(seed))
     outs = _copies_output(machine, psis)
-    residuals = _residual(_weights(outs, psis))
+    weights = _weights(outs, psis)
+    residuals = _residual(weights)
 
     # Reduced ancilla of each normalized output, compared with the state the
     # input amplitudes predict when carried onto the ancilla images.
-    flat = outs.reshape(samples, d * d, m)
-    norms = np.linalg.norm(flat, axis=(1, 2))
-    if np.any(norms < 1e-15):
+    (whole, _), _ = weights
+    if np.any(whole < 1e-30):
         raise InvalidStateError("cannot normalize a zero vector")
-    flat = flat / norms[:, None, None]
+    flat = outs.reshape(samples, d * d, m) / np.sqrt(whole)[:, None, None]
     rho = np.einsum("nxa,nxb->nab", flat, flat.conj())
     predicted = psis @ ancilla_images
     pnorms = np.linalg.norm(predicted, axis=1)
@@ -475,9 +415,7 @@ def classify_deleter(
     target = np.einsum("na,nb->nab", predicted, predicted.conj())
     ancilla_errors = np.where(lost, 1.0, _half_trace_norms(rho - target))
 
-    dependence = _max_pairwise_distance(rho)
-
-    if np.max(residuals) <= 1e-10 and np.max(ancilla_errors) <= 1e-8:
+    if deviation <= _DELETION_TOL:
         kind = DeleterKind.SWAP_LIKE
     else:
         kind = DeleterKind.APPROXIMATE_DELETER
@@ -486,7 +424,8 @@ def classify_deleter(
         samples=samples,
         seed=seed,
         residual_stats=tuple(residuals.tolist()),
-        ancilla_dependence=dependence,
+        swap_deviation=deviation,
+        gram_deviation=gram_deviation,
         ancilla_errors=tuple(ancilla_errors.tolist()),
     )
 

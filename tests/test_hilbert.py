@@ -120,8 +120,8 @@ class TestHaarSampling:
                 rows.append(v / np.linalg.norm(v))
         return np.array(rows, dtype=complex).reshape(count, dim)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-    @pytest.mark.parametrize("count", [1, 7, 200])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("count", [1, 7, 200, 2000])
     def test_one_call_draws_what_single_draws_draw(self, dim, count):
         batched_rng, single_rng = np.random.default_rng(count), np.random.default_rng(count)
         batched = _haar_amplitudes(dim, count, batched_rng)

@@ -1,5 +1,5 @@
 """Property tests of the machine layer: construction, norm checks, the wire format and the
-classifier's pairwise scan."""
+classifier's swap certificate."""
 
 import json
 import math
@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qdel.errors import InvalidStateError, ShapeError
-from qdel.hilbert import Ket, _half_trace_norms
+from qdel.hilbert import Ket
 from qdel.machines import (
-    _BOUND_MARGIN,
     BasisActionMachine,
-    _half_trace_norm_bounds,
-    _max_pairwise_distance,
+    DeleterKind,
+    classify_deleter,
     machine_from_json,
     machine_to_json,
+    swap_deleter,
 )
 
 # derandomized, so that every run draws the same examples and writes no example database
@@ -99,103 +99,40 @@ def test_a_rule_of_the_wrong_length_is_a_shape_error(machine, data):
         machine_from_json(payload, strict=False)
 
 
-def row_scan(rho):
-    """Reference: the all-pairs scan, one stacked eigensolve per row."""
-    row_max = [np.max(_half_trace_norms(rho[i + 1 :] - rho[i])) for i in range(len(rho) - 1)]
-    return float(np.max(row_max, initial=0.0))
-
-
-def density_stack(seed, count, m, rank):
-    """`count` random m x m density matrices of the given rank, normalized by their trace."""
+def ancilla_turned_swap(d, seed):
+    """swap_deleter(d) followed by a Haar-random unitary U on the ancilla, and U's generator."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, m, rank)) + 1j * rng.standard_normal((count, m, rank))
-    rho = g @ g.conj().swapaxes(-1, -2)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-
-
-# up to 200 states, so that the candidate pairs can fill several _PAIR_BLOCK chunks
-stacks = st.integers(2, 5).flatmap(
-    lambda m: st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 200), st.just(m),
-                        st.integers(1, m)))
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    matrix = np.kron(np.eye(d * d), u) @ swap_deleter(d).matrix
+    return BasisActionMachine((d, d, d), (d, d, d), matrix), rng
 
 
 @PROPERTIES
-@given(stacks)
-def test_pairwise_scan_equals_the_all_pairs_eigensolve(drawn):
-    rho = density_stack(*drawn)
-    assert _max_pairwise_distance(rho) == row_scan(rho)
+@given(st.integers(2, 3), st.integers(0, 2**32 - 1), st.integers(1, 200))
+def test_a_swap_followed_by_an_ancilla_unitary_is_certified_swap_like(d, seed, samples):
+    machine, _ = ancilla_turned_swap(d, seed)
+    verdict = classify_deleter(machine, samples, seed)
+    assert verdict.kind is DeleterKind.SWAP_LIKE
+    assert verdict.swap_deviation <= 1e-12 and verdict.gram_deviation <= 1e-12
+    # the samples agree with the certificate
+    assert max(verdict.residual_stats) <= 1e-10
+    assert max(verdict.ancilla_errors) <= 1e-8
 
 
 @PROPERTIES
-@given(stacks, st.data())
-def test_pairwise_scan_is_exact_on_duplicated_rows(drawn, data):
-    rho = density_stack(*drawn)
-    picks = data.draw(st.lists(st.integers(0, len(rho) - 1), min_size=1, max_size=40))
-    rho = rho[picks]
-    assert _max_pairwise_distance(rho) == row_scan(rho)
-
-
-@PROPERTIES
-@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(2, 200),
-       st.sampled_from([1e-8, 3e-8, 1e-7]))
-def test_pairwise_scan_is_exact_on_near_equal_states(m, seed, count, spread):
-    """Differences of about `spread`, where the Gram expansion n_i + n_j - 2 <x_i, x_j>
-    cancels all but the last few digits."""
-    base, spreads = density_stack(seed, 1, m, m), density_stack(seed + 1, count, m, m)
-    rho = (1.0 - spread) * base + spread * spreads
-    assert _max_pairwise_distance(rho) == row_scan(rho)
-
-
-@PROPERTIES
-@given(st.integers(0, 2**32 - 1), st.integers(100, 200))
-def test_pairwise_scan_is_exact_on_pure_three_level_states(seed, count):
-    """Rank-1 m = 3 stacks, as swap_deleter(3) gives: the Frobenius sandwich is loose there
-    and keeps thousands of candidate pairs."""
-    rho = density_stack(seed, count, 3, 1)
-    assert _max_pairwise_distance(rho) == row_scan(rho)
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-@pytest.mark.parametrize("count", [1, 2, 40])
-def test_pairwise_scan_of_equal_states_is_zero(m, count):
-    rho = np.repeat(density_stack(9, 1, m, m), count, axis=0)
-    assert _max_pairwise_distance(rho) == row_scan(rho) == 0.0
-
-
-@PROPERTIES
-@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(2, 40), st.booleans())
-def test_pairwise_scan_is_exact_when_orthogonal_states_tie(m, seed, count, rotate):
-    """Projectors onto the basis, or onto the columns of a random unitary: every
-    unequal pair is at distance 1."""
-    rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-    columns = (u if rotate else np.eye(m, dtype=complex)).T[np.arange(count) % m]
-    rho = np.einsum("na,nb->nab", columns, columns.conj())
-    assert _max_pairwise_distance(rho) == row_scan(rho)
-    assert abs(row_scan(rho) - 1.0) <= 1e-12
-
-
-def assert_bounds_are_exact(diffs):
-    """Unwidened, both bounds are the eigvalsh half trace norm to rounding (m = 2 and 3)."""
-    low, high = _half_trace_norm_bounds(diffs)
-    exact = _half_trace_norms(diffs)
-    assert np.max(np.abs(low + _BOUND_MARGIN - exact)) <= 1e-14
-    assert np.max(np.abs(high - _BOUND_MARGIN - exact)) <= 1e-14
-
-
-@PROPERTIES
-@given(st.integers(2, 3), st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 3))
-def test_bounds_are_exact_on_density_differences(m, seed, count, rank):
-    rho = density_stack(seed, 2 * count, m, min(rank, m))
-    assert_bounds_are_exact(rho[count:] - rho[:count])
-
-
-@PROPERTIES
-@given(st.integers(0, 2**32 - 1), st.floats(1e-6, 0.5), st.integers(1, 16), st.sampled_from([1, -1]))
-def test_three_level_bound_is_exact_near_a_double_eigenvalue(seed, a, digits, sign):
-    """Spectra near sign * (2a, -a, -a), where the cubic branch's arccos argument tends to 1."""
-    rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    e1, e2 = a * 10.0**-digits * rng.standard_normal((2, 20))
-    spectra = sign * np.stack([2 * a + e1, -a + e2, -a - e1 - e2], axis=1)
-    assert_bounds_are_exact((u * spectra[:, None, :]) @ u.conj().T)
+@given(st.integers(2, 3), st.integers(0, 2**32 - 1), st.data())
+def test_turning_one_off_diagonal_rule_fails_the_certificate(d, seed, data):
+    """M|i j 0> moved by 1e-3 in a random direction and renormalised: some input now leaves
+    a residual, and the samples see it."""
+    machine, rng = ancilla_turned_swap(d, seed)
+    i = data.draw(st.integers(0, d - 1))
+    j = data.draw(st.integers(0, d - 1).filter(lambda j: j != i))
+    column = int(np.ravel_multi_index((i, j, 0), machine.input_dims))
+    kick = rng.standard_normal(d**3) + 1j * rng.standard_normal(d**3)
+    turned = machine.matrix[:, column] + 1e-3 * kick / np.linalg.norm(kick)
+    matrix = machine.matrix.copy()
+    matrix[:, column] = turned / np.linalg.norm(turned)
+    verdict = classify_deleter(BasisActionMachine(machine.input_dims, machine.output_dims, matrix),
+                               200, seed)
+    assert verdict.kind is DeleterKind.APPROXIMATE_DELETER
+    assert max(verdict.residual_stats) > 1e-10

@@ -32,7 +32,6 @@ from qdel.machines import (
     qudit_pair_deleter,
     swap_deleter,
 )
-from qdel import machines
 from qdel.machines import _copies_output, _weights
 from qdel.signalling import bob_machine_and_reduce
 
@@ -261,8 +260,8 @@ class TestClassifyDeleter:
         assert verdict.kind is DeleterKind.SWAP_LIKE
         assert max(verdict.residual_stats) < 1e-10
         assert max(verdict.ancilla_errors) < 1e-10
-        # the ancilla varies with the input state: the state is hidden, not deleted
-        assert verdict.ancilla_dependence > 0.5
+        # the ancilla images are orthonormal: the state is hidden, not deleted
+        assert verdict.swap_deviation == verdict.gram_deviation == 0.0
 
     def test_qutrit_swap_is_swap_like(self):
         verdict = classify_deleter(swap_deleter(3), samples=50, seed=12)
@@ -314,105 +313,83 @@ class TestClassifyDeleter:
             for seed in range(5):
                 assert min(classify_deleter(machine, samples=150, seed=seed).residual_stats) >= 0.0
 
-    def test_one_sample_has_no_dependence(self):
-        for machine in (swap_deleter(2), swap_deleter(3), conditional_deleter()):
-            assert classify_deleter(machine, samples=1, seed=3).ancilla_dependence == 0.0
-
-    # Verdicts of the all-pairs eigensolve scan that preceded the bounded
-    # scan, on the same seeds: kind and ancilla_dependence must not move,
-    # the per-sample statistics not by more than 4 eps.
+    # Verdicts of the all-pairs eigensolve scan that preceded the swap
+    # certificate, on the same seeds: kind must not move, the per-sample
+    # statistics not by more than 4 eps.
     RECORDED_SMALL = {
         "swap2": (
-            DeleterKind.SWAP_LIKE, 0.9650723360778382,
+            DeleterKind.SWAP_LIKE,
             [-2.220446049250313e-16, 0.0, -2.220446049250313e-16, 1.1102230246251565e-16, 0.0, 0.0],
             [1.8824747269678055e-16, 6.206335383118183e-17, 6.798699777552591e-17,
              2.7755575615628914e-17, 0.0, 1.3877787807814457e-17],
         ),
         "conditional": (
-            DeleterKind.APPROXIMATE_DELETER, 0.8668380331531682,
+            DeleterKind.APPROXIMATE_DELETER,
             [0.19040488593534788, 0.3840333022346766, 0.07821633941011175, 0.388585311973054,
              0.07095736759055737, 0.31619031209507653],
             [0.6118975631422278, 0.7762018004114173, 0.2770988713082654, 0.7497938373913642,
              0.2618969828995096, 0.7449650336995557],
         ),
         "swap3": (
-            DeleterKind.SWAP_LIKE, 0.9740364685605729,
+            DeleterKind.SWAP_LIKE,
             [2.220446049250313e-16, 0.0, 1.1102230246251565e-16, 1.1102230246251565e-16, 0.0, 0.0],
             [2.896434946591119e-16, 9.020562075079397e-17, 1.5393646707704637e-16,
              9.85704363057626e-17, 7.679498485057654e-17, 1.435530609672952e-16],
         ),
     }
-    # (samples, kind, ancilla_dependence) at seed 1, the sample counts of the audit benchmark
+    # (samples, kind) at seed 1, the sample counts of the audit benchmark
     RECORDED_LARGE = {
-        "swap2": (200, DeleterKind.SWAP_LIKE, 0.9999907384551168),
-        "conditional": (150, DeleterKind.APPROXIMATE_DELETER, 0.998705719221473),
-        "swap3": (150, DeleterKind.SWAP_LIKE, 0.999944177918155),
+        "swap2": (200, DeleterKind.SWAP_LIKE),
+        "conditional": (150, DeleterKind.APPROXIMATE_DELETER),
+        "swap3": (150, DeleterKind.SWAP_LIKE),
     }
     MACHINES = {"swap2": lambda: swap_deleter(2), "conditional": conditional_deleter,
                 "swap3": lambda: swap_deleter(3)}
 
     @pytest.mark.parametrize("name", ["swap2", "conditional", "swap3"])
     def test_verdict_matches_the_recorded_all_pairs_scan(self, name):
-        kind, dependence, residuals, errors = self.RECORDED_SMALL[name]
+        kind, residuals, errors = self.RECORDED_SMALL[name]
         verdict = classify_deleter(self.MACHINES[name](), samples=6, seed=5)
         assert verdict.kind is kind
-        assert verdict.ancilla_dependence == dependence
         eps = np.finfo(float).eps
         np.testing.assert_allclose(verdict.residual_stats, residuals, rtol=0, atol=4 * eps)
         np.testing.assert_allclose(verdict.ancilla_errors, errors, rtol=0, atol=4 * eps)
 
-        samples, kind, dependence = self.RECORDED_LARGE[name]
+        samples, kind = self.RECORDED_LARGE[name]
         verdict = classify_deleter(self.MACHINES[name](), samples=samples, seed=1)
         assert verdict.kind is kind
-        assert verdict.ancilla_dependence == dependence
 
-    # (machine, samples, seed, the all-pairs scan's ancilla_dependence, ceiling on the pairs
-    # bounded, ceiling on the matrices sent to eigvalsh) for the classifier jobs of the audit
-    # benchmark at seed 1: their sub-seeds are three draws of random.Random(1).randrange(2**32).
-    # The Gram prefilter bounds 2, 455 and 4,878 pairs and sends 1 matrix each to eigvalsh;
-    # a scan of every pair bounds 19,900, 11,175 and 11,175.
-    PINNED_WORK = [
-        ("swap2", 200, 3280387012, 0.9999949297249833, 20, 3),
-        ("conditional", 150, 1095513148, 0.9899577737256833, 1_000, 3),
-        ("swap3", 150, 1930549411, 0.9999763660139952, 6_000, 3),
-    ]
+    # (machine, samples, seed) of the classifier jobs of the audit benchmark at seed 1: their
+    # sub-seeds are three draws of random.Random(1).randrange(2**32)
+    AUDIT_JOBS = [("swap2", 200, 3280387012), ("conditional", 150, 1095513148),
+                  ("swap3", 150, 1930549411)]
 
-    @pytest.mark.parametrize("name, samples, seed, dependence, most_bounded, most_solved",
-                             PINNED_WORK, ids=[job[0] for job in PINNED_WORK])
-    def test_pairwise_stage_work_is_pinned(
-        self, monkeypatch, name, samples, seed, dependence, most_bounded, most_solved
-    ):
-        """A return to bounding every pair, or to eigvalsh on many, fails here."""
-        counts = {"bounded": 0, "solved": 0, "pairwise": False}
-        bounds, norms, scan = (machines._half_trace_norm_bounds, machines._half_trace_norms,
-                               machines._max_pairwise_distance)
+    @pytest.mark.parametrize("name, samples, seed", AUDIT_JOBS, ids=[job[0] for job in AUDIT_JOBS])
+    def test_one_eigensolve_per_verdict(self, monkeypatch, name, samples, seed):
+        """The per-sample ancilla errors are the only eigensolve: a return to solving
+        pairs of samples fails here."""
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
 
-        def counted_bounds(diffs):
-            counts["bounded"] += len(diffs)
-            return bounds(diffs)
+        def counted(matrices):
+            stacks.append(np.shape(matrices))
+            return eigvalsh(matrices)
 
-        def counted_norms(diffs):  # also serves the per-sample ancilla errors, not counted
-            counts["solved"] += len(diffs) if counts["pairwise"] else 0
-            return norms(diffs)
-
-        def counted_scan(rho):
-            counts["pairwise"] = True
-            try:
-                return scan(rho)
-            finally:
-                counts["pairwise"] = False
-
-        monkeypatch.setattr(machines, "_half_trace_norm_bounds", counted_bounds)
-        monkeypatch.setattr(machines, "_half_trace_norms", counted_norms)
-        monkeypatch.setattr(machines, "_max_pairwise_distance", counted_scan)
-        verdict = classify_deleter(self.MACHINES[name](), samples=samples, seed=seed)
-        assert verdict.ancilla_dependence == dependence
-        assert 1 <= counts["bounded"] <= most_bounded
-        assert 1 <= counts["solved"] <= most_solved
+        machine = self.MACHINES[name]()
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        classify_deleter(machine, samples=samples, seed=seed)
+        m = machine.input_dims[2]
+        assert stacks == [(samples, m, m)]
 
     def test_needs_ancilla_structure(self):
         with pytest.raises(ShapeError):
             classify_deleter(qudit_pair_deleter(2), samples=10, seed=1)
+
+    def test_output_must_be_the_input_space(self):
+        # the same 8 amplitudes per column, read as a [2, 4] output
+        machine = BasisActionMachine((2, 2, 2), (2, 4), swap_deleter(2).matrix)
+        with pytest.raises(ShapeError, match=r"\(2, 2, 2\) -> \(2, 4\)"):
+            classify_deleter(machine, samples=10, seed=1)
 
     def test_machine_must_delete_identical_basis_inputs(self):
         # the identity on [2, 2, 2] leaves |1 1 A> untouched, so it is not a
@@ -420,6 +397,51 @@ class TestClassifyDeleter:
         machine = identity_machine([2, 2, 2])
         with pytest.raises(InvalidStateError):
             classify_deleter(machine, samples=10, seed=1)
+
+    @staticmethod
+    def turned_swap(cell, towards, angle):
+        """swap_deleter(2) with the image of input cell `cell` turned by `angle` towards the
+        output cell `towards`, orthogonal to it: cos(angle) e_image + sin(angle) e_towards."""
+        matrix = swap_deleter(2).matrix.copy()
+        column = int(np.ravel_multi_index(cell, (2, 2, 2)))
+        matrix[:, column] *= math.cos(angle)
+        matrix[int(np.ravel_multi_index(towards, (2, 2, 2))), column] = math.sin(angle)
+        return BasisActionMachine((2, 2, 2), (2, 2, 2), matrix)
+
+    @pytest.mark.parametrize("angle, kind", [(1e-12, DeleterKind.SWAP_LIKE),
+                                             (1e-6, DeleterKind.APPROXIMATE_DELETER)])
+    def test_near_swap_is_decided_by_the_certificate_tolerance(self, angle, kind):
+        # |0 1 0> -> |0 blank 1> leaks into |0 1 1>, a second copy that is not blank; the
+        # deviation is 2 sin(angle / 2)
+        verdict = classify_deleter(self.turned_swap((0, 1, 0), (0, 1, 1), angle), 20, seed=2)
+        assert verdict.swap_deviation == pytest.approx(angle, rel=1e-6)
+        assert verdict.kind is kind
+
+    def test_basis_deletion_image_off_unit_norm_by_1e_6_is_refused(self):
+        # |0 0 0> -> (1 - 1e-6)|0 blank 0> + s|0 1 0>: the ancilla image a_0 has norm 1 - 1e-6
+        machine = self.turned_swap((0, 0, 0), (0, 1, 0), math.acos(1.0 - 1e-6))
+        with pytest.raises(InvalidStateError, match=r"\|0>\|0>"):
+            classify_deleter(machine, samples=10, seed=1)
+
+    def test_basis_deletion_image_off_unit_norm_by_1e_12_is_classified(self):
+        # the image leaves the subspace by s = sqrt(2e-12), which the diagonal pair (0, 0) of
+        # the certificate sees twice
+        machine = self.turned_swap((0, 0, 0), (0, 1, 0), math.acos(1.0 - 1e-12))
+        verdict = classify_deleter(machine, samples=10, seed=1)
+        assert verdict.kind is DeleterKind.APPROXIMATE_DELETER
+        assert verdict.swap_deviation == pytest.approx(2.0 * math.sqrt(2e-12), rel=1e-3)
+
+    def test_certificate_does_not_depend_on_the_samples(self):
+        for machine in (swap_deleter(2), swap_deleter(3), conditional_deleter()):
+            verdicts = [classify_deleter(machine, samples, seed) for samples, seed in
+                        ((1, 3), (50, 4))]
+            assert len({(v.kind, v.swap_deviation, v.gram_deviation) for v in verdicts}) == 1
+
+    def test_conditional_deleter_fails_the_certificate(self):
+        # |0 1 A> + |1 0 A> pass through, but the certificate asks for |0 blank A_1> + |1 blank A_0>
+        verdict = classify_deleter(conditional_deleter(), samples=5, seed=1)
+        assert verdict.swap_deviation == 2.0
+        assert verdict.gram_deviation == 0.0
 
     def test_unnormalized_rules_are_flagged(self):
         matrix = swap_deleter(2).matrix.copy()
@@ -433,7 +455,7 @@ class TestClassifyDeleter:
         with pytest.raises(ValueError):
             DeleterVerdict(
                 kind=DeleterKind.APPROXIMATE_DELETER, samples=1, seed=0, residual_stats=(),
-                ancilla_dependence=0.0,
+                swap_deviation=0.0, gram_deviation=0.0,
             )
 
     @pytest.mark.parametrize("errors", [(), (0.0,), (0.0, 0.0, 0.0)])
@@ -441,7 +463,7 @@ class TestClassifyDeleter:
         with pytest.raises(ValueError):
             DeleterVerdict(
                 kind=DeleterKind.SWAP_LIKE, samples=2, seed=0, residual_stats=(0.0, 0.0),
-                ancilla_dependence=0.0, ancilla_errors=errors,
+                swap_deviation=0.0, gram_deviation=0.0, ancilla_errors=errors,
             )
 
     @pytest.mark.parametrize("samples", [1, 3])
@@ -449,7 +471,7 @@ class TestClassifyDeleter:
         with pytest.raises(ValueError, match="2 samples need as many residuals"):
             DeleterVerdict(
                 kind=DeleterKind.SWAP_LIKE, samples=2, seed=0, residual_stats=(0.0,) * samples,
-                ancilla_dependence=0.0, ancilla_errors=(0.0,) * samples,
+                swap_deviation=0.0, gram_deviation=0.0, ancilla_errors=(0.0,) * samples,
             )
 
     @pytest.mark.parametrize("rules_normalized", [True, False])

@@ -140,8 +140,8 @@ class TestVerdictEmission:
         payload = json.loads(emit_report(verdict, "json"))
         assert (payload["samples"], payload["seed"]) == (5, 2**40 + 1)
         table = emit_report(verdict, "table").split("\n")
-        assert table[:3] == ["kind                SwapLike", "samples             5",
-                             f"seed                {2**40 + 1}"]
+        assert table[:3] == ["kind            SwapLike", "samples         5",
+                             f"seed            {2**40 + 1}"]
 
 
 def test_json_key_order_is_the_field_order_then_derived_properties():
@@ -159,8 +159,8 @@ def test_json_key_order_is_the_field_order_then_derived_properties():
         (signalling_distance(0.0, math.pi / 4),
          ["theta_1", "theta_2", "rho_with_deletion", "rho_without_deletion", "distance_with",
           "distance_without"]),
-        (verdict, ["kind", "samples", "seed", "residual_stats", "ancilla_dependence",
-                   "ancilla_errors"]),
+        (verdict, ["kind", "samples", "seed", "residual_stats", "swap_deviation",
+                   "gram_deviation", "ancilla_errors"]),
         (delete_demo_report(2, 0.5),
          ["dim", "alpha_sq", "residual", "output_norm", "deletes_exactly"]),
         (verify_report(swap_deleter(2), 1e-10),
@@ -260,7 +260,7 @@ class TestEmissionErrors:
     def test_nan_is_refused_not_emitted(self):
         verdict = DeleterVerdict(
             kind=DeleterKind.SWAP_LIKE, samples=1, seed=0, residual_stats=(math.nan,),
-            ancilla_dependence=0.0, ancilla_errors=(0.0,),
+            swap_deviation=0.0, gram_deviation=0.0, ancilla_errors=(0.0,),
         )
         with pytest.raises(ValueError):
             emit_report(verdict, "json")
