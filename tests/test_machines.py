@@ -365,9 +365,9 @@ class TestClassifyDeleter:
                   ("swap3", 150, 1930549411)]
 
     @pytest.mark.parametrize("name, samples, seed", AUDIT_JOBS, ids=[job[0] for job in AUDIT_JOBS])
-    def test_one_eigensolve_per_verdict(self, monkeypatch, name, samples, seed):
-        """The per-sample ancilla errors are the only eigensolve: a return to solving
-        pairs of samples fails here."""
+    def test_pairwise_stage_work_is_pinned(self, monkeypatch, name, samples, seed):
+        """No pairwise stage is left: the per-sample ancilla errors are the only eigensolve,
+        and a return to solving pairs of samples fails here."""
         stacks = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -431,11 +431,16 @@ class TestClassifyDeleter:
         assert verdict.kind is DeleterKind.APPROXIMATE_DELETER
         assert verdict.swap_deviation == pytest.approx(2.0 * math.sqrt(2e-12), rel=1e-3)
 
-    def test_certificate_does_not_depend_on_the_samples(self):
-        for machine in (swap_deleter(2), swap_deleter(3), conditional_deleter()):
+    def test_one_sample_has_no_dependence(self):
+        """A one-sample verdict gets the kind and certificate of a 50-sample one: the
+        certificate does not depend on the samples."""
+        for machine, kind in ((swap_deleter(2), DeleterKind.SWAP_LIKE),
+                              (swap_deleter(3), DeleterKind.SWAP_LIKE),
+                              (conditional_deleter(), DeleterKind.APPROXIMATE_DELETER)):
             verdicts = [classify_deleter(machine, samples, seed) for samples, seed in
                         ((1, 3), (50, 4))]
-            assert len({(v.kind, v.swap_deviation, v.gram_deviation) for v in verdicts}) == 1
+            assert [v.kind for v in verdicts] == [kind, kind]
+            assert len({(v.swap_deviation, v.gram_deviation) for v in verdicts}) == 1
 
     def test_conditional_deleter_fails_the_certificate(self):
         # |0 1 A> + |1 0 A> pass through, but the certificate asks for |0 blank A_1> + |1 blank A_0>
