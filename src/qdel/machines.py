@@ -358,9 +358,12 @@ def classify_deleter(
     SwapLike: the certificate holds, its deviation at most _DELETION_TOL, so
     the output on |psi psi 0> is |psi>|blank>|sum_i psi_i a_i> for every psi
     and the ancilla carries the input amplitudes. ApproximateDeleter: it does
-    not, and some input leaves a residual. NotLinearConsistent: the declared rules themselves are not
-    normalized. A machine whose identical basis inputs |i i 0> do not leave a
-    unit-norm ancilla image is an InvalidStateError.
+    not, and some input leaves a residual. The tolerance is on the amplitude
+    scale, while residuals grow with its square: a swap(2) rule turned by
+    1e-6 leaves residuals near 1e-13 and is an ApproximateDeleter.
+    NotLinearConsistent: the declared rules themselves are not normalized.
+    A machine whose identical basis inputs |i i 0> do not leave a unit-norm
+    ancilla image is an InvalidStateError.
 
     `samples` is a positive and `seed` a non-negative integer (bool is
     neither); anything else is a ValueError. The `samples` inputs are drawn

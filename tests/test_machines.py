@@ -412,10 +412,12 @@ class TestClassifyDeleter:
                                              (1e-6, DeleterKind.APPROXIMATE_DELETER)])
     def test_near_swap_is_decided_by_the_certificate_tolerance(self, angle, kind):
         # |0 1 0> -> |0 blank 1> leaks into |0 1 1>, a second copy that is not blank; the
-        # deviation is 2 sin(angle / 2)
+        # deviation is 2 sin(angle / 2). The residuals grow with its square, so both machines
+        # leave every sampled residual below 1e-10: only the certificate tells them apart.
         verdict = classify_deleter(self.turned_swap((0, 1, 0), (0, 1, 1), angle), 20, seed=2)
         assert verdict.swap_deviation == pytest.approx(angle, rel=1e-6)
         assert verdict.kind is kind
+        assert max(verdict.residual_stats) < 1e-10
 
     def test_basis_deletion_image_off_unit_norm_by_1e_6_is_refused(self):
         # |0 0 0> -> (1 - 1e-6)|0 blank 0> + s|0 1 0>: the ancilla image a_0 has norm 1 - 1e-6
