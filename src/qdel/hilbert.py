@@ -5,6 +5,16 @@ partial traces, and the standard distance/fidelity measures used by the
 deletion analyses. All values are immutable after construction and every
 operation is a pure function, so they can be shared freely across threads.
 
+Validation happens once, at the boundary. The public constructors `Ket`,
+`DensityMatrix` and `machines.BasisActionMachine` copy what a caller passes
+and check it in full, and so does the machine wire format. A value the
+package has just built and checked, or that is valid by construction, is
+wrapped by `_trusted` without a copy or a second check: `density_of`'s
+projector of a normalized ket, `tensor`'s, `apply`'s and `alice_measure`'s
+kets, the deleter builders' basis maps, and the signalling mixtures, whose
+stacks pass one `_require_densities` call. `partial_trace` keeps its full
+check, because its rounding grows with the traced dimension.
+
 Conventions:
     * the leftmost tensor factor is subsystem 0,
     * basis product states are flattened row-major
@@ -71,6 +81,21 @@ def _int_at_least(value: object, least: int, name: str) -> int:
     if number is None or number < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return number
+
+
+def _trusted(cls: type, *values: object):
+    """An instance of the frozen value class `cls` holding `values`, one per field in order.
+
+    For a value the package has built and checked itself: `__post_init__` is
+    skipped, dims must already be a tuple of ints, and an array is kept, not
+    copied, and set read-only.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +220,7 @@ def tensor(*factors: Ket) -> Ket:
     for f in factors[1:]:
         amps = np.kron(amps, f.amplitudes)
         dims = dims + f.dims
-    return Ket(dims, amps)
+    return _trusted(Ket, dims, amps)
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -207,8 +232,9 @@ def inner(a: Ket, b: Ket) -> complex:
 
 def density_of(psi: Ket) -> DensityMatrix:
     """Rank-one projector |psi><psi| of a normalized state."""
+    # Hermitian and positive by construction; its trace is the norm just checked
     psi.require_normalized()
-    return DensityMatrix(psi.dims, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    return _trusted(DensityMatrix, psi.dims, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -305,8 +331,7 @@ def complex_pair(z: complex) -> list[float]:
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
-    return {
-        "dims": list(rho.dims),
-        "entries": [[complex_pair(z) for z in row] for row in rho.entries],
-    }
+    d = len(rho.entries)
+    pairs = np.ascontiguousarray(rho.entries).view(float).reshape(d, d, 2)
+    return {"dims": list(rho.dims), "entries": pairs.tolist()}
 

@@ -27,8 +27,8 @@ from .hilbert import (
     _haar_amplitudes,
     _half_trace_norms,
     _int_at_least,
+    _trusted,
     complex_pair,
-    tensor,
 )
 
 __all__ = [
@@ -147,7 +147,7 @@ def apply(machine: BasisActionMachine, state: Ket) -> Ket:
     """
     if state.dims != machine.input_dims:
         raise ShapeError(f"input lives on {state.dims}, machine expects {machine.input_dims}")
-    return Ket(machine.output_dims, machine.matrix @ state.amplitudes)
+    return _trusted(Ket, machine.output_dims, machine.matrix @ state.amplitudes)
 
 
 def _pair_output(machine: BasisActionMachine, pairs: np.ndarray) -> np.ndarray:
@@ -197,6 +197,17 @@ def check_isometry(machine: BasisActionMachine) -> float:
     return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
 
+def _basis_map(targets: np.ndarray) -> np.ndarray:
+    """The matrix sending input basis state k to output basis state targets[k].
+
+    Column-major, as a column-permuted identity is, so that each rule image
+    is contiguous.
+    """
+    matrix = np.zeros((len(targets), len(targets)), dtype=complex, order="F")
+    matrix[targets, np.arange(len(targets))] = 1.0
+    return matrix
+
+
 def qudit_pair_deleter(
     d: int,
     garbage: Optional[Mapping[tuple[int, int], Ket]] = None,
@@ -208,22 +219,22 @@ def qudit_pair_deleter(
     pass-through |i>|j>. A custom `garbage` map has exactly the keys (i, j)
     with i != j, both in range.
     """
-    if d < 2:
-        raise ValueError("qudit dimension must be >= 2")
+    d = _int_at_least(d, 2, "qudit dimension")
     targets = np.arange(d * d).reshape(d, d)
     targets[np.arange(d), np.arange(d)] = targets[:, BLANK_INDEX]  # |i,i> -> |i,blank>
-    matrix = np.eye(d * d, dtype=complex)[:, targets.reshape(-1)]
-    if garbage is not None:
-        pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
-        missing = [pair for pair in pairs if pair not in garbage]
-        unknown = [key for key in garbage if key not in pairs]
-        if missing or unknown:
-            raise ValueError(f"garbage map is missing pairs {missing}, has unknown keys {unknown}")
-        for i, j in pairs:
-            g = garbage[(i, j)]
-            if g.dims != (d, d):
-                raise ShapeError(f"garbage state for {(i, j)} has dims {g.dims}")
-            matrix[:, i * d + j] = g.amplitudes
+    matrix = _basis_map(targets.reshape(-1))
+    if garbage is None:
+        return _trusted(BasisActionMachine, (d, d), (d, d), matrix, True)
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    missing = [pair for pair in pairs if pair not in garbage]
+    unknown = [key for key in garbage if key not in pairs]
+    if missing or unknown:
+        raise ValueError(f"garbage map is missing pairs {missing}, has unknown keys {unknown}")
+    for i, j in pairs:
+        g = garbage[(i, j)]
+        if g.dims != (d, d):
+            raise ShapeError(f"garbage state for {(i, j)} has dims {g.dims}")
+        matrix[:, i * d + j] = g.amplitudes
     return BasisActionMachine((d, d), (d, d), matrix)
 
 
@@ -252,7 +263,7 @@ def conditional_deleter() -> BasisActionMachine:
     }
     free = iter(sorted(set(range(12)) - set(declared.values())))
     targets = [declared[k] if k in declared else next(free) for k in range(12)]
-    return BasisActionMachine(dims, dims, np.eye(12, dtype=complex)[:, targets])
+    return _trusted(BasisActionMachine, dims, dims, _basis_map(np.array(targets)), True)
 
 
 def swap_deleter(d: int) -> BasisActionMachine:
@@ -262,11 +273,10 @@ def swap_deleter(d: int) -> BasisActionMachine:
     second copy. This "deletes" perfectly on identical inputs but only hides
     the state; the information is recoverable by undoing the swap.
     """
-    if d < 2:
-        raise ValueError("qudit dimension must be >= 2")
+    d = _int_at_least(d, 2, "qudit dimension")
     # column (i, j, k) is e_(i, k, j)
     swapped = np.arange(d**3).reshape(d, d, d).transpose(0, 2, 1).reshape(-1)
-    return BasisActionMachine((d, d, d), (d, d, d), np.eye(d**3, dtype=complex)[:, swapped])
+    return _trusted(BasisActionMachine, (d, d, d), (d, d, d), _basis_map(swapped), True)
 
 
 def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
@@ -313,12 +323,11 @@ def delete_demo_report(dim: int, alpha_sq: float) -> DeleteDemoReport:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"alpha_sq must lie in [0, 1], got {x}")
     machine = qudit_pair_deleter(dim)
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = math.sqrt(x)
-    amps[1] = math.sqrt(1.0 - x)
-    psi = Ket((dim,), amps)
-    residual = deletion_residual(machine, psi)
-    return DeleteDemoReport(dim, x, residual, apply(machine, tensor(psi, psi)).norm())
+    psis = np.zeros((1, dim), dtype=complex)
+    psis[0, :2] = math.sqrt(x), math.sqrt(1.0 - x)
+    outs = _copies_output(machine, psis)
+    residual = float(_residual(_weights(outs, psis))[0])
+    return DeleteDemoReport(dim, x, residual, float(np.linalg.norm(outs)))
 
 
 # Tolerance of the classifier's exact checks: the swap certificate's deviation

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidStateError, ShapeError
-from .hilbert import DensityMatrix, Ket, _half_trace_norms, _require_densities
+from .hilbert import DensityMatrix, Ket, _half_trace_norms, _require_densities, _trusted
 from .machines import BLANK_INDEX, BasisActionMachine, _pair_output
 
 __all__ = [
@@ -119,43 +119,45 @@ def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> Measure
     if prob < _ZERO_PROB:
         return MeasurementOutcome(post_state=None, probability=0.0)
     return MeasurementOutcome(
-        post_state=Ket((2, 2), post.reshape(-1) / math.sqrt(prob)),
+        post_state=_trusted(Ket, (2, 2), post.reshape(-1) / math.sqrt(prob)),
         probability=prob,
     )
 
 
-# branch rule: (Bob's collapsed amplitudes on (2, 4) as a (B, 2, 2) stack, the
-# labels x and y his particles collapsed to) -> the (B, ...) amplitudes he then
-# holds, any axes after the first two qubits belonging to an ancilla that is
-# traced out
-BranchRule = Callable[[np.ndarray, int, int], np.ndarray]
+# branch rule: (the (B, 2, 2) bases, Bob's collapsed amplitudes on (2, 4) as a
+# (B, 2, 2) stack, the labels x and y his particles collapsed to) -> the (B, ...)
+# amplitudes he then holds, any axes after the first two qubits belonging to an
+# ancilla that is traced out
+BranchRule = Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
 
 
-def _branch_mixtures(thetas: np.ndarray, branch: BranchRule) -> np.ndarray:
-    """Bob's mixtures on particles (2, 4) at each of B angles, as a checked (B, 4, 4) stack.
+def _branch_mixtures(thetas: np.ndarray, *rules: BranchRule) -> tuple[np.ndarray, ...]:
+    """Bob's mixtures on particles (2, 4) at each of B angles, one checked (B, 4, 4) stack a rule.
 
-    Alice measures the two singlets in the basis at each angle; `branch` acts
-    on Bob's four collapsed branches, each branch output is normalized and
-    its ancilla traced out, and the branches are weighted by the outcome
-    probabilities (1/4 each for the two singlets).
+    Alice measures the two singlets in the basis at each angle, once for
+    every rule; each rule acts on Bob's four collapsed branches, each branch
+    output is normalized and its ancilla traced out, and the branches are
+    weighted by the outcome probabilities (1/4 each for the two singlets).
+    One `_require_densities` call checks every stack.
     """
     bases = _rotated_bases(thetas)
     state = TWO_SINGLETS.amplitudes.reshape(2, 2, 2, 2)
-    acc = np.zeros((len(bases), 4, 4), dtype=complex)
+    accs = [np.zeros((len(bases), 4, 4), dtype=complex) for _ in rules]
     for k1 in (PSI, PSI_BAR):
         for k3 in (PSI, PSI_BAR):
             post = _project(state, bases, k1, k3)
             prob = np.sum(np.abs(post) ** 2, axis=(1, 2))
             post = post / np.sqrt(prob)[:, None, None]
-            # Bob's particles collapse to the opposite labels
-            out = branch(post, 1 - k1, 1 - k3).reshape(len(bases), 4, -1)
-            norm = np.linalg.norm(out, axis=(1, 2))
-            if not np.all(norm >= 1e-15):
-                raise InvalidStateError("cannot normalize a zero vector")
-            out = out / norm[:, None, None]
-            acc = acc + prob[:, None, None] * (out @ np.swapaxes(out, 1, 2).conj())
-    _require_densities(acc)
-    return acc
+            for n, rule in enumerate(rules):
+                # Bob's particles collapse to the opposite labels
+                out = rule(bases, post, 1 - k1, 1 - k3).reshape(len(bases), 4, -1)
+                norm = np.linalg.norm(out, axis=(1, 2))
+                if not np.all(norm >= 1e-15):
+                    raise InvalidStateError("cannot normalize a zero vector")
+                out = out / norm[:, None, None]
+                accs[n] = accs[n] + prob[:, None, None] * (out @ np.swapaxes(out, 1, 2).conj())
+    _require_densities(np.stack(accs))
+    return tuple(accs)
 
 
 def _closed_form_mixtures(thetas: np.ndarray) -> np.ndarray:
@@ -171,21 +173,20 @@ def _closed_form_mixtures(thetas: np.ndarray) -> np.ndarray:
                    + kron(p_psi, p_bar) + kron(p_bar, p_psi))
 
 
-def _deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
-    """Bob's mixtures after collapse plus hypothetical deletion at B angles, (B, 4, 4).
+def _delete_identical(bases: np.ndarray, post: np.ndarray, x: int, y: int) -> np.ndarray:
+    """The delete-anything rule: identical qubits (both psi or both psibar) become
+    |state>|blank>|A_state>; different ones pass through. The ancilla is traced
+    out at once and each |A_state> is a pure state, so it is left out."""
+    return np.einsum("xa,b->xab", bases[:, x], _BLANK) if x == y else post
 
-    The delete-anything rule acts on each collapsed branch: identical qubits
-    (both psi or both psibar) become |state>|blank>|A_state>; different ones
-    pass through. The ancilla is traced out at once and each |A_state> is a
-    pure state, so it is left out. Each mixture is checked against the
-    closed form at its angle.
-    """
-    bases = _rotated_bases(thetas)
 
-    def delete_identical(post: np.ndarray, x: int, y: int) -> np.ndarray:
-        return np.einsum("xa,b->xab", bases[:, x], _BLANK) if x == y else post
+def _keep(bases: np.ndarray, post: np.ndarray, x: int, y: int) -> np.ndarray:
+    return post
 
-    pipeline = _branch_mixtures(thetas, delete_identical)
+
+def _against_closed_form(thetas: np.ndarray, pipeline: np.ndarray) -> np.ndarray:
+    """`pipeline`, the deletion arm's (B, 4, 4) mixtures, once each is within 1e-12 of the
+    closed form at its angle; an ArithmeticError names the worst angle otherwise."""
     dev = np.max(np.abs(pipeline - _closed_form_mixtures(thetas)), axis=(1, 2))
     worst = int(np.argmax(dev))
     if not dev[worst] <= 1e-12:
@@ -196,8 +197,20 @@ def _deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
     return pipeline
 
 
+def _deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
+    """Bob's mixtures after collapse plus hypothetical deletion at B angles, (B, 4, 4),
+    each checked against the closed form at its angle."""
+    return _against_closed_form(thetas, _branch_mixtures(thetas, _delete_identical)[0])
+
+
+def _no_deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
+    """Bob's mixtures when he does nothing, the control arm, at B angles, (B, 4, 4)."""
+    return _branch_mixtures(thetas, _keep)[0]
+
+
 def _one_point(mixtures: Callable[[np.ndarray], np.ndarray], theta: float) -> DensityMatrix:
-    return DensityMatrix((2, 2), mixtures(np.array([theta], dtype=float))[0])
+    """The mixture at one angle of a kernel whose stacks are checked densities."""
+    return _trusted(DensityMatrix, (2, 2), mixtures(np.array([theta], dtype=float))[0])
 
 
 def deletion_mixture_closed_form(theta: float) -> DensityMatrix:
@@ -206,7 +219,8 @@ def deletion_mixture_closed_form(theta: float) -> DensityMatrix:
     (1/4)(P_psi (x) P_blank + P_psibar (x) P_blank
           + P_psi (x) P_psibar + P_psibar (x) P_psi).
     """
-    return _one_point(_closed_form_mixtures, theta)
+    # the one stack no kernel checks: the full constructor checks it
+    return DensityMatrix((2, 2), _closed_form_mixtures(np.array([theta], dtype=float))[0])
 
 
 def bob_delete_and_reduce(theta: float) -> DensityMatrix:
@@ -216,10 +230,6 @@ def bob_delete_and_reduce(theta: float) -> DensityMatrix:
     checked against the closed-form mixture; the pipeline value is returned.
     """
     return _one_point(_deletion_mixtures, theta)
-
-
-def _no_deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
-    return _branch_mixtures(thetas, lambda post, x, y: post)
 
 
 def no_deletion_reduce(theta: float) -> DensityMatrix:
@@ -238,10 +248,10 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
     if len(dims) != 3 or dims[:2] != (2, 2):
         raise ShapeError(f"need a machine on [2, 2, m], got {dims}")
 
-    def through_machine(post: np.ndarray, x: int, y: int) -> np.ndarray:
+    def through_machine(bases: np.ndarray, post: np.ndarray, x: int, y: int) -> np.ndarray:
         return _pair_output(machine, post)
 
-    return _one_point(lambda thetas: _branch_mixtures(thetas, through_machine), theta)
+    return _one_point(lambda thetas: _branch_mixtures(thetas, through_machine)[0], theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,15 +281,16 @@ def signalling_distance(theta_1: float, theta_2: float) -> SignallingReport:
     """Trace distance between Bob's reduced states for Alice's two basis choices,
     with and without the hypothetical deletion."""
     thetas = np.array([theta_1, theta_2], dtype=float)
-    with_pair, without_pair = _deletion_mixtures(thetas), _no_deletion_mixtures(thetas)
+    with_pair, without_pair = _branch_mixtures(thetas, _delete_identical, _keep)
+    _against_closed_form(thetas, with_pair)
     distance_with, distance_without = _half_trace_norms(
         np.stack([with_pair[0] - with_pair[1], without_pair[0] - without_pair[1]])
     )
     return SignallingReport(
         theta_1=float(theta_1),
         theta_2=float(theta_2),
-        rho_with_deletion=tuple(DensityMatrix((2, 2), rho) for rho in with_pair),
-        rho_without_deletion=tuple(DensityMatrix((2, 2), rho) for rho in without_pair),
+        rho_with_deletion=tuple(_trusted(DensityMatrix, (2, 2), rho) for rho in with_pair),
+        rho_without_deletion=tuple(_trusted(DensityMatrix, (2, 2), rho) for rho in without_pair),
         distance_with=float(distance_with),
         distance_without=float(distance_without),
     )

@@ -21,7 +21,7 @@ from qdel.hilbert import (
     tensor,
     trace_distance,
 )
-from qdel.hilbert import _haar_amplitudes
+from qdel.hilbert import _haar_amplitudes, _require_densities, complex_pair
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -326,6 +326,28 @@ class TestDensityMatrixInvariants:
             DensityMatrix((2,), np.full((2, 2), np.nan))
 
 
+class TestEigenTolEdge:
+    """EIGEN_TOL (1e-10) at its edge: an eigenvalue of -1e-8 is refused, one of -1e-11 is not."""
+
+    @staticmethod
+    def state(lowest: float) -> np.ndarray:
+        """A 4x4 unit-trace Hermitian matrix with eigenvalues 0.5, 0.3, 0.2 - lowest and lowest."""
+        rng = np.random.default_rng(59)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        rho = q @ np.diag([0.5, 0.3, 0.2 - lowest, lowest]) @ q.conj().T
+        return (rho + rho.conj().T) / 2
+
+    def test_refused_just_beyond(self):
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            DensityMatrix((2, 2), self.state(-1e-8))
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            _require_densities(np.stack([self.state(-1e-11), self.state(-1e-8)]))
+
+    def test_accepted_just_within(self):
+        DensityMatrix((2, 2), self.state(-1e-11))
+        _require_densities(np.stack([self.state(-1e-11), self.state(0.0)]))
+
+
 class TestJsonRoundTrip:
     def test_density(self):
         # the wire format is row-major [re, im] pairs; decoding it is a view
@@ -335,3 +357,13 @@ class TestJsonRoundTrip:
         back = DensityMatrix(payload["dims"], np.array(payload["entries"]).view(complex)[..., 0])
         assert back.dims == rho.dims
         np.testing.assert_array_equal(back.entries, rho.entries)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_entries_are_the_complex_pairs_of_each_element(self, order):
+        rng = np.random.default_rng(61)
+        entries = random_density(rng, (2, 3)).entries.copy(order=order)
+        entries[0, 0] = complex(entries[0, 0].real, -0.0)  # a negative zero is kept
+        rho = DensityMatrix((2, 3), entries)  # keeps a column-major caller's layout
+        pairs = [[complex_pair(z) for z in row] for row in rho.entries]
+        assert density_to_json(rho)["entries"] == pairs
+        assert json.dumps(density_to_json(rho)) == json.dumps({"dims": [2, 3], "entries": pairs})

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qdel import hilbert, machines
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.hilbert import (
     Ket,
@@ -64,8 +65,8 @@ class TestBasisActionMachine:
             BasisActionMachine((2,), (3,), np.eye(2))
 
     def test_construction_holds_no_third_copy_of_the_matrix(self):
-        # the builder's identity and its column permutation are live while the constructor
-        # copies one of them; the norm check must add nothing the size of the matrix
+        # the builder scatters its permutation into one zeros matrix and hands it over:
+        # no identity, no permuted copy and no constructor copy
         qudit_pair_deleter(2)
         tracemalloc.start()
         try:
@@ -73,7 +74,7 @@ class TestBasisActionMachine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.2 * machine.matrix.nbytes
+        assert peak < 1.2 * machine.matrix.nbytes
 
 
 class TestApply:
@@ -198,6 +199,25 @@ class TestQuditPairDeleter:
     def test_demo_report_refuses_what_has_no_input(self, dim, alpha_sq):
         with pytest.raises(ValueError):
             delete_demo_report(dim, alpha_sq)
+
+    def test_demo_report_work_is_pinned(self, monkeypatch):
+        """The residual and the output norm come from one kernel call; no object pipeline."""
+        calls = []
+        copies = machines._copies_output
+
+        def counted(machine, psis):
+            calls.append(np.shape(psis))
+            return copies(machine, psis)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("delete_demo_report went through the object pipeline")
+
+        monkeypatch.setattr(machines, "_copies_output", counted)
+        for name in ("apply", "deletion_residual", "tensor"):
+            monkeypatch.setattr(machines, name, refuse, raising=False)
+        monkeypatch.setattr(hilbert, "tensor", refuse)
+        delete_demo_report(3, 0.3)
+        assert calls == [(1, 3)]
 
 
 class TestConditionalDeleter:
@@ -551,6 +571,10 @@ class TestTwoCopyKernel:
     def test_a_vanishing_output_has_residual_one(self):
         machine = BasisActionMachine((2, 2, 3), (2, 2, 3), np.zeros((12, 12)), strict=False)
         assert deletion_residual(machine, haar_ket(2, np.random.default_rng(41))) == 1.0
+        # _residual's floor: ||out||^2 = 1e-32 is below 1e-30, so the output counts as lost,
+        # though it lies in the ideal-deletion subspace
+        tiny = BasisActionMachine((2, 2), (2, 2), 1e-16 * np.eye(4), strict=False)
+        assert deletion_residual(tiny, basis_ket([2], 0)) == 1.0
 
 
 class TestNoDeletionWitness:

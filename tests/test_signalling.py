@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdel import signalling
 from qdel.errors import ShapeError
 from qdel.hilbert import (
+    DensityMatrix,
     Ket,
     basis_ket,
     ket,
@@ -107,6 +109,16 @@ class TestAliceMeasure:
         assert result.probability == 0.0
         assert result.post_state is None
 
+    def test_outcome_of_probability_1e_10_is_an_outcome(self):
+        # _ZERO_PROB (1e-14) at its edge: sqrt(1e-10)|0000> + sqrt(1 - 1e-10)|1111> measured
+        # at theta = 0 leaves Bob in |00> with probability 1e-10
+        amps = np.zeros(16)
+        amps[0], amps[15] = math.sqrt(1e-10), math.sqrt(1.0 - 1e-10)
+        result = alice_measure(Ket((2, 2, 2, 2), amps), 0.0, (0, 0))
+        assert result.probability == pytest.approx(1e-10, rel=1e-12)
+        np.testing.assert_allclose(result.post_state.amplitudes, basis_ket([2, 2], 0).amplitudes,
+                                   rtol=0, atol=1e-15)
+
     def test_shape_checked(self):
         with pytest.raises(ShapeError):
             alice_measure(basis_ket([2, 2], 0), 0.0, (0, 0))
@@ -186,6 +198,33 @@ class TestSignallingDistance:
         assert report.distance_with == pytest.approx(0.25, abs=1e-12)
         assert report.distance_with > 0.05
 
+    def test_work_is_pinned(self, monkeypatch):
+        """Both arms come from one projection and one stacked density check; the four report
+        matrices are wrapped, not checked again."""
+        checks, solves, constructions = [], [], []
+        require, eigvalsh, post_init = (signalling._require_densities, np.linalg.eigvalsh,
+                                        DensityMatrix.__post_init__)
+
+        def counted_require(stack):
+            checks.append(stack.shape)
+            return require(stack)
+
+        def counted_eigvalsh(matrices):
+            solves.append(np.shape(matrices))
+            return eigvalsh(matrices)
+
+        def counted_post_init(rho):
+            constructions.append(rho.dims)
+            return post_init(rho)
+
+        monkeypatch.setattr(signalling, "_require_densities", counted_require)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+        signalling_distance(0.3, 1.1)
+        assert checks == [(2, 2, 4, 4)]
+        assert solves == [(2, 2, 4, 4), (2, 4, 4)]
+        assert constructions == []
+
 
 def reference_mixture(theta, branch):
     """Bob's mixture through the object pipeline, one branch at a time.
@@ -236,7 +275,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("machine", [swap_deleter(2), conditional_deleter()],
                              ids=["swap", "conditional"])
     def test_machine_slices_match_the_object_pipeline(self, machine):
-        mixtures = _branch_mixtures(self.THETAS, lambda post, x, y: _pair_output(machine, post))
+        (mixtures,) = _branch_mixtures(
+            self.THETAS, lambda bases, post, x, y: _pair_output(machine, post))
         for theta, rho in zip(self.THETAS, mixtures):
             reference = reference_mixture(float(theta), through(machine))
             np.testing.assert_allclose(rho, reference, rtol=0, atol=KERNEL_TOL)
