@@ -11,9 +11,9 @@ and check it in full, and so does the machine wire format. A value the
 package has just built and checked, or that is valid by construction, is
 wrapped by `_trusted` without a copy or a second check: `density_of`'s
 projector of a normalized ket, `tensor`'s, `apply`'s and `alice_measure`'s
-kets, the deleter builders' basis maps, and the signalling mixtures, whose
-stacks pass one `_require_densities` call. `partial_trace` keeps its full
-check, because its rounding grows with the traced dimension.
+kets, the deleter builders' basis maps, and the one-angle signalling
+mixtures, whose stacks pass one `_require_densities` call. `partial_trace`
+keeps its full check, because its rounding grows with the traced dimension.
 
 Conventions:
     * the leftmost tensor factor is subsystem 0,

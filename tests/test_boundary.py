@@ -100,8 +100,6 @@ def test_wrapped_density_matrices_pass_the_full_check():
     wrapped = [density_of(haar_ket(d, rng)) for d in (2, 3, 8, 16)]
     wrapped += [density_of(tensor(haar_ket(2, rng), haar_ket(3, rng)))]
     for theta in rng.uniform(-math.pi, 2.0 * math.pi, size=5):
-        report = signalling_distance(0.0, float(theta))
-        wrapped += [*report.rho_with_deletion, *report.rho_without_deletion]
         wrapped += [bob_delete_and_reduce(float(theta)), no_deletion_reduce(float(theta)),
                     bob_machine_and_reduce(float(theta), conditional_deleter())]
     for rho in wrapped:

@@ -200,7 +200,7 @@ class TestSignallingDistance:
 
     def test_work_is_pinned(self, monkeypatch):
         """Both arms come from one projection and one stacked density check; the four report
-        matrices are wrapped, not checked again."""
+        matrices then pass the public constructor, one eigensolve each."""
         checks, solves, constructions = [], [], []
         require, eigvalsh, post_init = (signalling._require_densities, np.linalg.eigvalsh,
                                         DensityMatrix.__post_init__)
@@ -222,8 +222,8 @@ class TestSignallingDistance:
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
         signalling_distance(0.3, 1.1)
         assert checks == [(2, 2, 4, 4)]
-        assert solves == [(2, 2, 4, 4), (2, 4, 4)]
-        assert constructions == []
+        assert solves == [(2, 2, 4, 4), (2, 4, 4)] + [(4, 4)] * 4
+        assert constructions == [(2, 2)] * 4
 
 
 def reference_mixture(theta, branch):
