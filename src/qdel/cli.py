@@ -22,8 +22,9 @@ from . import __version__
 from .deletion import optimal_quality
 from .fidelity import _MIN_GRID, _batched_fidelities, fidelity_report
 from .hilbert import Ket, _half_trace_norms, basis_ket, bloch_ket, ket
+from .machines import _copy_layout, delete_demo_report, machine_from_json
 # apply stays bound as apply_machine: perfbench's span test checks that this binding is wrapped
-from .machines import apply as apply_machine, delete_demo_report, machine_from_json  # noqa: F401
+from .machines import apply as apply_machine  # noqa: F401
 from .nogo import _sweep_max_residuals, overlap_constraints, verify_report
 from .reports import RunManifest, _csv, emit_report
 from .signalling import _deletion_mixtures, signalling_distance
@@ -66,7 +67,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int, most: float = math.inf):
+def _bounded_int(low: int, most: float = math.inf):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
@@ -129,8 +130,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("quality", parents=[report], help="N-to-M deletion quality bound")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--m", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_bounded_int(1), required=True)
+    p.add_argument("--m", type=_bounded_int(1), required=True)
 
     p = sub.add_parser("fidelity", parents=[report], help="conditional-deleter fidelities")
     p.add_argument("--alpha-sq", type=_unit_interval, default=None)
@@ -138,12 +139,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="average over a 256x256 grid instead of 64x64; no effect with --grid")
     p.add_argument("--grid", type=_parse_grid, default=None, metavar="AxB",
                    help="quadrature grid, e.g. 256x256; at most 4096 theta rows, 2^28 points")
-    p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N",
+    p.add_argument("--sweep", type=_bounded_int(2), default=None, metavar="N",
                    help="emit CSV of (alpha_sq, f_a, f_b) over an N-point sweep")
 
     p = sub.add_parser("nogo", parents=[report], help="non-orthogonal deletion constraints")
     p.add_argument("--overlap", type=_unit_interval, default=None, metavar="S")
-    p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N")
+    p.add_argument("--sweep", type=_bounded_int(2), default=None, metavar="N")
     p.add_argument("--phase", type=_parse_angle, default=0.0, metavar="CHI",
                    help=_angle_help("--phase", "phase of the overlap"))
 
@@ -152,12 +153,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help=_angle_help("--theta1", "Alice's first basis angle"))
     p.add_argument("--theta2", type=_parse_angle, default=None, metavar="T2",
                    help=_angle_help("--theta2", "Alice's second basis angle"))
-    p.add_argument("--sweep", type=_int_at_least(2), default=None, metavar="N",
+    p.add_argument("--sweep", type=_bounded_int(2), default=None, metavar="N",
                    help="emit CSV of trace distance to the theta=0 mixture")
 
     p = sub.add_parser("delete-demo", parents=[common], help="pair-deleter linearity obstruction")
     # dim^2 <= 4096: the pair's total dimension stays where hilbert's tolerances hold
-    p.add_argument("--dim", type=_int_at_least(2, most=64), default=2)
+    p.add_argument("--dim", type=_bounded_int(2, most=64), default=2)
     p.add_argument("--alpha-sq", type=_unit_interval, default=0.5)
 
     p = sub.add_parser("verify", parents=[common], help="check a user-supplied machine")
@@ -231,7 +232,7 @@ def _run_verify(args) -> str:
             machine = machine_from_json(json.load(fh), strict=False)
     except RecursionError:  # json's decoder recurses once per level of nesting
         raise ValueError(f"{args.machine}: JSON nested too deeply to read") from None
-    alphabet = args.alphabet and _alphabet_kets(args.alphabet, machine.input_dims[0])
+    alphabet = args.alphabet and _alphabet_kets(args.alphabet, _copy_layout(machine)[0])
     return emit_report(verify_report(machine, args.tol, alphabet), "json")
 
 

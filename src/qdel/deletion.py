@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Ket, _int_at_least, qubit_ket
+from .hilbert import Ket, _alpha_sq, _int_at_least, qubit_ket
 
 __all__ = [
     "QualityReport",
@@ -126,10 +126,7 @@ def quality_bound(alpha_sq: float, n: int, m: int) -> float:
     with |b|^2 = 1 - |a|^2.
     """
     n, m = _copy_counts(n, m)
-    x = float(alpha_sq)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {x}")
-    return float(_bound_values(np.array([x]), n, m)[0])
+    return float(_bound_values(np.array([_alpha_sq(alpha_sq)]), n, m)[0])
 
 
 def _bound_values(xs: np.ndarray, n: int, m: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from .errors import InvalidStateError
 from .hilbert import (
     DensityMatrix,
     Ket,
+    _alpha_sq,
     _int_at_least,
     basis_ket,
     density_of,
@@ -227,9 +228,7 @@ class FidelityReport:
 
 def fidelity_report(alpha_sq: float, n_theta: int = 256, n_phi: int = 256) -> FidelityReport:
     """Pipeline fidelities at |alpha|^2 plus quadrature averages on the given grid."""
-    x = float(alpha_sq)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {x}")
+    x = _alpha_sq(alpha_sq)
     f_b, f_a = point_fidelities(math.sqrt(x), math.sqrt(1.0 - x))
     avg_b, avg_a = _grid_averages(n_theta, n_phi)
     err = max(abs(avg_b - AVG_DELETION_FIDELITY), abs(avg_a - AVG_RETENTION_FIDELITY))

@@ -83,6 +83,27 @@ def _int_at_least(value: object, least: int, name: str) -> int:
     return number
 
 
+def _alpha_sq(value: object) -> float:
+    """`value` as a float probability |alpha|^2 in [0, 1]; else ValueError."""
+    x = float(value)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"alpha_sq must lie in [0, 1], got {x}")
+    return x
+
+
+def _is_unit(norms_sq):
+    """Whether each squared norm of a state, a float or an array, is 1 within ALGEBRAIC_TOL;
+    NaN is not."""
+    return abs(norms_sq - 1.0) <= ALGEBRAIC_TOL
+
+
+def _require_unit(norms_sq) -> None:
+    """Raise InvalidStateError, naming the first offender, unless `_is_unit` holds for all."""
+    off = np.ravel(norms_sq)[~np.ravel(_is_unit(norms_sq))]
+    if off.size:
+        raise InvalidStateError(f"state is not normalized: |psi|^2 = {float(off[0])!r}")
+
+
 def _trusted(cls: type, *values: object):
     """An instance of the frozen value class `cls` holding `values`, one per field in order.
 
@@ -125,13 +146,11 @@ class Ket:
         return float(np.linalg.norm(self.amplitudes))
 
     def is_normalized(self) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= ALGEBRAIC_TOL
+        return bool(_is_unit(self.norm() ** 2))
 
     def require_normalized(self) -> "Ket":
         if not self.is_normalized():
-            raise InvalidStateError(
-                f"state is not normalized: |psi|^2 = {self.norm() ** 2!r}"
-            )
+            _require_unit(self.norm() ** 2)  # raises, with the message
         return self
 
 
@@ -201,10 +220,7 @@ def _bloch_amplitudes(theta: float, phi: float) -> list:
 
 def qubit_ket(alpha: complex, beta: complex) -> Ket:
     """Qubit alpha|0> + beta|1>; raises InvalidStateError unless it is normalized."""
-    total = abs(alpha) ** 2 + abs(beta) ** 2
-    if not abs(total - 1.0) <= ALGEBRAIC_TOL:
-        raise InvalidStateError(f"|alpha|^2 + |beta|^2 = {total!r}, expected 1")
-    return ket([alpha, beta], [2])
+    return ket([alpha, beta], [2]).require_normalized()
 
 
 def tensor(*factors: Ket) -> Ket:
@@ -330,8 +346,11 @@ def complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _complex_pairs(matrix: np.ndarray) -> list:
+    """A complex matrix as nested lists of [re, im] floats, read through a float view."""
+    return np.ascontiguousarray(matrix).view(float).reshape(*matrix.shape, 2).tolist()
+
+
 def density_to_json(rho: DensityMatrix) -> dict:
-    d = len(rho.entries)
-    pairs = np.ascontiguousarray(rho.entries).view(float).reshape(d, d, 2)
-    return {"dims": list(rho.dims), "entries": pairs.tolist()}
+    return {"dims": list(rho.dims), "entries": _complex_pairs(rho.entries)}
 

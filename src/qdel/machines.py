@@ -23,12 +23,13 @@ from .errors import InvalidStateError, ShapeError
 from .hilbert import (
     ALGEBRAIC_TOL,
     Ket,
+    _alpha_sq,
+    _complex_pairs,
     _dims,
     _haar_amplitudes,
     _half_trace_norms,
     _int_at_least,
     _trusted,
-    complex_pair,
 )
 
 __all__ = [
@@ -52,6 +53,10 @@ __all__ = [
 # The blank state |Sigma> is basis state 0 of the relevant subsystem; any
 # fixed basis state is equivalent up to relabeling.
 BLANK_INDEX = 0
+
+# Squared norm below which a machine's output counts as vanished: it has no
+# direction left to normalize.
+_ZERO_OUTPUT = 1e-30
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,17 +155,22 @@ def apply(machine: BasisActionMachine, state: Ket) -> Ket:
     return _trusted(Ket, machine.output_dims, machine.matrix @ state.amplitudes)
 
 
+def _copy_layout(machine: BasisActionMachine) -> tuple[int, int]:
+    """(d, m) of a two-copy machine on [d, d, m], with m = 1 on [d, d]; else ShapeError."""
+    dims = machine.input_dims
+    if len(dims) not in (2, 3) or dims[0] != dims[1]:
+        raise ShapeError(f"expected a [d, d] or [d, d, m] machine, got {dims}")
+    return dims[0], dims[2] if len(dims) == 3 else 1
+
+
 def _pair_output(machine: BasisActionMachine, pairs: np.ndarray) -> np.ndarray:
     """Outputs on a (B, d, d) batch of two-register amplitudes, as (B, *output_dims).
 
     The ancilla of a [d, d, m] machine starts in basis state 0, so only the
     inputs |i, j, 0> enter: every m-th column of the matrix.
     """
-    dims = machine.input_dims
-    if len(dims) not in (2, 3) or dims[0] != dims[1]:
-        raise ShapeError(f"expected a [d, d] or [d, d, m] machine, got {dims}")
-    columns = machine.matrix[:, :: dims[2] if len(dims) == 3 else 1]
-    out = pairs.reshape(len(pairs), -1) @ columns.T
+    _, m = _copy_layout(machine)
+    out = pairs.reshape(len(pairs), -1) @ machine.matrix[:, ::m].T
     return out.reshape((-1,) + machine.output_dims)
 
 
@@ -173,8 +183,12 @@ def _copies_output(machine: BasisActionMachine, psis: np.ndarray) -> np.ndarray:
 def _weights(outs: np.ndarray, psis: np.ndarray) -> tuple:
     """((||out||^2, ||<blank|_b out||^2), (||<psi|_a out||^2, ||<psi|_a <blank|_b out||^2)) of
     kernel outputs `outs` on inputs `psis`: (B,) dots of each row's real and imaginary parts.
+    An output that does not start with the copy's d levels and a blank slot is a ShapeError.
     """
-    (n, d), b = psis.shape, outs.shape[2]
+    (n, d), dims = psis.shape, outs.shape[1:]
+    if len(dims) < 2 or dims[0] != d:
+        raise ShapeError(f"output dims {dims} do not start with a {d}-level copy and a blank slot")
+    b = dims[1]
     kept = np.einsum("na,nax->nx", psis.conj(), outs.reshape(n, d, -1))
     # (B, a, b, rest) and (B, b, rest), the rest as interleaved real and imaginary parts
     out, kept = outs.reshape(n, d, b, -1).view(float), kept.reshape(n, b, -1).view(float)
@@ -186,8 +200,14 @@ def _weights(outs: np.ndarray, psis: np.ndarray) -> tuple:
 def _residual(weights: tuple) -> np.ndarray:
     """1 - sqrt(||<psi|<blank| out||^2 / ||out||^2), clamped at 0; 1 for a vanishing output."""
     (whole, _), (_, kept) = weights
-    ratio = np.divide(kept, whole, out=np.zeros(len(whole)), where=whole >= 1e-30)
+    ratio = np.divide(kept, whole, out=np.zeros(len(whole)), where=whole >= _ZERO_OUTPUT)
     return np.maximum(1.0 - np.sqrt(ratio), 0.0)
+
+
+def _require_nonzero(norms_sq: np.ndarray) -> None:
+    """Raise InvalidStateError if a squared output norm is below _ZERO_OUTPUT or NaN."""
+    if not np.all(norms_sq >= _ZERO_OUTPUT):
+        raise InvalidStateError("cannot normalize a zero vector")
 
 
 def check_isometry(machine: BasisActionMachine) -> float:
@@ -284,9 +304,10 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
 
     Returns 1 - ||(<psi| (x) <blank| (x) I) out|| with the output normalized
     first, clamped at 0: 0 exactly for perfect deletion, growing toward 1 as
-    the output leaves the subspace spanned by |psi>|blank>(x)ancilla.
+    the output leaves the subspace spanned by |psi>|blank>(x)ancilla. The
+    output must start with a copy's d levels and a blank slot, else ShapeError.
     """
-    d = machine.input_dims[0]
+    d, _ = _copy_layout(machine)
     if psi.dims != (d,):
         raise ShapeError(f"input state has dims {psi.dims}, machine copies are {d}-level")
     psi.require_normalized()
@@ -319,9 +340,7 @@ def delete_demo_report(dim: int, alpha_sq: float) -> DeleteDemoReport:
 
     `dim` is at least 2 and `alpha_sq` lies in [0, 1]; anything else is a ValueError.
     """
-    x = float(alpha_sq)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {x}")
+    x = _alpha_sq(alpha_sq)
     machine = qudit_pair_deleter(dim)
     psis = np.zeros((1, dim), dtype=complex)
     psis[0, :2] = math.sqrt(x), math.sqrt(1.0 - x)
@@ -345,7 +364,7 @@ def _swap_certificate(machine: BasisActionMachine) -> tuple[np.ndarray, float, f
     The deviation is the largest norm of the difference of the two sides over
     those pairs, and the Gram deviation max |A^dagger A - I| over the a_i.
     """
-    d, m = machine.input_dims[0], machine.input_dims[2]
+    d, m = _copy_layout(machine)
     pairs = np.eye(d * d).reshape(d * d, d, d)
     columns = _pair_output(machine, pairs).reshape(d, d, d, d, m)  # [i, j] is M|i j 0>
     index = np.arange(d)
@@ -364,10 +383,12 @@ def classify_deleter(
 ) -> DeleterVerdict:
     """Classify the machine by its swap certificate and sample it on Haar-random inputs.
 
-    SwapLike: the certificate holds, its deviation at most _DELETION_TOL, so
-    the output on |psi psi 0> is |psi>|blank>|sum_i psi_i a_i> for every psi
-    and the ancilla carries the input amplitudes. ApproximateDeleter: it does
-    not, and some input leaves a residual. The tolerance is on the amplitude
+    SwapLike: the certificate holds and the a_i are orthonormal, both
+    deviations at most _DELETION_TOL, so the output on |psi psi 0> is
+    |psi>|blank>|sum_i psi_i a_i> for every psi and the ancilla holds psi.
+    ApproximateDeleter: otherwise. Either some input leaves a residual, or
+    the a_i overlap and the ancilla loses part of psi, as a machine that
+    deletes exactly but is no isometry may. The tolerance is on the amplitude
     scale, while residuals grow with its square: a swap(2) rule turned by
     1e-6 leaves residuals near 1e-13 and is an ApproximateDeleter.
     NotLinearConsistent: the declared rules themselves are not normalized.
@@ -381,13 +402,12 @@ def classify_deleter(
     """
     samples = _int_at_least(samples, 1, "samples")
     seed = _int_at_least(seed, 0, "seed")
-    dims = machine.input_dims
-    if len(dims) != 3 or dims[0] != dims[1] or dims[2] < dims[0] or machine.output_dims != dims:
+    d, m = _copy_layout(machine)
+    if m < d or machine.output_dims != machine.input_dims:
         raise ShapeError(
             f"classification needs a machine from [d, d, m] to [d, d, m] with m >= d, "
-            f"got {dims} -> {machine.output_dims}"
+            f"got {machine.input_dims} -> {machine.output_dims}"
         )
-    d, m = dims[0], dims[2]
     ancilla_images, deviation, gram_deviation = _swap_certificate(machine)
 
     if not machine.rule_norms_ok():
@@ -416,8 +436,7 @@ def classify_deleter(
     # Reduced ancilla of each normalized output, compared with the state the
     # input amplitudes predict when carried onto the ancilla images.
     (whole, _), _ = weights
-    if np.any(whole < 1e-30):
-        raise InvalidStateError("cannot normalize a zero vector")
+    _require_nonzero(whole)
     flat = outs.reshape(samples, d * d, m) / np.sqrt(whole)[:, None, None]
     rho = np.einsum("nxa,nxb->nab", flat, flat.conj())
     predicted = psis @ ancilla_images
@@ -427,12 +446,9 @@ def classify_deleter(
     target = np.einsum("na,nb->nab", predicted, predicted.conj())
     ancilla_errors = np.where(lost, 1.0, _half_trace_norms(rho - target))
 
-    if deviation <= _DELETION_TOL:
-        kind = DeleterKind.SWAP_LIKE
-    else:
-        kind = DeleterKind.APPROXIMATE_DELETER
+    swap_like = deviation <= _DELETION_TOL and gram_deviation <= _DELETION_TOL
     return DeleterVerdict(
-        kind=kind,
+        kind=DeleterKind.SWAP_LIKE if swap_like else DeleterKind.APPROXIMATE_DELETER,
         samples=samples,
         seed=seed,
         residual_stats=tuple(residuals.tolist()),
@@ -446,16 +462,11 @@ def classify_deleter(
 
 
 def machine_to_json(machine: BasisActionMachine) -> dict:
+    columns = _complex_pairs(machine.matrix.T)
     return {
         "input_dims": list(machine.input_dims),
         "output_dims": list(machine.output_dims),
-        "rules": [
-            {
-                "in_index": i,
-                "out_amplitudes": [complex_pair(z) for z in column],
-            }
-            for i, column in enumerate(machine.matrix.T)
-        ],
+        "rules": [{"in_index": i, "out_amplitudes": pairs} for i, pairs in enumerate(columns)],
     }
 
 

@@ -24,8 +24,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidStateError, ShapeError
-from .hilbert import ALGEBRAIC_TOL, Ket, _int_at_least, basis_ket, inner, ket, tensor
-from .machines import BasisActionMachine, _copies_output, check_isometry
+from .hilbert import Ket, _int_at_least, _require_unit, basis_ket, inner, ket, tensor
+from .machines import BasisActionMachine, _copies_output, _copy_layout, check_isometry
 
 __all__ = [
     "Constraint",
@@ -136,10 +136,7 @@ def _sweep_max_residuals(n_points: int, phase: float = 0.0) -> tuple[np.ndarray,
     s = _overlap_grid(n_points)
     z = complex(math.cos(phase), math.sin(phase)) * s
     rest = np.sqrt(np.maximum(1.0 - s * s, 0.0))
-    norm_sq = z.real * z.real + z.imag * z.imag + rest * rest
-    worst = int(np.argmax(np.abs(norm_sq - 1.0)))
-    if not abs(norm_sq[worst] - 1.0) <= ALGEBRAIC_TOL:
-        raise InvalidStateError(f"state is not normalized: |psi|^2 = {norm_sq[worst]!r}")
+    _require_unit(z.real * z.real + z.imag * z.imag + rest * rest)
     # hypot, not np.abs: the vectorised complex abs rounds up to 2 ulp away
     # from the scalar abs that Constraint.residual takes
     diffs = [lhs - rhs for _, lhs, rhs in _conditions(z, np.ones_like(z), z, z.conj())]
@@ -165,7 +162,7 @@ def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> fl
     if not np.all(np.isfinite(amps)):
         raise InvalidStateError("alphabet state has a non-finite amplitude")
     if isinstance(machine, BasisActionMachine):
-        d = machine.input_dims[0]
+        d, _ = _copy_layout(machine)
         if dims != (d,):
             raise ShapeError(f"alphabet state dims {dims} do not match machine copies ({d},)")
         outputs = _copies_output(machine, amps).reshape(len(alphabet), -1)

@@ -22,9 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidStateError, ShapeError
+from .errors import ShapeError
 from .hilbert import DensityMatrix, Ket, _half_trace_norms, _require_densities, _trusted
-from .machines import BLANK_INDEX, BasisActionMachine, _pair_output
+from .machines import BLANK_INDEX, BasisActionMachine, _copy_layout, _pair_output, _require_nonzero
 
 __all__ = [
     "MeasurementOutcome",
@@ -152,8 +152,7 @@ def _branch_mixtures(thetas: np.ndarray, *rules: BranchRule) -> tuple[np.ndarray
                 # Bob's particles collapse to the opposite labels
                 out = rule(bases, post, 1 - k1, 1 - k3).reshape(len(bases), 4, -1)
                 norm = np.linalg.norm(out, axis=(1, 2))
-                if not np.all(norm >= 1e-15):
-                    raise InvalidStateError("cannot normalize a zero vector")
+                _require_nonzero(norm * norm)
                 out = out / norm[:, None, None]
                 accs[n] = accs[n] + prob[:, None, None] * (out @ np.swapaxes(out, 1, 2).conj())
     _require_densities(np.stack(accs))
@@ -246,9 +245,9 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
     and the ancilla is traced out. Legal machines leave the mixture
     basis-independent.
     """
-    dims = machine.input_dims
-    if len(dims) != 3 or dims[:2] != (2, 2):
-        raise ShapeError(f"need a machine on [2, 2, m], got {dims}")
+    d, m = _copy_layout(machine)
+    if d != 2 or m == 1:
+        raise ShapeError(f"need a machine on [2, 2, m], got {machine.input_dims}")
 
     def through_machine(bases: np.ndarray, post: np.ndarray, x: int, y: int) -> np.ndarray:
         return _pair_output(machine, post)

@@ -87,7 +87,7 @@ class TestConditionalOutput:
             assert abs(out.norm() - 1.0) < 1e-12
 
     def test_unnormalized_input_rejected(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidStateError, match=r"state is not normalized: \|psi\|\^2 = 1\.25"):
             conditional_output(1.0, 0.5)
 
 

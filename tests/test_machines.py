@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -453,6 +454,19 @@ class TestClassifyDeleter:
         assert verdict.kind is DeleterKind.APPROXIMATE_DELETER
         assert verdict.swap_deviation == pytest.approx(2.0 * math.sqrt(2e-12), rel=1e-3)
 
+    def test_an_exact_deleter_that_is_no_isometry_is_not_swap_like(self):
+        # swap(2) with |0 1 0> -> |0 0 0> and |1 1 0> -> |1 0 0>: every rule normalized and
+        # every residual 0, but a_0 = a_1 = |0>, so the ancilla holds nothing of psi
+        matrix = swap_deleter(2).matrix.copy()
+        for i in (0, 1):
+            matrix[:, int(np.ravel_multi_index((i, 1, 0), (2, 2, 2)))] = np.eye(8)[4 * i]
+        machine = BasisActionMachine((2, 2, 2), (2, 2, 2), matrix)
+        verdict = classify_deleter(machine, samples=20, seed=1)
+        assert (verdict.swap_deviation, verdict.gram_deviation) == (0.0, 1.0)
+        assert check_isometry(machine) == 1.0
+        assert max(verdict.residual_stats) < 1e-12
+        assert verdict.kind is DeleterKind.APPROXIMATE_DELETER
+
     def test_one_sample_has_no_dependence(self):
         """A one-sample verdict gets the kind and certificate of a 50-sample one: the
         certificate does not depend on the samples."""
@@ -575,6 +589,18 @@ class TestTwoCopyKernel:
         # though it lies in the ideal-deletion subspace
         tiny = BasisActionMachine((2, 2), (2, 2), 1e-16 * np.eye(4), strict=False)
         assert deletion_residual(tiny, basis_ket([2], 0)) == 1.0
+
+
+    @pytest.mark.parametrize("output_dims", [(4,), (3, 2), (2,)])
+    def test_an_output_without_a_copy_and_a_blank_slot_is_refused(self, output_dims):
+        matrix = np.eye(math.prod(output_dims))[:, [0, 1, 1, 0]]
+        machine = BasisActionMachine((2, 2), output_dims, matrix)
+        with pytest.raises(ShapeError, match=re.escape(f"output dims {output_dims}")):
+            deletion_residual(machine, basis_ket([2], 0))
+
+    def test_an_input_state_of_another_dimension_is_refused(self):
+        with pytest.raises(ShapeError, match="machine copies are 3-level"):
+            deletion_residual(qudit_pair_deleter(3), basis_ket([2], 0))
 
 
 class TestNoDeletionWitness:

@@ -20,6 +20,7 @@ from qdel.nogo import (
     gram_preservation_check,
     ideal_deletion_map,
     nonorthogonal_constraints,
+    overlap_constraints,
     sweep_overlap,
     verify_report,
 )
@@ -55,6 +56,13 @@ class TestNonorthogonalConstraints:
         blank_condition = report.constraints[2]
         assert blank_condition.residual == pytest.approx(1.0, abs=1e-15)
         assert not report.satisfiable
+
+    @pytest.mark.parametrize("gap, satisfiable", [(1e-8, False), (1e-12, True)])
+    def test_satisfiable_only_within_the_tolerance_of_unit_overlap(self, gap, satisfiable):
+        # s = 1 - gap leaves s^2 = s off by about gap, either side of _SAT_TOL = 1e-10
+        report = overlap_constraints(1.0 - gap)
+        assert report.satisfiable is satisfiable
+        assert report.trivial_only is satisfiable
 
     def test_exactly_five_constraints_with_rule_pair_labels(self):
         report = nonorthogonal_constraints(basis_ket([2], 0), plus(), basis_ket([2], 0))
