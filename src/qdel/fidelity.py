@@ -42,7 +42,7 @@ from .hilbert import (
     qubit_ket,
     tensor,
 )
-from .machines import _copies_output, _weights, apply, conditional_deleter
+from .machines import _copies_output, _norms_sq, _weights, apply, conditional_deleter
 
 __all__ = [
     "FidelityReport",
@@ -146,8 +146,9 @@ def _batched_fidelities(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarr
     f_b, f_a = np.empty(len(alphas)), np.empty(len(alphas))
     for start in range(0, len(alphas), _POINT_BLOCK):
         block = slice(start, start + _POINT_BLOCK)
-        psi = np.stack([alphas[block], betas[block]], axis=1).astype(complex, copy=False)  # (b, 2)
-        (_, f_b[block]), (f_a[block], _) = _weights(_copies_output(_MACHINE, psi), psi)
+        psi = np.stack([alphas[block], betas[block]]).astype(complex, copy=False)  # (2, b)
+        (_, blank), (kept, _) = _weights(_copies_output(_MACHINE, psi), psi)
+        f_b[block], f_a[block] = _norms_sq(blank), _norms_sq(kept)
     return f_b, f_a
 
 
@@ -175,15 +176,16 @@ def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
         )
     u, w = _gauss_legendre(n_theta)
     phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
-    ones, phase = np.ones_like(phi)[None, :], np.exp(1j * phi)[None, :]
+    phase = np.exp(1j * phi)
     row_means = np.empty((2, n_theta))
     rows = max(1, _POINT_BLOCK // n_phi)
     for start in range(0, n_theta, rows):
         band = slice(start, start + rows)
-        alpha = np.sqrt((1.0 + u[band]) / 2.0)[:, None] * ones
-        beta = np.sqrt((1.0 - u[band]) / 2.0)[:, None] * phase
-        for means, f in zip(row_means, _batched_fidelities(alpha, beta)):
-            means[band] = np.mean(f.reshape(alpha.shape), axis=1)
+        psis = np.empty((2, len(u[band]), n_phi), dtype=complex)
+        psis[0] = np.sqrt((1.0 + u[band]) / 2.0)[:, None]
+        np.multiply(np.sqrt((1.0 - u[band]) / 2.0)[:, None], phase, out=psis[1])
+        for means, f in zip(row_means, _batched_fidelities(*psis.reshape(2, -1))):
+            means[band] = np.mean(f.reshape(psis.shape[1:]), axis=1)
     # weights sum to 2 over u in [-1, 1]; phi average is a plain mean
     avg_b, avg_a = (float(np.sum(w * means) / 2.0) for means in row_means)
     return avg_b, avg_a

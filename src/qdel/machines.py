@@ -164,42 +164,49 @@ def _copy_layout(machine: BasisActionMachine) -> tuple[int, int]:
 
 
 def _pair_output(machine: BasisActionMachine, pairs: np.ndarray) -> np.ndarray:
-    """Outputs on a (B, d, d) batch of two-register amplitudes, as (B, *output_dims).
+    """Outputs on a (d, d, B) batch of two-register amplitudes, as (*output_dims, B).
 
-    The ancilla of a [d, d, m] machine starts in basis state 0, so only the
-    inputs |i, j, 0> enter: every m-th column of the matrix.
+    Each point is a column, as in `apply`. The ancilla of a [d, d, m] machine
+    starts in basis state 0, so only the inputs |i, j, 0> enter: every m-th
+    column of the matrix.
     """
-    _, m = _copy_layout(machine)
-    out = pairs.reshape(len(pairs), -1) @ machine.matrix[:, ::m].T
-    return out.reshape((-1,) + machine.output_dims)
+    d, m = _copy_layout(machine)
+    out = machine.matrix[:, ::m] @ pairs.reshape(d * d, -1)
+    return out.reshape(machine.output_dims + (-1,))
 
 
 def _copies_output(machine: BasisActionMachine, psis: np.ndarray) -> np.ndarray:
-    """Outputs on |psi>|psi>(|0>) for a (B, d) batch of one-copy amplitudes."""
+    """Outputs on |psi>|psi>(|0>) for a (d, B) batch of one-copy amplitudes."""
     psis = np.asarray(psis, dtype=complex)
-    return _pair_output(machine, np.einsum("na,nb->nab", psis, psis))
+    return _pair_output(machine, psis[:, None] * psis[None])
 
 
 def _weights(outs: np.ndarray, psis: np.ndarray) -> tuple:
-    """((||out||^2, ||<blank|_b out||^2), (||<psi|_a out||^2, ||<psi|_a <blank|_b out||^2)) of
-    kernel outputs `outs` on inputs `psis`: (B,) dots of each row's real and imaginary parts.
+    """((out, <blank|_b out), (<psi|_a out, <psi|_a <blank|_b out)) of kernel outputs `outs`
+    on inputs `psis`, the points on the last axis; `_norms_sq` gives each entry's (B,) weights.
     An output that does not start with the copy's d levels and a blank slot is a ShapeError.
     """
-    (n, d), dims = psis.shape, outs.shape[1:]
+    (d, n), dims = psis.shape, outs.shape[:-1]
     if len(dims) < 2 or dims[0] != d:
         raise ShapeError(f"output dims {dims} do not start with a {d}-level copy and a blank slot")
-    b = dims[1]
-    kept = np.einsum("na,nax->nx", psis.conj(), outs.reshape(n, d, -1))
-    # (B, a, b, rest) and (B, b, rest), the rest as interleaved real and imaginary parts
-    out, kept = outs.reshape(n, d, b, -1).view(float), kept.reshape(n, b, -1).view(float)
-    rows = [p.reshape(n, -1) for p in (out, out[:, :, BLANK_INDEX], kept, kept[:, BLANK_INDEX])]
-    w = [np.einsum("ij,ij->i", row, row) for row in rows]
-    return (w[0], w[1]), (w[2], w[3])
+    out = outs.reshape(d, dims[1], -1, n)  # (a, b, rest, B)
+    bras = psis.conj()
+    kept = bras[0] * out[0]  # (b, rest, B)
+    for a in range(1, d):
+        kept += bras[a] * out[a]
+    return (out, out[:, BLANK_INDEX]), (kept, kept[BLANK_INDEX])
 
 
-def _residual(weights: tuple) -> np.ndarray:
-    """1 - sqrt(||<psi|<blank| out||^2 / ||out||^2), clamped at 0; 1 for a vanishing output."""
-    (whole, _), (_, kept) = weights
+def _norms_sq(projection: np.ndarray) -> np.ndarray:
+    """(B,) squared norms of a `_weights` entry: sums over every axis but the last."""
+    parts = projection.view(float)  # real and imaginary parts interleaved on the last axis
+    sums = np.sum((parts * parts).reshape(-1, parts.shape[-1]), axis=0)
+    return sums[0::2] + sums[1::2]
+
+
+def _residual(whole: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """1 - sqrt(||<psi|<blank| out||^2 / ||out||^2) from those squared norms, `kept` and
+    `whole`, clamped at 0; 1 for a vanishing output."""
     ratio = np.divide(kept, whole, out=np.zeros(len(whole)), where=whole >= _ZERO_OUTPUT)
     return np.maximum(1.0 - np.sqrt(ratio), 0.0)
 
@@ -311,8 +318,9 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     if psi.dims != (d,):
         raise ShapeError(f"input state has dims {psi.dims}, machine copies are {d}-level")
     psi.require_normalized()
-    psis = psi.amplitudes[None]
-    return float(_residual(_weights(_copies_output(machine, psis), psis))[0])
+    psis = psi.amplitudes[:, None]
+    (out, _), (_, kept) = _weights(_copies_output(machine, psis), psis)
+    return float(_residual(_norms_sq(out), _norms_sq(kept))[0])
 
 
 @dataclass(frozen=True)
@@ -342,10 +350,11 @@ def delete_demo_report(dim: int, alpha_sq: float) -> DeleteDemoReport:
     """
     x = _alpha_sq(alpha_sq)
     machine = qudit_pair_deleter(dim)
-    psis = np.zeros((1, dim), dtype=complex)
-    psis[0, :2] = math.sqrt(x), math.sqrt(1.0 - x)
+    psis = np.zeros((dim, 1), dtype=complex)
+    psis[:2, 0] = math.sqrt(x), math.sqrt(1.0 - x)
     outs = _copies_output(machine, psis)
-    residual = float(_residual(_weights(outs, psis))[0])
+    (out, _), (_, kept) = _weights(outs, psis)
+    residual = float(_residual(_norms_sq(out), _norms_sq(kept))[0])
     return DeleteDemoReport(dim, x, residual, float(np.linalg.norm(outs)))
 
 
@@ -365,8 +374,9 @@ def _swap_certificate(machine: BasisActionMachine) -> tuple[np.ndarray, float, f
     those pairs, and the Gram deviation max |A^dagger A - I| over the a_i.
     """
     d, m = _copy_layout(machine)
-    pairs = np.eye(d * d).reshape(d * d, d, d)
-    columns = _pair_output(machine, pairs).reshape(d, d, d, d, m)  # [i, j] is M|i j 0>
+    # the d^2 basis pairs as one batch; the output's last axis runs over (i, j)
+    outputs = _pair_output(machine, np.eye(d * d).reshape(d, d, d * d))
+    columns = np.moveaxis(outputs, -1, 0).reshape(d, d, d, d, m)  # [i, j] is M|i j 0>
     index = np.arange(d)
     images = columns[index, index, index, BLANK_INDEX]
     sides = columns + columns.swapaxes(0, 1)
@@ -428,22 +438,22 @@ def classify_deleter(
                 f"machine does not delete the identical basis input |{i}>|{i}>"
             )
 
-    psis = _haar_amplitudes(d, samples, np.random.default_rng(seed))
+    psis = _haar_amplitudes(d, samples, np.random.default_rng(seed)).T
     outs = _copies_output(machine, psis)
-    weights = _weights(outs, psis)
-    residuals = _residual(weights)
+    (out, _), (_, kept) = _weights(outs, psis)
+    whole = _norms_sq(out)
+    residuals = _residual(whole, _norms_sq(kept))
 
     # Reduced ancilla of each normalized output, compared with the state the
     # input amplitudes predict when carried onto the ancilla images.
-    (whole, _), _ = weights
     _require_nonzero(whole)
-    flat = outs.reshape(samples, d * d, m) / np.sqrt(whole)[:, None, None]
-    rho = np.einsum("nxa,nxb->nab", flat, flat.conj())
-    predicted = psis @ ancilla_images
-    pnorms = np.linalg.norm(predicted, axis=1)
+    flat = outs.reshape(d * d, m, samples) / np.sqrt(whole)
+    rho = np.einsum("xan,xbn->nab", flat, flat.conj())
+    predicted = ancilla_images.T @ psis  # (m, samples)
+    pnorms = np.linalg.norm(predicted, axis=0)
     lost = pnorms < 1e-12
-    predicted = predicted / np.where(lost, 1.0, pnorms)[:, None]
-    target = np.einsum("na,nb->nab", predicted, predicted.conj())
+    predicted = predicted / np.where(lost, 1.0, pnorms)
+    target = np.einsum("an,bn->nab", predicted, predicted.conj())
     ancilla_errors = np.where(lost, 1.0, _half_trace_norms(rho - target))
 
     swap_like = deviation <= _DELETION_TOL and gram_deviation <= _DELETION_TOL

@@ -165,12 +165,12 @@ def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> fl
         d, _ = _copy_layout(machine)
         if dims != (d,):
             raise ShapeError(f"alphabet state dims {dims} do not match machine copies ({d},)")
-        outputs = _copies_output(machine, amps).reshape(len(alphabet), -1)
+        outputs = _copies_output(machine, amps.T).reshape(-1, len(alphabet))
     else:
-        outputs = np.stack([machine(tensor(psi, psi)).amplitudes for psi in alphabet])
+        outputs = np.stack([machine(tensor(psi, psi)).amplitudes for psi in alphabet], axis=1)
 
     gram_in = (amps.conj() @ amps.T) ** 2  # <psi_i psi_i|psi_j psi_j> = <psi_i|psi_j>^2
-    gram_out = outputs.conj() @ outputs.T
+    gram_out = outputs.conj().T @ outputs
     pairs = np.triu_indices(len(alphabet), 1)
     worst = np.max(np.abs(gram_in - gram_out)[pairs], initial=0.0)
     return float(worst)
@@ -186,12 +186,14 @@ class VerifyReport:
     rules_normalized: every rule image has squared norm 1 within 1e-9.
     max_gram_residual: `gram_preservation_check` over the alphabet; None
         when no alphabet was given.
+    tol: the tolerance is_isometry was judged within.
     """
 
     is_isometry: bool
     max_gram_deviation: float
     rules_normalized: bool
     max_gram_residual: Optional[float]
+    tol: float
 
 
 def verify_report(
@@ -199,8 +201,8 @@ def verify_report(
 ) -> VerifyReport:
     """The `VerifyReport` of a machine, its isometry judged within `tol`.
 
-    `tol` is positive and finite, else a ValueError. Without an alphabet
-    `max_gram_residual` is None.
+    `tol` is positive and finite, else a ValueError; the report records it.
+    Without an alphabet `max_gram_residual` is None.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
@@ -210,6 +212,7 @@ def verify_report(
         max_gram_deviation=deviation,
         rules_normalized=machine.rule_norms_ok(1e-9),
         max_gram_residual=None if alphabet is None else gram_preservation_check(machine, alphabet),
+        tol=float(tol),
     )
 
 

@@ -248,9 +248,14 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
     d, m = _copy_layout(machine)
     if d != 2 or m == 1:
         raise ShapeError(f"need a machine on [2, 2, m], got {machine.input_dims}")
+    if machine.output_dims[:2] != (2, 2):
+        raise ShapeError(
+            f"need an output that starts with Bob's two qubits (2, 2), got {machine.output_dims}"
+        )
 
     def through_machine(bases: np.ndarray, post: np.ndarray, x: int, y: int) -> np.ndarray:
-        return _pair_output(machine, post)
+        # the kernel takes the branch's points on its last axis and gives them back there
+        return np.moveaxis(_pair_output(machine, np.moveaxis(post, 0, -1)), -1, 0)
 
     return _one_point(lambda thetas: _branch_mixtures(thetas, through_machine)[0], theta)
 

@@ -558,6 +558,7 @@ def hand_built_verify(machine, tol: float, alphabet) -> str:
     }
     if alphabet:
         payload["max_gram_residual"] = gram_preservation_check(machine, alphabet)
+    payload["tol"] = tol
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 

@@ -305,6 +305,27 @@ class TestOptimalQuality:
             reference = min(bound(x_star), bound(half))
         assert abs(optimal_quality(n, m).min_bound - reference) <= 1e-15
 
+    @pytest.mark.parametrize("n, m", [(5, 4), (6, 5), (12, 4), (34, 2), (36, 4), (200, 100),
+                                      (4096, 2)])
+    def test_argmin_matches_a_50_digit_reference(self, n, m):
+        """The argmin is where the 50-digit slope vanishes, or balance, to 1e-12."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            def bound(x):
+                y = 1 - x
+                return (x ** (mp.mpf(n + m) / 2) + y ** (mp.mpf(n + m) / 2)
+                        + mp.sqrt((1 - x**n - y**n) * (1 - x**m - y**m)))
+
+            x0 = float(_GRID[int(np.argmin(_bound_values(_GRID, n, m)))])
+            x0 = min(x0, 1.0 - x0)
+            candidates = [mp.mpf(1) / 2]
+            if x0 != 0.5:  # the stationary point the dense grid's argmin brackets
+                candidates.append(mp.findroot(lambda x: mp.diff(bound, x),
+                                              (mp.mpf(x0) - GRID_STEP, mp.mpf(x0) + GRID_STEP),
+                                              solver="anderson"))
+            reference = float(min(candidates, key=bound))
+        assert abs(optimal_quality(n, m).argmin_alpha_sq - reference) <= 1e-12
+
     def test_fixed_m_plateau_of_the_closed_form(self):
         # for M = 2 the closed form tends to 1/sqrt(2) while the true minimum keeps falling
         reports = [optimal_quality(n, 2) for n in (34, 256, 4096, 16384)]

@@ -214,7 +214,7 @@ class TestAverageFidelity:
 
     def test_grid_average_memory_stays_below_4_mb(self):
         # the grid goes through the kernel in theta-row bands of one slice,
-        # so only a band and the row means are held (about 1.9 MB)
+        # so only a band and the row means are held (about 2.2 MB)
         _grid_averages(512, 512)
         tracemalloc.start()
         try:
@@ -257,6 +257,20 @@ class TestAverageFidelity:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             average_fidelity("c", 64, 64)
+
+    def test_grid_calls_the_kernel_once_per_band(self, monkeypatch):
+        """512 x 512 is 64 bands of 8 theta rows; each goes through the kernel in one call,
+        its 4096 points on the last axis, so no Python loop runs per point or per row."""
+        batches = []
+        kernel = fidelity._copies_output
+
+        def counted(machine, psis):
+            batches.append(np.shape(psis))
+            return kernel(machine, psis)
+
+        monkeypatch.setattr(fidelity, "_copies_output", counted)
+        _grid_averages(512, 512)
+        assert batches == [(2, 8 * 512)] * 64
 
     def test_grid_work_is_pinned(self, monkeypatch):
         """One rule build per grid size, and every call sends its whole grid to the kernel."""

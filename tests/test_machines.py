@@ -16,6 +16,7 @@ from qdel.hilbert import (
     haar_qubit,
     ket,
     partial_trace,
+    state_fidelity,
     tensor,
     trace_distance,
 )
@@ -34,7 +35,7 @@ from qdel.machines import (
     qudit_pair_deleter,
     swap_deleter,
 )
-from qdel.machines import _copies_output, _weights
+from qdel.machines import _copies_output, _norms_sq, _weights
 from qdel.signalling import bob_machine_and_reduce
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -218,7 +219,7 @@ class TestQuditPairDeleter:
             monkeypatch.setattr(machines, name, refuse, raising=False)
         monkeypatch.setattr(hilbert, "tensor", refuse)
         delete_demo_report(3, 0.3)
-        assert calls == [(1, 3)]
+        assert calls == [(3, 1)]
 
 
 class TestConditionalDeleter:
@@ -537,9 +538,9 @@ class TestTwoCopyKernel:
             machine = BasisActionMachine(dims, dims, q)
             d, m = dims[0], dims[2]
             psis = [haar_ket(d, rng) for _ in range(5)]
-            outs = _copies_output(machine, np.stack([psi.amplitudes for psi in psis]))
-            assert outs.shape == (5, d, d, m)
-            for psi, out in zip(psis, outs):
+            outs = _copies_output(machine, np.stack([psi.amplitudes for psi in psis], axis=1))
+            assert outs.shape == (d, d, m, 5)
+            for psi, out in zip(psis, np.moveaxis(outs, -1, 0)):
                 reference = apply(machine, tensor(psi, psi, basis_ket([m], 0)))
                 np.testing.assert_allclose(out.reshape(-1), reference.amplitudes, atol=1e-12)
                 rho_copies = np.einsum("abc,dec->abde", out, out.conj()).reshape(d * d, d * d)
@@ -561,8 +562,9 @@ class TestTwoCopyKernel:
         matrix = np.linalg.qr(gauss)[0] if isometry else gauss
         machine = BasisActionMachine(dims, dims, matrix, strict=isometry)
         psis = [haar_ket(d, rng) for _ in range(4)]
-        amps = np.stack([psi.amplitudes for psi in psis])
-        (whole, blank), (kept, kept_blank) = _weights(_copies_output(machine, amps), amps)
+        amps = np.stack([psi.amplitudes for psi in psis], axis=1)
+        weights = _weights(_copies_output(machine, amps), amps)
+        whole, blank, kept, kept_blank = (_norms_sq(p) for row in weights for p in row)
         ancilla = [basis_ket(dims[2:], 0)] if len(dims) == 3 else []
         blank_ket = basis_ket([d], 0)
         for k, psi in enumerate(psis):
@@ -601,6 +603,67 @@ class TestTwoCopyKernel:
     def test_an_input_state_of_another_dimension_is_refused(self):
         with pytest.raises(ShapeError, match="machine copies are 3-level"):
             deletion_residual(qudit_pair_deleter(3), basis_ket([2], 0))
+
+
+def _kernel_machines() -> dict:
+    gauss = np.random.default_rng(59).standard_normal((2, 12, 12))
+    return {
+        "swap2": swap_deleter(2),
+        "swap3": swap_deleter(3),
+        "conditional": conditional_deleter(),
+        "qudit_pair3": qudit_pair_deleter(3),
+        "random_223": BasisActionMachine((2, 2, 3), (2, 2, 3), gauss[0] + 1j * gauss[1],
+                                         strict=False),
+    }
+
+
+KERNEL_MACHINES = _kernel_machines()
+EPS = np.finfo(float).eps
+
+
+class TestPointsLastKernel:
+    """The two-copy kernel, the points on its last axis, held to the object route at 4 eps."""
+
+    @staticmethod
+    def drawn(machine, count=16):
+        d = machine.input_dims[0]
+        rng = np.random.default_rng(61 + d)
+        psis = [haar_ket(d, rng) for _ in range(count)]
+        ancilla = [basis_ket(machine.input_dims[2:], 0)] if len(machine.input_dims) == 3 else []
+        return psis, np.stack([psi.amplitudes for psi in psis], axis=1), ancilla
+
+    @pytest.mark.parametrize("name", list(KERNEL_MACHINES))
+    def test_each_output_column_is_apply_on_two_copies(self, name):
+        machine = KERNEL_MACHINES[name]
+        psis, amps, ancilla = self.drawn(machine)
+        outs = _copies_output(machine, amps)
+        assert outs.shape == machine.output_dims + (len(psis),)
+        for k, psi in enumerate(psis):
+            want = apply(machine, tensor(psi, psi, *ancilla)).amplitudes
+            scale = max(1.0, np.max(np.abs(want)))
+            np.testing.assert_allclose(outs[..., k].reshape(-1), want, rtol=0, atol=4 * EPS * scale)
+
+    @pytest.mark.parametrize("name", list(KERNEL_MACHINES))
+    def test_weights_match_the_partial_trace_route(self, name):
+        machine = KERNEL_MACHINES[name]
+        psis, amps, ancilla = self.drawn(machine)
+        weights = _weights(_copies_output(machine, amps), amps)
+        table = np.array([_norms_sq(p) for row in weights for p in row])
+        assert table.shape == (4, len(psis))
+        d = machine.input_dims[0]
+        blank = basis_ket([d], 0)
+        for k, psi in enumerate(psis):
+            out = apply(machine, tensor(psi, psi, *ancilla))
+            norm_sq = out.norm() ** 2
+            rho = density_of(Ket(out.dims, out.amplitudes / out.norm()))
+            overlaps = [
+                1.0,
+                state_fidelity(partial_trace(rho, keep={1}), blank),
+                state_fidelity(partial_trace(rho, keep={0}), psi),
+                state_fidelity(partial_trace(rho, keep={0, 1}), tensor(psi, blank)),
+            ]
+            np.testing.assert_allclose(table[:, k], norm_sq * np.array(overlaps), rtol=0,
+                                       atol=4 * EPS * max(1.0, norm_sq))
 
 
 class TestNoDeletionWitness:

@@ -213,6 +213,11 @@ class TestVerifyReport:
         assert verify_report(machine, deviation).is_isometry
         assert not verify_report(machine, deviation / 2).is_isometry
 
+    @pytest.mark.parametrize("tol", [1e-10, 0.5, np.float64(1e-3), 2])
+    def test_the_report_records_the_tolerance_it_applied(self, tol):
+        report = verify_report(swap_deleter(2), tol)
+        assert report.tol == tol and type(report.tol) is float
+
     def test_unnormalized_rules_are_reported(self):
         machine = BasisActionMachine((2,), (2,), np.diag([1.0, 1.0 + 1e-8]), strict=False)
         report = verify_report(machine, 1e-10)

@@ -164,7 +164,7 @@ def test_json_key_order_is_the_field_order_then_derived_properties():
         (delete_demo_report(2, 0.5),
          ["dim", "alpha_sq", "residual", "output_norm", "deletes_exactly"]),
         (verify_report(swap_deleter(2), 1e-10),
-         ["is_isometry", "max_gram_deviation", "rules_normalized", "max_gram_residual"]),
+         ["is_isometry", "max_gram_deviation", "rules_normalized", "max_gram_residual", "tol"]),
     ]
     for report, keys in expected:
         assert list(json.loads(emit_report(report, "json"))) == keys, type(report).__name__

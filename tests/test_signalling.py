@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,14 @@ class TestSwapDeleterCannotSignal:
         with pytest.raises(ShapeError):
             bob_machine_and_reduce(0.0, swap_deleter(3))
 
+    @pytest.mark.parametrize("output_dims", [(3, 4), (4, 3), (2, 6), (12,)])
+    def test_an_output_without_bobs_two_qubits_first_is_refused(self, output_dims):
+        # the conditional deleter's matrix under output dims that do not start with (2, 2):
+        # its 12 amplitudes would otherwise be read as two qubits and a 3-level ancilla
+        machine = BasisActionMachine((2, 2, 3), output_dims, conditional_deleter().matrix)
+        with pytest.raises(ShapeError, match=re.escape(f"got {output_dims}")):
+            bob_machine_and_reduce(0.0, machine)
+
 
 class TestSignallingDistance:
     def test_identical_bases_cannot_be_distinguished(self):
@@ -275,8 +284,10 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("machine", [swap_deleter(2), conditional_deleter()],
                              ids=["swap", "conditional"])
     def test_machine_slices_match_the_object_pipeline(self, machine):
-        (mixtures,) = _branch_mixtures(
-            self.THETAS, lambda bases, post, x, y: _pair_output(machine, post))
+        def through_kernel(bases, post, x, y):  # the branch's points go on the kernel's last axis
+            return np.moveaxis(_pair_output(machine, np.moveaxis(post, 0, -1)), -1, 0)
+
+        (mixtures,) = _branch_mixtures(self.THETAS, through_kernel)
         for theta, rho in zip(self.THETAS, mixtures):
             reference = reference_mixture(float(theta), through(machine))
             np.testing.assert_allclose(rho, reference, rtol=0, atol=KERNEL_TOL)
