@@ -1,9 +1,12 @@
 """State-dependent deletion fidelities of the two-qubit conditional deleter.
 
 Everything here is driven through the machine itself, which is applied to
-|psi>|psi>|A> by linearity. F_b and F_a are two entries of the weight table
-`machines._weights` forms from the two-copy kernel's output, in batches
-streamed in slices of `_POINT_BLOCK` points; a point is a batch of one.
+|psi>|psi>|A> by linearity. F_b and F_a are the squared norms of two entries
+of the weight table `machines._weights` forms from the two-copy kernel's
+output, and only those two are formed. The kernel keeps a batch's points on
+its last axis, so each contraction and norm runs along the batch; batches
+are streamed in slices of `_POINT_BLOCK` points, and a point is a batch of
+one.
 `conditional_output` and the reduced density matrices `rho_ab`, `rho_a`
 and `rho_b` take the object route instead (tensor, apply, density matrix,
 partial trace); they are the reference the tests hold the batched values
@@ -67,13 +70,14 @@ _MIN_GRID = 8
 _MACHINE = conditional_deleter()
 
 # Points per slice of `_batched_fidelities`, and so per theta-row band of
-# `_grid_averages`. Measured on a 2-core host at 1024/2048/4096/8192/16384
-# points: `_grid_averages(512, 512)` peaked at 0.5/1.0/1.9/3.7/7.4 MB under
-# tracemalloc and took 1.24-1.26/1.07-1.12/1/0.97/1.97-2.00 times as long as
-# at 4096 (median of 60 interleaved rounds, in each of two processes; 4096
-# itself 50-54 ms median); the perfbench `quadrature` workload peaked at
-# 41.0/41.0/41.0/41.8/46.0 MB RSS. 8192 is 3% faster at 0.8 MB more RSS;
-# 4096 is kept.
+# `_grid_averages`. Measured on a 2-core host with one BLAS thread at
+# 1024/2048/4096/8192/16384 points: `_grid_averages(512, 512)` peaked at
+# 0.64/1.19/2.22/4.15/8.28 MB under tracemalloc and took
+# 1.26-1.37/1.08-1.13/1/0.97-1.06/2.47-2.64 times as long as at 4096 (median
+# of 60 interleaved rounds, in each of two processes; 4096 itself 25-36 ms
+# median, the host's load varying); one 5 s perfbench `quadrature` run at
+# each size peaked at 40.8/40.8/40.7/42.1/46.3 MB RSS with a `pass_s` of
+# 38.5/35.0/33.4/38.1/72.2 ms. 4096 is kept.
 _POINT_BLOCK = 4096
 
 # Largest grid `_grid_averages` accepts, 268,435,456 points: about a minute
@@ -138,9 +142,10 @@ def point_fidelities(alpha: complex, beta: complex) -> tuple[float, float]:
 
 
 def _batched_fidelities(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F_b, F_a) for a batch of inputs alpha|0> + beta|1>: the `_weights` entries with mode b
-    on the blank and with mode a on |psi>, the partial traces of `rho_b`/`rho_a` in one step.
-    The batch is walked in slices of _POINT_BLOCK points, so no intermediate grows with it.
+    """(F_b, F_a) for a batch of inputs alpha|0> + beta|1>: the squared norms of the `_weights`
+    entries with mode b on the blank and with mode a on |psi>, the partial traces of
+    `rho_b`/`rho_a` in one step. The batch is walked in slices of _POINT_BLOCK points, each
+    stacked as a (2, points) array, so no intermediate grows with it.
     """
     alphas, betas = np.broadcast_arrays(np.ravel(alphas), np.ravel(betas))
     f_b, f_a = np.empty(len(alphas)), np.empty(len(alphas))
@@ -181,7 +186,7 @@ def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
     rows = max(1, _POINT_BLOCK // n_phi)
     for start in range(0, n_theta, rows):
         band = slice(start, start + rows)
-        psis = np.empty((2, len(u[band]), n_phi), dtype=complex)
+        psis = np.empty((2, len(u[band]), n_phi), dtype=complex)  # the band's alpha and beta
         psis[0] = np.sqrt((1.0 + u[band]) / 2.0)[:, None]
         np.multiply(np.sqrt((1.0 - u[band]) / 2.0)[:, None], phase, out=psis[1])
         for means, f in zip(row_means, _batched_fidelities(*psis.reshape(2, -1))):

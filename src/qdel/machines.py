@@ -374,9 +374,7 @@ def _swap_certificate(machine: BasisActionMachine) -> tuple[np.ndarray, float, f
     those pairs, and the Gram deviation max |A^dagger A - I| over the a_i.
     """
     d, m = _copy_layout(machine)
-    # the d^2 basis pairs as one batch; the output's last axis runs over (i, j)
-    outputs = _pair_output(machine, np.eye(d * d).reshape(d, d, d * d))
-    columns = np.moveaxis(outputs, -1, 0).reshape(d, d, d, d, m)  # [i, j] is M|i j 0>
+    columns = machine.matrix[:, ::m].T.reshape(d, d, d, d, m)  # [i, j] is M|i j 0>
     index = np.arange(d)
     images = columns[index, index, index, BLANK_INDEX]
     sides = columns + columns.swapaxes(0, 1)
