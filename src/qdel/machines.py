@@ -444,15 +444,18 @@ def classify_deleter(
 
     # Reduced ancilla of each normalized output, compared with the state the
     # input amplitudes predict when carried onto the ancilla images.
+    # Both are (m, m, samples) stacks: the sum over the copies' d^2 basis states runs
+    # one (m, samples) slice at a time, which holds less than an einsum's buffers.
     _require_nonzero(whole)
-    flat = outs.reshape(d * d, m, samples) / np.sqrt(whole)
-    rho = np.einsum("xan,xbn->nab", flat, flat.conj())
+    rho = np.zeros((m, m, samples), dtype=complex)
+    for slot in outs.reshape(d * d, m, samples) / np.sqrt(whole):
+        rho += slot[:, None] * slot.conj()
     predicted = ancilla_images.T @ psis  # (m, samples)
     pnorms = np.linalg.norm(predicted, axis=0)
     lost = pnorms < 1e-12
     predicted = predicted / np.where(lost, 1.0, pnorms)
-    target = np.einsum("an,bn->nab", predicted, predicted.conj())
-    ancilla_errors = np.where(lost, 1.0, _half_trace_norms(rho - target))
+    rho -= predicted[:, None] * predicted.conj()
+    ancilla_errors = np.where(lost, 1.0, _half_trace_norms(np.moveaxis(rho, -1, 0)))
 
     swap_like = deviation <= _DELETION_TOL and gram_deviation <= _DELETION_TOL
     return DeleterVerdict(
