@@ -448,13 +448,13 @@ def classify_deleter(
     # one (m, samples) slice at a time, which holds less than an einsum's buffers.
     _require_nonzero(whole)
     rho = np.zeros((m, m, samples), dtype=complex)
-    for slot in outs.reshape(d * d, m, samples) / np.sqrt(whole):
-        rho += slot[:, None] * slot.conj()
+    for ancilla in outs.reshape(d * d, m, samples) / np.sqrt(whole):
+        rho += ancilla[:, None] * ancilla.conj()
     predicted = ancilla_images.T @ psis  # (m, samples)
     pnorms = np.linalg.norm(predicted, axis=0)
     lost = pnorms < 1e-12
     predicted = predicted / np.where(lost, 1.0, pnorms)
-    rho -= predicted[:, None] * predicted.conj()
+    rho -= predicted[:, None] * predicted.conj()  # now the difference from the prediction
     ancilla_errors = np.where(lost, 1.0, _half_trace_norms(np.moveaxis(rho, -1, 0)))
 
     swap_like = deviation <= _DELETION_TOL and gram_deviation <= _DELETION_TOL
