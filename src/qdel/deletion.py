@@ -184,8 +184,10 @@ def _minimum(n: int, m: int) -> tuple[float, float, str]:
     """The bound's least value on [0, 1/2], where it is reached, and balance's kind.
 
     The candidates are balance, both ends of every refined root bracket and,
-    when the slope is already positive there (only once 1/(8N) < _EDGE), the
-    scan's first point, standing in for the unresolved edge. The edge
+    when the slope is not negative there, the scan's first point, standing in
+    for the unresolved edge. That happens once 1/(8N) < _EDGE, and also where
+    the slope rounds to 0.0 at the scan's start, as at (2^26, 2^26 - 1) and
+    (2^27, 2^27 - 1). The edge
     |alpha|^2 = 0 itself is no candidate: the bound is 1 there, and by
     Cauchy-Schwarz never below its balanced value.
     """

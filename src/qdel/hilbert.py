@@ -209,13 +209,11 @@ def basis_ket(dims: Sequence[int], index: Union[int, Sequence[int]]) -> Ket:
 
 
 def bloch_ket(theta: float, phi: float = 0.0) -> Ket:
-    """Qubit cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    return ket(_bloch_amplitudes(theta, phi), [2])
-
-
-def _bloch_amplitudes(theta: float, phi: float) -> list:
-    """The two amplitudes of `bloch_ket`, in scalar libm arithmetic."""
-    return [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)]
+    """Qubit cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, in scalar libm arithmetic."""
+    return ket(
+        [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)],
+        [2],
+    )
 
 
 def qubit_ket(alpha: complex, beta: complex) -> Ket:
@@ -304,7 +302,7 @@ def state_fidelity(rho: DensityMatrix, psi: Ket) -> float:
 
 
 def haar_qubit(rng: np.random.Generator) -> Ket:
-    """Haar-random qubit via theta = arccos(1 - 2u), phi = 2 pi v."""
+    """Haar-random qubit: `haar_ket(2, rng)`."""
     return haar_ket(2, rng)
 
 
@@ -316,23 +314,14 @@ def haar_ket(dim: int, rng: np.random.Generator) -> Ket:
 def _haar_amplitudes(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, dim) amplitudes of Haar-random states, from one call on `rng`.
 
-    A qubit is cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> with
-    theta = arccos(1 - 2u), phi = 2 pi v for consecutive uniforms (u, v);
-    other dimensions normalize a complex Gaussian whose `dim` real parts
-    precede its `dim` imaginary parts. Row k is what the k-th of `count`
-    one-state draws on the same stream gives, bit for bit.
+    Each row normalizes a complex Gaussian whose `dim` real parts precede its
+    `dim` imaginary parts, which is Haar in every dimension, qubits included.
+    Row k is what the k-th of `count` one-state draws on the same stream
+    gives, bit for bit.
     """
-    # the arithmetic of one-state draws: libm for the qubit, and for other
-    # dimensions np.linalg.norm's sum of the real and imaginary parts' dots,
-    # which vecdot repeats per row; einsum and norm(axis=1) differ in the last ulp
-    if dim == 2:
-        return np.array(
-            [
-                _bloch_amplitudes(math.acos(1.0 - 2.0 * u), 2.0 * math.pi * v)
-                for u, v in rng.random((count, 2)).tolist()
-            ],
-            dtype=complex,
-        )
+    # the arithmetic of a one-state draw: np.linalg.norm's sum of the real and
+    # imaginary parts' dots, which vecdot repeats per row; einsum and
+    # norm(axis=1) differ in the last ulp
     parts = rng.standard_normal((count, 2, dim))
     z = parts[:, 0] + 1j * parts[:, 1]
     return z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]

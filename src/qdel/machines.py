@@ -204,11 +204,15 @@ def _norms_sq(projection: np.ndarray) -> np.ndarray:
     return sums[0::2] + sums[1::2]
 
 
-def _residual(whole: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """1 - sqrt(||<psi|<blank| out||^2 / ||out||^2) from those squared norms, `kept` and
-    `whole`, clamped at 0; 1 for a vanishing output."""
-    ratio = np.divide(kept, whole, out=np.zeros(len(whole)), where=whole >= _ZERO_OUTPUT)
-    return np.maximum(1.0 - np.sqrt(ratio), 0.0)
+def _residuals(machine: BasisActionMachine, psis: np.ndarray) -> tuple:
+    """(outs, ||out||^2, residuals) on |psi>|psi>(|0>) for a (d, B) batch, outs as the kernel
+    gives them; 1 - sqrt(||<psi|<blank| out||^2 / ||out||^2) clamped at 0, 1 for a vanishing
+    output."""
+    outs = _copies_output(machine, psis)
+    (out, _), (_, kept) = _weights(outs, psis)
+    whole = _norms_sq(out)
+    ratio = np.divide(_norms_sq(kept), whole, out=np.zeros(len(whole)), where=whole >= _ZERO_OUTPUT)
+    return outs, whole, np.maximum(1.0 - np.sqrt(ratio), 0.0)
 
 
 def _require_nonzero(norms_sq: np.ndarray) -> None:
@@ -318,9 +322,7 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     if psi.dims != (d,):
         raise ShapeError(f"input state has dims {psi.dims}, machine copies are {d}-level")
     psi.require_normalized()
-    psis = psi.amplitudes[:, None]
-    (out, _), (_, kept) = _weights(_copies_output(machine, psis), psis)
-    return float(_residual(_norms_sq(out), _norms_sq(kept))[0])
+    return float(_residuals(machine, psi.amplitudes[:, None])[2][0])
 
 
 @dataclass(frozen=True)
@@ -352,10 +354,8 @@ def delete_demo_report(dim: int, alpha_sq: float) -> DeleteDemoReport:
     machine = qudit_pair_deleter(dim)
     psis = np.zeros((dim, 1), dtype=complex)
     psis[:2, 0] = math.sqrt(x), math.sqrt(1.0 - x)
-    outs = _copies_output(machine, psis)
-    (out, _), (_, kept) = _weights(outs, psis)
-    residual = float(_residual(_norms_sq(out), _norms_sq(kept))[0])
-    return DeleteDemoReport(dim, x, residual, float(np.linalg.norm(outs)))
+    outs, _, residuals = _residuals(machine, psis)
+    return DeleteDemoReport(dim, x, float(residuals[0]), float(np.linalg.norm(outs)))
 
 
 # Tolerance of the classifier's exact checks: the swap certificate's deviation
@@ -437,10 +437,7 @@ def classify_deleter(
             )
 
     psis = _haar_amplitudes(d, samples, np.random.default_rng(seed)).T
-    outs = _copies_output(machine, psis)
-    (out, _), (_, kept) = _weights(outs, psis)
-    whole = _norms_sq(out)
-    residuals = _residual(whole, _norms_sq(kept))
+    outs, whole, residuals = _residuals(machine, psis)
 
     # Reduced ancilla of each normalized output, compared with the state the
     # input amplitudes predict when carried onto the ancilla images.

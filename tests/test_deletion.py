@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qdel import deletion
 from qdel.deletion import (
     _GRID,
     GRID_STEP,
@@ -285,6 +286,13 @@ class TestOptimalQuality:
         assert report.argmin_alpha_sq == pytest.approx(0.321, abs=1e-3)
         assert quality_bound(report.argmin_alpha_sq, 6, 5) == report.min_bound
 
+    @pytest.mark.parametrize("n, m", [(1079, 1078), (4096, 4095)])
+    def test_balance_is_a_local_maximum_where_its_slope_underflows(self, n, m):
+        """dB/dt at the scan's last point rounds to 0.0 in doubles here. mpmath, at 440 and
+        1,500 digits, gives 6.1e-320 and 5.5e-1227 and a negative curvature at balance, so
+        balance is a local maximum."""
+        assert optimal_quality(n, m).kind == "local_maximum"
+
     @pytest.mark.parametrize("n, m", [(6, 5), (12, 4), (34, 2), (36, 4), (4096, 2), (16384, 2)])
     def test_min_bound_matches_a_50_digit_reference(self, n, m):
         mp = pytest.importorskip("mpmath")
@@ -325,6 +333,31 @@ class TestOptimalQuality:
                                               solver="anderson"))
             reference = float(min(candidates, key=bound))
         assert abs(optimal_quality(n, m).argmin_alpha_sq - reference) <= 1e-12
+
+    def test_slope_evaluations_are_pinned(self, monkeypatch):
+        """Illinois refines the root brackets of the 78 pairs with N <= 12 in 185 scalar slope
+        evaluations. Plain regula falsi takes 210; _ROOT_TOL 1e-12 in place of 1e-13 takes 184,
+        1e-9 takes 176 and 1e-14 takes 193."""
+        scalar = []
+        slope = deletion._slope
+
+        def counted(x, n, m, ops=np):
+            scalar.append(ops is math)
+            return slope(x, n, m, ops)
+
+        monkeypatch.setattr(deletion, "_slope", counted)
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                optimal_quality(n, m)
+        assert sum(scalar) == 185
+
+    # 60-digit mpmath minima of the bound, taken in log1p/expm1 form over log |alpha|^2;
+    # both dips sit near |alpha|^2 = 2.7e-10, which the slope scan reaches only while
+    # _EDGE lies below it (at 2^-30 the reports miss by 80% and 76%)
+    @pytest.mark.parametrize("n, m, reference", [(10**11, 7, 4.482453464894038e-5),
+                                                 (10**11, 2, 2.449573267913514e-5)])
+    def test_min_bound_at_large_n_matches_a_60_digit_minimum(self, n, m, reference):
+        assert abs(optimal_quality(n, m).min_bound - reference) <= 1e-8 * reference
 
     def test_fixed_m_plateau_of_the_closed_form(self):
         # for M = 2 the closed form tends to 1/sqrt(2) while the true minimum keeps falling

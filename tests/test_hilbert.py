@@ -107,17 +107,11 @@ class TestTensor:
 class TestHaarSampling:
     @staticmethod
     def one_at_a_time(dim, count, rng):
-        """Reference: one state per draw, the qubit through its Bloch angles."""
+        """Reference: one state per draw, a normalized complex Gaussian in every dimension."""
         rows = []
         for _ in range(count):
-            if dim == 2:
-                theta = math.acos(1.0 - 2.0 * rng.random())
-                phi = 2.0 * math.pi * rng.random()
-                rows.append([math.cos(theta / 2.0),
-                             complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)])
-            else:
-                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                rows.append(v / np.linalg.norm(v))
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            rows.append(v / np.linalg.norm(v))
         return np.array(rows, dtype=complex).reshape(count, dim)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
@@ -137,6 +131,13 @@ class TestHaarSampling:
         assert np.stack([psi.amplitudes for psi in rows]).tobytes() == batched.tobytes()
         if dim == 2:
             assert haar_qubit(np.random.default_rng(4)).amplitudes.tobytes() == batched[0].tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_moments_are_haar(self, dim):
+        # Haar: |psi_0|^2 is Beta(1, d - 1), with mean 1/d and second moment 2/(d(d+1))
+        weights = np.abs(_haar_amplitudes(dim, 20000, np.random.default_rng(0))[:, 0]) ** 2
+        assert abs(np.mean(weights) - 1 / dim) <= 0.01
+        assert abs(np.mean(weights**2) - 2 / (dim * (dim + 1))) <= 0.01
 
 
 class TestInner:

@@ -337,7 +337,10 @@ class TestClassifyDeleter:
 
     # Verdicts of the all-pairs eigensolve scan that preceded the swap
     # certificate, on the same seeds: kind must not move, the per-sample
-    # statistics not by more than 4 eps.
+    # statistics not by more than 4 eps. The conditional deleter's values are
+    # those of the object route on the same draws, `haar_ket(2, rng)` six times:
+    # `apply`, normalize, 1 - ||(<psi|<blank| (x) I) out|| / ||out||, and the
+    # `trace_distance` of `partial_trace(keep={2})` to sum_i psi_i a_i.
     RECORDED_SMALL = {
         "swap2": (
             DeleterKind.SWAP_LIKE,
@@ -347,10 +350,10 @@ class TestClassifyDeleter:
         ),
         "conditional": (
             DeleterKind.APPROXIMATE_DELETER,
-            [0.19040488593534788, 0.3840333022346766, 0.07821633941011175, 0.388585311973054,
-             0.07095736759055737, 0.31619031209507653],
-            [0.6118975631422278, 0.7762018004114173, 0.2770988713082654, 0.7497938373913642,
-             0.2618969828995096, 0.7449650336995557],
+            [0.25448098526606455, 0.32967743141911865, 0.13020332758160336, 0.1452909585876483,
+             0.19693014334597592, 0.3683440014647581],
+            [0.6897827583158893, 0.6604085950225195, 0.5150434241554668, 0.5419671798438548,
+             0.6208828501343593, 0.7741657818950152],
         ),
         "swap3": (
             DeleterKind.SWAP_LIKE,
@@ -587,7 +590,7 @@ class TestTwoCopyKernel:
     def test_a_vanishing_output_has_residual_one(self):
         machine = BasisActionMachine((2, 2, 3), (2, 2, 3), np.zeros((12, 12)), strict=False)
         assert deletion_residual(machine, haar_ket(2, np.random.default_rng(41))) == 1.0
-        # _residual's floor: ||out||^2 = 1e-32 is below 1e-30, so the output counts as lost,
+        # _residuals' floor: ||out||^2 = 1e-32 is below 1e-30, so the output counts as lost,
         # though it lies in the ideal-deletion subspace
         tiny = BasisActionMachine((2, 2), (2, 2), 1e-16 * np.eye(4), strict=False)
         assert deletion_residual(tiny, basis_ket([2], 0)) == 1.0
