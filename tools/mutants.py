@@ -8,8 +8,7 @@ passes every listed test file. It then applies one mutant at a time and runs
 only that mutant's test files, one pytest subprocess at a time. It needs
 nothing beyond the standard library and the test dependencies:
 
-    python tools/mutants.py                        # every mutant
-    python tools/mutants.py root_tol_1e-9 edge_2^-30
+    python tools/mutants.py
 
 Exit status: 0 when every mutant run is killed, 1 when one survives, and 2
 when nothing can be judged (the unmutated copy fails a listed test file, a
@@ -131,14 +130,5 @@ def run(mutants: tuple[Mutant, ...]) -> int:
     return 1 if survivors else 0
 
 
-def main(names: list[str]) -> int:
-    by_name = {mutant.name: mutant for mutant in MUTANTS}
-    unknown = [name for name in names if name not in by_name]
-    if unknown:
-        print(f"unknown mutants {unknown}; the names are {', '.join(by_name)}")
-        return 2
-    return run(tuple(by_name[name] for name in names) if names else MUTANTS)
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(run(MUTANTS))
