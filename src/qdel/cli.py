@@ -26,7 +26,7 @@ from .machines import _copy_layout, delete_demo_report, machine_from_json
 # apply stays bound as apply_machine: perfbench's span test checks that this binding is wrapped
 from .machines import apply as apply_machine  # noqa: F401
 from .nogo import _sweep_max_residuals, overlap_constraints, verify_report
-from .reports import RunManifest, _csv, emit_report
+from .reports import RunManifest, _csv, _json, emit_report
 from .signalling import _deletion_mixtures, signalling_distance
 
 __all__ = ["main", "entry"]
@@ -187,7 +187,7 @@ def _write(text: str, out: Optional[str]) -> None:
 def _emit_manifest(args: argparse.Namespace, argv: Sequence[str]) -> None:
     if args.manifest:
         manifest = RunManifest(command="qdel " + " ".join(argv), tol=getattr(args, "tol", None))
-        sys.stderr.write(json.dumps(manifest.to_json(), indent=2) + "\n")
+        sys.stderr.write(_json(manifest.to_json()) + "\n")
 
 
 def _run_quality(args) -> str:

@@ -335,11 +335,18 @@ def complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _complex_pairs(matrix: np.ndarray) -> list:
-    """A complex matrix as nested lists of [re, im] floats, read through a float view."""
-    return np.ascontiguousarray(matrix).view(float).reshape(*matrix.shape, 2).tolist()
+def _complex_pairs(matrix: np.ndarray) -> np.ndarray:
+    """A complex array as a float view with a last [re, im] axis."""
+    return np.ascontiguousarray(matrix).view(float).reshape(*matrix.shape, 2)
+
+
+def _density_layout(rho: DensityMatrix) -> dict:
+    """The JSON object of `rho`, with its entries left the (r, c, 2) float view."""
+    return {"dims": list(rho.dims), "entries": _complex_pairs(rho.entries)}
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
-    return {"dims": list(rho.dims), "entries": _complex_pairs(rho.entries)}
+    payload = _density_layout(rho)
+    payload["entries"] = payload["entries"].tolist()
+    return payload
 

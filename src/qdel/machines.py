@@ -470,7 +470,7 @@ def classify_deleter(
 
 
 def machine_to_json(machine: BasisActionMachine) -> dict:
-    columns = _complex_pairs(machine.matrix.T)
+    columns = _complex_pairs(machine.matrix.T).tolist()
     return {
         "input_dims": list(machine.input_dims),
         "output_dims": list(machine.output_dims),

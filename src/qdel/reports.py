@@ -5,17 +5,22 @@ JSON is the primary machine-readable format: complex numbers are emitted as
 are rendered with Python's shortest round-trip repr so that serialize ->
 parse -> compare is exact and two identical runs emit byte-identical output.
 A report's JSON object is its dataclass fields in declaration order, then
-the derived properties `_KEYS` names. Every CSV, a report's or a CLI
+the derived properties `_KEYS` names. Every JSON text, a report's or the run
+manifest's, comes from `_json`, which writes the bytes of
+`json.dumps(value, indent=2, allow_nan=False)`; a matrix's entries are
+written from their float view in one step. Every CSV, a report's or a CLI
 sweep's, comes from `_csv`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
-import json
 import platform
+import re
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -24,7 +29,7 @@ from . import __version__
 from .deletion import QualityReport
 from .errors import UnsupportedFormatError
 from .fidelity import FidelityReport
-from .hilbert import DensityMatrix, complex_pair, density_to_json
+from .hilbert import DensityMatrix, _density_layout, complex_pair
 from .machines import DeleteDemoReport, DeleterVerdict
 from .nogo import Constraint, ConstraintReport, VerifyReport
 from .signalling import SignallingReport
@@ -88,7 +93,7 @@ def _encode(value):
     if isinstance(value, complex):
         return complex_pair(value)
     if isinstance(value, DensityMatrix):
-        return density_to_json(value)
+        return _density_layout(value)
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, tuple):
@@ -99,6 +104,59 @@ def _encode(value):
 def _payload(report) -> dict:
     """The report's JSON object: the values of `_KEYS[type(report)]`, each encoded."""
     return {key: _encode(getattr(report, key)) for key in _KEYS[type(report)]}
+
+
+def _finite(text: str) -> str:
+    """`text`, the reprs of one or more floats; ValueError if one is NaN or infinite, as
+    json's allow_nan=False. A finite float's repr holds no "n"; "nan" and "inf" do."""
+    if "n" in text:
+        bad = re.search(r"-?(?:nan|inf)", text).group()
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
+    return text
+
+
+@functools.cache
+def _array_template(shape: tuple[int, ...], pad: str) -> str:
+    """A float array of `shape` as JSON text begun on line `pad`, a "%r" for each entry."""
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    rows = ("," + inner).join([_array_template(shape[1:], inner)] * shape[0])
+    return "[" + inner + rows + pad + "]"
+
+
+def _json(value, pad: str = "\n") -> str:
+    """The text `json.dumps(value, indent=2, allow_nan=False)` gives, for the values a
+    payload holds: dicts with str keys, lists, tuples, str, int, bool, None, float and
+    float arrays (as their `tolist()`). `pad` is the newline and indent of the value's line.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _finite(float.__repr__(value))
+    if isinstance(value, np.ndarray) and value.dtype == float:
+        return _finite(_array_template(value.shape, pad) % tuple(value.ravel().tolist()))
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _csv(header: str, *columns) -> str:
@@ -150,7 +208,7 @@ def emit_report(report, format: str = "json") -> str:
     if type(report) not in _REPORTS:
         raise UnsupportedFormatError(f"{type(report).__name__} is not an emittable report")
     if format == "json":
-        return json.dumps(_payload(report), indent=2, allow_nan=False) + "\n"
+        return _json(_payload(report)) + "\n"
     if format == "csv":
         return _csv_report(report)
     return "\n".join(_table_lines(_payload(report))) + "\n"

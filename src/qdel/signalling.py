@@ -92,13 +92,15 @@ class MeasurementOutcome:
     probability: float
 
 
-def _project(state: np.ndarray, bases: np.ndarray, k1: int, k3: int) -> np.ndarray:
-    """Bob's unnormalized (B, 2, 2) amplitudes on particles (2, 4) after Alice's outcome.
+def _project(state: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Bob's unnormalized amplitudes on particles (2, 4) after each of Alice's outcomes.
 
-    `state` holds four-qubit amplitudes as (2, 2, 2, 2); Alice's particles 1
-    and 3 are projected onto row k1 and row k3 of each basis in `bases`.
+    `state` holds four-qubit amplitudes as (2, 2, 2, 2). The result is a
+    (B, 2, 2, 2, 2) stack: entry [:, k1, k3] projects Alice's particles 1 and
+    3 onto row k1 and row k3 of each basis in `bases`.
     """
-    return np.einsum("xa,xc,abcd->xbd", bases[:, k1].conj(), bases[:, k3].conj(), state)
+    conj = bases.conj()
+    return np.einsum("xia,xkc,abcd->xikbd", conj, conj, state)
 
 
 def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> MeasurementOutcome:
@@ -114,7 +116,7 @@ def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> Measure
     if k1 not in (PSI, PSI_BAR) or k3 not in (PSI, PSI_BAR):
         raise ValueError(f"outcome labels must be 0 (psi) or 1 (psibar), got {outcome}")
     amps = state.amplitudes.reshape(2, 2, 2, 2)
-    post = _project(amps, _rotated_bases(np.array([theta])), k1, k3)[0]
+    post = _project(amps, _rotated_bases(np.array([theta])))[0, k1, k3]
     prob = float(np.sum(np.abs(post) ** 2))
     if prob < _ZERO_PROB:
         return MeasurementOutcome(post_state=None, probability=0.0)
@@ -124,39 +126,39 @@ def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> Measure
     )
 
 
-# branch rule: (the (B, 2, 2) bases, Bob's collapsed amplitudes on (2, 4) as a
-# (B, 2, 2) stack, the labels x and y his particles collapsed to) -> the (B, ...)
-# amplitudes he then holds, any axes after the first two qubits belonging to an
-# ancilla that is traced out
-BranchRule = Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
+# branch rule: (the (B, 2, 2) bases, Bob's normalized collapsed amplitudes on (2, 4)
+# as a (B, 2, 2, 2, 2) stack, indexed [:, k1, k3] by Alice's outcome) -> the
+# (B, 2, 2, ...) amplitudes he then holds in each branch, any axes after his
+# two qubits belonging to an ancilla that is traced out. After Alice's outcome
+# (k1, k3) his particles are collapsed to the opposite labels (1 - k1, 1 - k3).
+BranchRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _branch_mixtures(thetas: np.ndarray, *rules: BranchRule) -> tuple[np.ndarray, ...]:
     """Bob's mixtures on particles (2, 4) at each of B angles, one checked (B, 4, 4) stack a rule.
 
-    Alice measures the two singlets in the basis at each angle, once for
-    every rule; each rule acts on Bob's four collapsed branches, each branch
-    output is normalized and its ancilla traced out, and the branches are
-    weighted by the outcome probabilities (1/4 each for the two singlets).
-    One `_require_densities` call checks every stack.
+    Alice measures the two singlets in the basis at each angle: one
+    projection gives all four of her outcomes, one probability array
+    normalizes them (1/4 each for the two singlets), and it is shared by
+    every rule. Each rule maps the four collapsed branches at once; each
+    branch output is normalized, and one contraction weighted by the outcome
+    probabilities traces out the ancilla and sums the branches. One
+    `_require_densities` call checks every stack.
     """
     bases = _rotated_bases(thetas)
-    state = TWO_SINGLETS.amplitudes.reshape(2, 2, 2, 2)
-    accs = [np.zeros((len(bases), 4, 4), dtype=complex) for _ in rules]
-    for k1 in (PSI, PSI_BAR):
-        for k3 in (PSI, PSI_BAR):
-            post = _project(state, bases, k1, k3)
-            prob = np.sum(np.abs(post) ** 2, axis=(1, 2))
-            post = post / np.sqrt(prob)[:, None, None]
-            for n, rule in enumerate(rules):
-                # Bob's particles collapse to the opposite labels
-                out = rule(bases, post, 1 - k1, 1 - k3).reshape(len(bases), 4, -1)
-                norm = np.linalg.norm(out, axis=(1, 2))
-                _require_nonzero(norm * norm)
-                out = out / norm[:, None, None]
-                accs[n] = accs[n] + prob[:, None, None] * (out @ np.swapaxes(out, 1, 2).conj())
-    _require_densities(np.stack(accs))
-    return tuple(accs)
+    posts = _project(TWO_SINGLETS.amplitudes.reshape(2, 2, 2, 2), bases)
+    probs = np.sum(np.abs(posts) ** 2, axis=(3, 4))  # (B, 2, 2)
+    posts = posts / np.sqrt(probs)[..., None, None]
+    mixtures = []
+    for rule in rules:
+        out = rule(bases, posts).reshape(len(bases), 4, 4, -1)  # (B, outcome, Bob, ancilla)
+        norm = np.linalg.norm(out, axis=(2, 3))
+        _require_nonzero(norm * norm)
+        out = out / norm[..., None, None]
+        weighted = out * probs.reshape(-1, 4, 1, 1)
+        mixtures.append(np.einsum("xoar,xobr->xab", weighted, out.conj()))
+    _require_densities(np.stack(mixtures))
+    return tuple(mixtures)
 
 
 def _closed_form_mixtures(thetas: np.ndarray) -> np.ndarray:
@@ -172,15 +174,18 @@ def _closed_form_mixtures(thetas: np.ndarray) -> np.ndarray:
                    + kron(p_psi, p_bar) + kron(p_bar, p_psi))
 
 
-def _delete_identical(bases: np.ndarray, post: np.ndarray, x: int, y: int) -> np.ndarray:
+def _delete_identical(bases: np.ndarray, posts: np.ndarray) -> np.ndarray:
     """The delete-anything rule: identical qubits (both psi or both psibar) become
     |state>|blank>|A_state>; different ones pass through. The ancilla is traced
     out at once and each |A_state> is a pure state, so it is left out."""
-    return np.einsum("xa,b->xab", bases[:, x], _BLANK) if x == y else post
+    out = posts.copy()
+    # Alice's outcome (k, k) leaves Bob two copies of basis row 1 - k
+    out[:, (PSI, PSI_BAR), (PSI, PSI_BAR)] = np.einsum("xka,b->xkab", bases[:, ::-1], _BLANK)
+    return out
 
 
-def _keep(bases: np.ndarray, post: np.ndarray, x: int, y: int) -> np.ndarray:
-    return post
+def _keep(bases: np.ndarray, posts: np.ndarray) -> np.ndarray:
+    return posts
 
 
 def _against_closed_form(thetas: np.ndarray, pipeline: np.ndarray) -> None:
@@ -253,9 +258,10 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
             f"need an output that starts with Bob's two qubits (2, 2), got {machine.output_dims}"
         )
 
-    def through_machine(bases: np.ndarray, post: np.ndarray, x: int, y: int) -> np.ndarray:
-        # the kernel takes the branch's points on its last axis and gives them back there
-        return np.moveaxis(_pair_output(machine, np.moveaxis(post, 0, -1)), -1, 0)
+    def through_machine(bases: np.ndarray, posts: np.ndarray) -> np.ndarray:
+        # the kernel takes the branches as points on its last axis and gives them back there
+        out = _pair_output(machine, np.moveaxis(posts.reshape(-1, 2, 2), 0, -1))
+        return np.moveaxis(out, -1, 0).reshape(posts.shape[:3] + out.shape[:-1])
 
     return _one_point(lambda thetas: _branch_mixtures(thetas, through_machine)[0], theta)
 

@@ -603,6 +603,17 @@ def test_tol_flips_is_isometry_and_no_alphabet_is_null(capsys, tmp_path):
     assert loose["max_gram_residual"] is None and 0.0 < loose["max_gram_deviation"] < 1e-14
 
 
+def test_a_complex_unitary_verifies_as_an_isometry(capsys, tmp_path):
+    rng = np.random.default_rng(23)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(machine_to_json(BasisActionMachine((2, 2), (2, 2), q))))
+    code, out, err = run(capsys, "verify", "--machine", str(path))
+    payload = json.loads(out)
+    assert (code, err, payload["is_isometry"]) == (0, "", True)
+    assert payload["max_gram_deviation"] < 1e-14
+
+
 EMITTING = [
     ["quality", "--n", "3", "--m", "2"],
     ["fidelity", "--grid", "8x8"],

@@ -132,6 +132,12 @@ class TestCheckIsometry:
     def test_conditional_deleter_is_isometric(self):
         assert check_isometry(conditional_deleter()) <= 1e-12
 
+    def test_a_complex_isometry_is_measured_with_its_conjugate_transpose(self):
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8)))
+        assert check_isometry(BasisActionMachine((2, 2, 2), (2, 2, 3), q)) <= 1e-12
+        assert np.max(np.abs(q.T @ q - np.eye(8))) > 0.1  # without the conjugate it is no isometry
+
     def test_colliding_rules_fail_with_unit_deviation(self):
         machine = BasisActionMachine((2,), (2,), [[1.0, 1.0], [0.0, 0.0]])
         assert check_isometry(machine) == pytest.approx(1.0, abs=1e-15)

@@ -6,12 +6,14 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qdel import __version__, reports
 from qdel.deletion import QualityReport, optimal_quality
 from qdel.errors import UnsupportedFormatError
 from qdel.fidelity import FidelityReport, fidelity_report
-from qdel.hilbert import DensityMatrix, basis_ket, bloch_ket, ket
+from qdel.hilbert import DensityMatrix, basis_ket, bloch_ket, density_to_json, ket
 from qdel.machines import (
     DeleterKind,
     DeleterVerdict,
@@ -213,8 +215,29 @@ def holds_exactly(parsed, value) -> bool:
     return parsed == value and isinstance(parsed, bool) == isinstance(value, bool)
 
 
+def list_payload(value):
+    """A report's JSON payload built as lists, each matrix through `density_to_json`."""
+    if isinstance(value, DensityMatrix):
+        return density_to_json(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [list_payload(v) for v in value]
+    if is_dataclass(value):
+        return {key: list_payload(getattr(value, key)) for key in reports._KEYS[type(value)]}
+    return value
+
+
 def test_samples_cover_every_report_type():
     assert {type(report) for report in SAMPLES} == set(reports._REPORTS)
+
+
+@pytest.mark.parametrize("report", SAMPLES, ids=lambda r: type(r).__name__)
+def test_json_is_the_bytes_of_the_standard_indent_2_dump(report):
+    expected = json.dumps(list_payload(report), indent=2, allow_nan=False) + "\n"
+    assert emit_report(report, "json") == expected
 
 
 @pytest.mark.parametrize("report", SAMPLES, ids=lambda r: type(r).__name__)
@@ -264,6 +287,51 @@ class TestEmissionErrors:
         )
         with pytest.raises(ValueError):
             emit_report(verdict, "json")
+
+
+# Finite floats, with the reprs at json's edges: a signed zero, the least subnormal, the
+# switch to exponent form on both sides and the greatest double.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308])
+_TEXTS = st.text() | st.sampled_from(["caf\u00e9 \u2603 \U0001d400", 'a "quoted" word', "back\\slash",
+                                      "two\nlines", "[1|2]", ""])
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200) | _FLOATS
+           | _TEXTS | arrays(float, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3),
+                             elements=_FLOATS))
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXTS, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(value=_VALUES)
+    def test_writes_the_bytes_of_the_standard_indent_2_dump(self, value):
+        expected = json.dumps(value, indent=2, allow_nan=False, default=np.ndarray.tolist)
+        assert reports._json(value) == expected
+
+    @pytest.mark.parametrize("shape", [(4, 4, 2), (1, 1, 2), (3, 0), (0, 3), (2, 3), (5,)])
+    def test_a_float_array_is_its_nested_list(self, shape):
+        array = np.random.default_rng(3).standard_normal(shape)
+        for value in (array, {"entries": array}, [[array], -0.0]):
+            expected = json.dumps(value, indent=2, allow_nan=False, default=np.ndarray.tolist)
+            assert reports._json(value) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("place", [lambda x: x, lambda x: {"k": (1, x)},
+                                       lambda x: np.array([[0.5, 0.25], [x, 0.0]])],
+                             ids=["scalar", "mixed_tuple", "array"])
+    def test_nan_and_infinities_are_refused(self, bad, place):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            reports._json(place(bad))
+
+    def test_values_a_payload_does_not_hold_are_a_type_error(self):
+        for value in (np.arange(3), {1: 0.5}, 1j, object()):
+            with pytest.raises(TypeError):
+                reports._json(value)
 
 
 class TestRunManifest:

@@ -26,6 +26,7 @@ from qdel.machines import (
 )
 from qdel.signalling import (
     TWO_SINGLETS,
+    SignallingReport,
     _branch_mixtures,
     _deletion_mixtures,
     _no_deletion_mixtures,
@@ -147,6 +148,14 @@ class TestBobDeleteAndReduce:
         rho = bob_delete_and_reduce(1.234)  # DensityMatrix invariants run on construction
         assert complex(np.trace(rho.entries)).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_a_mixture_off_the_closed_form_by_1e_9_is_refused(self):
+        thetas = np.array([0.4, 2.2])
+        mixtures = _deletion_mixtures(thetas)
+        signalling._against_closed_form(thetas, mixtures)
+        mixtures[1, 2, 3] += 1e-9
+        with pytest.raises(ArithmeticError, match="theta=2.2 deviates"):
+            signalling._against_closed_form(thetas, mixtures)
+
     def test_depends_on_the_basis_choice(self):
         assert trace_distance(bob_delete_and_reduce(0.0), bob_delete_and_reduce(math.pi / 4)) > 0.05
 
@@ -201,6 +210,16 @@ class TestSignallingDistance:
                 rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
             )
             assert report.distance_without < 1e-12
+
+    @pytest.mark.parametrize("control, refused", [(2e-10, True), (5e-11, False)])
+    def test_the_control_distance_is_held_to_1e_10(self, control, refused):
+        report = signalling_distance(0.0, math.pi / 4)
+        values = {**vars(report), "distance_without": control}
+        if refused:
+            with pytest.raises(ArithmeticError, match="no-signalling control failed"):
+                SignallingReport(**values)
+        else:
+            assert SignallingReport(**values).distance_without == control
 
     def test_hypothetical_deleter_signals(self):
         report = signalling_distance(0.0, math.pi / 4)
@@ -284,8 +303,9 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("machine", [swap_deleter(2), conditional_deleter()],
                              ids=["swap", "conditional"])
     def test_machine_slices_match_the_object_pipeline(self, machine):
-        def through_kernel(bases, post, x, y):  # the branch's points go on the kernel's last axis
-            return np.moveaxis(_pair_output(machine, np.moveaxis(post, 0, -1)), -1, 0)
+        def through_kernel(bases, posts):  # the branches go on the kernel's last axis as points
+            out = _pair_output(machine, np.moveaxis(posts.reshape(-1, 2, 2), 0, -1))
+            return np.moveaxis(out, -1, 0).reshape(posts.shape[:3] + out.shape[:-1])
 
         (mixtures,) = _branch_mixtures(self.THETAS, through_kernel)
         for theta, rho in zip(self.THETAS, mixtures):

@@ -64,6 +64,15 @@ MUTANTS = (
            ("tests/test_hilbert.py",)),
     Mutant("zero_prob_1e-8", "signalling.py", "_ZERO_PROB = 1e-14", "_ZERO_PROB = 1e-8",
            ("tests/test_signalling.py",)),
+    Mutant("closed_form_check_1e-6", "signalling.py", "dev[worst] <= 1e-12",
+           "dev[worst] <= 1e-6", ("tests/test_signalling.py",)),
+    Mutant("signalling_control_1e-3", "signalling.py", "self.distance_without > 1e-10",
+           "self.distance_without > 1e-3", ("tests/test_signalling.py",)),
+    Mutant("json_without_finite_check", "reports.py", 'if "n" in text:', "if False:",
+           ("tests/test_reports.py",)),
+    # a conjugation only a complex input shows
+    Mutant("isometry_gram_without_conj", "machines.py", "gram = m.conj().T @ m", "gram = m.T @ m",
+           ("tests/test_machines.py", "tests/test_cli.py")),
     # the quality solver
     Mutant("root_tol_1e-9", "deletion.py", "_ROOT_TOL = 1e-13", "_ROOT_TOL = 1e-9",
            ("tests/test_deletion.py",)),
