@@ -1,12 +1,14 @@
 """State-dependent deletion fidelities of the two-qubit conditional deleter.
 
 Everything here is driven through the machine itself, which is applied to
-|psi>|psi>|A> by linearity. F_b and F_a are the squared norms of two entries
-of the weight table `machines._weights` forms from the two-copy kernel's
-output, and only those two are formed. The kernel keeps a batch's points on
-its last axis, so each contraction and norm runs along the batch; batches
-are streamed in slices of `_POINT_BLOCK` points, and a point is a batch of
-one.
+|psi>|psi>|A> by linearity. F_b = ||<blank|_b out||^2 and
+F_a = ||<psi|_a out||^2 come from two operators `machines._fidelity_operators`
+contracts once from the machine's ancilla-0 columns: F_b is the squared norm
+of blank_op @ q and F_a of kept_op @ v, with q = (psi_i psi_j) over i <= j
+and v = conj(psi) (x) q, so the output itself is never formed. The kernel
+keeps a batch's points on its last axis, so each matmul and norm runs along
+the batch; batches are streamed in slices of `_POINT_BLOCK` points, and a
+point is a batch of one.
 `conditional_output` and the reduced density matrices `rho_ab`, `rho_a`
 and `rho_b` take the object route instead (tensor, apply, density matrix,
 partial trace); they are the reference the tests hold the batched values
@@ -45,7 +47,7 @@ from .hilbert import (
     qubit_ket,
     tensor,
 )
-from .machines import _copies_output, _norms_sq, _weights, apply, conditional_deleter
+from .machines import _fidelity_operators, apply, conditional_deleter
 
 __all__ = [
     "FidelityReport",
@@ -68,16 +70,19 @@ AVG_RETENTION_FIDELITY = 2.0 / 3.0
 _MIN_GRID = 8
 
 _MACHINE = conditional_deleter()
+# the machine's (blank_op, kept_op), built once: a build takes about 35 us, and a
+# 512x512 grid is 64 slices
+_OPERATORS = _fidelity_operators(_MACHINE)
 
 # Points per slice of `_batched_fidelities`, and so per theta-row band of
-# `_grid_averages`. Measured on a 2-core host with one BLAS thread at
-# 1024/2048/4096/8192/16384 points: `_grid_averages(512, 512)` peaked at
-# 0.64/1.19/2.22/4.15/8.28 MB under tracemalloc and took
-# 1.26-1.37/1.08-1.13/1/0.97-1.06/2.47-2.64 times as long as at 4096 (median
-# of 60 interleaved rounds, in each of two processes; 4096 itself 25-36 ms
-# median, the host's load varying); one 5 s perfbench `quadrature` run at
-# each size peaked at 40.8/40.8/40.7/42.1/46.3 MB RSS with a `pass_s` of
-# 38.5/35.0/33.4/38.1/72.2 ms. 4096 is kept.
+# `_grid_averages`. Measured with the operator kernel on a 2-core host with one
+# BLAS thread at 2048/4096/8192 points: `_grid_averages(512, 512)` peaked at
+# 0.66/1.30/2.58 MB under tracemalloc and took 1.17-1.18/1/0.86-0.87 times as
+# long as at 4096 (median of 60 interleaved rounds, in each of two processes;
+# 4096 itself 25.5-26.3 ms median on a loaded host). 4096 is kept: 8192 is
+# faster in-process, but at twice the peak, and with the earlier kernel a
+# perfbench `quadrature` run at 8192 peaked 1.4 MB higher in RSS with a slower
+# `pass_s` (42.1 against 40.7 MB, 38.1 against 33.4 ms).
 _POINT_BLOCK = 4096
 
 # Largest grid `_grid_averages` accepts, 268,435,456 points: about a minute
@@ -142,19 +147,50 @@ def point_fidelities(alpha: complex, beta: complex) -> tuple[float, float]:
 
 
 def _batched_fidelities(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F_b, F_a) for a batch of inputs alpha|0> + beta|1>: the squared norms of the `_weights`
-    entries with mode b on the blank and with mode a on |psi>, the partial traces of
-    `rho_b`/`rho_a` in one step. The batch is walked in slices of _POINT_BLOCK points, each
-    stacked as a (2, points) array, so no intermediate grows with it.
+    """(F_b, F_a) for a batch of inputs alpha|0> + beta|1>: F_b = ||<blank|_b out||^2 and
+    F_a = ||<psi|_a out||^2, the partial traces of `rho_b`/`rho_a` in one step, each one
+    matmul of the machine's precontracted `_OPERATORS` and a norm (`_operator_fidelities`).
+    The batch is walked in slices of _POINT_BLOCK points, each stacked as a (2, points)
+    array, so no intermediate grows with it.
     """
     alphas, betas = np.broadcast_arrays(np.ravel(alphas), np.ravel(betas))
     f_b, f_a = np.empty(len(alphas)), np.empty(len(alphas))
     for start in range(0, len(alphas), _POINT_BLOCK):
         block = slice(start, start + _POINT_BLOCK)
         psi = np.stack([alphas[block], betas[block]]).astype(complex, copy=False)  # (2, b)
-        (_, blank), (kept, _) = _weights(_copies_output(_MACHINE, psi), psi)
-        f_b[block], f_a[block] = _norms_sq(blank), _norms_sq(kept)
+        f_b[block], f_a[block] = _operator_fidelities(_OPERATORS, psi)
     return f_b, f_a
+
+
+@lru_cache(maxsize=8)
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(d)`, read-only: the pairs i <= j in the order of the operators'
+    columns. Kept per d: building them takes about 15 us, 1 ms over a 512x512 grid's slices."""
+    i, j = np.triu_indices(d)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _operator_fidelities(
+    operators: tuple[np.ndarray, np.ndarray], psis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F_b, F_a) of a (d, B) batch of one-copy amplitudes from a machine's
+    `machines._fidelity_operators`: ||blank_op @ q||^2 and ||kept_op @ v||^2, with
+    q = (psi_i psi_j) over i <= j and v = conj(psi) (x) q, the points on the last axis."""
+    blank_op, kept_op = operators
+    i, j = _upper_pairs(len(psis))
+    q = psis[i] * psis[j]  # (P, B)
+    v = (psis.conj()[:, None] * q).reshape(-1, psis.shape[1])  # (d P, B)
+    return _squared_norms(blank_op @ q), _squared_norms(kept_op @ v)
+
+
+def _squared_norms(columns: np.ndarray) -> np.ndarray:
+    """(B,) squared norms of the columns of a fresh (rows, B) array, which is squared in
+    place; the rows are summed in order, as `machines._norms_sq` sums them."""
+    parts = columns.view(float)  # real and imaginary parts interleaved on the last axis
+    np.multiply(parts, parts, out=parts)
+    sums = np.sum(parts, axis=0)
+    return sums[0::2] + sums[1::2]
 
 
 def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:

@@ -181,20 +181,52 @@ def _copies_output(machine: BasisActionMachine, psis: np.ndarray) -> np.ndarray:
     return _pair_output(machine, psis[:, None] * psis[None])
 
 
+def _require_copy_and_blank(dims: tuple[int, ...], d: int) -> None:
+    """ShapeError unless output dims `dims` start with a d-level copy and a blank slot."""
+    if len(dims) < 2 or dims[0] != d:
+        raise ShapeError(f"output dims {dims} do not start with a {d}-level copy and a blank slot")
+
+
 def _weights(outs: np.ndarray, psis: np.ndarray) -> tuple:
     """((out, <blank|_b out), (<psi|_a out, <psi|_a <blank|_b out)) of kernel outputs `outs`
     on inputs `psis`, the points on the last axis; `_norms_sq` gives each entry's (B,) weights.
     An output that does not start with the copy's d levels and a blank slot is a ShapeError.
     """
     (d, n), dims = psis.shape, outs.shape[:-1]
-    if len(dims) < 2 or dims[0] != d:
-        raise ShapeError(f"output dims {dims} do not start with a {d}-level copy and a blank slot")
+    _require_copy_and_blank(dims, d)
     out = outs.reshape(d, dims[1], -1, n)  # (a, b, rest, B)
     bras = psis.conj()
     kept = bras[0] * out[0]  # (b, rest, B)
     for a in range(1, d):
         kept += bras[a] * out[a]
     return (out, out[:, BLANK_INDEX]), (kept, kept[BLANK_INDEX])
+
+
+def _fidelity_operators(machine: BasisActionMachine) -> tuple[np.ndarray, np.ndarray]:
+    """(blank_op, kept_op): the ancilla-0 columns of a [d, d] or [d, d, m] machine, contracted
+    ahead of time so that <blank|_b out = blank_op @ q and <psi|_a out = kept_op @ v on
+    |psi>|psi>(|0>), with q = (psi_i psi_j) over i <= j in `np.triu_indices(d)` order and
+    v = conj(psi) (x) q. Column (i, j) of S, the columns summed over i <= j, is M|i i 0> for
+    i = j and M|i j 0> + M|j i 0> for i < j, as in `_swap_certificate`; with output dims
+    (d, b, *rest), blank_op = S[:, blank] has the d rest rows of <blank|_b out and P columns,
+    and kept_op, S with the copy's axis moved among the columns, has the b rest rows of
+    <psi|_a out and d P columns, where P = d(d + 1)/2. Rows that are zero for every input
+    are left out. An output that does not start with a d-level copy and a blank slot is a
+    ShapeError, as in `_weights`.
+    """
+    d, m = _copy_layout(machine)
+    dims = machine.output_dims
+    _require_copy_and_blank(dims, d)
+    columns = machine.matrix[:, ::m].reshape(-1, d, d)  # [:, i, j] is M|i j 0>
+    i, j = np.triu_indices(d)
+    pairs = columns[:, i, j] + np.triu(columns.swapaxes(1, 2), 1)[:, i, j]  # S, (out, P)
+    pairs = pairs.reshape(d, dims[1], -1, len(i))  # (a, b, rest, P)
+    blank_op = pairs[:, BLANK_INDEX].reshape(-1, len(i))
+    kept_op = pairs.transpose(1, 2, 0, 3).reshape(-1, d * len(i))
+    # a row that is zero for every input adds exactly 0 to each norm: only the others are kept
+    blank_op, kept_op = (op[np.any(op != 0, axis=1)] for op in (blank_op, kept_op))
+    blank_op.flags.writeable = kept_op.flags.writeable = False
+    return blank_op, kept_op
 
 
 def _norms_sq(projection: np.ndarray) -> np.ndarray:

@@ -134,10 +134,11 @@ def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> Measure
 BranchRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _branch_mixtures(thetas: np.ndarray, *rules: BranchRule) -> tuple[np.ndarray, ...]:
-    """Bob's mixtures on particles (2, 4) at each of B angles, one checked (B, 4, 4) stack a rule.
+def _branch_mixtures(bases: np.ndarray, *rules: BranchRule) -> tuple[np.ndarray, ...]:
+    """Bob's mixtures on particles (2, 4) for a (B, 2, 2) stack of Alice's bases (as
+    `_rotated_bases` builds them), one checked (B, 4, 4) stack a rule.
 
-    Alice measures the two singlets in the basis at each angle: one
+    Alice measures the two singlets in each basis: one
     projection gives all four of her outcomes, one probability array
     normalizes them (1/4 each for the two singlets), and it is shared by
     every rule. Each rule maps the four collapsed branches at once; each
@@ -145,7 +146,6 @@ def _branch_mixtures(thetas: np.ndarray, *rules: BranchRule) -> tuple[np.ndarray
     probabilities traces out the ancilla and sums the branches. One
     `_require_densities` call checks every stack.
     """
-    bases = _rotated_bases(thetas)
     posts = _project(TWO_SINGLETS.amplitudes.reshape(2, 2, 2, 2), bases)
     probs = np.sum(np.abs(posts) ** 2, axis=(3, 4))  # (B, 2, 2)
     posts = posts / np.sqrt(probs)[..., None, None]
@@ -161,9 +161,8 @@ def _branch_mixtures(thetas: np.ndarray, *rules: BranchRule) -> tuple[np.ndarray
     return tuple(mixtures)
 
 
-def _closed_form_mixtures(thetas: np.ndarray) -> np.ndarray:
-    """`deletion_mixture_closed_form` at each of B angles, as a (B, 4, 4) stack."""
-    bases = _rotated_bases(thetas)
+def _closed_form_mixtures(bases: np.ndarray) -> np.ndarray:
+    """`deletion_mixture_closed_form` for a (B, 2, 2) stack of bases, as a (B, 4, 4) stack."""
     proj = np.einsum("xka,xkb->xkab", bases, bases.conj())  # (B, 2, 2, 2): P_psi, P_psibar
     p_psi, p_bar, p_blank = proj[:, PSI], proj[:, PSI_BAR], np.outer(_BLANK, _BLANK)
 
@@ -188,10 +187,11 @@ def _keep(bases: np.ndarray, posts: np.ndarray) -> np.ndarray:
     return posts
 
 
-def _against_closed_form(thetas: np.ndarray, pipeline: np.ndarray) -> None:
+def _against_closed_form(thetas: np.ndarray, bases: np.ndarray, pipeline: np.ndarray) -> None:
     """Raise ArithmeticError, naming the worst angle, unless each of the deletion arm's
-    (B, 4, 4) mixtures is within 1e-12 of the closed form at its angle."""
-    dev = np.max(np.abs(pipeline - _closed_form_mixtures(thetas)), axis=(1, 2))
+    (B, 4, 4) mixtures is within 1e-12 of the closed form at its angle; `bases` are
+    `_rotated_bases(thetas)`, the stack the mixtures were built from."""
+    dev = np.max(np.abs(pipeline - _closed_form_mixtures(bases)), axis=(1, 2))
     worst = int(np.argmax(dev))
     if not dev[worst] <= 1e-12:
         raise ArithmeticError(
@@ -203,14 +203,15 @@ def _against_closed_form(thetas: np.ndarray, pipeline: np.ndarray) -> None:
 def _deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
     """Bob's mixtures after collapse plus hypothetical deletion at B angles, (B, 4, 4),
     each checked against the closed form at its angle."""
-    (pipeline,) = _branch_mixtures(thetas, _delete_identical)
-    _against_closed_form(thetas, pipeline)
+    bases = _rotated_bases(thetas)
+    (pipeline,) = _branch_mixtures(bases, _delete_identical)
+    _against_closed_form(thetas, bases, pipeline)
     return pipeline
 
 
 def _no_deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
     """Bob's mixtures when he does nothing, the control arm, at B angles, (B, 4, 4)."""
-    (mixtures,) = _branch_mixtures(thetas, _keep)
+    (mixtures,) = _branch_mixtures(_rotated_bases(thetas), _keep)
     return mixtures
 
 
@@ -226,7 +227,8 @@ def deletion_mixture_closed_form(theta: float) -> DensityMatrix:
           + P_psi (x) P_psibar + P_psibar (x) P_psi).
     """
     # the one stack no kernel checks: the full constructor checks it
-    return DensityMatrix((2, 2), _closed_form_mixtures(np.array([theta], dtype=float))[0])
+    bases = _rotated_bases(np.array([theta], dtype=float))
+    return DensityMatrix((2, 2), _closed_form_mixtures(bases)[0])
 
 
 def bob_delete_and_reduce(theta: float) -> DensityMatrix:
@@ -263,7 +265,9 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
         out = _pair_output(machine, np.moveaxis(posts.reshape(-1, 2, 2), 0, -1))
         return np.moveaxis(out, -1, 0).reshape(posts.shape[:3] + out.shape[:-1])
 
-    return _one_point(lambda thetas: _branch_mixtures(thetas, through_machine)[0], theta)
+    return _one_point(
+        lambda thetas: _branch_mixtures(_rotated_bases(thetas), through_machine)[0], theta
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +297,9 @@ def signalling_distance(theta_1: float, theta_2: float) -> SignallingReport:
     """Trace distance between Bob's reduced states for Alice's two basis choices,
     with and without the hypothetical deletion."""
     thetas = np.array([theta_1, theta_2], dtype=float)
-    with_pair, without_pair = _branch_mixtures(thetas, _delete_identical, _keep)
-    _against_closed_form(thetas, with_pair)
+    bases = _rotated_bases(thetas)
+    with_pair, without_pair = _branch_mixtures(bases, _delete_identical, _keep)
+    _against_closed_form(thetas, bases, with_pair)
     distance_with, distance_without = _half_trace_norms(
         np.stack([with_pair[0] - with_pair[1], without_pair[0] - without_pair[1]])
     )

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qdel.errors import InvalidStateError
+from qdel.errors import InvalidStateError, ShapeError
 from qdel.fidelity import (
     AVG_DELETION_FIDELITY,
     AVG_RETENTION_FIDELITY,
@@ -21,14 +21,27 @@ from qdel.fidelity import (
 from qdel import fidelity
 from qdel.fidelity import _POINT_BLOCK, _batched_fidelities, _gauss_legendre, _grid_averages
 from qdel.hilbert import (
+    Ket,
     basis_ket,
+    density_of,
+    haar_ket,
     ket,
     partial_trace,
     state_fidelity,
     tensor,
 )
+from qdel.machines import (
+    BasisActionMachine,
+    _copies_output,
+    _fidelity_operators,
+    _norms_sq,
+    _weights,
+    apply,
+    conditional_deleter,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def random_qubit_amplitudes(rng):
@@ -214,7 +227,7 @@ class TestAverageFidelity:
 
     def test_grid_average_memory_stays_below_4_mb(self):
         # the grid goes through the kernel in theta-row bands of one slice,
-        # so only a band and the row means are held (about 2.2 MB)
+        # so only a band and the row means are held (about 1.3 MB)
         _grid_averages(512, 512)
         tracemalloc.start()
         try:
@@ -262,13 +275,13 @@ class TestAverageFidelity:
         """512 x 512 is 64 bands of 8 theta rows; each goes through the kernel in one call,
         its 4096 points on the last axis, so no Python loop runs per point or per row."""
         batches = []
-        kernel = fidelity._copies_output
+        kernel = fidelity._operator_fidelities
 
-        def counted(machine, psis):
+        def counted(operators, psis):
             batches.append(np.shape(psis))
-            return kernel(machine, psis)
+            return kernel(operators, psis)
 
-        monkeypatch.setattr(fidelity, "_copies_output", counted)
+        monkeypatch.setattr(fidelity, "_operator_fidelities", counted)
         _grid_averages(512, 512)
         assert batches == [(2, 8 * 512)] * 64
 
@@ -344,6 +357,71 @@ class TestAverageFidelity:
             assert _grid_averages(n, n) == cold
 
 
+def random_complex_machine(dims, rng):
+    """A machine on `dims` whose matrix is the Q of a complex Gaussian's QR, not checked."""
+    n = math.prod(dims)
+    gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return BasisActionMachine(dims, dims, np.linalg.qr(gauss)[0], strict=False)
+
+
+class TestOperatorRoute:
+    """F_b and F_a from a machine's two precontracted operators, the grid's kernel, held to
+    the weight table and to the object route."""
+
+    @pytest.mark.parametrize("dims", [[2, 2, 3], [3, 3, 3], [2, 2, 2], [3, 3]])
+    def test_random_machines_match_the_weight_table_and_the_object_route(self, dims):
+        rng = np.random.default_rng(67)
+        machine = random_complex_machine(dims, rng)
+        d = dims[0]
+        psis = [haar_ket(d, rng) for _ in range(8)]
+        amps = np.stack([psi.amplitudes for psi in psis], axis=1)
+        f_b, f_a = fidelity._operator_fidelities(_fidelity_operators(machine), amps)
+        (_, blank), (kept, _) = _weights(_copies_output(machine, amps), amps)
+        np.testing.assert_allclose(f_b, _norms_sq(blank), rtol=0, atol=4 * EPS)
+        np.testing.assert_allclose(f_a, _norms_sq(kept), rtol=0, atol=4 * EPS)
+        ancilla = [basis_ket(dims[2:], 0)] if len(dims) == 3 else []
+        blank_ket = basis_ket([d], 0)
+        for k, psi in enumerate(psis):
+            out = apply(machine, tensor(psi, psi, *ancilla))
+            norm_sq = out.norm() ** 2
+            rho = density_of(Ket(out.dims, out.amplitudes / out.norm()))
+            expected = norm_sq * np.array([
+                state_fidelity(partial_trace(rho, keep={1}), blank_ket),
+                state_fidelity(partial_trace(rho, keep={0}), psi),
+            ])
+            np.testing.assert_allclose([f_b[k], f_a[k]], expected, rtol=0, atol=4 * EPS)
+
+    def test_the_conditional_deleter_matches_the_weight_table_bit_for_bit(self):
+        # its matrix is 0/1, so each operator row copies one product of the amplitudes; with
+        # alpha real, as on every path of this module, psi_0 psi_1 and psi_1 psi_0 round alike
+        rng = np.random.default_rng(71)
+        amps = np.stack([rng.random(64), rng.standard_normal(64) + 1j * rng.standard_normal(64)])
+        machine = conditional_deleter()
+        (_, blank), (kept, _) = _weights(_copies_output(machine, amps), amps)
+        f_b, f_a = fidelity._operator_fidelities(fidelity._OPERATORS, amps)
+        assert np.array_equal(f_b, _norms_sq(blank)) and np.array_equal(f_a, _norms_sq(kept))
+
+    def test_rows_zero_for_every_input_are_left_out(self):
+        # the conditional deleter's output has 4 of 12 amplitudes: 3 of <blank|_b out's 6 rows
+        # and 4 of <psi|_a out's 6 can be nonzero
+        blank_op, kept_op = fidelity._OPERATORS
+        assert blank_op.shape == (3, 3) and kept_op.shape == (4, 6)
+
+    @pytest.mark.parametrize("output_dims", [(4,), (3, 2), (2,)])
+    def test_an_output_without_a_copy_and_a_blank_slot_is_refused_as_the_table_refuses_it(
+        self, output_dims
+    ):
+        matrix = np.eye(math.prod(output_dims))[:, [0, 1, 1, 0]]
+        machine = BasisActionMachine((2, 2), output_dims, matrix)
+        amps = np.array([[1.0], [0.0]], dtype=complex)
+        with pytest.raises(ShapeError) as by_table:
+            _weights(_copies_output(machine, amps), amps)
+        with pytest.raises(ShapeError) as by_operators:
+            _fidelity_operators(machine)
+        assert str(by_operators.value) == str(by_table.value)
+        assert f"output dims {output_dims}" in str(by_operators.value)
+
+
 class TestFidelityReport:
     def test_balanced_report(self):
         report = fidelity_report(0.5, n_theta=64, n_phi=64)
@@ -362,6 +440,16 @@ class TestFidelityReport:
                 alpha_sq=0.5, f_b=0.9, f_a=0.5, avg_f_b=5 / 6, avg_f_a=2 / 3,
                 quadrature_error=0.0, n_theta=8, n_phi=8,
             )
+
+    @pytest.mark.parametrize("offset, refused", [(1e-9, True), (1e-13, False)])
+    def test_f_b_is_held_within_1e_12_of_its_density_matrix_value(self, offset, refused):
+        fields = dict(alpha_sq=0.5, f_b=0.75 + offset, f_a=0.5, avg_f_b=5 / 6, avg_f_a=2 / 3,
+                      quadrature_error=0.0, n_theta=8, n_phi=8)
+        if refused:
+            with pytest.raises(InvalidStateError, match="f_b deviates"):
+                FidelityReport(**fields)
+        else:
+            assert FidelityReport(**fields).f_b == 0.75 + offset
 
     def test_bad_alpha_sq_rejected(self):
         with pytest.raises(ValueError):

@@ -151,10 +151,11 @@ class TestBobDeleteAndReduce:
     def test_a_mixture_off_the_closed_form_by_1e_9_is_refused(self):
         thetas = np.array([0.4, 2.2])
         mixtures = _deletion_mixtures(thetas)
-        signalling._against_closed_form(thetas, mixtures)
+        bases = signalling._rotated_bases(thetas)
+        signalling._against_closed_form(thetas, bases, mixtures)
         mixtures[1, 2, 3] += 1e-9
         with pytest.raises(ArithmeticError, match="theta=2.2 deviates"):
-            signalling._against_closed_form(thetas, mixtures)
+            signalling._against_closed_form(thetas, bases, mixtures)
 
     def test_depends_on_the_basis_choice(self):
         assert trace_distance(bob_delete_and_reduce(0.0), bob_delete_and_reduce(math.pi / 4)) > 0.05
@@ -307,7 +308,7 @@ class TestBatchedKernel:
             out = _pair_output(machine, np.moveaxis(posts.reshape(-1, 2, 2), 0, -1))
             return np.moveaxis(out, -1, 0).reshape(posts.shape[:3] + out.shape[:-1])
 
-        (mixtures,) = _branch_mixtures(self.THETAS, through_kernel)
+        (mixtures,) = _branch_mixtures(signalling._rotated_bases(self.THETAS), through_kernel)
         for theta, rho in zip(self.THETAS, mixtures):
             reference = reference_mixture(float(theta), through(machine))
             np.testing.assert_allclose(rho, reference, rtol=0, atol=KERNEL_TOL)

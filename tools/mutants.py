@@ -14,7 +14,7 @@ Exit status: 0 when every mutant run is killed, 1 when one survives, and 2
 when nothing can be judged (the unmutated copy fails a listed test file, a
 listed text is not found once, or pytest stops for another reason than a
 failing test). Only mutants some test is known to kill are listed; a mutant
-no test kills yet is described in ROADMAP item 13. `tests/test_mutants.py`
+no test kills yet is described in ROADMAP items 13 and 17. `tests/test_mutants.py`
 checks that every listed text still occurs exactly once, so a refactor that
 moves one updates this list.
 """
@@ -70,9 +70,18 @@ MUTANTS = (
            "self.distance_without > 1e-3", ("tests/test_signalling.py",)),
     Mutant("json_without_finite_check", "reports.py", 'if "n" in text:', "if False:",
            ("tests/test_reports.py",)),
+    Mutant("fidelity_report_f_b_1e-6", "fidelity.py", "abs(self.f_b - (1.0 - y)) > 1e-12",
+           "abs(self.f_b - (1.0 - y)) > 1e-6", ("tests/test_fidelity.py",)),
     # a conjugation only a complex input shows
     Mutant("isometry_gram_without_conj", "machines.py", "gram = m.conj().T @ m", "gram = m.T @ m",
            ("tests/test_machines.py", "tests/test_cli.py")),
+    # the fidelity operators: v from psi instead of conj(psi), and the i < j column
+    # without its M|j i 0> term
+    Mutant("operator_v_without_conj", "fidelity.py", "v = (psis.conj()[:, None] * q)",
+           "v = (psis[:, None] * q)", ("tests/test_fidelity.py",)),
+    Mutant("operator_pair_without_ji", "machines.py",
+           "pairs = columns[:, i, j] + np.triu(columns.swapaxes(1, 2), 1)[:, i, j]",
+           "pairs = columns[:, i, j]", ("tests/test_fidelity.py",)),
     # the quality solver
     Mutant("root_tol_1e-9", "deletion.py", "_ROOT_TOL = 1e-13", "_ROOT_TOL = 1e-9",
            ("tests/test_deletion.py",)),
