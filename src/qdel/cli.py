@@ -21,11 +21,11 @@ import numpy as np
 from . import __version__
 from .deletion import optimal_quality
 from .fidelity import _MIN_GRID, _batched_fidelities, fidelity_report
-from .hilbert import Ket, _half_trace_norms, basis_ket, bloch_ket, ket
+from .hilbert import _bloch_amplitudes, _half_trace_norms
 from .machines import _copy_layout, delete_demo_report, machine_from_json
 # apply stays bound as apply_machine: perfbench's span test checks that this binding is wrapped
 from .machines import apply as apply_machine  # noqa: F401
-from .nogo import _sweep_max_residuals, overlap_constraints, verify_report
+from .nogo import _sweep_max_residuals, _verify_report, overlap_constraints
 from .reports import RunManifest, _csv, _json, emit_report
 from .signalling import _deletion_mixtures, signalling_distance
 
@@ -79,20 +79,28 @@ def _bounded_int(low: int, most: float = math.inf):
     return integer
 
 
-def _parse_alphabet(spec: str) -> list[Union[int, Ket]]:
-    """Kets for +, - and bloch:THETA[:PHI]; a basis index waits for the machine's dimension."""
-    states: list[Union[int, Ket]] = []
+# An alphabet state as the flag reads it: a basis index, which waits for the
+# machine's dimension, or the two amplitudes of a qubit state.
+AlphabetState = Union[int, tuple[complex, complex]]
+
+_HALF = 1 / math.sqrt(2)
+
+
+def _parse_alphabet(spec: str) -> list[AlphabetState]:
+    """Amplitude pairs for +, - and bloch:THETA[:PHI]; basis indices as ints."""
+    states: list[AlphabetState] = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
         if token == "+":
-            states.append(ket([1 / math.sqrt(2), 1 / math.sqrt(2)], [2]))
+            states.append((_HALF, _HALF))
         elif token == "-":
-            states.append(ket([1 / math.sqrt(2), -1 / math.sqrt(2)], [2]))
+            states.append((_HALF, -_HALF))
         elif token.startswith("bloch:"):
             theta, colon, phi = token[len("bloch:") :].partition(":")
-            states.append(bloch_ket(_parse_angle(theta), _parse_angle(phi) if colon else 0.0))
+            theta = _parse_angle(theta)
+            states.append(_bloch_amplitudes(theta, _parse_angle(phi) if colon else 0.0))
         else:
             states.append(int(token))
     if not states:
@@ -100,14 +108,16 @@ def _parse_alphabet(spec: str) -> list[Union[int, Ket]]:
     return states
 
 
-def _alphabet_kets(alphabet: list[Union[int, Ket]], dim: int) -> list[Ket]:
-    """The parsed alphabet on a machine with `dim`-level copies; a misfit is a usage error."""
-    if dim != 2 and any(isinstance(state, Ket) for state in alphabet):
+def _alphabet_amplitudes(alphabet: list[AlphabetState], dim: int) -> np.ndarray:
+    """The parsed alphabet on a machine with `dim`-level copies, one (K, dim) amplitude row
+    per state; a misfit is a usage error."""
+    if dim != 2 and any(isinstance(state, tuple) for state in alphabet):
         raise argparse.ArgumentTypeError(f"--alphabet: qubit states given for {dim}-level copies")
-    bad = [i for i in alphabet if not isinstance(i, Ket) and not 0 <= i < dim]
+    bad = [i for i in alphabet if isinstance(i, int) and not 0 <= i < dim]
     if bad:
         raise argparse.ArgumentTypeError(f"--alphabet: index {bad[0]} outside dimension {dim}")
-    return [state if isinstance(state, Ket) else basis_ket([dim], state) for state in alphabet]
+    basis = np.eye(dim, dtype=complex)
+    return np.array([basis[s] if isinstance(s, int) else s for s in alphabet], dtype=complex)
 
 
 def _angle_help(flag: str, what: str) -> str:
@@ -232,8 +242,8 @@ def _run_verify(args) -> str:
             machine = machine_from_json(json.load(fh), strict=False)
     except RecursionError:  # json's decoder recurses once per level of nesting
         raise ValueError(f"{args.machine}: JSON nested too deeply to read") from None
-    alphabet = args.alphabet and _alphabet_kets(args.alphabet, _copy_layout(machine)[0])
-    return emit_report(verify_report(machine, args.tol, alphabet), "json")
+    amps = args.alphabet and _alphabet_amplitudes(args.alphabet, _copy_layout(machine)[0])
+    return emit_report(_verify_report(machine, args.tol, amps), "json")
 
 
 _RUNNERS = {

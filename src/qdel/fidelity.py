@@ -47,7 +47,7 @@ from .hilbert import (
     qubit_ket,
     tensor,
 )
-from .machines import _fidelity_operators, apply, conditional_deleter
+from .machines import _fidelity_operators, _upper_pairs, apply, conditional_deleter
 
 __all__ = [
     "FidelityReport",
@@ -160,15 +160,6 @@ def _batched_fidelities(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarr
         psi = np.stack([alphas[block], betas[block]]).astype(complex, copy=False)  # (2, b)
         f_b[block], f_a[block] = _operator_fidelities(_OPERATORS, psi)
     return f_b, f_a
-
-
-@lru_cache(maxsize=8)
-def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """`np.triu_indices(d)`, read-only: the pairs i <= j in the order of the operators'
-    columns. Kept per d: building them takes about 15 us, 1 ms over a 512x512 grid's slices."""
-    i, j = np.triu_indices(d)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
 
 
 def _operator_fidelities(

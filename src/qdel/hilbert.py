@@ -210,10 +210,13 @@ def basis_ket(dims: Sequence[int], index: Union[int, Sequence[int]]) -> Ket:
 
 def bloch_ket(theta: float, phi: float = 0.0) -> Ket:
     """Qubit cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, in scalar libm arithmetic."""
-    return ket(
-        [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)],
-        [2],
-    )
+    return ket(_bloch_amplitudes(theta, phi), [2])
+
+
+def _bloch_amplitudes(theta: float, phi: float) -> tuple[float, complex]:
+    """The two amplitudes of `bloch_ket(theta, phi)`, from scalar libm calls: numpy's
+    vectorised sin and cos may differ from them in the last bit."""
+    return math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)
 
 
 def qubit_ket(alpha: complex, beta: complex) -> Ket:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
@@ -187,19 +188,44 @@ def _require_copy_and_blank(dims: tuple[int, ...], d: int) -> None:
         raise ShapeError(f"output dims {dims} do not start with a {d}-level copy and a blank slot")
 
 
+def _split_copy(outs: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Kernel outputs `outs` on inputs `psis` as (a, b, rest, B), the copy's d levels first and
+    the blank slot's second; an output that does not start with them is a ShapeError."""
+    (d, n), dims = psis.shape, outs.shape[:-1]
+    _require_copy_and_blank(dims, d)
+    return outs.reshape(d, dims[1], -1, n)
+
+
+def _bra_contract(psis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """<psi|_a rows for (a, ..., B) `rows`: d multiply-adds over the copy's levels a."""
+    bras = psis.conj()
+    kept = bras[0] * rows[0]
+    for a in range(1, len(bras)):
+        kept += bras[a] * rows[a]
+    return kept
+
+
 def _weights(outs: np.ndarray, psis: np.ndarray) -> tuple:
     """((out, <blank|_b out), (<psi|_a out, <psi|_a <blank|_b out)) of kernel outputs `outs`
     on inputs `psis`, the points on the last axis; `_norms_sq` gives each entry's (B,) weights.
     An output that does not start with the copy's d levels and a blank slot is a ShapeError.
+
+    No analysis reads this whole table: `_residuals` contracts only its blank row and the
+    fidelities apply `_fidelity_operators`. It is the reference the tests hold both to.
     """
-    (d, n), dims = psis.shape, outs.shape[:-1]
-    _require_copy_and_blank(dims, d)
-    out = outs.reshape(d, dims[1], -1, n)  # (a, b, rest, B)
-    bras = psis.conj()
-    kept = bras[0] * out[0]  # (b, rest, B)
-    for a in range(1, d):
-        kept += bras[a] * out[a]
+    out = _split_copy(outs, psis)  # (a, b, rest, B)
+    kept = _bra_contract(psis, out)  # (b, rest, B)
     return (out, out[:, BLANK_INDEX]), (kept, kept[BLANK_INDEX])
+
+
+@lru_cache(maxsize=8)
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(d)`, read-only: the pairs i <= j in the order of the operators'
+    columns and the swap certificate's rows. Kept per d: building them takes about 15 us,
+    1 ms over a 512x512 grid's slices."""
+    i, j = np.triu_indices(d)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _fidelity_operators(machine: BasisActionMachine) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +244,7 @@ def _fidelity_operators(machine: BasisActionMachine) -> tuple[np.ndarray, np.nda
     dims = machine.output_dims
     _require_copy_and_blank(dims, d)
     columns = machine.matrix[:, ::m].reshape(-1, d, d)  # [:, i, j] is M|i j 0>
-    i, j = np.triu_indices(d)
+    i, j = _upper_pairs(d)
     pairs = columns[:, i, j] + np.triu(columns.swapaxes(1, 2), 1)[:, i, j]  # S, (out, P)
     pairs = pairs.reshape(d, dims[1], -1, len(i))  # (a, b, rest, P)
     blank_op = pairs[:, BLANK_INDEX].reshape(-1, len(i))
@@ -239,9 +265,11 @@ def _norms_sq(projection: np.ndarray) -> np.ndarray:
 def _residuals(machine: BasisActionMachine, psis: np.ndarray) -> tuple:
     """(outs, ||out||^2, residuals) on |psi>|psi>(|0>) for a (d, B) batch, outs as the kernel
     gives them; 1 - sqrt(||<psi|<blank| out||^2 / ||out||^2) clamped at 0, 1 for a vanishing
-    output."""
+    output. <psi|_a <blank|_b out is the blank row of `_weights`' <psi|_a out, contracted
+    alone with the same elementwise steps."""
     outs = _copies_output(machine, psis)
-    (out, _), (_, kept) = _weights(outs, psis)
+    out = _split_copy(outs, psis)
+    kept = _bra_contract(psis, out[:, BLANK_INDEX])  # (rest, B)
     whole = _norms_sq(out)
     ratio = np.divide(_norms_sq(kept), whole, out=np.zeros(len(whole)), where=whole >= _ZERO_OUTPUT)
     return outs, whole, np.maximum(1.0 - np.sqrt(ratio), 0.0)
@@ -412,7 +440,7 @@ def _swap_certificate(machine: BasisActionMachine) -> tuple[np.ndarray, float, f
     sides = columns + columns.swapaxes(0, 1)
     sides[index[:, None], index, index[:, None], BLANK_INDEX] -= images  # |i, blank, a_j>
     sides[index[:, None], index, index, BLANK_INDEX] -= images[:, None]  # |j, blank, a_i>
-    upper = np.triu_indices(d)
+    upper = _upper_pairs(d)
     deviation = np.max(np.linalg.norm(sides[upper].reshape(len(upper[0]), -1), axis=1))
     gram = images.conj() @ images.T
     return images, float(deviation), float(np.max(np.abs(gram - np.eye(d))))
@@ -462,11 +490,10 @@ def classify_deleter(
 
     # The machine must delete the identical basis inputs, |i i A> -> |i blank a_i>
     # with ||a_i|| = 1.
-    for i, image in enumerate(ancilla_images):
-        if abs(np.linalg.norm(image) - 1.0) > _DELETION_TOL:
-            raise InvalidStateError(
-                f"machine does not delete the identical basis input |{i}>|{i}>"
-            )
+    failing = np.abs(np.linalg.norm(ancilla_images, axis=1) - 1.0) > _DELETION_TOL
+    if np.any(failing):
+        i = int(np.argmax(failing))
+        raise InvalidStateError(f"machine does not delete the identical basis input |{i}>|{i}>")
 
     psis = _haar_amplitudes(d, samples, np.random.default_rng(seed)).T
     outs, whole, residuals = _residuals(machine, psis)

@@ -13,6 +13,13 @@ psi1 = psi2 = sigma. This module evaluates the conditions numerically for
 concrete states and sweeps them over the overlap range, and provides a
 Gram-matrix preservation check for arbitrary machines and alphabets, which
 `verify_report` joins with the isometry check of a user's machine.
+
+The check of a `BasisActionMachine` is one kernel on a (K, d) amplitude
+array, `_gram_residual`: it refuses non-finite amplitudes and states that
+are not the machine's d-level copies, then compares the Gram matrices in
+one contraction. `gram_preservation_check` and `verify_report` stack their
+Kets into that array once; `qdel verify` reads its alphabet straight into
+it, so the states are validated once and no Ket is built.
 """
 
 from __future__ import annotations
@@ -146,6 +153,40 @@ def _sweep_max_residuals(n_points: int, phase: float = 0.0) -> tuple[np.ndarray,
 MachineLike = Union[BasisActionMachine, Callable[[Ket], Ket]]
 
 
+def _stacked(alphabet: Sequence[Ket]) -> np.ndarray:
+    """The amplitudes of a non-empty alphabet of states on one space, as (K, *dims)."""
+    if not alphabet:
+        raise ValueError("alphabet must not be empty")
+    dims = alphabet[0].dims
+    if any(psi.dims != dims for psi in alphabet):
+        raise ShapeError("alphabet states live on different spaces")
+    return np.stack([psi.amplitudes for psi in alphabet]).reshape(len(alphabet), *dims)
+
+
+def _require_finite(amps: np.ndarray) -> None:
+    """InvalidStateError unless every alphabet amplitude is finite."""
+    if not np.all(np.isfinite(amps)):
+        raise InvalidStateError("alphabet state has a non-finite amplitude")
+
+
+def _worst_pair(amps: np.ndarray, outputs: np.ndarray) -> float:
+    """max |<in_i|in_j> - <out_i|out_j>| over i < j, 0.0 for one state, from (K, d) one-copy
+    amplitudes and the outputs on their two copies, one column each."""
+    gram_in = (amps.conj() @ amps.T) ** 2  # <psi_i psi_i|psi_j psi_j> = <psi_i|psi_j>^2
+    gram_out = outputs.conj().T @ outputs
+    return float(np.max(np.triu(np.abs(gram_in - gram_out), 1)))
+
+
+def _gram_residual(machine: BasisActionMachine, amps: np.ndarray) -> float:
+    """`gram_preservation_check` of a machine on the (K, d) amplitudes of an alphabet of
+    `d`-level states, d the machine's copy dimension, in one kernel call."""
+    _require_finite(amps)
+    d, _ = _copy_layout(machine)
+    if amps.shape[1:] != (d,):
+        raise ShapeError(f"alphabet state dims {amps.shape[1:]} do not match machine copies ({d},)")
+    return _worst_pair(amps, _copies_output(machine, amps.T).reshape(-1, len(amps)))
+
+
 def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> float:
     """Compare input and output Gram matrices over identical-copy inputs.
 
@@ -153,27 +194,12 @@ def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> fl
     attached when the machine has one), output_i = machine(input_i); returns
     the largest |<in_i|in_j> - <out_i|out_j>|. Isometries give 0.
     """
-    if not alphabet:
-        raise ValueError("alphabet must not be empty")
-    dims = alphabet[0].dims
-    if any(psi.dims != dims for psi in alphabet):
-        raise ShapeError("alphabet states live on different spaces")
-    amps = np.stack([psi.amplitudes for psi in alphabet])
-    if not np.all(np.isfinite(amps)):
-        raise InvalidStateError("alphabet state has a non-finite amplitude")
+    amps = _stacked(alphabet)
     if isinstance(machine, BasisActionMachine):
-        d, _ = _copy_layout(machine)
-        if dims != (d,):
-            raise ShapeError(f"alphabet state dims {dims} do not match machine copies ({d},)")
-        outputs = _copies_output(machine, amps.T).reshape(-1, len(alphabet))
-    else:
-        outputs = np.stack([machine(tensor(psi, psi)).amplitudes for psi in alphabet], axis=1)
-
-    gram_in = (amps.conj() @ amps.T) ** 2  # <psi_i psi_i|psi_j psi_j> = <psi_i|psi_j>^2
-    gram_out = outputs.conj().T @ outputs
-    pairs = np.triu_indices(len(alphabet), 1)
-    worst = np.max(np.abs(gram_in - gram_out)[pairs], initial=0.0)
-    return float(worst)
+        return _gram_residual(machine, amps)
+    _require_finite(amps)
+    outputs = np.stack([machine(tensor(psi, psi)).amplitudes for psi in alphabet], axis=1)
+    return _worst_pair(amps.reshape(len(amps), -1), outputs)
 
 
 @dataclass(frozen=True)
@@ -206,12 +232,21 @@ def verify_report(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
+    return _verify_report(machine, tol, None if alphabet is None else _stacked(alphabet))
+
+
+def _verify_report(
+    machine: BasisActionMachine, tol: float, amps: Optional[np.ndarray]
+) -> VerifyReport:
+    """`verify_report` with the alphabet given as (K, d) amplitudes, as `_gram_residual`
+    takes them, or None; `tol` is already known positive and finite (`verify_report`'s
+    check, or the CLI's `--tol` type)."""
     deviation = check_isometry(machine)
     return VerifyReport(
         is_isometry=deviation <= tol,
         max_gram_deviation=deviation,
         rules_normalized=machine.rule_norms_ok(1e-9),
-        max_gram_residual=None if alphabet is None else gram_preservation_check(machine, alphabet),
+        max_gram_residual=None if amps is None else _gram_residual(machine, amps),
         tol=float(tol),
     )
 

@@ -14,7 +14,7 @@ from qdel import cli
 from qdel.cli import main
 from qdel.errors import InvalidStateError, ShapeError
 from qdel.fidelity import point_fidelities
-from qdel.hilbert import ket, tensor
+from qdel.hilbert import basis_ket, bloch_ket, ket, tensor
 from qdel.machines import (
     BasisActionMachine,
     apply,
@@ -328,6 +328,42 @@ class TestVerify:
         assert code == 3 and out == "" and err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("path, value, named", [
+        (["rules", 1, "out_amplitudes", 2], [0.0],
+         "rule 1: out_amplitudes is not a list of [re, im] pairs"),
+        (["rules", 0, "out_amplitudes", 0], ["1", 0.0],
+         "rule 0: out_amplitudes must hold numbers, got <U32"),
+        (["rules", 2, "out_amplitudes"], [[0.0, 0.0]] * 7,
+         "rule 2 has amplitudes of shape (7, 2), need (8, 2)"),
+        (["rules", 3, "out_amplitudes"], [[False, False]] * 7 + [[True, False]],
+         "rule 3: out_amplitudes must hold numbers, got bool"),
+        (["rules", 1, "in_index"], 1.7, "rules[1].in_index must be an integer >= 0, got 1.7"),
+    ], ids=["ragged", "string_amplitude", "wrong_shape", "boolean_rule", "fractional_in_index"])
+    def test_a_malformed_rule_is_named(self, capsys, tmp_path, path, value, named):
+        machine_file = tmp_path / "malformed.json"
+        machine_file.write_text(json.dumps(self.retyped(path, value)))
+        code, out, err = run(capsys, "verify", "--machine", str(machine_file))
+        assert (code, out, err) == (3, "", f"error: {named}\n")
+
+    def test_the_first_malformed_rule_in_file_order_is_named_by_its_in_index(
+        self, capsys, tmp_path
+    ):
+        payload = machine_to_json(swap_deleter(2))
+        payload["rules"].reverse()
+        payload["rules"][0]["out_amplitudes"][0] = ["x", 0.0]  # in_index 7
+        payload["rules"][1]["out_amplitudes"].pop()  # in_index 6
+        machine_file = tmp_path / "reversed.json"
+        machine_file.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", "--machine", str(machine_file))
+        named = "rule 7: out_amplitudes must hold numbers, got <U32"
+        assert (code, out, err) == (3, "", f"error: {named}\n")
+
+    def test_rules_in_any_order_read_as_the_same_machine(self):
+        payload = machine_to_json(conditional_deleter())
+        payload["rules"].reverse()
+        want = conditional_deleter().matrix.tobytes()
+        assert machine_from_json(payload).matrix.tobytes() == want
+
     @pytest.mark.parametrize("path, named", [
         (["input_dims"], "a machine has no 'input_dims' key"),
         (["output_dims"], "a machine has no 'output_dims' key"),
@@ -576,20 +612,54 @@ def qr_machine() -> BasisActionMachine:
     return BasisActionMachine((2, 2), (2, 2), q)
 
 
+def public_alphabet(spec: str, d: int) -> list:
+    """--alphabet as Kets from the public constructors, one token at a time."""
+    states = []
+    for token in spec.split(","):
+        if token in ("+", "-"):
+            states.append(ket([1 / math.sqrt(2), float(token + "1") / math.sqrt(2)], [2]))
+        elif token.startswith("bloch:"):
+            theta, colon, phi = token[len("bloch:"):].partition(":")
+            phi = cli._parse_angle(phi) if colon else 0.0
+            states.append(bloch_ket(cli._parse_angle(theta), phi))
+        else:
+            states.append(basis_ket([d], int(token)))
+    return states
+
+
 @pytest.mark.parametrize("machine", [swap_deleter(2), conditional_deleter(), qudit_pair_deleter(2),
-                                     qr_machine()], ids=["swap2", "conditional", "pair2", "qr"])
+                                     qr_machine(), qudit_pair_deleter(3)],
+                         ids=["swap2", "conditional", "pair2", "qr", "pair3"])
 @pytest.mark.parametrize("tol", [None, "1e-20"])
-@pytest.mark.parametrize("alphabet", [None, "0,1,+,-,bloch:0.3:1.2"])
+@pytest.mark.parametrize("alphabet", [None, "0,1,+,-,bloch:0.3:1.2", "bloch:45deg:-30deg,bloch:1.1",
+                                      "-", "+,bloch:0.3:1.2,+,bloch:0.3:1.2", "0,2,1,1"])
 def test_verify_bytes_are_the_hand_built_json(capsys, tmp_path, machine, tol, alphabet):
+    """verify's bytes are those of the public Kets' route; an alphabet that does not fit the
+    machine's copies (qubit states on qutrits, index 2 on qubits) is refused as a usage error."""
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(machine_to_json(machine)))
     argv = ["verify", "--machine", str(path)]
     argv += [] if tol is None else ["--tol", tol]
     argv += [] if alphabet is None else ["--alphabet", alphabet]
+    d = machine.input_dims[0]
+    tokens = alphabet.split(",") if alphabet else []
+    indices = [int(token) for token in tokens if token.isdigit()]
+    outside = [i for i in indices if i >= d]
+    misfit = (f"--alphabet: qubit states given for {d}-level copies"
+              if d != 2 and len(indices) < len(tokens)
+              else outside and f"--alphabet: index {outside[0]} outside dimension {d}")
+    if misfit:
+        with pytest.raises(SystemExit) as exit_:
+            run(capsys, *argv)
+        assert exit_.value.code == 2 and misfit in capsys.readouterr().err
+        return
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     loaded = machine_from_json(json.loads(path.read_text()), strict=False)
-    kets = alphabet and cli._alphabet_kets(cli._parse_alphabet(alphabet), 2)
+    kets = alphabet and public_alphabet(alphabet, d)
+    if kets:  # the builder's rows are the Kets' amplitudes, bit for bit
+        amps = cli._alphabet_amplitudes(cli._parse_alphabet(alphabet), d)
+        assert amps.tobytes() == np.stack([psi.amplitudes for psi in kets]).tobytes()
     assert out == hand_built_verify(loaded, 1e-10 if tol is None else float(tol), kets)
 
 

@@ -281,6 +281,13 @@ class TestStateFidelity:
         with pytest.raises(ShapeError):
             state_fidelity(density_of(basis_ket([2], 0)), basis_ket([3], 0))
 
+    def test_eigenvalue_slack_is_clipped_into_the_unit_interval(self):
+        # an eigenvalue of -1e-11 is within EIGEN_TOL, so the state is accepted, and the
+        # quadratic forms along its eigenvectors are 1 + 1e-11 and -1e-11 before the clip
+        rho = DensityMatrix((2,), np.diag([1.0 + 1e-11, -1e-11]))
+        assert state_fidelity(rho, basis_ket([2], 0)) == 1.0
+        assert state_fidelity(rho, basis_ket([2], 1)) == 0.0
+
     @pytest.mark.parametrize("amplitudes", [[2.0, 0.0], [0.5, 0.0], [math.nan, 0.0]])
     def test_unnormalized_target_is_refused(self, amplitudes):
         # <psi|rho|psi> is 4.0, 0.25 and nan here, none of them a fidelity

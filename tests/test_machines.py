@@ -203,6 +203,13 @@ class TestQuditPairDeleter:
         assert report.residual == deletion_residual(qudit_pair_deleter(dim), psi)
         assert report.output_norm == apply(qudit_pair_deleter(dim), tensor(psi, psi)).norm()
 
+    def test_deletes_exactly_holds_at_its_1e_12_edge(self):
+        # near |0>, 1 - alpha_sq = y leaves a residual of about y / 2
+        near = delete_demo_report(2, 1.0 - 1e-8)
+        assert 1e-9 < near.residual < 1e-8 and not near.deletes_exactly
+        edge = delete_demo_report(2, 1.0 - 1e-13)
+        assert 0.0 < edge.residual < 1e-12 and edge.deletes_exactly
+
     @pytest.mark.parametrize("dim, alpha_sq", [(2, 1.5), (2, -0.1), (2, math.nan), (1, 0.5)])
     def test_demo_report_refuses_what_has_no_input(self, dim, alpha_sq):
         with pytest.raises(ValueError):
@@ -675,6 +682,19 @@ class TestPointsLastKernel:
             ]
             np.testing.assert_allclose(table[:, k], norm_sq * np.array(overlaps), rtol=0,
                                        atol=4 * EPS * max(1.0, norm_sq))
+
+
+    @pytest.mark.parametrize("name", list(KERNEL_MACHINES))
+    def test_residuals_are_the_weight_tables_blank_row_bit_for_bit(self, name):
+        machine = KERNEL_MACHINES[name]
+        rng = np.random.default_rng(67)
+        for count in (1, 37, 150):
+            amps = hilbert._haar_amplitudes(machine.input_dims[0], count, rng).T
+            outs, whole, residuals = machines._residuals(machine, amps)
+            (out, _), (_, kept_blank) = _weights(outs, amps)
+            assert whole.tobytes() == _norms_sq(out).tobytes()
+            want = np.maximum(1.0 - np.sqrt(_norms_sq(kept_blank) / whole), 0.0)
+            assert residuals.tobytes() == want.tobytes()
 
 
 class TestNoDeletionWitness:

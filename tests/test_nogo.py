@@ -7,9 +7,10 @@ from hypothesis.extra.numpy import arrays
 
 from qdel.cli import main
 from qdel.errors import InvalidStateError, ShapeError
-from qdel.hilbert import Ket, basis_ket, bloch_ket, haar_qubit, inner, ket
+from qdel.hilbert import Ket, basis_ket, bloch_ket, haar_qubit, inner, ket, tensor
 from qdel.machines import (
     BasisActionMachine,
+    apply,
     check_isometry,
     conditional_deleter,
     qudit_pair_deleter,
@@ -174,6 +175,26 @@ class TestGramPreservation:
         with pytest.raises(ShapeError):
             gram_preservation_check(swap_deleter(3), [basis_ket([2], 0)])
 
+    def test_a_state_on_two_qubits_is_no_copy_of_a_4_level_machine(self):
+        with pytest.raises(ShapeError, match=r"dims \(2, 2\) do not match machine copies \(4,\)"):
+            gram_preservation_check(qudit_pair_deleter(4), [basis_ket([2, 2], 0)])
+
+    def test_the_kernel_is_the_largest_pair_gap_of_the_object_route(self):
+        # a complex non-isometry: the diagonal |1 - ||out_i||^2| is larger than any pair
+        # gap, so the kernel must read the pairs i < j alone
+        rng = np.random.default_rng(43)
+        matrix = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        machine = BasisActionMachine((2, 2, 3), (2, 2, 3), matrix, strict=False)
+        alphabet = [haar_qubit(rng) for _ in range(5)]
+        ancilla = basis_ket([3], 0)
+        outs = [apply(machine, tensor(psi, psi, ancilla)) for psi in alphabet]
+        gaps = [abs(inner(alphabet[i], alphabet[j]) ** 2 - inner(outs[i], outs[j]))
+                for i in range(5) for j in range(i + 1, 5)]
+        diagonal = [abs(1.0 - out.norm() ** 2) for out in outs]
+        assert max(diagonal) > max(gaps)
+        got = gram_preservation_check(machine, alphabet)
+        assert got == pytest.approx(max(gaps), rel=1e-13)
+
     def test_agrees_with_the_five_constraints(self):
         # for random non-orthogonal pairs both detectors fire together
         rng = np.random.default_rng(7)
@@ -224,9 +245,12 @@ class TestVerifyReport:
         assert not report.rules_normalized and not report.is_isometry
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
-    def test_tolerance_must_be_positive_and_finite(self, tol):
+    @pytest.mark.parametrize("alphabet", [None, [], [basis_ket([2], 0), basis_ket([3], 0)]],
+                             ids=["none", "empty", "mixed_spaces"])
+    def test_tolerance_must_be_positive_and_finite(self, tol, alphabet):
+        """A bad tol is named before anything about the alphabet."""
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
-            verify_report(swap_deleter(2), tol)
+            verify_report(swap_deleter(2), tol, alphabet)
 
 
 class TestIdealDeletionMap:

@@ -51,11 +51,13 @@ MUTANTS = (
     Mutant("deletion_tol_0", "machines.py", "_DELETION_TOL = 1e-9", "_DELETION_TOL = 0.0",
            ("tests/test_machines.py",)),
     Mutant("basis_deletion_norm_1e-3", "machines.py",
-           "abs(np.linalg.norm(image) - 1.0) > _DELETION_TOL",
-           "abs(np.linalg.norm(image) - 1.0) > 1e-3", ("tests/test_machines.py",)),
+           "np.abs(np.linalg.norm(ancilla_images, axis=1) - 1.0) > _DELETION_TOL",
+           "np.abs(np.linalg.norm(ancilla_images, axis=1) - 1.0) > 1e-3",
+           ("tests/test_machines.py",)),
     Mutant("basis_deletion_norm_0", "machines.py",
-           "abs(np.linalg.norm(image) - 1.0) > _DELETION_TOL",
-           "abs(np.linalg.norm(image) - 1.0) > 0.0", ("tests/test_machines.py",)),
+           "np.abs(np.linalg.norm(ancilla_images, axis=1) - 1.0) > _DELETION_TOL",
+           "np.abs(np.linalg.norm(ancilla_images, axis=1) - 1.0) > 0.0",
+           ("tests/test_machines.py",)),
     Mutant("vanishing_output_floor_0", "machines.py", "where=whole >= _ZERO_OUTPUT",
            "where=whole > 0", ("tests/test_machines.py",)),
     Mutant("sat_tol_1e-6", "nogo.py", "_SAT_TOL = 1e-10", "_SAT_TOL = 1e-6",
@@ -72,6 +74,11 @@ MUTANTS = (
            ("tests/test_reports.py",)),
     Mutant("fidelity_report_f_b_1e-6", "fidelity.py", "abs(self.f_b - (1.0 - y)) > 1e-12",
            "abs(self.f_b - (1.0 - y)) > 1e-6", ("tests/test_fidelity.py",)),
+    Mutant("deletes_exactly_1e-6", "machines.py", "return self.residual <= 1e-12",
+           "return self.residual <= 1e-6", ("tests/test_machines.py",)),
+    # a guard that rounding alone reaches
+    Mutant("state_fidelity_no_clip", "hilbert.py", "return min(max(val, 0.0), 1.0)",
+           "return val", ("tests/test_hilbert.py",)),
     # a conjugation only a complex input shows
     Mutant("isometry_gram_without_conj", "machines.py", "gram = m.conj().T @ m", "gram = m.T @ m",
            ("tests/test_machines.py", "tests/test_cli.py")),
