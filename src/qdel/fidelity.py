@@ -5,10 +5,16 @@ Everything here is driven through the machine itself, which is applied to
 F_a = ||<psi|_a out||^2 come from two operators `machines._fidelity_operators`
 contracts once from the machine's ancilla-0 columns: F_b is the squared norm
 of blank_op @ q and F_a of kept_op @ v, with q = (psi_i psi_j) over i <= j
-and v = conj(psi) (x) q, so the output itself is never formed. The kernel
-keeps a batch's points on its last axis, so each matmul and norm runs along
-the batch; batches are streamed in slices of `_POINT_BLOCK` points, and a
-point is a batch of one.
+and v = conj(psi) (x) q, so the output itself is never formed. Points and
+sweeps go through `_operator_fidelities`, which forms q and v and keeps a
+batch's points on its last axis, so each matmul and norm runs along the
+batch; batches are streamed in slices of `_POINT_BLOCK` points, and a point
+is a batch of one. On the Bloch grid psi = (a, b e^{i phi}) with a and b
+real, so every entry of q and v is a real function of theta times a power of
+e^{i phi}. `_grid_rows` contracts the operators' phase-power form
+(`_PHASE_FORMS`, built once) with a band of theta rows' real coefficients and
+multiplies the result by one table of e^{-i phi}, 1, e^{i phi} and
+e^{2i phi}: one matmul per band, with q and v never formed per point.
 `conditional_output` and the reduced density matrices `rho_ab`, `rho_a`
 and `rho_b` take the object route instead (tensor, apply, density matrix,
 partial trace); they are the reference the tests hold the batched values
@@ -19,9 +25,9 @@ used only as cross-checks, never as the computation path.
 Bloch-sphere averages use Gauss-Legendre nodes in cos(theta) and the
 midpoint rule in phi; both are exact for the low-degree trigonometric
 integrands that appear here. The Gauss-Legendre rule is built once per grid
-size per process (numpy builds it from an n x n eigenproblem); the grid, the
-kernel pass and the averages are computed afresh on every call. The grid is
-never held whole: it is built and sent through the kernel in bands of theta
+size per process (numpy builds it from an n x n eigenproblem); the phase
+table, the kernel pass and the averages are computed afresh on every call.
+The grid is never held whole: it goes through `_grid_rows` in bands of theta
 rows, about `_POINT_BLOCK` points each, and only the per-row phi means are
 kept, so a grid's memory does not grow with its size. A grid above
 `_MAX_GRID_POINTS` points, or above `_MAX_THETA_ROWS` theta rows, is refused.
@@ -69,25 +75,46 @@ AVG_RETENTION_FIDELITY = 2.0 / 3.0
 
 _MIN_GRID = 8
 
+
+def _phase_forms(operators: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, int]:
+    """(form, rows_b): a qubit machine's `machines._fidelity_operators` in phase-power form.
+
+    On the grid, psi = (a, b e^{i phi}) with a and b real. So entry p = (i, j) of q is a real
+    coefficient times e^{i k phi}, k = i + j, and entry (s, p) of v = conj(psi) (x) q is one
+    times e^{i (k - s) phi}. form[c] is the operators' column c (of q's P columns, then v's
+    2P, with P = 3), blank_op's rows_b rows above kept_op's, placed in the slot of its power
+    in [-1, 0, 1, 2] and zero in the others; form is read-only.
+    """
+    blank_op, kept_op = operators
+    i, j = _upper_pairs(2)
+    powers = np.concatenate([i + j, (i + j - np.arange(2)[:, None]).ravel()])
+    rows_b, pairs = blank_op.shape
+    columns = np.zeros((len(powers), rows_b + len(kept_op)), dtype=complex)
+    columns[:pairs, :rows_b] = blank_op.T
+    columns[pairs:, rows_b:] = kept_op.T
+    form = np.zeros((*columns.shape, 4), dtype=complex)
+    form[np.arange(len(powers)), :, powers + 1] = columns
+    form.flags.writeable = False
+    return form, rows_b
+
+
 _MACHINE = conditional_deleter()
-# the machine's (blank_op, kept_op), built once: a build takes about 35 us, and a
-# 512x512 grid is 64 slices
+# the machine's (blank_op, kept_op) and their phase-power form, built once
 _OPERATORS = _fidelity_operators(_MACHINE)
+_PHASE_FORMS = _phase_forms(_OPERATORS)
 
 # Points per slice of `_batched_fidelities`, and so per theta-row band of
-# `_grid_averages`. Measured with the operator kernel on a 2-core host with one
-# BLAS thread at 2048/4096/8192 points: `_grid_averages(512, 512)` peaked at
-# 0.66/1.30/2.58 MB under tracemalloc and took 1.17-1.18/1/0.86-0.87 times as
-# long as at 4096 (median of 60 interleaved rounds, in each of two processes;
-# 4096 itself 25.5-26.3 ms median on a loaded host). 4096 is kept: 8192 is
-# faster in-process, but at twice the peak, and with the earlier kernel a
-# perfbench `quadrature` run at 8192 peaked 1.4 MB higher in RSS with a slower
-# `pass_s` (42.1 against 40.7 MB, 38.1 against 33.4 ms).
+# `_grid_averages`. Measured with the row kernel on a 2-core host with one BLAS
+# thread at 2048/4096/8192 points: `_grid_averages(512, 512)` took 12.3/9.4/8.4 ms
+# (median of 20 interleaved rounds) and peaked at 0.34/0.64/1.24 MB under
+# tracemalloc. 4096 is kept: 8192 is about 11% faster in-process, but at twice
+# the peak, and with an earlier kernel a perfbench `quadrature` run at 8192
+# peaked 1.4 MB higher in RSS with a slower `pass_s`.
 _POINT_BLOCK = 4096
 
-# Largest grid `_grid_averages` accepts, 268,435,456 points: about a minute
-# of kernel time on a 2-core host. The grid is streamed, so a larger one would
-# not fail to allocate; it would run for hours instead.
+# Largest grid `_grid_averages` accepts, 268,435,456 points: a 2048 x 131,072
+# grid took 14 s on a 2-core host. The grid is streamed, so a larger one would
+# not fail to allocate; it would run for minutes to hours instead.
 _MAX_GRID_POINTS = 2**28
 
 # Most theta rows `_grid_averages` accepts. numpy's n-point Gauss-Legendre rule
@@ -176,19 +203,45 @@ def _operator_fidelities(
 
 
 def _squared_norms(columns: np.ndarray) -> np.ndarray:
-    """(B,) squared norms of the columns of a fresh (rows, B) array, which is squared in
+    """(..., B) squared norms of the columns of a fresh (..., rows, B) array, which is squared in
     place; the rows are summed in order, as `machines._norms_sq` sums them."""
     parts = columns.view(float)  # real and imaginary parts interleaved on the last axis
     np.multiply(parts, parts, out=parts)
-    sums = np.sum(parts, axis=0)
-    return sums[0::2] + sums[1::2]
+    sums = np.sum(parts, axis=-2)
+    return sums[..., 0::2] + sums[..., 1::2]
+
+
+def _phase_table(n_phi: int) -> np.ndarray:
+    """(4, n_phi): e^{i k phi} for k = -1, 0, 1, 2 at the n_phi midpoints phi of [0, 2 pi)."""
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
+    phase = np.exp(1j * phi)
+    return np.stack([phase.conj(), np.ones(n_phi), phase, phase * phase])
+
+
+def _grid_rows(
+    forms: tuple[np.ndarray, int], u: np.ndarray, table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F_b, F_a), each (R, n_phi), on R theta rows of the grid, psi = (a, b e^{i phi}) with
+    a = sqrt((1 + u)/2) and b = sqrt((1 - u)/2), from a machine's `_phase_forms` and the
+    `_phase_table` of the rows' phi. The rows' real coefficients of q and v contract the form
+    into an (R, rows, 4) stack C, and C @ table is blank_op @ q above kept_op @ v at every
+    point of the rows, so neither q nor v is formed per point."""
+    form, rows_b = forms
+    r = np.sqrt(np.stack([1.0 + u, 1.0 - u], axis=1) / 2.0)  # (R, 2): each row's a and b
+    i, j = _upper_pairs(2)
+    q = r[:, i] * r[:, j]  # (R, P)
+    coefficients = np.concatenate([q, (r[:, :, None] * q[:, None]).reshape(len(u), -1)], axis=1)
+    # summed over the columns in order, a row at a time, so a row's C does not depend on its band
+    stack = np.sum(coefficients[:, :, None, None] * form, axis=1)
+    out = stack @ table  # (R, rows, n_phi)
+    return _squared_norms(out[:, :rows_b]), _squared_norms(out[:, rows_b:])
 
 
 def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
     """Bloch-sphere averages (of F_b, of F_a) over an n_theta x n_phi grid.
 
     Normalized measure sin(theta) dtheta dphi / 4 pi; Gauss-Legendre in
-    cos(theta), midpoint in phi. The grid goes through the kernel in bands of
+    cos(theta), midpoint in phi. The grid goes through `_grid_rows` in bands of
     whole theta rows, about _POINT_BLOCK points each, so only one band and the
     (n_theta,) row means are held; each row's phi mean is still one np.mean
     over that row's values. A grid above _MAX_GRID_POINTS points or
@@ -207,17 +260,13 @@ def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
             f" {_MAX_THETA_ROWS:,}"
         )
     u, w = _gauss_legendre(n_theta)
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
-    phase = np.exp(1j * phi)
+    table = _phase_table(n_phi)
     row_means = np.empty((2, n_theta))
     rows = max(1, _POINT_BLOCK // n_phi)
     for start in range(0, n_theta, rows):
         band = slice(start, start + rows)
-        psis = np.empty((2, len(u[band]), n_phi), dtype=complex)  # the band's alpha and beta
-        psis[0] = np.sqrt((1.0 + u[band]) / 2.0)[:, None]
-        np.multiply(np.sqrt((1.0 - u[band]) / 2.0)[:, None], phase, out=psis[1])
-        for means, f in zip(row_means, _batched_fidelities(*psis.reshape(2, -1))):
-            means[band] = np.mean(f.reshape(psis.shape[1:]), axis=1)
+        for means, f in zip(row_means, _grid_rows(_PHASE_FORMS, u[band], table)):
+            means[band] = np.mean(f, axis=1)
     # weights sum to 2 over u in [-1, 1]; phi average is a plain mean
     avg_b, avg_a = (float(np.sum(w * means) / 2.0) for means in row_means)
     return avg_b, avg_a

@@ -221,8 +221,8 @@ def _weights(outs: np.ndarray, psis: np.ndarray) -> tuple:
 @lru_cache(maxsize=8)
 def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     """`np.triu_indices(d)`, read-only: the pairs i <= j in the order of the operators'
-    columns and the swap certificate's rows. Kept per d: building them takes about 15 us,
-    1 ms over a 512x512 grid's slices."""
+    columns and the swap certificate's rows. Kept per d: a build takes about 15 us, and the
+    fidelity kernels read them once per slice or band."""
     i, j = np.triu_indices(d)
     i.flags.writeable = j.flags.writeable = False
     return i, j

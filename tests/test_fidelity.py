@@ -65,12 +65,27 @@ def projector(amplitudes) -> np.ndarray:
 
 
 def whole_grid_averages(n_theta, n_phi):
-    """The grid averages from the whole n_theta x n_phi grid at once: the banded path's oracle."""
+    """The grid averages from the whole n_theta x n_phi grid as one band of the row kernel: the
+    banded path's oracle."""
     u, w = np.polynomial.legendre.leggauss(n_theta)
+    f_b, f_a = fidelity._grid_rows(fidelity._PHASE_FORMS, u, fidelity._phase_table(n_phi))
+    return tuple(float(np.sum(w * np.mean(f, axis=1)) / 2.0) for f in (f_b, f_a))
+
+
+def grid_psis(u, n_phi):
+    """(2, len(u) n_phi): the grid's points alpha|0> + beta|1> on the theta rows of nodes u,
+    row by row, built point by point as the row kernel never builds them."""
     phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
     alpha = np.sqrt((1.0 + u) / 2.0)[:, None] * np.ones_like(phi)[None, :]
     beta = np.sqrt((1.0 - u) / 2.0)[:, None] * np.exp(1j * phi)[None, :]
-    f_b, f_a = _batched_fidelities(alpha.ravel(), beta.ravel())
+    return np.stack([alpha.ravel(), beta.ravel()]).astype(complex)
+
+
+def point_route_averages(n_theta, n_phi):
+    """The grid averages with every point of the whole grid sent through `_batched_fidelities`,
+    the grid's route before the row kernel."""
+    u, w = np.polynomial.legendre.leggauss(n_theta)
+    f_b, f_a = _batched_fidelities(*grid_psis(u, n_phi))
     return tuple(
         float(np.sum(w * np.mean(f.reshape(n_theta, n_phi), axis=1)) / 2.0) for f in (f_b, f_a)
     )
@@ -226,8 +241,8 @@ class TestAverageFidelity:
         assert gap == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_grid_average_memory_stays_below_4_mb(self):
-        # the grid goes through the kernel in theta-row bands of one slice,
-        # so only a band and the row means are held (about 1.3 MB)
+        # the grid goes through the row kernel in theta-row bands of one slice,
+        # so only a band and the row means are held (about 0.64 MB)
         _grid_averages(512, 512)
         tracemalloc.start()
         try:
@@ -243,6 +258,14 @@ class TestAverageFidelity:
         expected = whole_grid_averages(*grid)
         assert _grid_averages(*grid) == expected
         assert (average_fidelity("b", *grid), average_fidelity("a", *grid)) == expected
+
+    @pytest.mark.parametrize("grid", [(8, 8), (9, 13), (513, 511), (100, 4097), (512, 512)])
+    def test_averages_match_the_point_route_within_a_few_eps(self, grid):
+        # the row kernel multiplies each point's phases in at the end; the point route forms
+        # q and v from the phased amplitudes, so the two round apart in the last bits
+        np.testing.assert_allclose(
+            _grid_averages(*grid), point_route_averages(*grid), rtol=0, atol=4 * EPS
+        )
 
     def test_error_does_not_grow_as_grid_doubles(self):
         # the integrands are quadratic in cos(theta), so the quadrature is
@@ -272,24 +295,32 @@ class TestAverageFidelity:
             average_fidelity("c", 64, 64)
 
     def test_grid_calls_the_kernel_once_per_band(self, monkeypatch):
-        """512 x 512 is 64 bands of 8 theta rows; each goes through the kernel in one call,
-        its 4096 points on the last axis, so no Python loop runs per point or per row."""
-        batches = []
-        kernel = fidelity._operator_fidelities
+        """512 x 512 is 64 bands of 8 theta rows; each goes through the row kernel in one call,
+        its 8 x 512 points in one matmul, so no Python loop runs per point or per row, and no
+        point goes through the point route."""
+        bands, points = [], []
+        kernel, operator_route = fidelity._grid_rows, fidelity._operator_fidelities
 
-        def counted(operators, psis):
-            batches.append(np.shape(psis))
-            return kernel(operators, psis)
+        def counted(forms, u, table):
+            bands.append((forms is fidelity._PHASE_FORMS, len(u), np.shape(table)))
+            return kernel(forms, u, table)
 
-        monkeypatch.setattr(fidelity, "_operator_fidelities", counted)
+        def counted_points(operators, psis):
+            points.append(np.shape(psis))
+            return operator_route(operators, psis)
+
+        monkeypatch.setattr(fidelity, "_grid_rows", counted)
+        monkeypatch.setattr(fidelity, "_operator_fidelities", counted_points)
         _grid_averages(512, 512)
-        assert batches == [(2, 8 * 512)] * 64
+        assert bands == [(True, 8, (4, 512))] * 64 and points == []
 
     def test_grid_work_is_pinned(self, monkeypatch):
-        """One rule build per grid size, and every call sends its whole grid to the kernel."""
+        """One rule build per grid size, every call sends its whole grid to the row kernel, and
+        a report sends its one point through the point route."""
         _gauss_legendre.cache_clear()
-        builds, points = Counter(), []
+        builds, points, rows = Counter(), [], []
         leggauss, batched = np.polynomial.legendre.leggauss, fidelity._batched_fidelities
+        kernel = fidelity._grid_rows
 
         def counted_leggauss(n):
             builds[n] += 1
@@ -299,8 +330,13 @@ class TestAverageFidelity:
             points.append(np.size(alphas))
             return batched(alphas, betas)
 
+        def counted_rows(forms, u, table):
+            rows.append(len(u))
+            return kernel(forms, u, table)
+
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
         monkeypatch.setattr(fidelity, "_batched_fidelities", counted_batched)
+        monkeypatch.setattr(fidelity, "_grid_rows", counted_rows)
         for bad in (True, 16.0, 4):  # refused before a rule is built or cached
             with pytest.raises(ValueError):
                 _grid_averages(bad, 16)
@@ -313,34 +349,38 @@ class TestAverageFidelity:
             _grid_averages(16, 25)
         monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", limit)
         # over the theta-row limit: refused before its n x n rule is built
-        rows = fidelity._MAX_THETA_ROWS
+        rows_limit = fidelity._MAX_THETA_ROWS
         monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", 16)
         with pytest.raises(ValueError, match="17x8 has 17 theta rows, above the limit of 16"):
             _grid_averages(17, 8)
-        monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", rows)
+        monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", rows_limit)
         message = "grid 4097x8 has 4,097 theta rows, above the limit of 4,096$"
         with pytest.raises(ValueError, match=message):
             _grid_averages(4097, 8)
-        assert _gauss_legendre.cache_info().currsize == 0 and points == [] and builds == {}
+        assert _gauss_legendre.cache_info().currsize == 0
+        assert points == [] and rows == [] and builds == {}
         monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", 16 * 24)
         monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", 16)
         _grid_averages(16, 24)  # both limits themselves are accepted
         monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", limit)
-        monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", rows)
+        monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", rows_limit)
         for _ in range(3):
             for n_theta, n_phi in ((16, 24), (32, 8)):
                 points.clear()
+                rows.clear()
                 _grid_averages(n_theta, n_phi)
-                assert points == [n_theta * n_phi]
+                assert points == [] and rows == [n_theta]
                 points.clear()
+                rows.clear()
                 fidelity_report(0.3, n_theta=n_theta, n_phi=n_phi)
-                assert points == [1, n_theta * n_phi]  # the point, then the grid
+                assert points == [1] and rows == [n_theta]  # the point, and the grid in one band
         # larger grids go in bands of whole theta rows, one kernel slice or one row each
-        bands = {(512, 512): [_POINT_BLOCK] * 64, (100, 4097): [4097] * 100}
+        bands = {(512, 512): [_POINT_BLOCK // 512] * 64, (100, 4097): [1] * 100}
         for (n_theta, n_phi), expected in bands.items():
             points.clear()
+            rows.clear()
             _grid_averages(n_theta, n_phi)
-            assert points == expected and sum(points) == n_theta * n_phi
+            assert points == [] and rows == expected and sum(rows) == n_theta
         assert builds == {16: 1, 32: 1, 512: 1, 100: 1}
 
     def test_cached_rule_is_numpy_rule_read_only(self):
@@ -365,8 +405,8 @@ def random_complex_machine(dims, rng):
 
 
 class TestOperatorRoute:
-    """F_b and F_a from a machine's two precontracted operators, the grid's kernel, held to
-    the weight table and to the object route."""
+    """F_b and F_a from a machine's two precontracted operators, the kernel of points and
+    sweeps and the row kernel's reference, held to the weight table and to the object route."""
 
     @pytest.mark.parametrize("dims", [[2, 2, 3], [3, 3, 3], [2, 2, 2], [3, 3]])
     def test_random_machines_match_the_weight_table_and_the_object_route(self, dims):
@@ -420,6 +460,52 @@ class TestOperatorRoute:
             _fidelity_operators(machine)
         assert str(by_operators.value) == str(by_table.value)
         assert f"output dims {output_dims}" in str(by_operators.value)
+
+
+class TestGridRows:
+    """The row kernel, F_b and F_a at every point of whole theta rows from the operators'
+    phase-power form and the grid's phase table, held point by point to the point route."""
+
+    # (513, 511): n_phi does not divide the slice; (100, 4097): a row is longer than one
+    @pytest.mark.parametrize("grid", [(9, 13), (513, 511), (100, 4097)])
+    @pytest.mark.parametrize("machine", ["conditional", "random [2, 2, 3]"])
+    def test_every_grid_point_matches_the_operator_route(self, grid, machine):
+        # a random complex machine depends on phi and mixes every column, so a phase or a
+        # conjugation slip shows; the conditional deleter is the grid's own, built at import.
+        # The two routes round independently, so each gets TestOperatorRoute's 4 EPS: at one
+        # point of (513, 511) the operator route's F_a is 4.49 EPS from its 40-digit value,
+        # where the row kernel's is 0.01 EPS from it.
+        if machine == "conditional":
+            operators, forms = fidelity._OPERATORS, fidelity._PHASE_FORMS
+        else:
+            machine = random_complex_machine([2, 2, 3], np.random.default_rng(73))
+            operators = _fidelity_operators(machine)
+            forms = fidelity._phase_forms(operators)
+        n_theta, n_phi = grid
+        u, _ = _gauss_legendre(n_theta)
+        table = fidelity._phase_table(n_phi)
+        for start in range(0, n_theta, 16):
+            rows = u[start:start + 16]
+            f_b, f_a = fidelity._grid_rows(forms, rows, table)
+            assert f_b.shape == f_a.shape == (len(rows), n_phi)
+            psis = grid_psis(rows, n_phi)
+            expected_b, expected_a = fidelity._operator_fidelities(operators, psis)
+            np.testing.assert_allclose(f_b.ravel(), expected_b, rtol=0, atol=2 * 4 * EPS)
+            np.testing.assert_allclose(f_a.ravel(), expected_a, rtol=0, atol=2 * 4 * EPS)
+
+    def test_the_form_places_each_column_at_its_phase_power(self):
+        # q = (a^2, a b e^{i phi}, b^2 e^{2i phi}); v's (s, p) entries carry e^{i (k_p - s) phi}
+        form, rows_b = fidelity._PHASE_FORMS
+        blank_op, kept_op = fidelity._OPERATORS
+        assert rows_b == len(blank_op) and form.shape == (9, rows_b + len(kept_op), 4)
+        powers = [0, 1, 2, 0, 1, 2, -1, 0, 1]  # q's columns, then v's with s = 0 and s = 1
+        for column, power in enumerate(powers):
+            assert not np.any(np.delete(form[column], power + 1, axis=1))
+        np.testing.assert_array_equal(form[:3, :rows_b].sum(axis=2), blank_op.T)
+        np.testing.assert_array_equal(form[3:, rows_b:].sum(axis=2), kept_op.T)
+        assert not np.any(form[:3, rows_b:]) and not np.any(form[3:, :rows_b])
+        with pytest.raises(ValueError):
+            form[0, 0, 0] = 1.0
 
 
 class TestFidelityReport:

@@ -356,6 +356,27 @@ class TestEigenTolEdge:
         _require_densities(np.stack([self.state(-1e-11), self.state(0.0)]))
 
 
+class TestTraceTolEdge:
+    """The trace tolerance (ALGEBRAIC_TOL, 1e-12) at its edge: a Hermitian positive matrix of
+    trace 1 + 1e-9 is refused, one of trace 1 + 1e-13 is not."""
+
+    @staticmethod
+    def state(excess: float) -> np.ndarray:
+        """A 2x2 Hermitian matrix with eigenvalues 0.6 + excess and 0.4, in a complex basis."""
+        rng = np.random.default_rng(83)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        rho = q @ np.diag([0.6 + excess, 0.4]) @ q.conj().T
+        return (rho + rho.conj().T) / 2
+
+    def test_refused_just_beyond(self):
+        with pytest.raises(InvalidStateError, match="trace differs from 1 by 1.000e-09"):
+            DensityMatrix((2,), self.state(1e-9))
+
+    def test_accepted_just_within(self):
+        rho = DensityMatrix((2,), self.state(1e-13))
+        assert abs(np.trace(rho.entries) - 1.0) == pytest.approx(1e-13, rel=0.01)
+
+
 class TestJsonRoundTrip:
     def test_density(self):
         # the wire format is row-major [re, im] pairs; decoding it is a view

@@ -1,6 +1,7 @@
 """The README's command-line and library examples, run as written."""
 
 import ast
+import importlib.util
 import json
 import math
 import re
@@ -12,7 +13,8 @@ import pytest
 from qdel.cli import main
 from qdel.machines import machine_to_json, swap_deleter
 
-README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def fenced(after: str, language: str) -> str:
@@ -25,6 +27,26 @@ COMMANDS = [
     for line in fenced("## Command line", "sh").splitlines()
     if line.startswith("qdel ")
 ]
+
+
+def load_byte_audit():
+    spec = importlib.util.spec_from_file_location("outputs", ROOT / "tools" / "outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_byte_audit_runs_every_readme_command():
+    assert load_byte_audit().readme_commands() == COMMANDS
+
+
+def test_the_byte_audit_names_what_moved_and_by_how_much():
+    moves = load_byte_audit()._moves
+    old = json.dumps({"f_b": 0.75, "avg_f_b": 0.8333333333333339, "n_theta": 8}, indent=2)
+    new = json.dumps({"f_b": 0.75, "avg_f_b": 0.8333333333333335, "n_theta": 8}, indent=2)
+    assert moves(old, new) == [("avg_f_b", pytest.approx(4.44e-16, rel=0.01))]
+    assert moves("s,r\n0.5,0.25\n", "s,r\n0.5,0.5\n") == [("its text", 0.25)]
+    assert moves("s,r\n0.5,0.25\n", "s,r\n0.5\n") == [("its text", None)]
 
 
 def test_readme_lists_every_subcommand():

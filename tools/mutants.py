@@ -14,7 +14,7 @@ Exit status: 0 when every mutant run is killed, 1 when one survives, and 2
 when nothing can be judged (the unmutated copy fails a listed test file, a
 listed text is not found once, or pytest stops for another reason than a
 failing test). Only mutants some test is known to kill are listed; a mutant
-no test kills yet is described in ROADMAP items 13 and 17. `tests/test_mutants.py`
+no test kills yet is described in ROADMAP item 17. `tests/test_mutants.py`
 checks that every listed text still occurs exactly once, so a refactor that
 moves one updates this list.
 """
@@ -89,6 +89,37 @@ MUTANTS = (
     Mutant("operator_pair_without_ji", "machines.py",
            "pairs = columns[:, i, j] + np.triu(columns.swapaxes(1, 2), 1)[:, i, j]",
            "pairs = columns[:, i, j]", ("tests/test_fidelity.py",)),
+    # the Bloch grid's row kernel: the e^{-i phi} row of its phase table without its conjugate,
+    # and the grid without its phi phase
+    Mutant("grid_table_without_conj", "fidelity.py", "phase.conj(), np.ones(n_phi)",
+           "phase, np.ones(n_phi)", ("tests/test_fidelity.py",)),
+    Mutant("grid_without_phi_phase", "fidelity.py", "phase = np.exp(1j * phi)",
+           "phase = np.exp(0j * phi)", ("tests/test_fidelity.py",)),
+    # conjugations and norms of the two-copy kernels, each shown by a complex input
+    Mutant("bra_contract_without_conj", "machines.py", "bras = psis.conj()", "bras = psis",
+           ("tests/test_machines.py",)),
+    Mutant("norms_sq_without_imag", "machines.py", "return sums[0::2] + sums[1::2]",
+           "return sums[0::2]", ("tests/test_machines.py",)),
+    Mutant("residual_without_sqrt", "machines.py", "np.maximum(1.0 - np.sqrt(ratio), 0.0)",
+           "np.maximum(1.0 - ratio, 0.0)", ("tests/test_machines.py",)),
+    Mutant("certificate_gram_without_conj", "machines.py", "gram = images.conj() @ images.T",
+           "gram = images @ images.T", ("tests/test_machine_properties.py",)),
+    Mutant("classifier_rho_without_conj", "machines.py",
+           "rho += ancilla[:, None] * ancilla.conj()", "rho += ancilla[:, None] * ancilla",
+           ("tests/test_machines.py",)),
+    Mutant("gram_in_through_abs", "nogo.py", "gram_in = (amps.conj() @ amps.T) ** 2",
+           "gram_in = np.abs(amps.conj() @ amps.T) ** 2", ("tests/test_nogo.py",)),
+    Mutant("haar_real_gaussian", "hilbert.py", "z = parts[:, 0] + 1j * parts[:, 1]",
+           "z = parts[:, 0] + 0j * parts[:, 1]", ("tests/test_hilbert.py",)),
+    # guards and tolerances, each held at its edge
+    Mutant("rules_normalized_1e-6", "nogo.py", "rules_normalized=machine.rule_norms_ok(1e-9)",
+           "rules_normalized=machine.rule_norms_ok(1e-6)", ("tests/test_nogo.py",)),
+    Mutant("hermiticity_tol_1e-6", "hilbert.py", "if not herm_dev <= ALGEBRAIC_TOL:",
+           "if not herm_dev <= 1e-6:", ("tests/test_hilbert.py",)),
+    Mutant("trace_tol_1e-6", "hilbert.py", "if not tr_dev <= ALGEBRAIC_TOL:",
+           "if not tr_dev <= 1e-6:", ("tests/test_hilbert.py",)),
+    Mutant("classify_without_m_lt_d", "machines.py", "if m < d or machine.output_dims",
+           "if machine.output_dims", ("tests/test_machines.py",)),
     # the quality solver
     Mutant("root_tol_1e-9", "deletion.py", "_ROOT_TOL = 1e-13", "_ROOT_TOL = 1e-9",
            ("tests/test_deletion.py",)),
@@ -104,6 +135,11 @@ MUTANTS = (
            ("tests/test_deletion.py",)),
     Mutant("kind_slope_at_most_0", "deletion.py", "slopes[-1] < 0.0", "slopes[-1] <= 0.0",
            ("tests/test_deletion.py",)),
+    Mutant("last_0.5-2^-20", "deletion.py", "_LAST = 0.5 - 2.0**-30", "_LAST = 0.5 - 2.0**-20",
+           ("tests/test_deletion.py",)),
+    Mutant("scan_start_1/(2N)", "deletion.py",
+           "start = min(max(1.0 / (8.0 * nf), _EDGE), 0.25)",
+           "start = min(max(1.0 / (2.0 * nf), _EDGE), 0.25)", ("tests/test_deletion.py",)),
 )
 
 
@@ -147,7 +183,7 @@ def run(mutants: tuple[Mutant, ...]) -> int:
             if code not in (0, 1):
                 print(f"{mutant.name}: pytest exited {code}, not a test failure")
                 return 2
-            print(f"{mutant.name:26s} {'killed' if code else 'SURVIVED':8s} "
+            print(f"{mutant.name:30s} {'killed' if code else 'SURVIVED':8s} "
                   f"{time.perf_counter() - start:5.1f} s")
             if not code:
                 survivors.append(mutant.name)
