@@ -186,6 +186,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 _PARSER, _COMMANDS = _build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`_PARSER.parse_args(argv)`, running only the subcommand's parser when argv starts
+    with a subcommand and that parser leaves nothing over.
+
+    `_PARSER` hands everything after the subcommand's name to its parser, so that parser
+    gives the same namespace and prints the same help and errors. Every other argv, the
+    leftovers the top-level parser reports included, goes through `_PARSER` itself.
+    """
+    parser = _COMMANDS.get(argv[0]) if argv else None
+    if parser is not None:
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -290,7 +306,7 @@ _NUMERIC_ERRORS = (ValueError, ArithmeticError, OSError, KeyError, MemoryError)
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command. A usage error prints the subcommand's usage line and no manifest."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     parser = _COMMANDS[args.command]
     _validate(parser, args)
     try:

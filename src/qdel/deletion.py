@@ -198,13 +198,12 @@ def _minimum(n: int, m: int) -> tuple[float, float, str]:
     xs = np.concatenate([start * (0.25 / start) ** _UNIT, _EVEN])
     slopes = _slope(xs, nf, mf)
     falling = slopes < 0.0
-    ups = np.flatnonzero(falling[:-1] & ~falling[1:]).tolist()
-    xs, slopes = xs.tolist(), slopes.tolist()
     candidates = [0.5]
-    for i in ups:
-        candidates += _root(nf, mf, xs[i], xs[i + 1], slopes[i], slopes[i + 1])
+    for i in np.flatnonzero(falling[:-1] & ~falling[1:]).tolist():
+        (a, b), (ha, hb) = xs[i : i + 2].tolist(), slopes[i : i + 2].tolist()
+        candidates += _root(nf, mf, a, b, ha, hb)
     if not falling[0]:
-        candidates.append(xs[0])
+        candidates.append(float(xs[0]))
     values = _bound_values(np.array(candidates), n, m)
     i = int(np.argmin(values))  # the first minimum, so balance wins a tie
     if i == 0:

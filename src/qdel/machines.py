@@ -267,7 +267,11 @@ def _residuals(machine: BasisActionMachine, psis: np.ndarray) -> tuple:
     gives them; 1 - sqrt(||<psi|<blank| out||^2 / ||out||^2) clamped at 0, 1 for a vanishing
     output. <psi|_a <blank|_b out is the blank row of `_weights`' <psi|_a out, contracted
     alone with the same elementwise steps."""
-    outs = _copies_output(machine, psis)
+    return _output_residuals(_copies_output(machine, psis), psis)
+
+
+def _output_residuals(outs: np.ndarray, psis: np.ndarray) -> tuple:
+    """`_residuals` of the outputs `outs` a two-copy machine gives on the (d, B) batch `psis`."""
     out = _split_copy(outs, psis)
     kept = _bra_contract(psis, out[:, BLANK_INDEX])  # (rest, B)
     whole = _norms_sq(out)
@@ -299,6 +303,14 @@ def _basis_map(targets: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _pair_targets(d: int) -> np.ndarray:
+    """Where the default pair deleter sends each input basis state |i, j>, row-major:
+    |i, i> -> |i, blank> and |i, j> -> |i, j> for i != j, as output basis indices."""
+    targets = np.arange(d * d).reshape(d, d)
+    targets[np.arange(d), np.arange(d)] = targets[:, BLANK_INDEX]  # |i,i> -> |i,blank>
+    return targets.reshape(-1)
+
+
 def qudit_pair_deleter(
     d: int,
     garbage: Optional[Mapping[tuple[int, int], Ket]] = None,
@@ -311,9 +323,7 @@ def qudit_pair_deleter(
     with i != j, both in range.
     """
     d = _int_at_least(d, 2, "qudit dimension")
-    targets = np.arange(d * d).reshape(d, d)
-    targets[np.arange(d), np.arange(d)] = targets[:, BLANK_INDEX]  # |i,i> -> |i,blank>
-    matrix = _basis_map(targets.reshape(-1))
+    matrix = _basis_map(_pair_targets(d))
     if garbage is None:
         return _trusted(BasisActionMachine, (d, d), (d, d), matrix, True)
     pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
@@ -409,12 +419,18 @@ def delete_demo_report(dim: int, alpha_sq: float) -> DeleteDemoReport:
     """Run the pair deleter on two copies of the input `DeleteDemoReport` describes.
 
     `dim` is at least 2 and `alpha_sq` lies in [0, 1]; anything else is a ValueError.
+    No matrix is built: the deleter's output on |psi psi> is the d^2 products psi_i psi_j
+    scattered onto `_pair_targets`, each target summing at most two of them, so it holds
+    the bits the matrix product gives. The residual arithmetic is `_residuals`'.
     """
     x = _alpha_sq(alpha_sq)
-    machine = qudit_pair_deleter(dim)
+    dim = _int_at_least(dim, 2, "qudit dimension")
     psis = np.zeros((dim, 1), dtype=complex)
     psis[:2, 0] = math.sqrt(x), math.sqrt(1.0 - x)
-    outs, _, residuals = _residuals(machine, psis)
+    outs = np.zeros((dim * dim, 1), dtype=complex)
+    np.add.at(outs, _pair_targets(dim), (psis[:, None] * psis[None]).reshape(dim * dim, 1))
+    outs = outs.reshape(dim, dim, 1)
+    _, _, residuals = _output_residuals(outs, psis)
     return DeleteDemoReport(dim, x, float(residuals[0]), float(np.linalg.norm(outs)))
 
 
@@ -537,31 +553,38 @@ def machine_to_json(machine: BasisActionMachine) -> dict:
     }
 
 
-def _member(obj: object, key: str, where: str):
-    """obj[key]; a missing key, or an obj that is not a JSON object, is a ShapeError."""
+def _member(obj: object, key: str, n: Optional[int] = None):
+    """obj[key]; a missing key, or an obj that is not a JSON object, is a ShapeError naming
+    obj as rules[n], or as the machine when n is None. The name is built only to raise."""
+    if isinstance(obj, Mapping) and key in obj:
+        return obj[key]
+    where = "a machine" if n is None else f"rules[{n}]"
     if not isinstance(obj, Mapping):
         raise ShapeError(f"{where} is a JSON object, got {type(obj).__name__}")
-    if key not in obj:
-        raise ShapeError(f"{where} has no {key!r} key")
-    return obj[key]
+    raise ShapeError(f"{where} has no {key!r} key")
+
+
+def _in_index(value: object, n: int) -> int:
+    """rules[n]'s in_index as an int >= 0; anything else is a ShapeError naming it."""
+    try:
+        return _int_at_least(value, 0, "in_index")
+    except ValueError as exc:
+        raise ShapeError(f"rules[{n}].{exc}") from None
 
 
 def machine_from_json(obj: Mapping, strict: bool = True) -> BasisActionMachine:
     """Parse the wire format; a wrong type or missing key is a ShapeError or InvalidStateError."""
-    input_dims = _dims(_member(obj, "input_dims", "a machine"))
-    output_dims = _dims(_member(obj, "output_dims", "a machine"))
-    rules = _member(obj, "rules", "a machine")
+    input_dims = _dims(_member(obj, "input_dims"))
+    output_dims = _dims(_member(obj, "output_dims"))
+    rules = _member(obj, "rules")
     if not isinstance(rules, list):
         raise ShapeError(f"rules is a list of objects, got {type(rules).__name__}")
     n_in, n_out = math.prod(input_dims), math.prod(output_dims)
     if len(rules) != n_in:  # before anything of size n_in is built
         raise ShapeError(f"rules must number {n_in}, one per in_index, got {len(rules)}")
-    rows = [(_member(r, "in_index", f"rules[{n}]"), _member(r, "out_amplitudes", f"rules[{n}]"))
+    rows = [(_member(r, "in_index", n), _member(r, "out_amplitudes", n))
             for n, r in enumerate(rules)]
-    try:
-        indices = [_int_at_least(i, 0, f"rules[{n}].in_index") for n, (i, _) in enumerate(rows)]
-    except ValueError as exc:
-        raise ShapeError(str(exc)) from None
+    indices = [_in_index(i, n) for n, (i, _) in enumerate(rows)]
     missing = min(set(range(n_in)).difference(indices), default=None)  # a repeat leaves a gap
     if missing is not None:
         raise ShapeError(f"no rule has in_index {missing}; rules cover 0..{n_in - 1} once each")

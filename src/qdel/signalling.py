@@ -136,15 +136,15 @@ BranchRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 def _branch_mixtures(bases: np.ndarray, *rules: BranchRule) -> tuple[np.ndarray, ...]:
     """Bob's mixtures on particles (2, 4) for a (B, 2, 2) stack of Alice's bases (as
-    `_rotated_bases` builds them), one checked (B, 4, 4) stack a rule.
+    `_rotated_bases` builds them), one (B, 4, 4) stack a rule.
 
     Alice measures the two singlets in each basis: one
     projection gives all four of her outcomes, one probability array
     normalizes them (1/4 each for the two singlets), and it is shared by
     every rule. Each rule maps the four collapsed branches at once; each
     branch output is normalized, and one contraction weighted by the outcome
-    probabilities traces out the ancilla and sums the branches. One
-    `_require_densities` call checks every stack.
+    probabilities traces out the ancilla and sums the branches. The stacks are
+    not checked here: each caller checks what it hands out, once.
     """
     posts = _project(TWO_SINGLETS.amplitudes.reshape(2, 2, 2, 2), bases)
     probs = np.sum(np.abs(posts) ** 2, axis=(3, 4))  # (B, 2, 2)
@@ -157,7 +157,6 @@ def _branch_mixtures(bases: np.ndarray, *rules: BranchRule) -> tuple[np.ndarray,
         out = out / norm[..., None, None]
         weighted = out * probs.reshape(-1, 4, 1, 1)
         mixtures.append(np.einsum("xoar,xobr->xab", weighted, out.conj()))
-    _require_densities(np.stack(mixtures))
     return tuple(mixtures)
 
 
@@ -202,16 +201,19 @@ def _against_closed_form(thetas: np.ndarray, bases: np.ndarray, pipeline: np.nda
 
 def _deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
     """Bob's mixtures after collapse plus hypothetical deletion at B angles, (B, 4, 4),
-    each checked against the closed form at its angle."""
+    checked densities, each checked against the closed form at its angle."""
     bases = _rotated_bases(thetas)
     (pipeline,) = _branch_mixtures(bases, _delete_identical)
+    _require_densities(pipeline)
     _against_closed_form(thetas, bases, pipeline)
     return pipeline
 
 
 def _no_deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
-    """Bob's mixtures when he does nothing, the control arm, at B angles, (B, 4, 4)."""
+    """Bob's mixtures when he does nothing, the control arm, at B angles, (B, 4, 4),
+    checked densities."""
     (mixtures,) = _branch_mixtures(_rotated_bases(thetas), _keep)
+    _require_densities(mixtures)
     return mixtures
 
 
@@ -265,9 +267,12 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
         out = _pair_output(machine, np.moveaxis(posts.reshape(-1, 2, 2), 0, -1))
         return np.moveaxis(out, -1, 0).reshape(posts.shape[:3] + out.shape[:-1])
 
-    return _one_point(
-        lambda thetas: _branch_mixtures(_rotated_bases(thetas), through_machine)[0], theta
-    )
+    def mixtures(thetas: np.ndarray) -> np.ndarray:
+        (stack,) = _branch_mixtures(_rotated_bases(thetas), through_machine)
+        _require_densities(stack)
+        return stack
+
+    return _one_point(mixtures, theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,17 +304,21 @@ def signalling_distance(theta_1: float, theta_2: float) -> SignallingReport:
     thetas = np.array([theta_1, theta_2], dtype=float)
     bases = _rotated_bases(thetas)
     with_pair, without_pair = _branch_mixtures(bases, _delete_identical, _keep)
+    # The public constructor is the one check of the four matrices. They are the only
+    # DensityMatrix a perfbench `pointwise` pass builds, and its traced-count test expects
+    # one. They are built before the closed-form test, so a bad matrix is an
+    # InvalidStateError first.
+    rho_with = tuple(DensityMatrix((2, 2), rho) for rho in with_pair)
+    rho_without = tuple(DensityMatrix((2, 2), rho) for rho in without_pair)
     _against_closed_form(thetas, bases, with_pair)
     distance_with, distance_without = _half_trace_norms(
         np.stack([with_pair[0] - with_pair[1], without_pair[0] - without_pair[1]])
     )
-    # the four matrices still pass the public constructor: they are the only DensityMatrix
-    # a perfbench `pointwise` pass builds, and its traced-count test expects one
     return SignallingReport(
         theta_1=float(theta_1),
         theta_2=float(theta_2),
-        rho_with_deletion=tuple(DensityMatrix((2, 2), rho) for rho in with_pair),
-        rho_without_deletion=tuple(DensityMatrix((2, 2), rho) for rho in without_pair),
+        rho_with_deletion=rho_with,
+        rho_without_deletion=rho_without,
         distance_with=float(distance_with),
         distance_without=float(distance_without),
     )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -714,3 +716,101 @@ def test_every_report_reaches_stdout_through_emit_report(capsys, monkeypatch, tm
     monkeypatch.setattr(cli, "emit_report", spy)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and emitted == [out]
+
+
+# --- parsing with the subcommand's own parser ----------------------------------
+
+# Every README command line, and the argv of each perfbench job shape (seeded values
+# written out); `_parse` must read each as `_PARSER.parse_args` does.
+README_ARGV = [
+    ["quality", "--n", "2", "--m", "1"],
+    ["quality", "--n", "6", "--m", "5", "--format", "csv", "--out", "bound.csv"],
+    ["fidelity", "--alpha-sq", "0.5"],
+    ["fidelity", "--average"],
+    ["fidelity", "--sweep", "101", "--out", "sweep.csv"],
+    ["nogo", "--overlap", "0.7071067811865476"],
+    ["nogo", "--sweep", "1000", "--out", "obstruction.csv"],
+    ["signal", "--theta1", "0", "--theta2", "45deg"],
+    ["signal", "--sweep", "101", "--out", "curve.csv"],
+    ["delete-demo", "--dim", "3", "--alpha-sq", "0.5"],
+    ["verify", "--machine", "machine.json", "--alphabet", "0,1,+"],
+]
+JOB_ARGV = [
+    # pointwise
+    ["fidelity", "--sweep", "1001"],
+    ["signal", "--sweep", "101"],
+    ["nogo", "--sweep", "1000"],
+    ["delete-demo", "--dim", "3", "--alpha-sq", "0.34144948834984606"],
+    ["signal", "--theta1", "2.1930310542441453", "--theta2", "0.5134512302402593"],
+    # quadrature
+    ["fidelity", "--average", "--grid", "512x512", "--alpha-sq", "0.32383276483316237"],
+    ["quality", "--n", "1", "--m", "1"],
+    ["quality", "--n", "12", "--m", "7"],
+    # audit
+    ["verify", "--machine", "work/swap2.json", "--alphabet",
+     "bloch:1.148845614871787:0.3644179919766519,bloch:1.594156371556833:0.2355921702057036"],
+    ["verify", "--machine", "work/qudit_pair3.json", "--alphabet", "0,1,2"],
+]
+
+# argv that `_parse` hands to `_PARSER`, that exit inside the subcommand's parser, or that
+# argparse reads in a way easy to get wrong (an abbreviated flag, a negative angle)
+EDGE_ARGV = [
+    ["quality", "--n", "3", "--m", "2", "extra"],
+    ["quality", "--n", "3", "--m", "2", "--", "extra"],
+    ["quality", "--n", "3", "--m", "2", "--"],
+    ["explode"],
+    [],
+    ["-h"],
+    ["quality", "-h"],
+    ["--version"],
+    ["--manifest", "quality", "--n", "3", "--m", "2"],
+    ["quality", "--n", "3", "--m", "2", "--version"],
+    ["quality", "--n", "x", "--m", "2"],
+    ["delete-demo", "--di", "3"],
+    ["signal", "--theta1=-45deg"],
+    ["signal", "--theta1", "-45deg"],
+]
+
+
+def test_the_readme_part_of_the_corpus_is_the_readme():
+    import test_readme
+
+    assert README_ARGV == test_readme.COMMANDS
+
+
+@pytest.mark.parametrize("argv", README_ARGV + JOB_ARGV, ids=" ".join)
+def test_parse_reads_each_command_as_the_full_parser_does(argv):
+    mine, full = vars(cli._parse(argv)), vars(cli._PARSER.parse_args(argv))
+    assert list(mine.items()) == list(full.items())  # the same attributes, command first
+
+
+def outcome(call, argv):
+    """(what `call(argv)` returned or the SystemExit code it raised, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(list(argv))
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGV, ids=lambda argv: " ".join(argv) or "empty")
+def test_main_behaves_as_with_the_full_parser(monkeypatch, argv):
+    mine = outcome(main, argv)
+    monkeypatch.setattr(cli, "_parse", cli._PARSER.parse_args)
+    assert mine == outcome(main, argv)
+
+
+def test_a_valid_command_never_reaches_the_full_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a valid command went through _PARSER")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+    for argv in README_ARGV + JOB_ARGV:
+        assert cli._parse(argv).command == argv[0]
+    for argv in (["quality", "--n", "3", "--m", "2"], ["delete-demo", "--dim", "3"],
+                 ["signal", "--theta1=-45deg"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out

@@ -14,6 +14,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdel import cli
 from qdel.cli import main
 from qdel.machines import conditional_deleter, machine_to_json, qudit_pair_deleter, swap_deleter
 
@@ -165,3 +166,30 @@ def test_mutated_machine_files_keep_the_contract(workdir, text, data):
     argv = ["verify", "--machine", str(machine_file)] + flag_args(data.draw, "verify")
     common, out_path = data.draw(common_args(workdir))
     check_contract(argv + common, out_path)
+
+
+# tokens that parse differently at the top level and in a subcommand's parser
+STRAY = ["--", "extra", "-h", "--version", "--manifest", "--out", "--di", "--n=2", "quality", "-"]
+
+
+def parse_outcome(call, argv: list[str]):
+    """(the namespace's attributes in order, or the SystemExit code), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = list(vars(call(list(argv))).items())
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@PROPERTIES
+@given(st.data())
+def test_generated_token_lists_parse_as_with_the_full_parser(data):
+    """`cli._parse` gives what `_PARSER.parse_args` gives: the same namespace, or the same
+    exit with the same help, version or error text."""
+    command = data.draw(st.sampled_from(sorted(FLAGS) + ["explode"]))
+    argv = [command] + (flag_args(data.draw, command) if command in FLAGS else [])
+    for token in data.draw(st.lists(st.sampled_from(STRAY), max_size=2)):
+        argv.insert(data.draw(st.integers(0, len(argv))), token)
+    assert parse_outcome(cli._parse, argv) == parse_outcome(cli._PARSER.parse_args, argv), argv

@@ -216,23 +216,50 @@ class TestQuditPairDeleter:
             delete_demo_report(dim, alpha_sq)
 
     def test_demo_report_work_is_pinned(self, monkeypatch):
-        """The residual and the output norm come from one kernel call; no object pipeline."""
+        """The residual and the output norm come from one residual call on a scattered output;
+        no matrix and no object pipeline."""
         calls = []
-        copies = machines._copies_output
+        residuals = machines._output_residuals
 
-        def counted(machine, psis):
-            calls.append(np.shape(psis))
-            return copies(machine, psis)
+        def counted(outs, psis):
+            calls.append((np.shape(outs), np.shape(psis)))
+            return residuals(outs, psis)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("delete_demo_report went through the object pipeline")
+            raise AssertionError("delete_demo_report built a matrix or went through the objects")
 
-        monkeypatch.setattr(machines, "_copies_output", counted)
-        for name in ("apply", "deletion_residual", "tensor"):
+        monkeypatch.setattr(machines, "_output_residuals", counted)
+        for name in ("apply", "deletion_residual", "tensor", "_copies_output", "_basis_map",
+                     "qudit_pair_deleter"):
             monkeypatch.setattr(machines, name, refuse, raising=False)
         monkeypatch.setattr(hilbert, "tensor", refuse)
         delete_demo_report(3, 0.3)
-        assert calls == [(3, 1)]
+        assert calls == [((3, 3, 1), (3, 1))]
+
+    SEEDED = np.random.default_rng(41).uniform(0.0, 1.0, size=6).tolist()
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 17, 64])
+    @pytest.mark.parametrize("alpha_sq", [0.0, 1.0, 0.5, 1e-300] + SEEDED)
+    def test_demo_report_equals_the_matrix_route_bit_for_bit(self, dim, alpha_sq):
+        """Each scatter target sums at most two products, so the report holds the bits of
+        the pair deleter's matrix applied to |psi psi> and run through `_residuals`."""
+        psis = np.zeros((dim, 1), dtype=complex)
+        psis[:2, 0] = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
+        outs, _, residuals = machines._residuals(qudit_pair_deleter(dim), psis)
+        report = delete_demo_report(dim, alpha_sq)
+        matrix_route = machines.DeleteDemoReport(
+            dim, alpha_sq, float(residuals[0]), float(np.linalg.norm(outs)))
+        assert repr(report) == repr(matrix_route)  # repr tells -0.0 from 0.0
+
+    def test_demo_report_at_dim_64_allocates_no_matrix(self):
+        # the 4096 x 4096 complex matrix alone is 268 MB
+        tracemalloc.start()
+        try:
+            delete_demo_report(64, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestConditionalDeleter:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdel import signalling
-from qdel.errors import ShapeError
+from qdel.errors import InvalidStateError, ShapeError
 from qdel.hilbert import (
     DensityMatrix,
     Ket,
@@ -228,8 +228,9 @@ class TestSignallingDistance:
         assert report.distance_with > 0.05
 
     def test_work_is_pinned(self, monkeypatch):
-        """Both arms come from one projection and one stacked density check; the four report
-        matrices then pass the public constructor, one eigensolve each."""
+        """Both arms come from one projection with no stacked density check: the four report
+        matrices pass the public constructor, one eigensolve each, and one stacked eigensolve
+        gives both distances."""
         checks, solves, constructions = [], [], []
         require, eigvalsh, post_init = (signalling._require_densities, np.linalg.eigvalsh,
                                         DensityMatrix.__post_init__)
@@ -250,9 +251,26 @@ class TestSignallingDistance:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
         signalling_distance(0.3, 1.1)
-        assert checks == [(2, 2, 4, 4)]
-        assert solves == [(2, 2, 4, 4), (2, 4, 4)] + [(4, 4)] * 4
+        assert checks == []
+        assert solves == [(4, 4)] * 4 + [(2, 4, 4)]
         assert constructions == [(2, 2)] * 4
+
+    def test_a_bad_mixture_is_refused_as_a_state_before_the_closed_form(self, monkeypatch):
+        """A deletion mixture of trace 2 is off the closed form too; it is an
+        InvalidStateError on every path that hands mixtures out."""
+        branch_mixtures = signalling._branch_mixtures
+
+        def doubled(bases, *rules):
+            return tuple(2.0 * stack for stack in branch_mixtures(bases, *rules))
+
+        monkeypatch.setattr(signalling, "_branch_mixtures", doubled)
+        for call in (lambda: signalling_distance(0.3, 1.1),
+                     lambda: _deletion_mixtures(np.array([0.0, 0.3])),
+                     lambda: bob_delete_and_reduce(0.3),
+                     lambda: no_deletion_reduce(0.3),
+                     lambda: bob_machine_and_reduce(0.3, swap_deleter(2))):
+            with pytest.raises(InvalidStateError, match="trace differs from 1"):
+                call()
 
 
 def reference_mixture(theta, branch):

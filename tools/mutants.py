@@ -140,6 +140,16 @@ MUTANTS = (
     Mutant("scan_start_1/(2N)", "deletion.py",
            "start = min(max(1.0 / (8.0 * nf), _EDGE), 0.25)",
            "start = min(max(1.0 / (2.0 * nf), _EDGE), 0.25)", ("tests/test_deletion.py",)),
+    Mutant("root_bracket_shifted", "deletion.py",
+           "xs[i : i + 2].tolist(), slopes[i : i + 2].tolist()",
+           "xs[i + 1 : i + 3].tolist(), slopes[i + 1 : i + 3].tolist()",
+           ("tests/test_deletion.py",)),
+    # the command line: a subcommand's parser that keeps leftovers it should hand on
+    Mutant("parse_accepts_leftovers", "cli.py", "if not extras:", "if True:",
+           ("tests/test_cli.py", "tests/test_cli_properties.py")),
+    # delete-demo's scatter onto the identity instead of the deleter's targets
+    Mutant("demo_scatter_wrong_target", "machines.py", "np.add.at(outs, _pair_targets(dim),",
+           "np.add.at(outs, np.arange(dim * dim),", ("tests/test_machines.py",)),
 )
 
 
