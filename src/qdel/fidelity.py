@@ -25,8 +25,9 @@ used only as cross-checks, never as the computation path.
 Bloch-sphere averages use Gauss-Legendre nodes in cos(theta) and the
 midpoint rule in phi; both are exact for the low-degree trigonometric
 integrands that appear here. The Gauss-Legendre rule is built once per grid
-size per process (numpy builds it from an n x n eigenproblem); the phase
-table, the kernel pass and the averages are computed afresh on every call.
+size per process, by Newton's method on the Legendre recurrence
+(`_gauss_legendre`: O(n^2) time, O(n) memory); the phase table, the kernel
+pass and the averages are computed afresh on every call.
 The grid is never held whole: it goes through `_grid_rows` in bands of theta
 rows, about `_POINT_BLOCK` points each, and only the per-row phi means are
 kept, so a grid's memory does not grow with its size. A grid above
@@ -117,22 +118,51 @@ _POINT_BLOCK = 4096
 # not fail to allocate; it would run for minutes to hours instead.
 _MAX_GRID_POINTS = 2**28
 
-# Most theta rows `_grid_averages` accepts. numpy's n-point Gauss-Legendre rule
-# solves a dense n x n eigenproblem, so its cost grows as n^3 in n_theta
-# alone: 0.03/0.15/1.0/7.9 s at 512/1024/2048/4096 rows (one BLAS thread,
-# 2-core host), and 8 n^2 bytes, 3.2 GB at 20,000 rows.
+# Most theta rows `_grid_averages` accepts. `_gauss_legendre` is O(n^2) in time
+# and O(n) in memory: 4.5/11/27/82 ms at 512/1024/2048/4096 rows (best of 5, one
+# BLAS thread, 2-core host), peaking at 0.02/0.04/0.08/0.17 MB under tracemalloc.
+# The theta integrands are quadratics in cos(theta), which the smallest rule
+# accepted, 8 rows, already integrates exactly, so more rows buy only time.
 _MAX_THETA_ROWS = 4096
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_n'(x)) elementwise, from the three-term recurrence in one loop over degree.
+
+    The recurrence's coefficients are (2j - 1) / j and (j - 1) / j, each rounded once: with
+    ((2j - 1) x P_{j-1} - (j - 1) P_{j-2}) / j instead, the weights of the middle nodes at
+    n = 512 were 6.1e-15 from a 40-digit reference, against numpy's 3.9e-15.
+    """
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, (2 * j - 1) / j * x * p1 - (j - 1) / j * p0
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
 @lru_cache(maxsize=8)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+    """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
 
-    Only the rule is kept: it is a constant of n, and building it solves an
-    n x n eigenproblem (26-35 ms at n = 512 on a 2-core host). A rule holds
-    16 n bytes.
+    Newton's method on `_legendre` over the n // 2 positive nodes, from Tricomi's
+    estimates, until the largest step is at most 1e-15; the weights are
+    2 / ((1 - x^2) P_n'(x)^2) from one more pass at the converged nodes. The
+    positive half is mirrored, with an exact 0 node for odd n, so the nodes are
+    exactly antisymmetric and the weights exactly symmetric. Only the rule is
+    kept: it is a constant of n, and holds 16 n bytes.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    half = n // 2
+    k = np.arange(1, half + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    step = np.inf
+    while np.max(np.abs(step)) > 1e-15:
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+    x = np.append(x, [0.0][: n % 2])  # odd n: the exact 0 node
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = np.concatenate([-x[:half], x[::-1]])
+    weights = np.concatenate([w[:half], w[::-1]])
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

@@ -128,7 +128,7 @@ class TestFidelity:
         assert err == "error: Unable to allocate 7.28 TiB for an array\n"
 
     def test_grid_over_the_theta_row_limit_is_a_numeric_error(self, capsys):
-        # under the point limit, but its rule alone would be a 4097 x 4097 eigenproblem
+        # under the point limit, but over the theta-row limit, whose rule costs O(n^2)
         code, out, err = run(capsys, "fidelity", "--alpha-sq", "0.3", "--grid", "4097x8")
         assert code == 3 and out == ""
         assert err == "error: grid 4097x8 has 4,097 theta rows, above the limit of 4,096\n"
@@ -480,6 +480,23 @@ class TestManifest:
         assert "tol" not in manifest
         assert (manifest["python"], manifest["numpy"]) == (platform.python_version(), np.__version__)
         json.loads(out)  # report still parses
+
+    def test_manifest_and_out_go_after_the_subcommand(self, capsys, tmp_path):
+        # they are flags of every subcommand, not of `qdel` itself, as the README says
+        path = tmp_path / "report.json"
+        code, out, err = run(capsys, "quality", "--n", "3", "--m", "2", "--out", str(path),
+                             "--manifest")
+        assert code == 0 and out == ""
+        assert json.loads(err)["command"] == f"qdel quality --n 3 --m 2 --out {path} --manifest"
+        assert json.loads(path.read_text())["n"] == 3
+        path.unlink()
+        for before in (["--manifest"], ["--out", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, *before, "quality", "--n", "3", "--m", "2")
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            assert captured.err.startswith("usage: qdel [-h] [--version]")
+            assert not path.exists()
 
     def test_verify_records_the_tolerance_it_applied(self, capsys, tmp_path):
         path = tmp_path / "machine.json"

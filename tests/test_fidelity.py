@@ -1,6 +1,11 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,8 +71,8 @@ def projector(amplitudes) -> np.ndarray:
 
 def whole_grid_averages(n_theta, n_phi):
     """The grid averages from the whole n_theta x n_phi grid as one band of the row kernel: the
-    banded path's oracle."""
-    u, w = np.polynomial.legendre.leggauss(n_theta)
+    banded path's oracle (the rule is the grid's own; the banding is what is checked)."""
+    u, w = _gauss_legendre(n_theta)
     f_b, f_a = fidelity._grid_rows(fidelity._PHASE_FORMS, u, fidelity._phase_table(n_phi))
     return tuple(float(np.sum(w * np.mean(f, axis=1)) / 2.0) for f in (f_b, f_a))
 
@@ -83,8 +88,8 @@ def grid_psis(u, n_phi):
 
 def point_route_averages(n_theta, n_phi):
     """The grid averages with every point of the whole grid sent through `_batched_fidelities`,
-    the grid's route before the row kernel."""
-    u, w = np.polynomial.legendre.leggauss(n_theta)
+    the grid's route before the row kernel (with the grid's own rule)."""
+    u, w = _gauss_legendre(n_theta)
     f_b, f_a = _batched_fidelities(*grid_psis(u, n_phi))
     return tuple(
         float(np.sum(w * np.mean(f.reshape(n_theta, n_phi), axis=1)) / 2.0) for f in (f_b, f_a)
@@ -317,14 +322,13 @@ class TestAverageFidelity:
     def test_grid_work_is_pinned(self, monkeypatch):
         """One rule build per grid size, every call sends its whole grid to the row kernel, and
         a report sends its one point through the point route."""
-        _gauss_legendre.cache_clear()
         builds, points, rows = Counter(), [], []
-        leggauss, batched = np.polynomial.legendre.leggauss, fidelity._batched_fidelities
-        kernel = fidelity._grid_rows
+        batched, kernel = fidelity._batched_fidelities, fidelity._grid_rows
 
-        def counted_leggauss(n):
+        @functools.lru_cache(maxsize=8)  # a fresh cache like the grid's, around its builder
+        def counted_rule(n):
             builds[n] += 1
-            return leggauss(n)
+            return _gauss_legendre.__wrapped__(n)
 
         def counted_batched(alphas, betas):
             points.append(np.size(alphas))
@@ -334,7 +338,7 @@ class TestAverageFidelity:
             rows.append(len(u))
             return kernel(forms, u, table)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
+        monkeypatch.setattr(fidelity, "_gauss_legendre", counted_rule)
         monkeypatch.setattr(fidelity, "_batched_fidelities", counted_batched)
         monkeypatch.setattr(fidelity, "_grid_rows", counted_rows)
         for bad in (True, 16.0, 4):  # refused before a rule is built or cached
@@ -348,7 +352,7 @@ class TestAverageFidelity:
         with pytest.raises(ValueError, match="16x25 has 400 points, above the limit of 384"):
             _grid_averages(16, 25)
         monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", limit)
-        # over the theta-row limit: refused before its n x n rule is built
+        # over the theta-row limit: refused before its rule is built
         rows_limit = fidelity._MAX_THETA_ROWS
         monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", 16)
         with pytest.raises(ValueError, match="17x8 has 17 theta rows, above the limit of 16"):
@@ -357,7 +361,7 @@ class TestAverageFidelity:
         message = "grid 4097x8 has 4,097 theta rows, above the limit of 4,096$"
         with pytest.raises(ValueError, match=message):
             _grid_averages(4097, 8)
-        assert _gauss_legendre.cache_info().currsize == 0
+        assert counted_rule.cache_info().currsize == 0
         assert points == [] and rows == [] and builds == {}
         monkeypatch.setattr(fidelity, "_MAX_GRID_POINTS", 16 * 24)
         monkeypatch.setattr(fidelity, "_MAX_THETA_ROWS", 16)
@@ -383,18 +387,73 @@ class TestAverageFidelity:
             assert points == [] and rows == expected and sum(rows) == n_theta
         assert builds == {16: 1, 32: 1, 512: 1, 100: 1}
 
-    def test_cached_rule_is_numpy_rule_read_only(self):
+
+class TestGaussLegendre:
+    """The grid's rule, Newton's method on the Legendre recurrence, held to a 40-digit
+    reference and to numpy's eigenproblem rule."""
+
+    @staticmethod
+    def reference(mp, n, x0):
+        """(node, weight): the node of P_n next to x0 and its weight, at mpmath's precision."""
+
+        def legendre(x):
+            p0, p1 = mp.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            return p1, n * (x * p1 - p0) / (x * x - 1)
+
+        x = mp.mpf(x0)
+        for _ in range(4):  # from a double, Newton passes 40 digits in three steps
+            p, dp = legendre(x)
+            x -= p / dp
+        _, dp = legendre(x)
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 512, 513, 2048])
+    def test_rule_matches_a_40_digit_reference(self, n):
+        """At the end, quarter and middle nodes, each node is within 1.2e-16 of a 40-digit
+        reference and each weight at least as close to it as numpy's. The nodes are exactly
+        antisymmetric (so odd n has an exact 0 node), the weights exactly symmetric; the rule is
+        read-only and cached."""
+        mp = pytest.importorskip("mpmath")
         _gauss_legendre.cache_clear()
-        for n in (8, 64, 512):
-            cold = _grid_averages(n, n)
-            nodes, weights = _gauss_legendre(n)
-            fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(n)
-            assert nodes.tobytes() == fresh_nodes.tobytes()
-            assert weights.tobytes() == fresh_weights.tobytes()
-            for array in (nodes, weights):
-                with pytest.raises(ValueError):
-                    array[0] = 0.0
-            assert _grid_averages(n, n) == cold
+        nodes, weights = _gauss_legendre(n)
+        numpy_nodes, numpy_weights = np.polynomial.legendre.leggauss(n)
+        with mp.workdps(40):
+            for i in (0, n // 4, n // 2):
+                node, weight = self.reference(mp, n, numpy_nodes[i])
+                assert abs(nodes[i] - node) <= 1.2e-16
+                assert abs(weights[i] - weight) <= abs(numpy_weights[i] - weight)
+        assert nodes.shape == weights.shape == (n,) and np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert abs(np.sum(weights) - 2.0) <= 1e-14
+        for array in (nodes, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        again = _gauss_legendre(n)
+        assert again[0] is nodes and again[1] is weights
+        assert _gauss_legendre.cache_info()[:2] == (1, 1)  # hits, misses
+
+    def test_a_grid_average_never_imports_numpy_polynomial(self):
+        code = (
+            "import sys; from qdel.fidelity import _grid_averages; _grid_averages(512, 512);"
+            " print('numpy.polynomial' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(fidelity.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    def test_the_rule_at_the_row_limit_peaks_under_1_mb(self):
+        # numpy's eigenproblem route holds a 4096 x 4096 matrix, 134 MB
+        tracemalloc.start()
+        try:
+            nodes, _ = _gauss_legendre.__wrapped__(fidelity._MAX_THETA_ROWS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(nodes) == 4096 and peak < 1_000_000
 
 
 def random_complex_machine(dims, rng):

@@ -95,6 +95,14 @@ MUTANTS = (
            "phase, np.ones(n_phi)", ("tests/test_fidelity.py",)),
     Mutant("grid_without_phi_phase", "fidelity.py", "phase = np.exp(1j * phi)",
            "phase = np.exp(0j * phi)", ("tests/test_fidelity.py",)),
+    # the Gauss-Legendre rule: weights from the derivative before the last Newton step, odd n's
+    # middle node left at Tricomi's cos(pi / 2) = 6.1e-17, and Newton stopped at steps of 1e-9
+    Mutant("rule_weights_before_last_step", "fidelity.py", "    _, dp = _legendre(n, x)\n",
+           "    dp = np.append(dp, _legendre(n, x[half:])[1])\n", ("tests/test_fidelity.py",)),
+    Mutant("rule_odd_without_exact_zero", "fidelity.py", "np.append(x, [0.0][: n % 2])",
+           "np.append(x, [np.cos(np.pi / 2)][: n % 2])", ("tests/test_fidelity.py",)),
+    Mutant("rule_newton_stops_at_1e-9", "fidelity.py", "while np.max(np.abs(step)) > 1e-15:",
+           "while np.max(np.abs(step)) > 1e-9:", ("tests/test_fidelity.py",)),
     # conjugations and norms of the two-copy kernels, each shown by a complex input
     Mutant("bra_contract_without_conj", "machines.py", "bras = psis.conj()", "bras = psis",
            ("tests/test_machines.py",)),
