@@ -54,7 +54,7 @@ from .hilbert import (
     qubit_ket,
     tensor,
 )
-from .machines import _fidelity_operators, _upper_pairs, apply, conditional_deleter
+from .machines import _fidelity_operators, _squared_norms, _upper_pairs, apply, conditional_deleter
 
 __all__ = [
     "FidelityReport",
@@ -230,15 +230,6 @@ def _operator_fidelities(
     q = psis[i] * psis[j]  # (P, B)
     v = (psis.conj()[:, None] * q).reshape(-1, psis.shape[1])  # (d P, B)
     return _squared_norms(blank_op @ q), _squared_norms(kept_op @ v)
-
-
-def _squared_norms(columns: np.ndarray) -> np.ndarray:
-    """(..., B) squared norms of the columns of a fresh (..., rows, B) array, which is squared in
-    place; the rows are summed in order, as `machines._norms_sq` sums them."""
-    parts = columns.view(float)  # real and imaginary parts interleaved on the last axis
-    np.multiply(parts, parts, out=parts)
-    sums = np.sum(parts, axis=-2)
-    return sums[..., 0::2] + sums[..., 1::2]
 
 
 def _phase_table(n_phi: int) -> np.ndarray:

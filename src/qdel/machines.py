@@ -177,7 +177,8 @@ def _pair_output(machine: BasisActionMachine, pairs: np.ndarray) -> np.ndarray:
 
 
 def _copies_output(machine: BasisActionMachine, psis: np.ndarray) -> np.ndarray:
-    """Outputs on |psi>|psi>(|0>) for a (d, B) batch of one-copy amplitudes."""
+    """Outputs on |psi>|psi>(|0>) for a (d, B) batch of one-copy amplitudes, from all d^2
+    ancilla-0 columns: at d <= 3, building `_pair_sums` per call costs more than it saves."""
     psis = np.asarray(psis, dtype=complex)
     return _pair_output(machine, psis[:, None] * psis[None])
 
@@ -186,36 +187,6 @@ def _require_copy_and_blank(dims: tuple[int, ...], d: int) -> None:
     """ShapeError unless output dims `dims` start with a d-level copy and a blank slot."""
     if len(dims) < 2 or dims[0] != d:
         raise ShapeError(f"output dims {dims} do not start with a {d}-level copy and a blank slot")
-
-
-def _split_copy(outs: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """Kernel outputs `outs` on inputs `psis` as (a, b, rest, B), the copy's d levels first and
-    the blank slot's second; an output that does not start with them is a ShapeError."""
-    (d, n), dims = psis.shape, outs.shape[:-1]
-    _require_copy_and_blank(dims, d)
-    return outs.reshape(d, dims[1], -1, n)
-
-
-def _bra_contract(psis: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """<psi|_a rows for (a, ..., B) `rows`: d multiply-adds over the copy's levels a."""
-    bras = psis.conj()
-    kept = bras[0] * rows[0]
-    for a in range(1, len(bras)):
-        kept += bras[a] * rows[a]
-    return kept
-
-
-def _weights(outs: np.ndarray, psis: np.ndarray) -> tuple:
-    """((out, <blank|_b out), (<psi|_a out, <psi|_a <blank|_b out)) of kernel outputs `outs`
-    on inputs `psis`, the points on the last axis; `_norms_sq` gives each entry's (B,) weights.
-    An output that does not start with the copy's d levels and a blank slot is a ShapeError.
-
-    No analysis reads this whole table: `_residuals` contracts only its blank row and the
-    fidelities apply `_fidelity_operators`. It is the reference the tests hold both to.
-    """
-    out = _split_copy(outs, psis)  # (a, b, rest, B)
-    kept = _bra_contract(psis, out)  # (b, rest, B)
-    return (out, out[:, BLANK_INDEX]), (kept, kept[BLANK_INDEX])
 
 
 @lru_cache(maxsize=8)
@@ -228,54 +199,74 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _fidelity_operators(machine: BasisActionMachine) -> tuple[np.ndarray, np.ndarray]:
-    """(blank_op, kept_op): the ancilla-0 columns of a [d, d] or [d, d, m] machine, contracted
-    ahead of time so that <blank|_b out = blank_op @ q and <psi|_a out = kept_op @ v on
-    |psi>|psi>(|0>), with q = (psi_i psi_j) over i <= j in `np.triu_indices(d)` order and
-    v = conj(psi) (x) q. Column (i, j) of S, the columns summed over i <= j, is M|i i 0> for
-    i = j and M|i j 0> + M|j i 0> for i < j, as in `_swap_certificate`; with output dims
-    (d, b, *rest), blank_op = S[:, blank] has the d rest rows of <blank|_b out and P columns,
-    and kept_op, S with the copy's axis moved among the columns, has the b rest rows of
-    <psi|_a out and d P columns, where P = d(d + 1)/2. Rows that are zero for every input
-    are left out. An output that does not start with a d-level copy and a blank slot is a
-    ShapeError, as in `_weights`.
+def _pair_sums(machine: BasisActionMachine) -> np.ndarray:
+    """S, read-only: the ancilla-0 columns of a [d, d] or [d, d, m] machine summed over i <= j,
+    as (out, P) with P = d(d + 1)/2 columns in `_upper_pairs` order. Column (i, j) is M|i i 0>
+    for i = j and M|i j 0> + M|j i 0> for i < j, so the output on |psi>|psi>(|0>) is S @ q,
+    with q = (psi_i psi_j) over i <= j. The fidelity operators and the swap certificate read it.
     """
     d, m = _copy_layout(machine)
-    dims = machine.output_dims
-    _require_copy_and_blank(dims, d)
     columns = machine.matrix[:, ::m].reshape(-1, d, d)  # [:, i, j] is M|i j 0>
     i, j = _upper_pairs(d)
     pairs = columns[:, i, j] + np.triu(columns.swapaxes(1, 2), 1)[:, i, j]  # S, (out, P)
-    pairs = pairs.reshape(d, dims[1], -1, len(i))  # (a, b, rest, P)
-    blank_op = pairs[:, BLANK_INDEX].reshape(-1, len(i))
-    kept_op = pairs.transpose(1, 2, 0, 3).reshape(-1, d * len(i))
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _fidelity_operators(machine: BasisActionMachine) -> tuple[np.ndarray, np.ndarray]:
+    """(blank_op, kept_op): the `_pair_sums` S of a [d, d] or [d, d, m] machine, split so that
+    <blank|_b out = blank_op @ q and <psi|_a out = kept_op @ v on |psi>|psi>(|0>), with
+    q = (psi_i psi_j) over i <= j in `np.triu_indices(d)` order and v = conj(psi) (x) q. With
+    output dims (d, b, *rest), blank_op = S[:, blank] has the d rest rows of <blank|_b out and
+    P columns, and kept_op, S with the copy's axis moved among the columns, has the b rest rows
+    of <psi|_a out and d P columns. Rows that are zero for every input are left out. An output
+    that does not start with a d-level copy and a blank slot is a ShapeError.
+    """
+    d, _ = _copy_layout(machine)
+    dims = machine.output_dims
+    _require_copy_and_blank(dims, d)
+    pairs = _pair_sums(machine)
+    p = pairs.shape[1]
+    pairs = pairs.reshape(d, dims[1], -1, p)  # (a, b, rest, P)
+    blank_op = pairs[:, BLANK_INDEX].reshape(-1, p)
+    kept_op = pairs.transpose(1, 2, 0, 3).reshape(-1, d * p)
     # a row that is zero for every input adds exactly 0 to each norm: only the others are kept
     blank_op, kept_op = (op[np.any(op != 0, axis=1)] for op in (blank_op, kept_op))
     blank_op.flags.writeable = kept_op.flags.writeable = False
     return blank_op, kept_op
 
 
-def _norms_sq(projection: np.ndarray) -> np.ndarray:
-    """(B,) squared norms of a `_weights` entry: sums over every axis but the last."""
-    parts = projection.view(float)  # real and imaginary parts interleaved on the last axis
-    sums = np.sum((parts * parts).reshape(-1, parts.shape[-1]), axis=0)
-    return sums[0::2] + sums[1::2]
+def _squared_norms(columns: np.ndarray) -> np.ndarray:
+    """(..., B) squared norms of the columns of a fresh complex (..., rows, B) array, which is
+    squared in place; the rows are summed in order, so each column's norm is the same bits
+    whatever its batch holds."""
+    parts = columns.view(float)  # real and imaginary parts interleaved on the last axis
+    np.multiply(parts, parts, out=parts)
+    sums = np.sum(parts, axis=-2)
+    return sums[..., 0::2] + sums[..., 1::2]
 
 
 def _residuals(machine: BasisActionMachine, psis: np.ndarray) -> tuple:
     """(outs, ||out||^2, residuals) on |psi>|psi>(|0>) for a (d, B) batch, outs as the kernel
     gives them; 1 - sqrt(||<psi|<blank| out||^2 / ||out||^2) clamped at 0, 1 for a vanishing
-    output. <psi|_a <blank|_b out is the blank row of `_weights`' <psi|_a out, contracted
-    alone with the same elementwise steps."""
+    output."""
     return _output_residuals(_copies_output(machine, psis), psis)
 
 
 def _output_residuals(outs: np.ndarray, psis: np.ndarray) -> tuple:
-    """`_residuals` of the outputs `outs` a two-copy machine gives on the (d, B) batch `psis`."""
-    out = _split_copy(outs, psis)
-    kept = _bra_contract(psis, out[:, BLANK_INDEX])  # (rest, B)
-    whole = _norms_sq(out)
-    ratio = np.divide(_norms_sq(kept), whole, out=np.zeros(len(whole)), where=whole >= _ZERO_OUTPUT)
+    """`_residuals` of the outputs `outs` a two-copy machine gives on the (d, B) batch `psis`.
+    An output that does not start with the copy's d levels and a blank slot is a ShapeError.
+    <psi|_a <blank|_b out is contracted from the blank slot's rows alone: d multiply-adds over
+    the copy's levels a."""
+    (d, n), dims = psis.shape, outs.shape[:-1]
+    _require_copy_and_blank(dims, d)
+    rows = outs.reshape(d, dims[1], -1, n)[:, BLANK_INDEX]  # <blank|_b out, (a, rest, B)
+    bras = psis.conj()
+    kept = bras[0] * rows[0]
+    for a in range(1, d):
+        kept += bras[a] * rows[a]
+    whole = _squared_norms(outs.reshape(-1, n).copy())
+    ratio = np.divide(_squared_norms(kept), whole, out=np.zeros(n), where=whole >= _ZERO_OUTPUT)
     return outs, whole, np.maximum(1.0 - np.sqrt(ratio), 0.0)
 
 
@@ -446,18 +437,21 @@ def _swap_certificate(machine: BasisActionMachine) -> tuple[np.ndarray, float, f
     is sum_ij psi_i psi_j M|i j 0>, and it is |psi>|blank>|sum_i psi_i a_i>
     for every psi exactly when, for every i <= j,
         M|i j 0> + M|j i 0> = |i, blank, a_j> + |j, blank, a_i>.
-    The deviation is the largest norm of the difference of the two sides over
-    those pairs, and the Gram deviation max |A^dagger A - I| over the a_i.
+    The left side is column (i, j) of `_pair_sums` for i < j and twice it for
+    i = j. The deviation is the largest norm of the difference of the two
+    sides over those pairs, and the Gram deviation max |A^dagger A - I| over
+    the a_i.
     """
     d, m = _copy_layout(machine)
-    columns = machine.matrix[:, ::m].T.reshape(d, d, d, d, m)  # [i, j] is M|i j 0>
-    index = np.arange(d)
-    images = columns[index, index, index, BLANK_INDEX]
-    sides = columns + columns.swapaxes(0, 1)
-    sides[index[:, None], index, index[:, None], BLANK_INDEX] -= images  # |i, blank, a_j>
-    sides[index[:, None], index, index, BLANK_INDEX] -= images[:, None]  # |j, blank, a_i>
-    upper = _upper_pairs(d)
-    deviation = np.max(np.linalg.norm(sides[upper].reshape(len(upper[0]), -1), axis=1))
+    i, j = _upper_pairs(d)
+    pair = np.arange(len(i))
+    sides = _pair_sums(machine).T.copy().reshape(len(i), d, d, m)  # [p, a, b]: S's column p
+    diagonal = pair[i == j]
+    images = sides[diagonal, i[diagonal], BLANK_INDEX]
+    sides[diagonal] += sides[diagonal]  # M|i i 0> + M|i i 0>, exactly
+    sides[pair, i, BLANK_INDEX] -= images[j]  # |i, blank, a_j>
+    sides[pair, j, BLANK_INDEX] -= images[i]  # |j, blank, a_i>
+    deviation = np.max(np.linalg.norm(sides.reshape(len(i), -1), axis=1))
     gram = images.conj() @ images.T
     return images, float(deviation), float(np.max(np.abs(gram - np.eye(d))))
 

@@ -39,11 +39,10 @@ from qdel.machines import (
     BasisActionMachine,
     _copies_output,
     _fidelity_operators,
-    _norms_sq,
-    _weights,
     apply,
     conditional_deleter,
 )
+from two_copy_reference import norms_sq, weights
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 EPS = np.finfo(float).eps
@@ -475,9 +474,9 @@ class TestOperatorRoute:
         psis = [haar_ket(d, rng) for _ in range(8)]
         amps = np.stack([psi.amplitudes for psi in psis], axis=1)
         f_b, f_a = fidelity._operator_fidelities(_fidelity_operators(machine), amps)
-        (_, blank), (kept, _) = _weights(_copies_output(machine, amps), amps)
-        np.testing.assert_allclose(f_b, _norms_sq(blank), rtol=0, atol=4 * EPS)
-        np.testing.assert_allclose(f_a, _norms_sq(kept), rtol=0, atol=4 * EPS)
+        (_, blank), (kept, _) = weights(_copies_output(machine, amps), amps)
+        np.testing.assert_allclose(f_b, norms_sq(blank), rtol=0, atol=4 * EPS)
+        np.testing.assert_allclose(f_a, norms_sq(kept), rtol=0, atol=4 * EPS)
         ancilla = [basis_ket(dims[2:], 0)] if len(dims) == 3 else []
         blank_ket = basis_ket([d], 0)
         for k, psi in enumerate(psis):
@@ -496,9 +495,9 @@ class TestOperatorRoute:
         rng = np.random.default_rng(71)
         amps = np.stack([rng.random(64), rng.standard_normal(64) + 1j * rng.standard_normal(64)])
         machine = conditional_deleter()
-        (_, blank), (kept, _) = _weights(_copies_output(machine, amps), amps)
+        (_, blank), (kept, _) = weights(_copies_output(machine, amps), amps)
         f_b, f_a = fidelity._operator_fidelities(fidelity._OPERATORS, amps)
-        assert np.array_equal(f_b, _norms_sq(blank)) and np.array_equal(f_a, _norms_sq(kept))
+        assert np.array_equal(f_b, norms_sq(blank)) and np.array_equal(f_a, norms_sq(kept))
 
     def test_rows_zero_for_every_input_are_left_out(self):
         # the conditional deleter's output has 4 of 12 amplitudes: 3 of <blank|_b out's 6 rows
@@ -514,7 +513,7 @@ class TestOperatorRoute:
         machine = BasisActionMachine((2, 2), output_dims, matrix)
         amps = np.array([[1.0], [0.0]], dtype=complex)
         with pytest.raises(ShapeError) as by_table:
-            _weights(_copies_output(machine, amps), amps)
+            weights(_copies_output(machine, amps), amps)
         with pytest.raises(ShapeError) as by_operators:
             _fidelity_operators(machine)
         assert str(by_operators.value) == str(by_table.value)

@@ -35,8 +35,9 @@ from qdel.machines import (
     qudit_pair_deleter,
     swap_deleter,
 )
-from qdel.machines import _copies_output, _norms_sq, _weights
+from qdel.machines import _copies_output, _pair_sums, _swap_certificate
 from qdel.signalling import bob_machine_and_reduce
+from two_copy_reference import norms_sq, swap_certificate, weights
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -608,8 +609,8 @@ class TestTwoCopyKernel:
         machine = BasisActionMachine(dims, dims, matrix, strict=isometry)
         psis = [haar_ket(d, rng) for _ in range(4)]
         amps = np.stack([psi.amplitudes for psi in psis], axis=1)
-        weights = _weights(_copies_output(machine, amps), amps)
-        whole, blank, kept, kept_blank = (_norms_sq(p) for row in weights for p in row)
+        entries = weights(_copies_output(machine, amps), amps)
+        whole, blank, kept, kept_blank = (norms_sq(p) for row in entries for p in row)
         ancilla = [basis_ket(dims[2:], 0)] if len(dims) == 3 else []
         blank_ket = basis_ket([d], 0)
         for k, psi in enumerate(psis):
@@ -692,8 +693,8 @@ class TestPointsLastKernel:
     def test_weights_match_the_partial_trace_route(self, name):
         machine = KERNEL_MACHINES[name]
         psis, amps, ancilla = self.drawn(machine)
-        weights = _weights(_copies_output(machine, amps), amps)
-        table = np.array([_norms_sq(p) for row in weights for p in row])
+        entries = weights(_copies_output(machine, amps), amps)
+        table = np.array([norms_sq(p) for row in entries for p in row])
         assert table.shape == (4, len(psis))
         d = machine.input_dims[0]
         blank = basis_ket([d], 0)
@@ -718,10 +719,80 @@ class TestPointsLastKernel:
         for count in (1, 37, 150):
             amps = hilbert._haar_amplitudes(machine.input_dims[0], count, rng).T
             outs, whole, residuals = machines._residuals(machine, amps)
-            (out, _), (_, kept_blank) = _weights(outs, amps)
-            assert whole.tobytes() == _norms_sq(out).tobytes()
-            want = np.maximum(1.0 - np.sqrt(_norms_sq(kept_blank) / whole), 0.0)
+            (out, _), (_, kept_blank) = weights(outs, amps)
+            assert whole.tobytes() == norms_sq(out).tobytes()
+            want = np.maximum(1.0 - np.sqrt(norms_sq(kept_blank) / whole), 0.0)
             assert residuals.tobytes() == want.tobytes()
+
+
+# KERNEL_MACHINES and two random complex machines whose columns are Haar states
+PAIR_SUM_MACHINES = {
+    **KERNEL_MACHINES,
+    "complex_223": random_machine(np.random.default_rng(79), [2, 2, 3], [2, 2, 3]),
+    "complex_333": random_machine(np.random.default_rng(83), [3, 3, 3], [3, 3, 3]),
+}
+
+
+class TestPairSums:
+    """S, the ancilla-0 columns summed over i <= j: one read-only array, and S @ q the
+    two-copy output that `_copies_output` forms from all d^2 columns."""
+
+    @pytest.mark.parametrize("name", list(PAIR_SUM_MACHINES))
+    def test_s_applied_to_the_pair_products_is_the_two_copy_output(self, name):
+        machine = PAIR_SUM_MACHINES[name]
+        d = machine.input_dims[0]
+        amps = hilbert._haar_amplitudes(d, 16, np.random.default_rng(89)).T
+        i, j = np.triu_indices(d)
+        got = _pair_sums(machine) @ (amps[i] * amps[j])
+        want = _copies_output(machine, amps).reshape(-1, amps.shape[1])
+        scale = max(1.0, np.max(np.abs(want)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=4 * EPS * scale)
+
+    def test_s_is_read_only(self):
+        pairs = _pair_sums(swap_deleter(2))
+        assert pairs.shape == (8, 3) and not pairs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pairs[:, 0] *= 2.0
+        # a transposed reshape that only splits an axis is a view, which an in-place step
+        # would write through to S
+        with pytest.raises(ValueError, match="read-only"):
+            pairs.T.reshape(3, 2, 2, 2)[0] *= 2.0
+
+
+class TestSwapCertificateReference:
+    """`_swap_certificate` from S's columns, held by `repr` to the reference that forms the
+    pair sums for every i and j as one (d, d, d, d, m) array."""
+
+    @staticmethod
+    def assert_same(machine) -> tuple:
+        """Assert the two certificates `repr`-equal and return the reference's."""
+        got, want = _swap_certificate(machine), swap_certificate(machine)
+        assert repr((got[0].tolist(), *got[1:])) == repr((want[0].tolist(), *want[1:]))
+        return want
+
+    @pytest.mark.parametrize("name", list(PAIR_SUM_MACHINES))
+    def test_kernel_and_random_complex_machines(self, name):
+        self.assert_same(PAIR_SUM_MACHINES[name])
+
+    @pytest.mark.parametrize("cell, towards, angle", [
+        ((0, 1, 0), (0, 1, 1), 1e-12),
+        ((0, 1, 0), (0, 1, 1), 1e-6),
+        ((0, 0, 0), (0, 1, 0), math.acos(1.0 - 1e-12)),
+        ((0, 0, 0), (0, 1, 0), math.acos(1.0 - 1e-6)),
+    ])
+    def test_turned_swaps(self, cell, towards, angle):
+        self.assert_same(TestClassifyDeleter.turned_swap(cell, towards, angle))
+
+    def test_a_not_linear_consistent_verdict_reports_the_certificate(self):
+        matrix = swap_deleter(2).matrix.copy()
+        matrix[:, 0] *= 0.5
+        machine = BasisActionMachine((2, 2, 2), (2, 2, 2), matrix, strict=False)
+        _, deviation, gram_deviation = self.assert_same(machine)
+        verdict = classify_deleter(machine, samples=10, seed=1)
+        assert verdict.kind is DeleterKind.NOT_LINEAR_CONSISTENT
+        assert repr((verdict.swap_deviation, verdict.gram_deviation)) == repr(
+            (deviation, gram_deviation))
+        assert deviation > 0.0 and gram_deviation > 0.0
 
 
 class TestNoDeletionWitness:

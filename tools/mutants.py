@@ -106,10 +106,13 @@ MUTANTS = (
     # conjugations and norms of the two-copy kernels, each shown by a complex input
     Mutant("bra_contract_without_conj", "machines.py", "bras = psis.conj()", "bras = psis",
            ("tests/test_machines.py",)),
-    Mutant("norms_sq_without_imag", "machines.py", "return sums[0::2] + sums[1::2]",
-           "return sums[0::2]", ("tests/test_machines.py",)),
+    Mutant("norms_sq_without_imag", "machines.py", "return sums[..., 0::2] + sums[..., 1::2]",
+           "return sums[..., 0::2]", ("tests/test_machines.py", "tests/test_fidelity.py")),
     Mutant("residual_without_sqrt", "machines.py", "np.maximum(1.0 - np.sqrt(ratio), 0.0)",
            "np.maximum(1.0 - ratio, 0.0)", ("tests/test_machines.py",)),
+    # the swap certificate's i = i pair sum M|i i 0> + M|i i 0>, taken once
+    Mutant("certificate_diagonal_once", "machines.py", "sides[diagonal] += sides[diagonal]",
+           "sides[diagonal] += 0", ("tests/test_machines.py",)),
     Mutant("certificate_gram_without_conj", "machines.py", "gram = images.conj() @ images.T",
            "gram = images @ images.T", ("tests/test_machine_properties.py",)),
     Mutant("classifier_rho_without_conj", "machines.py",
