@@ -13,7 +13,8 @@ wrapped by `_trusted` without a copy or a second check: `density_of`'s
 projector of a normalized ket, `tensor`'s, `apply`'s and `alice_measure`'s
 kets, the deleter builders' basis maps, and the one-angle signalling
 mixtures, whose stacks pass one `_require_densities` call. `partial_trace`
-keeps its full check, because its rounding grows with the traced dimension.
+keeps its full check: the EIGEN_TOL slack allowed on each eigenvalue adds up
+over the traced dimension, so a valid input can reduce to an invalid state.
 
 Conventions:
     * the leftmost tensor factor is subsystem 0,

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -208,7 +209,7 @@ def _pair_sums(machine: BasisActionMachine) -> np.ndarray:
     d, m = _copy_layout(machine)
     columns = machine.matrix[:, ::m].reshape(-1, d, d)  # [:, i, j] is M|i j 0>
     i, j = _upper_pairs(d)
-    pairs = columns[:, i, j] + np.triu(columns.swapaxes(1, 2), 1)[:, i, j]  # S, (out, P)
+    pairs = columns[:, i, j] + np.where(i < j, columns[:, j, i], 0)  # S, (out, P)
     pairs.flags.writeable = False
     return pairs
 

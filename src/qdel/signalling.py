@@ -10,6 +10,10 @@ deleter is deliberately NOT a linear machine: it is a per-branch classical
 rule applied to each collapsed measurement branch, since no linear machine
 implementing it exists.
 
+`_mixtures` runs the batched kernel, `_branch_mixtures`, with one branch rule
+and checks the stack once: it serves the deletion, control and machine arms and
+`signal --sweep`. The `signal` report's four matrices take the public constructor.
+
 Particle order in memory is (1, 2, 3, 4); Alice's particles are subsystem
 indices 0 and 2, Bob's are 1 and 3.
 """
@@ -199,27 +203,21 @@ def _against_closed_form(thetas: np.ndarray, bases: np.ndarray, pipeline: np.nda
         )
 
 
+def _mixtures(thetas: np.ndarray, rule: BranchRule) -> tuple[np.ndarray, np.ndarray]:
+    """(bases, mixtures): `_rotated_bases(thetas)` and Bob's (B, 4, 4) mixtures under one
+    branch rule, checked densities, for the three one-angle arms and `signal --sweep`."""
+    bases = _rotated_bases(thetas)
+    (mixtures,) = _branch_mixtures(bases, rule)
+    _require_densities(mixtures)
+    return bases, mixtures
+
+
 def _deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
     """Bob's mixtures after collapse plus hypothetical deletion at B angles, (B, 4, 4),
     checked densities, each checked against the closed form at its angle."""
-    bases = _rotated_bases(thetas)
-    (pipeline,) = _branch_mixtures(bases, _delete_identical)
-    _require_densities(pipeline)
+    bases, pipeline = _mixtures(thetas, _delete_identical)
     _against_closed_form(thetas, bases, pipeline)
     return pipeline
-
-
-def _no_deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
-    """Bob's mixtures when he does nothing, the control arm, at B angles, (B, 4, 4),
-    checked densities."""
-    (mixtures,) = _branch_mixtures(_rotated_bases(thetas), _keep)
-    _require_densities(mixtures)
-    return mixtures
-
-
-def _one_point(mixtures: Callable[[np.ndarray], np.ndarray], theta: float) -> DensityMatrix:
-    """The mixture at one angle of a kernel whose stacks are checked densities."""
-    return _trusted(DensityMatrix, (2, 2), mixtures(np.array([theta], dtype=float))[0])
 
 
 def deletion_mixture_closed_form(theta: float) -> DensityMatrix:
@@ -239,12 +237,13 @@ def bob_delete_and_reduce(theta: float) -> DensityMatrix:
     Computed through the measurement/deletion/partial-trace pipeline, then
     checked against the closed-form mixture; the pipeline value is returned.
     """
-    return _one_point(_deletion_mixtures, theta)
+    return _trusted(DensityMatrix, (2, 2), _deletion_mixtures(np.array([theta], dtype=float))[0])
 
 
 def no_deletion_reduce(theta: float) -> DensityMatrix:
     """Bob's unconditioned reduced state when he does nothing (control arm)."""
-    return _one_point(_no_deletion_mixtures, theta)
+    _, mixtures = _mixtures(np.array([theta], dtype=float), _keep)
+    return _trusted(DensityMatrix, (2, 2), mixtures[0])
 
 
 def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> DensityMatrix:
@@ -267,12 +266,8 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
         out = _pair_output(machine, np.moveaxis(posts.reshape(-1, 2, 2), 0, -1))
         return np.moveaxis(out, -1, 0).reshape(posts.shape[:3] + out.shape[:-1])
 
-    def mixtures(thetas: np.ndarray) -> np.ndarray:
-        (stack,) = _branch_mixtures(_rotated_bases(thetas), through_machine)
-        _require_densities(stack)
-        return stack
-
-    return _one_point(mixtures, theta)
+    _, mixtures = _mixtures(np.array([theta], dtype=float), through_machine)
+    return _trusted(DensityMatrix, (2, 2), mixtures[0])
 
 
 @dataclass(frozen=True, eq=False)

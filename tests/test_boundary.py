@@ -34,7 +34,8 @@ from qdel.machines import (
 )
 from qdel.signalling import (
     _deletion_mixtures,
-    _no_deletion_mixtures,
+    _keep,
+    _mixtures,
     bob_delete_and_reduce,
     bob_machine_and_reduce,
     no_deletion_reduce,
@@ -123,7 +124,7 @@ def test_delete_demo_equals_the_object_pipeline(dim, alpha_sq):
 def test_signalling_distance_equals_the_per_arm_kernels(theta_1, theta_2):
     report = signalling_distance(theta_1, theta_2)
     thetas = np.array([theta_1, theta_2])
-    with_pair, without_pair = _deletion_mixtures(thetas), _no_deletion_mixtures(thetas)
+    with_pair, (_, without_pair) = _deletion_mixtures(thetas), _mixtures(thetas, _keep)
     for rhos, stack in ((report.rho_with_deletion, with_pair),
                         (report.rho_without_deletion, without_pair)):
         for rho, entries in zip(rhos, stack):

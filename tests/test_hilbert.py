@@ -226,6 +226,16 @@ class TestPartialTrace:
         reduced = partial_trace(rho, keep=[np.int64(1)])
         np.testing.assert_allclose(reduced.entries, [[0, 0], [0, 1]])
 
+    def test_the_eigenvalue_slack_adds_up_over_the_traced_dimension(self):
+        # each eigenvalue -0.9e-10 is within EIGEN_TOL, but tracing out subsystem 1 sums two
+        # of them into the reduced eigenvalue -1.8e-10, which the full check refuses
+        eps = 0.9e-10
+        rho = DensityMatrix((2, 2), np.diag([-eps, -eps, 0.5 + eps, 0.5 + eps]))
+        with pytest.raises(InvalidStateError, match="negative eigenvalue -1.800e-10"):
+            partial_trace(rho, keep={0})
+        np.testing.assert_allclose(partial_trace(rho, keep={1}).entries, np.eye(2) / 2,
+                                   rtol=0, atol=1e-16)
+
 
 class TestTraceDistance:
     def test_identical_states(self):

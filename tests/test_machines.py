@@ -501,18 +501,32 @@ class TestClassifyDeleter:
         assert verdict.kind is DeleterKind.APPROXIMATE_DELETER
         assert verdict.swap_deviation == pytest.approx(2.0 * math.sqrt(2e-12), rel=1e-3)
 
-    def test_an_exact_deleter_that_is_no_isometry_is_not_swap_like(self):
-        # swap(2) with |0 1 0> -> |0 0 0> and |1 1 0> -> |1 0 0>: every rule normalized and
-        # every residual 0, but a_0 = a_1 = |0>, so the ancilla holds nothing of psi
+    @staticmethod
+    def deleter_without_isometry():
+        """swap(2) with |0 1 0> -> |0 0 0> and |1 1 0> -> |1 0 0>: every rule normalized and
+        every residual 0, but a_0 = a_1 = |0>, so the ancilla holds nothing of psi."""
         matrix = swap_deleter(2).matrix.copy()
         for i in (0, 1):
             matrix[:, int(np.ravel_multi_index((i, 1, 0), (2, 2, 2)))] = np.eye(8)[4 * i]
-        machine = BasisActionMachine((2, 2, 2), (2, 2, 2), matrix)
+        return BasisActionMachine((2, 2, 2), (2, 2, 2), matrix)
+
+    def test_an_exact_deleter_that_is_no_isometry_is_not_swap_like(self):
+        machine = self.deleter_without_isometry()
         verdict = classify_deleter(machine, samples=20, seed=1)
         assert (verdict.swap_deviation, verdict.gram_deviation) == (0.0, 1.0)
         assert check_isometry(machine) == 1.0
         assert max(verdict.residual_stats) < 1e-12
         assert verdict.kind is DeleterKind.APPROXIMATE_DELETER
+
+    @pytest.mark.parametrize("gap, error", [(1e-9, 0.0), (1e-13, 1.0)])
+    def test_a_predicted_ancilla_counts_as_lost_only_below_1e_12(self, monkeypatch, gap, error):
+        # the ancilla predicted for psi = (1, -1 + gap) / norm is (psi_0 + psi_1)|0>, of norm
+        # about 0.7 gap: at 7e-10 it is still compared with the output's ancilla |0>, at 7e-14
+        # the sample counts as lost, with error 1
+        psi = np.array([1.0, -1.0 + gap]) / math.hypot(1.0, 1.0 - gap)
+        monkeypatch.setattr(machines, "_haar_amplitudes", lambda d, count, rng: psi[None] + 0j)
+        verdict = classify_deleter(self.deleter_without_isometry(), samples=1, seed=0)
+        assert verdict.ancilla_errors[0] == pytest.approx(error, abs=1e-12)
 
     def test_one_sample_has_no_dependence(self):
         """A one-sample verdict gets the kind and certificate of a 50-sample one: the

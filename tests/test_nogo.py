@@ -17,6 +17,8 @@ from qdel.machines import (
     swap_deleter,
 )
 from qdel.nogo import (
+    Constraint,
+    ConstraintReport,
     _sweep_max_residuals,
     gram_preservation_check,
     ideal_deletion_map,
@@ -64,6 +66,13 @@ class TestNonorthogonalConstraints:
         report = overlap_constraints(1.0 - gap)
         assert report.satisfiable is satisfiable
         assert report.trivial_only is satisfiable
+
+    def test_trivial_only_needs_unit_overlap_beyond_satisfiability(self):
+        # a hand-built report whose conditions hold but whose overlap is 0.9: satisfiable,
+        # and not the trivial alphabet
+        report = ConstraintReport(overlap_s=0.9, constraints=(Constraint("s = s", 0.9, 0.9),))
+        assert report.satisfiable
+        assert not report.trivial_only
 
     def test_exactly_five_constraints_with_rule_pair_labels(self):
         report = nonorthogonal_constraints(basis_ket([2], 0), plus(), basis_ket([2], 0))

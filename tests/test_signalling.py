@@ -29,7 +29,7 @@ from qdel.signalling import (
     SignallingReport,
     _branch_mixtures,
     _deletion_mixtures,
-    _no_deletion_mixtures,
+    _mixtures,
     alice_measure,
     basis_invariance_check,
     bob_delete_and_reduce,
@@ -272,6 +272,31 @@ class TestSignallingDistance:
             with pytest.raises(InvalidStateError, match="trace differs from 1"):
                 call()
 
+    def test_each_arm_checks_its_stack_once(self, monkeypatch):
+        """The three one-angle arms and the `signal --sweep` kernel each pass one
+        `_require_densities` call, and the one-angle states skip the public constructor."""
+        checks, constructions = [], []
+        require, post_init = signalling._require_densities, DensityMatrix.__post_init__
+
+        def counted_require(stack):
+            checks.append(stack.shape)
+            return require(stack)
+
+        def counted_post_init(rho):
+            constructions.append(rho.dims)
+            return post_init(rho)
+
+        monkeypatch.setattr(signalling, "_require_densities", counted_require)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+        for call, shape in ((lambda: bob_delete_and_reduce(0.3), (1, 4, 4)),
+                            (lambda: no_deletion_reduce(0.3), (1, 4, 4)),
+                            (lambda: bob_machine_and_reduce(0.3, swap_deleter(2)), (1, 4, 4)),
+                            (lambda: _deletion_mixtures(np.linspace(0.0, 1.0, 5)), (5, 4, 4))):
+            checks.clear()
+            call()
+            assert checks == [shape]
+        assert constructions == []
+
 
 def reference_mixture(theta, branch):
     """Bob's mixture through the object pipeline, one branch at a time.
@@ -309,7 +334,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize(
         "batched, branch",
         [(_deletion_mixtures, delete_identical),
-         (_no_deletion_mixtures, lambda post, theta, x, y: post)],
+         (lambda thetas: _mixtures(thetas, signalling._keep)[1],
+          lambda post, theta, x, y: post)],
         ids=["deletion", "no_deletion"],
     )
     def test_every_slice_matches_the_object_pipeline(self, batched, branch):

@@ -82,13 +82,15 @@ MUTANTS = (
     # a conjugation only a complex input shows
     Mutant("isometry_gram_without_conj", "machines.py", "gram = m.conj().T @ m", "gram = m.T @ m",
            ("tests/test_machines.py", "tests/test_cli.py")),
-    # the fidelity operators: v from psi instead of conj(psi), and the i < j column
-    # without its M|j i 0> term
+    # the fidelity operators: v from psi instead of conj(psi), the i < j column without its
+    # M|j i 0> term, and the i = i column with M|i i 0> taken twice
     Mutant("operator_v_without_conj", "fidelity.py", "v = (psis.conj()[:, None] * q)",
            "v = (psis[:, None] * q)", ("tests/test_fidelity.py",)),
     Mutant("operator_pair_without_ji", "machines.py",
-           "pairs = columns[:, i, j] + np.triu(columns.swapaxes(1, 2), 1)[:, i, j]",
+           "pairs = columns[:, i, j] + np.where(i < j, columns[:, j, i], 0)",
            "pairs = columns[:, i, j]", ("tests/test_fidelity.py",)),
+    Mutant("operator_pair_diagonal_twice", "machines.py", "np.where(i < j, columns[:, j, i], 0)",
+           "np.where(i <= j, columns[:, j, i], 0)", ("tests/test_fidelity.py",)),
     # the Bloch grid's row kernel: the e^{-i phi} row of its phase table without its conjugate,
     # and the grid without its phi phase
     Mutant("grid_table_without_conj", "fidelity.py", "phase.conj(), np.ones(n_phi)",
@@ -131,6 +133,15 @@ MUTANTS = (
            "if not tr_dev <= 1e-6:", ("tests/test_hilbert.py",)),
     Mutant("classify_without_m_lt_d", "machines.py", "if m < d or machine.output_dims",
            "if machine.output_dims", ("tests/test_machines.py",)),
+    Mutant("classifier_lost_below_1e-6", "machines.py", "lost = pnorms < 1e-12",
+           "lost = pnorms < 1e-6", ("tests/test_machines.py",)),
+    Mutant("trivial_only_above_0.5", "nogo.py", "abs(self.overlap_s) > 1.0 - _SAT_TOL",
+           "abs(self.overlap_s) > 0.5", ("tests/test_nogo.py",)),
+    # a full check the summed eigenvalue slack of a traced-out subsystem reaches
+    Mutant("partial_trace_unchecked", "hilbert.py",
+           "return DensityMatrix(dims, work.reshape(side, side))",
+           "return _trusted(DensityMatrix, tuple(dims), work.reshape(side, side))",
+           ("tests/test_hilbert.py",)),
     # the quality solver
     Mutant("root_tol_1e-9", "deletion.py", "_ROOT_TOL = 1e-13", "_ROOT_TOL = 1e-9",
            ("tests/test_deletion.py",)),
