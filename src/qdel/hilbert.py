@@ -210,7 +210,9 @@ def basis_ket(dims: Sequence[int], index: Union[int, Sequence[int]]) -> Ket:
 
 
 def bloch_ket(theta: float, phi: float = 0.0) -> Ket:
-    """Qubit cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, in scalar libm arithmetic."""
+    """Qubit cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> from scalar libm calls; finite angles."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"angle must be finite, got {phi if math.isfinite(theta) else theta!r}")
     return ket(_bloch_amplitudes(theta, phi), [2])
 
 

@@ -6,6 +6,9 @@ behind every "actual output" computed in this package, and it is what makes
 perfect deletion of unknown states impossible: declaring |i,i> -> |i,blank>
 forces a quadratic, not linear, dependence on the input amplitudes.
 
+A batch's deletion residuals are `_output_residuals` of the outputs `_copies_output`
+forms on |psi>|psi>(|0>); `delete_demo_report` scatters its outputs and shares the rest.
+
 Machines are immutable and all checks are pure functions; concurrent use is
 safe. `classify_deleter` draws its samples deterministically from a seed.
 """
@@ -247,18 +250,11 @@ def _squared_norms(columns: np.ndarray) -> np.ndarray:
     return sums[..., 0::2] + sums[..., 1::2]
 
 
-def _residuals(machine: BasisActionMachine, psis: np.ndarray) -> tuple:
-    """(outs, ||out||^2, residuals) on |psi>|psi>(|0>) for a (d, B) batch, outs as the kernel
-    gives them; 1 - sqrt(||<psi|<blank| out||^2 / ||out||^2) clamped at 0, 1 for a vanishing
-    output."""
-    return _output_residuals(_copies_output(machine, psis), psis)
-
-
-def _output_residuals(outs: np.ndarray, psis: np.ndarray) -> tuple:
-    """`_residuals` of the outputs `outs` a two-copy machine gives on the (d, B) batch `psis`.
-    An output that does not start with the copy's d levels and a blank slot is a ShapeError.
-    <psi|_a <blank|_b out is contracted from the blank slot's rows alone: d multiply-adds over
-    the copy's levels a."""
+def _output_residuals(outs: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||out||^2, residuals) of the outputs `outs`, left as they are, of a two-copy machine on
+    |psi>|psi>(|0>) for the (d, B) batch `psis`: 1 - sqrt(||<psi|<blank| out||^2 / ||out||^2)
+    clamped at 0, 1 for a vanishing output; an output that does not start with a d-level copy
+    and a blank slot is a ShapeError. <psi|_a <blank|_b out is contracted from the blank rows."""
     (d, n), dims = psis.shape, outs.shape[:-1]
     _require_copy_and_blank(dims, d)
     rows = outs.reshape(d, dims[1], -1, n)[:, BLANK_INDEX]  # <blank|_b out, (a, rest, B)
@@ -268,7 +264,7 @@ def _output_residuals(outs: np.ndarray, psis: np.ndarray) -> tuple:
         kept += bras[a] * rows[a]
     whole = _squared_norms(outs.reshape(-1, n).copy())
     ratio = np.divide(_squared_norms(kept), whole, out=np.zeros(n), where=whole >= _ZERO_OUTPUT)
-    return outs, whole, np.maximum(1.0 - np.sqrt(ratio), 0.0)
+    return whole, np.maximum(1.0 - np.sqrt(ratio), 0.0)
 
 
 def _require_nonzero(norms_sq: np.ndarray) -> None:
@@ -384,7 +380,8 @@ def deletion_residual(machine: BasisActionMachine, psi: Ket) -> float:
     if psi.dims != (d,):
         raise ShapeError(f"input state has dims {psi.dims}, machine copies are {d}-level")
     psi.require_normalized()
-    return float(_residuals(machine, psi.amplitudes[:, None])[2][0])
+    psis = psi.amplitudes[:, None]
+    return float(_output_residuals(_copies_output(machine, psis), psis)[1][0])
 
 
 @dataclass(frozen=True)
@@ -413,7 +410,7 @@ def delete_demo_report(dim: int, alpha_sq: float) -> DeleteDemoReport:
     `dim` is at least 2 and `alpha_sq` lies in [0, 1]; anything else is a ValueError.
     No matrix is built: the deleter's output on |psi psi> is the d^2 products psi_i psi_j
     scattered onto `_pair_targets`, each target summing at most two of them, so it holds
-    the bits the matrix product gives. The residual arithmetic is `_residuals`'.
+    the bits the matrix product gives. The residual arithmetic is `_output_residuals`'.
     """
     x = _alpha_sq(alpha_sq)
     dim = _int_at_least(dim, 2, "qudit dimension")
@@ -422,7 +419,7 @@ def delete_demo_report(dim: int, alpha_sq: float) -> DeleteDemoReport:
     outs = np.zeros((dim * dim, 1), dtype=complex)
     np.add.at(outs, _pair_targets(dim), (psis[:, None] * psis[None]).reshape(dim * dim, 1))
     outs = outs.reshape(dim, dim, 1)
-    _, _, residuals = _output_residuals(outs, psis)
+    _, residuals = _output_residuals(outs, psis)
     return DeleteDemoReport(dim, x, float(residuals[0]), float(np.linalg.norm(outs)))
 
 
@@ -507,7 +504,8 @@ def classify_deleter(
         raise InvalidStateError(f"machine does not delete the identical basis input |{i}>|{i}>")
 
     psis = _haar_amplitudes(d, samples, np.random.default_rng(seed)).T
-    outs, whole, residuals = _residuals(machine, psis)
+    outs = _copies_output(machine, psis)
+    whole, residuals = _output_residuals(outs, psis)
 
     # Reduced ancilla of each normalized output, compared with the state the
     # input amplitudes predict when carried onto the ancilla images.

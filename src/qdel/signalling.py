@@ -10,9 +10,10 @@ deleter is deliberately NOT a linear machine: it is a per-branch classical
 rule applied to each collapsed measurement branch, since no linear machine
 implementing it exists.
 
-`_mixtures` runs the batched kernel, `_branch_mixtures`, with one branch rule
-and checks the stack once: it serves the deletion, control and machine arms and
-`signal --sweep`. The `signal` report's four matrices take the public constructor.
+The batched kernel takes one branch rule and gives one (B, 4, 4) stack of Bob's
+mixtures. The three arms and `signal --sweep` check theirs once; the `signal` report
+runs it once per arm and builds its four matrices with the public constructor. Every
+entry point takes its angles through `_rotated_bases`, which refuses a non-finite one.
 
 Particle order in memory is (1, 2, 3, 4); Alice's particles are subsystem
 indices 0 and 2, Bob's are 1 and 3.
@@ -53,8 +54,11 @@ TWO_SINGLETS = Ket((2, 2, 2, 2), np.kron(_SINGLET, _SINGLET))
 _BLANK = np.eye(2)[BLANK_INDEX]
 
 
-def _rotated_bases(thetas: np.ndarray) -> np.ndarray:
+def _rotated_bases(thetas: np.typing.ArrayLike) -> np.ndarray:
     """The bases at B angles as a (B, 2, 2) stack: rows psi(theta) and psibar(theta)."""
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError(f"angle must be finite, got {float(thetas[~np.isfinite(thetas)][0])!r}")
     c, s = np.cos(thetas), np.sin(thetas)
     return np.stack([np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)], axis=-2)
 
@@ -66,7 +70,7 @@ def rotated_basis(theta: float) -> tuple[Ket, Ket]:
     (sign convention as printed; at theta = 0 psibar is -|1>, which is
     harmless everywhere density matrices are formed).
     """
-    psi, bar = _rotated_bases(np.array([theta]))[0]
+    psi, bar = _rotated_bases([theta])[0]
     return Ket((2,), psi), Ket((2,), bar)
 
 
@@ -76,7 +80,7 @@ def basis_invariance_check(theta: float) -> float:
     Expanding in {psi, psibar}^(x)4 must give exactly four terms of amplitude
     +-1/2 -- the same pattern in every basis -- and twelve zeros.
     """
-    basis = _rotated_bases(np.array([theta]))[0]  # (2, 2): rows psi, psibar
+    basis = _rotated_bases([theta])[0]  # (2, 2): rows psi, psibar
     state = TWO_SINGLETS.amplitudes.reshape(2, 2, 2, 2)
     coeffs = np.einsum("ia,jb,kc,ld,abcd->ijkl", *(basis.conj(),) * 4, state)
 
@@ -120,7 +124,7 @@ def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> Measure
     if k1 not in (PSI, PSI_BAR) or k3 not in (PSI, PSI_BAR):
         raise ValueError(f"outcome labels must be 0 (psi) or 1 (psibar), got {outcome}")
     amps = state.amplitudes.reshape(2, 2, 2, 2)
-    post = _project(amps, _rotated_bases(np.array([theta])))[0, k1, k3]
+    post = _project(amps, _rotated_bases([theta]))[0, k1, k3]
     prob = float(np.sum(np.abs(post) ** 2))
     if prob < _ZERO_PROB:
         return MeasurementOutcome(post_state=None, probability=0.0)
@@ -138,30 +142,26 @@ def alice_measure(state: Ket, theta: float, outcome: tuple[int, int]) -> Measure
 BranchRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _branch_mixtures(bases: np.ndarray, *rules: BranchRule) -> tuple[np.ndarray, ...]:
-    """Bob's mixtures on particles (2, 4) for a (B, 2, 2) stack of Alice's bases (as
-    `_rotated_bases` builds them), one (B, 4, 4) stack a rule.
+def _branch_mixtures(bases: np.ndarray, rule: BranchRule) -> np.ndarray:
+    """Bob's (B, 4, 4) mixtures on particles (2, 4) under one branch rule, for a (B, 2, 2)
+    stack of Alice's bases (as `_rotated_bases` builds them).
 
-    Alice measures the two singlets in each basis: one
-    projection gives all four of her outcomes, one probability array
-    normalizes them (1/4 each for the two singlets), and it is shared by
-    every rule. Each rule maps the four collapsed branches at once; each
-    branch output is normalized, and one contraction weighted by the outcome
-    probabilities traces out the ancilla and sums the branches. The stacks are
-    not checked here: each caller checks what it hands out, once.
+    Alice measures the two singlets in each basis: one projection gives all four of
+    her outcomes, and one probability array normalizes them (1/4 each for the two
+    singlets). The rule maps the four collapsed branches at once; each branch output
+    is normalized, and one contraction weighted by the outcome probabilities traces
+    out the ancilla and sums the branches. The stack is not checked here: each caller
+    checks what it hands out, once.
     """
     posts = _project(TWO_SINGLETS.amplitudes.reshape(2, 2, 2, 2), bases)
     probs = np.sum(np.abs(posts) ** 2, axis=(3, 4))  # (B, 2, 2)
     posts = posts / np.sqrt(probs)[..., None, None]
-    mixtures = []
-    for rule in rules:
-        out = rule(bases, posts).reshape(len(bases), 4, 4, -1)  # (B, outcome, Bob, ancilla)
-        norm = np.linalg.norm(out, axis=(2, 3))
-        _require_nonzero(norm * norm)
-        out = out / norm[..., None, None]
-        weighted = out * probs.reshape(-1, 4, 1, 1)
-        mixtures.append(np.einsum("xoar,xobr->xab", weighted, out.conj()))
-    return tuple(mixtures)
+    out = rule(bases, posts).reshape(len(bases), 4, 4, -1)  # (B, outcome, Bob, ancilla)
+    norm = np.linalg.norm(out, axis=(2, 3))
+    _require_nonzero(norm * norm)
+    out = out / norm[..., None, None]
+    weighted = out * probs.reshape(-1, 4, 1, 1)
+    return np.einsum("xoar,xobr->xab", weighted, out.conj())
 
 
 def _closed_form_mixtures(bases: np.ndarray) -> np.ndarray:
@@ -203,19 +203,19 @@ def _against_closed_form(thetas: np.ndarray, bases: np.ndarray, pipeline: np.nda
         )
 
 
-def _mixtures(thetas: np.ndarray, rule: BranchRule) -> tuple[np.ndarray, np.ndarray]:
-    """(bases, mixtures): `_rotated_bases(thetas)` and Bob's (B, 4, 4) mixtures under one
-    branch rule, checked densities, for the three one-angle arms and `signal --sweep`."""
-    bases = _rotated_bases(thetas)
-    (mixtures,) = _branch_mixtures(bases, rule)
+def _mixtures(bases: np.ndarray, rule: BranchRule) -> np.ndarray:
+    """Bob's (B, 4, 4) mixtures under one branch rule for a (B, 2, 2) stack of bases, checked
+    densities: the three one-angle arms and `signal --sweep`."""
+    mixtures = _branch_mixtures(bases, rule)
     _require_densities(mixtures)
-    return bases, mixtures
+    return mixtures
 
 
 def _deletion_mixtures(thetas: np.ndarray) -> np.ndarray:
     """Bob's mixtures after collapse plus hypothetical deletion at B angles, (B, 4, 4),
     checked densities, each checked against the closed form at its angle."""
-    bases, pipeline = _mixtures(thetas, _delete_identical)
+    bases = _rotated_bases(thetas)
+    pipeline = _mixtures(bases, _delete_identical)
     _against_closed_form(thetas, bases, pipeline)
     return pipeline
 
@@ -227,8 +227,7 @@ def deletion_mixture_closed_form(theta: float) -> DensityMatrix:
           + P_psi (x) P_psibar + P_psibar (x) P_psi).
     """
     # the one stack no kernel checks: the full constructor checks it
-    bases = _rotated_bases(np.array([theta], dtype=float))
-    return DensityMatrix((2, 2), _closed_form_mixtures(bases)[0])
+    return DensityMatrix((2, 2), _closed_form_mixtures(_rotated_bases([theta]))[0])
 
 
 def bob_delete_and_reduce(theta: float) -> DensityMatrix:
@@ -242,8 +241,7 @@ def bob_delete_and_reduce(theta: float) -> DensityMatrix:
 
 def no_deletion_reduce(theta: float) -> DensityMatrix:
     """Bob's unconditioned reduced state when he does nothing (control arm)."""
-    _, mixtures = _mixtures(np.array([theta], dtype=float), _keep)
-    return _trusted(DensityMatrix, (2, 2), mixtures[0])
+    return _trusted(DensityMatrix, (2, 2), _mixtures(_rotated_bases([theta]), _keep)[0])
 
 
 def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> DensityMatrix:
@@ -266,8 +264,7 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
         out = _pair_output(machine, np.moveaxis(posts.reshape(-1, 2, 2), 0, -1))
         return np.moveaxis(out, -1, 0).reshape(posts.shape[:3] + out.shape[:-1])
 
-    _, mixtures = _mixtures(np.array([theta], dtype=float), through_machine)
-    return _trusted(DensityMatrix, (2, 2), mixtures[0])
+    return _trusted(DensityMatrix, (2, 2), _mixtures(_rotated_bases([theta]), through_machine)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +295,8 @@ def signalling_distance(theta_1: float, theta_2: float) -> SignallingReport:
     with and without the hypothetical deletion."""
     thetas = np.array([theta_1, theta_2], dtype=float)
     bases = _rotated_bases(thetas)
-    with_pair, without_pair = _branch_mixtures(bases, _delete_identical, _keep)
+    with_pair = _branch_mixtures(bases, _delete_identical)
+    without_pair = _branch_mixtures(bases, _keep)
     # The public constructor is the one check of the four matrices. They are the only
     # DensityMatrix a perfbench `pointwise` pass builds, and its traced-count test expects
     # one. They are built before the closed-form test, so a bad matrix is an

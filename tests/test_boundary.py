@@ -36,6 +36,7 @@ from qdel.signalling import (
     _deletion_mixtures,
     _keep,
     _mixtures,
+    _rotated_bases,
     bob_delete_and_reduce,
     bob_machine_and_reduce,
     no_deletion_reduce,
@@ -124,7 +125,8 @@ def test_delete_demo_equals_the_object_pipeline(dim, alpha_sq):
 def test_signalling_distance_equals_the_per_arm_kernels(theta_1, theta_2):
     report = signalling_distance(theta_1, theta_2)
     thetas = np.array([theta_1, theta_2])
-    with_pair, (_, without_pair) = _deletion_mixtures(thetas), _mixtures(thetas, _keep)
+    with_pair = _deletion_mixtures(thetas)
+    without_pair = _mixtures(_rotated_bases(thetas), _keep)
     for rhos, stack in ((report.rho_with_deletion, with_pair),
                         (report.rho_without_deletion, without_pair)):
         for rho, entries in zip(rhos, stack):

@@ -261,6 +261,14 @@ class TestVerify:
         assert err.value.code == 2
         assert named in capsys.readouterr().err
 
+    def test_an_alphabet_for_a_machine_with_no_two_copies_is_a_numeric_error(
+        self, capsys, tmp_path
+    ):
+        path = self.write_machine(tmp_path, BasisActionMachine((2,), (2,), np.eye(2)))
+        code, out, err = run(capsys, "verify", "--machine", path, "--alphabet", "0")
+        assert code == 3 and out == ""
+        assert "expected a [d, d] or [d, d, m] machine, got (2,)" in err
+
     def test_qutrit_basis_alphabet_fits(self, capsys, tmp_path):
         path = self.write_machine(tmp_path, swap_deleter(3))
         code, out, _ = run(capsys, "verify", "--machine", path, "--alphabet", "0,1,2")

@@ -264,6 +264,18 @@ class TestOptimalQuality:
                 argmin_alpha_sq=0.5, kind="global_minimum",
             )
 
+    @pytest.mark.parametrize("min_bound, refused",
+                             [(-1e-300, True), (1.0 + 4e-12, True), (math.nan, True),
+                              (0.0, False), (1.0 + 1e-12, False)])
+    def test_min_bound_is_held_to_0_1_with_1e_12_above(self, min_bound, refused):
+        fields = dict(n=6, m=5, min_bound=min_bound, formula_value=0.997, agreement=0.0,
+                      argmin_alpha_sq=0.5, kind="global_minimum")
+        if refused:
+            with pytest.raises(ValueError, match="min_bound .* outside"):
+                QualityReport(**fields)
+        else:
+            assert QualityReport(**fields).min_bound == min_bound
+
     @pytest.mark.parametrize(
         "argmin, kind",
         [(0.3, "global_minimum"), (0.5, "local_maximum"), (0.5, "local_minimum"),

@@ -595,6 +595,30 @@ class TestFidelityReport:
         else:
             assert FidelityReport(**fields).f_b == 0.75 + offset
 
+    @pytest.mark.parametrize("offset, refused", [(1e-9, True), (1e-13, False)])
+    def test_f_a_is_held_within_1e_12_of_its_density_matrix_value(self, offset, refused):
+        fields = dict(alpha_sq=0.5, f_b=0.75, f_a=0.5 + offset, avg_f_b=5 / 6, avg_f_a=2 / 3,
+                      quadrature_error=0.0, n_theta=8, n_phi=8)
+        if refused:
+            with pytest.raises(InvalidStateError, match="f_a deviates"):
+                FidelityReport(**fields)
+        else:
+            assert FidelityReport(**fields).f_a == 0.5 + offset
+
+    @pytest.mark.parametrize("excess, refused", [(1e-6, True), (1e-13, False)])
+    def test_f_a_may_exceed_f_b_only_within_1e_12(self, excess, refused):
+        # off [0, 1], |a|^2|b|^2 = -excess is negative and f_a = 1 + 2 excess > f_b = 1 + excess;
+        # both agree with their density-matrix values, so only the ordering guard can refuse
+        x = 0.5 + math.sqrt(0.25 + excess)
+        y = x * (1.0 - x)
+        fields = dict(alpha_sq=x, f_b=1.0 - y, f_a=1.0 - 2.0 * y, avg_f_b=5 / 6, avg_f_a=2 / 3,
+                      quadrature_error=0.0, n_theta=8, n_phi=8)
+        if refused:
+            with pytest.raises(InvalidStateError, match="retention fidelity cannot exceed"):
+                FidelityReport(**fields)
+        else:
+            assert FidelityReport(**fields).f_a > FidelityReport(**fields).f_b
+
     def test_bad_alpha_sq_rejected(self):
         with pytest.raises(ValueError):
             fidelity_report(1.5)

@@ -58,6 +58,11 @@ class TestKet:
         with pytest.raises(ShapeError):
             ket([1, 0, 0], [2])
 
+    @pytest.mark.parametrize("index", [2, -1, np.int64(2)])
+    def test_flat_basis_index_outside_the_space_rejected(self, index):
+        with pytest.raises(ValueError, match=f"basis index {index} out of range for dimension 2"):
+            basis_ket([2], index)
+
     def test_amplitudes_read_only(self):
         psi = basis_ket([2], 0)
         with pytest.raises(ValueError):
@@ -210,6 +215,12 @@ class TestPartialTrace:
         expected = density_of(tensor(a, b))
         np.testing.assert_allclose(reduced.entries, expected.entries, atol=1e-12)
 
+    @pytest.mark.parametrize("keep", [{2}, {0, 2}, {-1}])
+    def test_keep_outside_the_subsystems_rejected(self, keep):
+        rho = density_of(basis_ket([2, 2], 0))
+        with pytest.raises(ValueError, match=r"keep indices \[.*\] out of range for 2 subsystems"):
+            partial_trace(rho, keep=keep)
+
     def test_empty_keep_rejected(self):
         rho = density_of(basis_ket([2, 2], 0))
         with pytest.raises(ValueError):
@@ -320,6 +331,14 @@ class TestBlochKet:
         rng = np.random.default_rng(43)
         for _ in range(25):
             assert bloch_ket(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)).is_normalized()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("slot", ["theta", "phi"])
+    def test_a_non_finite_angle_is_refused_by_name(self, slot, bad):
+        angles = {"theta": 0.3, "phi": 0.4, slot: bad}
+        with pytest.raises(ValueError, match=f"^angle must be finite, got {bad!r}$") as info:
+            bloch_ket(**angles)
+        assert type(info.value) is ValueError
 
 
 class TestDensityMatrixInvariants:

@@ -177,6 +177,12 @@ class TestQuditPairDeleter:
         with pytest.raises(ValueError):
             qudit_pair_deleter(2, garbage={(0, 1): basis_ket([2, 2], (0, 1))})
 
+    @pytest.mark.parametrize("dims", [[4], [2, 2, 2], [3, 3]])
+    def test_garbage_state_on_another_space_rejected(self, dims):
+        garbage = {(0, 1): basis_ket([2, 2], (1, 1)), (1, 0): basis_ket(dims, 0)}
+        with pytest.raises(ShapeError, match=r"garbage state for \(1, 0\) has dims"):
+            qudit_pair_deleter(2, garbage=garbage)
+
     @pytest.mark.parametrize("extra", [(0, 7), (1, 1), (2, 0), "01"])
     def test_garbage_key_that_is_no_off_diagonal_pair_rejected(self, extra):
         garbage = {(0, 1): basis_ket([2, 2], (1, 1)), (1, 0): basis_ket([2, 2], (0, 1))}
@@ -243,10 +249,11 @@ class TestQuditPairDeleter:
     @pytest.mark.parametrize("alpha_sq", [0.0, 1.0, 0.5, 1e-300] + SEEDED)
     def test_demo_report_equals_the_matrix_route_bit_for_bit(self, dim, alpha_sq):
         """Each scatter target sums at most two products, so the report holds the bits of
-        the pair deleter's matrix applied to |psi psi> and run through `_residuals`."""
+        the pair deleter's matrix applied to |psi psi> and run through `_output_residuals`."""
         psis = np.zeros((dim, 1), dtype=complex)
         psis[:2, 0] = math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
-        outs, _, residuals = machines._residuals(qudit_pair_deleter(dim), psis)
+        outs = _copies_output(qudit_pair_deleter(dim), psis)
+        _, residuals = machines._output_residuals(outs, psis)
         report = delete_demo_report(dim, alpha_sq)
         matrix_route = machines.DeleteDemoReport(
             dim, alpha_sq, float(residuals[0]), float(np.linalg.norm(outs)))
@@ -647,7 +654,7 @@ class TestTwoCopyKernel:
     def test_a_vanishing_output_has_residual_one(self):
         machine = BasisActionMachine((2, 2, 3), (2, 2, 3), np.zeros((12, 12)), strict=False)
         assert deletion_residual(machine, haar_ket(2, np.random.default_rng(41))) == 1.0
-        # _residuals' floor: ||out||^2 = 1e-32 is below 1e-30, so the output counts as lost,
+        # _output_residuals' floor: ||out||^2 = 1e-32 is below 1e-30, so the output counts as lost,
         # though it lies in the ideal-deletion subspace
         tiny = BasisActionMachine((2, 2), (2, 2), 1e-16 * np.eye(4), strict=False)
         assert deletion_residual(tiny, basis_ket([2], 0)) == 1.0
@@ -732,7 +739,8 @@ class TestPointsLastKernel:
         rng = np.random.default_rng(67)
         for count in (1, 37, 150):
             amps = hilbert._haar_amplitudes(machine.input_dims[0], count, rng).T
-            outs, whole, residuals = machines._residuals(machine, amps)
+            outs = _copies_output(machine, amps)
+            whole, residuals = machines._output_residuals(outs, amps)
             (out, _), (_, kept_blank) = weights(outs, amps)
             assert whole.tobytes() == norms_sq(out).tobytes()
             want = np.maximum(1.0 - np.sqrt(norms_sq(kept_blank) / whole), 0.0)

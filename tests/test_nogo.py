@@ -175,6 +175,13 @@ class TestGramPreservation:
         with pytest.raises(ValueError):
             gram_preservation_check(swap_deleter(2), [])
 
+    @pytest.mark.parametrize("machine", [swap_deleter(2), lambda psi: psi],
+                             ids=["machine", "callable"])
+    def test_alphabet_on_mixed_spaces_rejected(self, machine):
+        alphabet = [basis_ket([2], 0), basis_ket([3], 0)]
+        with pytest.raises(ShapeError, match="alphabet states live on different spaces"):
+            gram_preservation_check(machine, alphabet)
+
     def test_non_finite_alphabet_rejected(self):
         alphabet = [basis_ket([2], 0), Ket((2,), [math.nan, 0.0])]
         with pytest.raises(InvalidStateError):

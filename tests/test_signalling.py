@@ -189,6 +189,19 @@ class TestSwapDeleterCannotSignal:
         with pytest.raises(ShapeError):
             bob_machine_and_reduce(0.0, swap_deleter(3))
 
+    def test_a_machine_that_loses_a_branch_is_refused(self):
+        # zero on |1 1 0>: at theta = 0 one of Alice's outcomes leaves Bob |1 1>, whose output
+        # vanishes; at theta = 0.3 no branch is a basis state, so none does
+        matrix = np.eye(8)
+        matrix[:, 6] = 0.0
+        machine = BasisActionMachine((2, 2, 2), (2, 2, 2), matrix, strict=False)
+        with pytest.raises(InvalidStateError, match="cannot normalize a zero vector"):
+            bob_machine_and_reduce(0.0, machine)
+        assert bob_machine_and_reduce(0.3, machine).dims == (2, 2)
+        zero = BasisActionMachine((2, 2, 2), (2, 2, 2), np.zeros((8, 8)), strict=False)
+        with pytest.raises(InvalidStateError, match="cannot normalize a zero vector"):
+            bob_machine_and_reduce(0.3, zero)
+
     @pytest.mark.parametrize("output_dims", [(3, 4), (4, 3), (2, 6), (12,)])
     def test_an_output_without_bobs_two_qubits_first_is_refused(self, output_dims):
         # the conditional deleter's matrix under output dims that do not start with (2, 2):
@@ -260,8 +273,8 @@ class TestSignallingDistance:
         InvalidStateError on every path that hands mixtures out."""
         branch_mixtures = signalling._branch_mixtures
 
-        def doubled(bases, *rules):
-            return tuple(2.0 * stack for stack in branch_mixtures(bases, *rules))
+        def doubled(bases, rule):
+            return 2.0 * branch_mixtures(bases, rule)
 
         monkeypatch.setattr(signalling, "_branch_mixtures", doubled)
         for call in (lambda: signalling_distance(0.3, 1.1),
@@ -296,6 +309,31 @@ class TestSignallingDistance:
             call()
             assert checks == [shape]
         assert constructions == []
+
+
+class TestNonFiniteAngles:
+    """Every entry point refuses a NaN or infinite angle by name, before any arithmetic on it
+    (the suite turns a RuntimeWarning into an error)."""
+
+    ENTRY_POINTS = {
+        "rotated_basis": rotated_basis,
+        "basis_invariance_check": basis_invariance_check,
+        "alice_measure": lambda theta: alice_measure(TWO_SINGLETS, theta, (0, 1)),
+        "deletion_mixture_closed_form": deletion_mixture_closed_form,
+        "bob_delete_and_reduce": bob_delete_and_reduce,
+        "no_deletion_reduce": no_deletion_reduce,
+        "bob_machine_and_reduce": lambda theta: bob_machine_and_reduce(theta, swap_deleter(2)),
+        "signalling_distance_theta_1": lambda theta: signalling_distance(theta, 0.0),
+        "signalling_distance_theta_2": lambda theta: signalling_distance(0.0, theta),
+        "sweep_kernel": lambda theta: _deletion_mixtures(np.array([0.0, 0.3, theta])),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_is_refused_by_name(self, name, bad):
+        with pytest.raises(ValueError, match=f"^angle must be finite, got {bad!r}$") as info:
+            self.ENTRY_POINTS[name](bad)
+        assert type(info.value) is ValueError
 
 
 def reference_mixture(theta, branch):
@@ -334,7 +372,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize(
         "batched, branch",
         [(_deletion_mixtures, delete_identical),
-         (lambda thetas: _mixtures(thetas, signalling._keep)[1],
+         (lambda thetas: _mixtures(signalling._rotated_bases(thetas), signalling._keep),
           lambda post, theta, x, y: post)],
         ids=["deletion", "no_deletion"],
     )
@@ -352,7 +390,7 @@ class TestBatchedKernel:
             out = _pair_output(machine, np.moveaxis(posts.reshape(-1, 2, 2), 0, -1))
             return np.moveaxis(out, -1, 0).reshape(posts.shape[:3] + out.shape[:-1])
 
-        (mixtures,) = _branch_mixtures(signalling._rotated_bases(self.THETAS), through_kernel)
+        mixtures = _branch_mixtures(signalling._rotated_bases(self.THETAS), through_kernel)
         for theta, rho in zip(self.THETAS, mixtures):
             reference = reference_mixture(float(theta), through(machine))
             np.testing.assert_allclose(rho, reference, rtol=0, atol=KERNEL_TOL)

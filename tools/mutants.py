@@ -172,6 +172,31 @@ MUTANTS = (
     # delete-demo's scatter onto the identity instead of the deleter's targets
     Mutant("demo_scatter_wrong_target", "machines.py", "np.add.at(outs, _pair_targets(dim),",
            "np.add.at(outs, np.arange(dim * dim),", ("tests/test_machines.py",)),
+    # refusals at the public boundary, each dropped or held at another edge
+    Mutant("basis_index_without_upper_bound", "hilbert.py", "if not 0 <= index < size:",
+           "if not 0 <= index:", ("tests/test_hilbert.py",)),
+    Mutant("keep_without_upper_bound", "hilbert.py", "if keep_set[0] < 0 or keep_set[-1] >= n:",
+           "if keep_set[0] < 0:", ("tests/test_hilbert.py",)),
+    Mutant("bloch_ket_takes_any_angle", "hilbert.py",
+           "if not (math.isfinite(theta) and math.isfinite(phi)):", "if False:",
+           ("tests/test_hilbert.py",)),
+    Mutant("signalling_takes_any_angle", "signalling.py", "if not np.all(np.isfinite(thetas)):",
+           "if False:", ("tests/test_signalling.py",)),
+    Mutant("copy_layout_takes_one_subsystem", "machines.py",
+           "if len(dims) not in (2, 3) or dims[0] != dims[1]:",
+           "if len(dims) > 3 or len(dims) > 1 and dims[0] != dims[1]:", ("tests/test_cli.py",)),
+    Mutant("branch_output_floor_0", "machines.py", "if not np.all(norms_sq >= _ZERO_OUTPUT):",
+           "if not np.all(norms_sq >= 0.0):", ("tests/test_signalling.py",)),
+    Mutant("garbage_dims_unchecked", "machines.py", "if g.dims != (d, d):", "if False:",
+           ("tests/test_machines.py",)),
+    Mutant("alphabet_spaces_unchecked", "nogo.py",
+           "if any(psi.dims != dims for psi in alphabet):", "if False:", ("tests/test_nogo.py",)),
+    Mutant("fidelity_report_f_a_1e-6", "fidelity.py", "abs(self.f_a - (1.0 - 2.0 * y)) > 1e-12",
+           "abs(self.f_a - (1.0 - 2.0 * y)) > 1e-6", ("tests/test_fidelity.py",)),
+    Mutant("retention_order_1e-3", "fidelity.py", "if self.f_a > self.f_b + 1e-12:",
+           "if self.f_a > self.f_b + 1e-3:", ("tests/test_fidelity.py",)),
+    Mutant("min_bound_slack_1e-9", "deletion.py", "0.0 <= self.min_bound <= 1.0 + 1e-12",
+           "0.0 <= self.min_bound <= 1.0 + 1e-9", ("tests/test_deletion.py",)),
 )
 
 

@@ -1,6 +1,6 @@
 """Byte audit of qdel's outputs: record a fixed job list, or compare a rerun with a record.
 
-    python tools/outputs.py --write FILE
+    python tools/outputs.py --write FILE [--digests]
     python tools/outputs.py --compare FILE
 
 The job list is every `perfbench/jobs.py` job of the three workloads at seeds
@@ -10,13 +10,21 @@ verdicts by `repr`, and `verify` on a few malformed machine files. qdel is
 imported from the `src/` of this checkout, so a copy of this file in another
 checkout audits that checkout.
 
-`--write` stores one JSON line per output: its label, exit code and sha256,
-and the text itself when it holds a digit. `--compare` reruns the list and
-names every output that is missing, new or changed; for a changed output
-whose numbers line up with the record it gives the largest absolute
-difference, by JSON key where both are JSON objects. The last line is a
-summary. Exit status: 0 when every output is byte-identical, 1 when one is
-not, and 2 on a usage error.
+`--write` stores a first JSON line naming the platform the outputs were
+computed on (Python's minor version, the numpy version, its BLAS, the SIMD
+extensions numpy found and the C library: what the last bits of a float may
+depend on besides qdel), then one JSON line per output: its label, exit code
+and sha256, and the text itself when it holds a digit. With `--digests` the
+texts are left out (about 70 KB against 1 MB); `tests/output_digests.jsonl`
+is such a record, and `tests/test_output_record.py` holds a rerun to it.
+
+`--compare` reruns the list and names every output that is missing, new or
+changed; for a changed output whose numbers line up with the record it gives
+the largest absolute difference, by JSON key where both are JSON objects and
+the record holds the text. A record written on another platform is named
+first, and a record without a platform line (from an earlier copy of this
+file) is read too. The last line is a summary. Exit status: 0 when every
+output is byte-identical, 1 when one is not, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import importlib.util
 import io
 import json
 import os
+import platform
 import re
 import shlex
 import sys
@@ -37,6 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
 import qdel  # noqa: E402  (from this checkout's src/)
 from qdel.cli import main  # noqa: E402
 from qdel.machines import (  # noqa: E402
@@ -135,13 +145,34 @@ def outputs():
             yield f"verify --machine {name}", code, output
 
 
-def _record(label: str, code: int, text: str) -> dict:
+def platform_info() -> dict:
+    """What the outputs' last bits may depend on besides qdel, as the record's first line
+    names it."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "python": ".".join(platform.python_version_tuple()[:2]),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "simd": config.get("SIMD Extensions", {}).get("found"),
+        "libc": " ".join(platform.libc_ver()),
+    }
+
+
+def _record(label: str, code: int, text: str, digests: bool = False) -> dict:
     return {
         "label": label,
         "exit": code,
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "text": text if re.search(r"\d", text) else None,
+        "text": text if not digests and re.search(r"\d", text) else None,
     }
+
+
+def read_record(path: Path) -> tuple[dict | None, dict[str, dict]]:
+    """(platform, records by label) of a record file; platform is None when it names none."""
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    written_on = lines.pop(0)["platform"] if lines and "platform" in lines[0] else None
+    return written_on, {record["label"]: record for record in lines}
 
 
 def _moves(old: str | None, new: str | None) -> list[tuple[str, float | None]]:
@@ -167,18 +198,18 @@ def _max_difference(old: str, new: str) -> float | None:
     return max(abs(float(a) - float(b)) for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new)))
 
 
-def write(path: Path) -> int:
-    records = [_record(*output) for output in outputs()]
-    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+def write(path: Path, digests: bool = False) -> int:
+    records = [_record(*output, digests) for output in outputs()]
+    lines = [{"platform": platform_info()}, *records]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     print(f"{len(records)} outputs written to {path}")
     return 0
 
 
 def compare(path: Path) -> int:
-    recorded = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        recorded[record["label"]] = record
+    written_on, recorded = read_record(path)
+    if written_on is not None and written_on != platform_info():
+        print(f"platform: recorded on {written_on}, rerun on {platform_info()}")
     identical, changed, new = 0, [], []
     largest = 0.0
     for label, code, text in outputs():
@@ -211,10 +242,14 @@ def _main(argv: list[str] | None = None) -> int:
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--write", type=Path, metavar="FILE")
     action.add_argument("--compare", type=Path, metavar="FILE")
+    parser.add_argument("--digests", action="store_true",
+                        help="with --write, record digests without the texts")
     args = parser.parse_args(argv)
     if args.compare is not None and not args.compare.is_file():
         parser.error(f"no record at {args.compare}")
-    return write(args.write) if args.write is not None else compare(args.compare)
+    if args.compare is not None and args.digests:
+        parser.error("--digests goes with --write")
+    return write(args.write, args.digests) if args.write is not None else compare(args.compare)
 
 
 if __name__ == "__main__":
