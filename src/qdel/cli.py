@@ -242,8 +242,8 @@ def _run_nogo(args) -> str:
 def _run_signal(args) -> str:
     if args.sweep is not None:
         thetas = np.linspace(0.0, math.pi, args.sweep)
-        mixtures = _deletion_mixtures(np.concatenate([[0.0], thetas]))
-        distances = _half_trace_norms(mixtures[1:] - mixtures[0])
+        mixtures = _deletion_mixtures(thetas)
+        distances = _half_trace_norms(mixtures - mixtures[0])
         return _csv("theta,trace_distance_vs_theta0", thetas, distances)
     return emit_report(signalling_distance(args.theta1, args.theta2), args.format)
 

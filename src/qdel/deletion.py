@@ -185,16 +185,17 @@ def _minimum(n: int, m: int) -> tuple[float, float, str]:
 
     The candidates are balance, both ends of every refined root bracket and,
     when the slope is not negative there, the scan's first point, standing in
-    for the unresolved edge. That happens once 1/(8N) < _EDGE, and also where
-    the slope rounds to 0.0 at the scan's start, as at (2^26, 2^26 - 1) and
-    (2^27, 2^27 - 1). The edge
-    |alpha|^2 = 0 itself is no candidate: the bound is 1 there, and by
-    Cauchy-Schwarz never below its balanced value.
+    for the unresolved edge, as where the slope rounds to 0.0 at the scan's
+    start at (2^26, 2^26 - 1) and (2^27, 2^27 - 1). Once 1/(8N) < _EDGE that
+    point is the floor, not 1/(8N), and the minimum may lie below it: an
+    ArithmeticError. The edge |alpha|^2 = 0 itself is no candidate: the bound
+    is 1 there, and by Cauchy-Schwarz never below its balanced value.
     """
     if not 1 < m < n:  # the bound is 1 at M = N, |alpha|^(N+1) + |beta|^(N+1) at M = 1
         return float(_bound_values(np.array([0.5]), n, m)[0]), 0.5, "global_minimum"
     nf, mf = float(n), float(m)
-    start = min(max(1.0 / (8.0 * nf), _EDGE), 0.25)
+    wanted = 1.0 / (8.0 * nf)
+    start = min(max(wanted, _EDGE), 0.25)
     xs = np.concatenate([start * (0.25 / start) ** _UNIT, _EVEN])
     slopes = _slope(xs, nf, mf)
     falling = slopes < 0.0
@@ -203,6 +204,11 @@ def _minimum(n: int, m: int) -> tuple[float, float, str]:
         (a, b), (ha, hb) = xs[i : i + 2].tolist(), slopes[i : i + 2].tolist()
         candidates += _root(nf, mf, a, b, ha, hb)
     if not falling[0]:
+        if wanted < _EDGE:
+            raise ArithmeticError(
+                f"quality bound at n={n}, m={m}: its minimum may lie below "
+                f"|alpha|^2 = {_EDGE!r}, the least at which doubles resolve its slope"
+            )
         candidates.append(float(xs[0]))
     values = _bound_values(np.array(candidates), n, m)
     i = int(np.argmin(values))  # the first minimum, so balance wins a tie
@@ -262,7 +268,9 @@ def optimal_quality(n: int, m: int) -> QualityReport:
     the bound at balance; the minimum is the least value of the bound at
     balance and at the stationary points on 0 < |alpha|^2 < 1/2, each the
     root of dB/dt bracketed by a scan of that slope and refined by regula
-    falsi.
+    falsi. An ArithmeticError refuses an N whose scan starts at the _EDGE
+    floor with the slope not falling there, where doubles cannot resolve
+    the minimum.
     """
     n, m = _copy_counts(n, m)
     formula = 2.0 ** (1.0 - (n + m) / 2) + math.sqrt(

@@ -92,6 +92,14 @@ def _alpha_sq(value: object) -> float:
     return x
 
 
+def _finite_angles(angles: np.typing.ArrayLike) -> np.ndarray:
+    """`angles` as a float array; ValueError, naming the first, if one is not finite."""
+    angles = np.asarray(angles, dtype=float)
+    if not np.isfinite(angles).all():
+        raise ValueError(f"angle must be finite, got {float(angles[~np.isfinite(angles)][0])!r}")
+    return angles
+
+
 def _is_unit(norms_sq):
     """Whether each squared norm of a state, a float or an array, is 1 within ALGEBRAIC_TOL;
     NaN is not."""
@@ -124,8 +132,8 @@ def _trusted(cls: type, *values: object):
 class Ket:
     """Complex amplitude vector over a declared product of subsystems.
 
-    Amplitudes are stored read-only; the vector need not be normalized
-    (machine outputs, in particular, are not in general).
+    Amplitudes are stored read-only and must be finite; the vector need not
+    be normalized (machine outputs, in particular, are not in general).
     """
 
     dims: tuple[int, ...]
@@ -139,6 +147,8 @@ class Ket:
                 f"amplitude vector of length {amps.size} does not match "
                 f"total dimension {math.prod(dims)} of {dims}"
             )
+        if not np.isfinite(amps).all():
+            raise InvalidStateError("ket has a non-finite amplitude")
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -211,9 +221,7 @@ def basis_ket(dims: Sequence[int], index: Union[int, Sequence[int]]) -> Ket:
 
 def bloch_ket(theta: float, phi: float = 0.0) -> Ket:
     """Qubit cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> from scalar libm calls; finite angles."""
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValueError(f"angle must be finite, got {phi if math.isfinite(theta) else theta!r}")
-    return ket(_bloch_amplitudes(theta, phi), [2])
+    return ket(_bloch_amplitudes(*_finite_angles((theta, phi)).tolist()), [2])
 
 
 def _bloch_amplitudes(theta: float, phi: float) -> tuple[float, complex]:

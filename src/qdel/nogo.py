@@ -15,11 +15,11 @@ Gram-matrix preservation check for arbitrary machines and alphabets, which
 `verify_report` joins with the isometry check of a user's machine.
 
 The check of a `BasisActionMachine` is one kernel on a (K, d) amplitude
-array, `_gram_residual`: it refuses non-finite amplitudes and states that
-are not the machine's d-level copies, then compares the Gram matrices in
-one contraction. `gram_preservation_check` and `verify_report` stack their
-Kets into that array once; `qdel verify` reads its alphabet straight into
-it, so the states are validated once and no Ket is built.
+array, `_gram_residual`: it refuses states that are not the machine's
+d-level copies, then compares the Gram matrices in one contraction.
+`gram_preservation_check` and `verify_report` stack their Kets, which refuse
+a non-finite amplitude, into that array once; `qdel verify` reads its
+alphabet straight into it from finite angles, so no Ket is built.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidStateError, ShapeError
-from .hilbert import Ket, _int_at_least, _require_unit, basis_ket, inner, ket, tensor
+from .errors import ShapeError
+from .hilbert import Ket, _finite_angles, _int_at_least, _require_unit, basis_ket, inner, tensor
 from .machines import BasisActionMachine, _copies_output, _copy_layout, check_isometry
 
 __all__ = [
@@ -119,8 +119,9 @@ def nonorthogonal_constraints(psi1: Ket, psi2: Ket, sigma: Ket) -> ConstraintRep
 
 def overlap_constraints(s: float, phase: float = 0.0) -> ConstraintReport:
     """The five conditions for psi1 = sigma = |0>, psi2 = s e^{i phase}|0> + sqrt(1-s^2)|1>."""
+    phase = _finite_angles(phase).item()
     amp = complex(math.cos(phase), math.sin(phase)) * s
-    psi2 = ket([amp, math.sqrt(max(1.0 - s * s, 0.0))], [2])
+    psi2 = Ket((2,), [amp, math.sqrt(max(1.0 - s * s, 0.0))])
     return nonorthogonal_constraints(_ZERO, psi2, _ZERO)
 
 
@@ -163,12 +164,6 @@ def _stacked(alphabet: Sequence[Ket]) -> np.ndarray:
     return np.stack([psi.amplitudes for psi in alphabet]).reshape(len(alphabet), *dims)
 
 
-def _require_finite(amps: np.ndarray) -> None:
-    """InvalidStateError unless every alphabet amplitude is finite."""
-    if not np.all(np.isfinite(amps)):
-        raise InvalidStateError("alphabet state has a non-finite amplitude")
-
-
 def _worst_pair(amps: np.ndarray, outputs: np.ndarray) -> float:
     """max |<in_i|in_j> - <out_i|out_j>| over i < j, 0.0 for one state, from (K, d) one-copy
     amplitudes and the outputs on their two copies, one column each."""
@@ -180,7 +175,6 @@ def _worst_pair(amps: np.ndarray, outputs: np.ndarray) -> float:
 def _gram_residual(machine: BasisActionMachine, amps: np.ndarray) -> float:
     """`gram_preservation_check` of a machine on the (K, d) amplitudes of an alphabet of
     `d`-level states, d the machine's copy dimension, in one kernel call."""
-    _require_finite(amps)
     d, _ = _copy_layout(machine)
     if amps.shape[1:] != (d,):
         raise ShapeError(f"alphabet state dims {amps.shape[1:]} do not match machine copies ({d},)")
@@ -197,7 +191,6 @@ def gram_preservation_check(machine: MachineLike, alphabet: Sequence[Ket]) -> fl
     amps = _stacked(alphabet)
     if isinstance(machine, BasisActionMachine):
         return _gram_residual(machine, amps)
-    _require_finite(amps)
     outputs = np.stack([machine(tensor(psi, psi)).amplitudes for psi in alphabet], axis=1)
     return _worst_pair(amps.reshape(len(amps), -1), outputs)
 

@@ -28,7 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ShapeError
-from .hilbert import DensityMatrix, Ket, _half_trace_norms, _require_densities, _trusted
+from .hilbert import (DensityMatrix, Ket, _finite_angles, _half_trace_norms,
+                      _require_densities, _trusted)
 from .machines import BLANK_INDEX, BasisActionMachine, _copy_layout, _pair_output, _require_nonzero
 
 __all__ = [
@@ -56,9 +57,7 @@ _BLANK = np.eye(2)[BLANK_INDEX]
 
 def _rotated_bases(thetas: np.typing.ArrayLike) -> np.ndarray:
     """The bases at B angles as a (B, 2, 2) stack: rows psi(theta) and psibar(theta)."""
-    thetas = np.asarray(thetas, dtype=float)
-    if not np.all(np.isfinite(thetas)):
-        raise ValueError(f"angle must be finite, got {float(thetas[~np.isfinite(thetas)][0])!r}")
+    thetas = _finite_angles(thetas)
     c, s = np.cos(thetas), np.sin(thetas)
     return np.stack([np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)], axis=-2)
 

@@ -76,6 +76,13 @@ class TestQuality:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("n, m", [(10**15, 7), (10**300, 10**299)])
+    def test_a_minimum_doubles_cannot_resolve_is_a_numeric_error(self, capsys, n, m):
+        code, out, err = run(capsys, "quality", "--n", str(n), "--m", str(m))
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: quality bound at n={n}, m={m}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_bad_n_m_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "quality", "--n", "1", "--m", "2")

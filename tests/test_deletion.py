@@ -371,6 +371,38 @@ class TestOptimalQuality:
     def test_min_bound_at_large_n_matches_a_60_digit_minimum(self, n, m, reference):
         assert abs(optimal_quality(n, m).min_bound - reference) <= 1e-8 * reference
 
+    @pytest.mark.parametrize("n, m", [(10**15, 7), (10**14, 2), (10**300, 10**299),
+                                      (10**12, 10**12 - 1)])
+    def test_a_minimum_below_the_scan_floor_is_refused(self, n, m):
+        """The scan starts at the 2^-40 floor and its slope there is not negative. The 60-digit
+        minima of the first two, 5.17e-7 and 8.62e-7, sit below the floor; at
+        (10^12, 10^12 - 1) the slope there rounds to 0.0, so `kind` would rest on noise."""
+        with pytest.raises(ArithmeticError, match=f"^quality bound at n={n}, m={m}: "):
+            optimal_quality(n, m)
+
+    @pytest.mark.parametrize("n, m", [(10**11, 7), (10**12, 7), (10**13, 2), (10**13, 7)])
+    def test_answered_large_n_minima_match_mpmath(self, n, m):
+        """A 60-digit minimum over log |alpha|^2 in [-40 ln 10, ln 1/2]: the least of a
+        200-point scan, narrowed by golden sections, or balance if that is lower."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            def bound(u):
+                x = mp.exp(u)
+                y = 1 - x
+                return (x ** (mp.mpf(n + m) / 2) + y ** (mp.mpf(n + m) / 2)
+                        + mp.sqrt((1 - x**n - y**n) * (1 - x**m - y**m)))
+
+            lo, hi = -40 * mp.log(10), mp.log(mp.mpf(1) / 2)
+            us = [lo + (hi - lo) * k / 200 for k in range(201)]
+            k = min(range(201), key=lambda k: bound(us[k]))
+            a, b = us[max(k - 1, 0)], us[min(k + 1, 200)]
+            shrink = (mp.sqrt(5) - 1) / 2
+            for _ in range(120):
+                c, d = b - shrink * (b - a), a + shrink * (b - a)
+                a, b = (a, d) if bound(c) < bound(d) else (c, b)
+            reference = float(min(bound((a + b) / 2), bound(hi)))
+        assert abs(optimal_quality(n, m).min_bound - reference) <= 1e-8 * reference
+
     def test_fixed_m_plateau_of_the_closed_form(self):
         # for M = 2 the closed form tends to 1/sqrt(2) while the true minimum keeps falling
         reports = [optimal_quality(n, 2) for n in (34, 256, 4096, 16384)]

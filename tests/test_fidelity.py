@@ -36,6 +36,7 @@ from qdel.hilbert import (
     tensor,
 )
 from qdel.machines import (
+    BLANK_INDEX,
     BasisActionMachine,
     _copies_output,
     _fidelity_operators,
@@ -622,3 +623,62 @@ class TestFidelityReport:
     def test_bad_alpha_sq_rejected(self):
         with pytest.raises(ValueError):
             fidelity_report(1.5)
+
+
+@functools.cache
+def symbolic_fidelities():
+    """sympy's (F_b, F_a) of the conditional deleter as expressions in x = |alpha|^2, from the
+    machine's exact 0/1 matrix on alpha = a, beta = b e^{i phi} with b^2 = 1 - a^2, a^2 = x."""
+    sp = pytest.importorskip("sympy")
+    matrix = conditional_deleter().matrix
+    assert np.array_equal(matrix, matrix.real.astype(bool))  # exactly 0/1
+    a, b, x = sp.symbols("a b x", nonnegative=True)
+    phi = sp.symbols("phi", real=True)
+    psi = (a, b * sp.exp(sp.I * phi))
+    state = [psi[i] * psi[j] if k == 0 else 0 for i in range(2) for j in range(2) for k in range(3)]
+    out = sp.Matrix(matrix.real.astype(int).tolist()) * sp.Matrix(state)
+
+    def cell(i, j, k):  # row-major over dims (2, 2, 3)
+        return out[6 * i + 3 * j + k]
+
+    def weight(z):
+        return z * sp.conjugate(z)
+
+    f_b = sum(weight(cell(i, BLANK_INDEX, k)) for i in range(2) for k in range(3))
+    f_a = sum(weight(sum(sp.conjugate(psi[i]) * cell(i, j, k) for i in range(2)))
+              for j in range(2) for k in range(3))
+    to_x = {b: sp.sqrt(1 - a**2)}
+    return x, tuple(sp.expand(sp.expand(f.subs(to_x)).subs(a, sp.sqrt(x))) for f in (f_b, f_a))
+
+
+class TestSymbolicOracle:
+    """The conditional deleter's fidelities and sphere averages, derived exactly by sympy from
+    its matrix and held to the numeric routes; skipped without sympy."""
+
+    def test_the_derivation_gives_the_paper_closed_forms(self):
+        sp = pytest.importorskip("sympy")
+        x, (f_b, f_a) = symbolic_fidelities()
+        assert sp.expand(f_b - (1 - x * (1 - x))) == 0
+        assert sp.expand(f_a - (1 - 2 * x * (1 - x))) == 0
+        # a uniform point on the Bloch sphere has |alpha|^2 = cos^2(theta/2) uniform on [0, 1]
+        assert sp.integrate(f_b, (x, 0, 1)) == sp.Rational(5, 6)
+        assert sp.integrate(f_a, (x, 0, 1)) == sp.Rational(2, 3)
+
+    def test_point_fidelities_match_the_derivation(self):
+        x, (f_b, f_a) = symbolic_fidelities()
+        rng = np.random.default_rng(2000)
+        points = [(1.0, 0.0), (0.0, 1.0), (INV_SQRT2, 1j * INV_SQRT2)]
+        points += [random_qubit_amplitudes(rng) for _ in range(20)]
+        for alpha, beta in points:
+            at = {x: abs(alpha) ** 2}
+            got_b, got_a = point_fidelities(alpha, beta)
+            assert abs(got_b - float(f_b.subs(at))) <= 1e-14
+            assert abs(got_a - float(f_a.subs(at))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_averages_match_the_derivation(self, n):
+        sp = pytest.importorskip("sympy")
+        x, (f_b, f_a) = symbolic_fidelities()
+        for mode, f in (("b", f_b), ("a", f_a)):
+            exact = float(sp.integrate(f, (x, 0, 1)))
+            assert abs(average_fidelity(mode, n, n) - exact) <= 1e-14

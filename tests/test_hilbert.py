@@ -74,6 +74,13 @@ class TestKet:
         with pytest.raises(InvalidStateError):
             ket([1, 1], [2]).require_normalized()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("imag", [False, True], ids=["real", "imag"])
+    def test_a_non_finite_amplitude_is_refused_at_construction(self, imag, bad):
+        amplitude = complex(0.6, bad) if imag else complex(bad, 0.0)
+        with pytest.raises(InvalidStateError, match="^ket has a non-finite amplitude$"):
+            Ket((2,), [amplitude, 0.8])
+
 
 class TestTensor:
     def test_basis_product(self):
@@ -309,9 +316,9 @@ class TestStateFidelity:
         assert state_fidelity(rho, basis_ket([2], 0)) == 1.0
         assert state_fidelity(rho, basis_ket([2], 1)) == 0.0
 
-    @pytest.mark.parametrize("amplitudes", [[2.0, 0.0], [0.5, 0.0], [math.nan, 0.0]])
+    @pytest.mark.parametrize("amplitudes", [[2.0, 0.0], [0.5, 0.0]])
     def test_unnormalized_target_is_refused(self, amplitudes):
-        # <psi|rho|psi> is 4.0, 0.25 and nan here, none of them a fidelity
+        # <psi|rho|psi> is 4.0 and 0.25 here, neither of them a fidelity
         with pytest.raises(InvalidStateError, match="not normalized"):
             state_fidelity(density_of(basis_ket([2], 0)), Ket((2,), amplitudes))
 

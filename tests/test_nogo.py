@@ -132,6 +132,13 @@ class TestSweepOverlap:
         reports = sweep_overlap(11, phase=0.5)
         assert all(r.max_residual > 1e-3 for r in reports[1:])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_phase_is_refused_by_name(self, bad):
+        for refused in (lambda: overlap_constraints(0.5, bad), lambda: sweep_overlap(5, bad)):
+            with pytest.raises(ValueError, match=f"^angle must be finite, got {bad!r}$") as info:
+                refused()
+            assert type(info.value) is ValueError
+
     def test_too_few_points_rejected(self):
         for sweep in (sweep_overlap, _sweep_max_residuals):
             for n_points in (1, 2.5, True):
@@ -183,8 +190,9 @@ class TestGramPreservation:
             gram_preservation_check(machine, alphabet)
 
     def test_non_finite_alphabet_rejected(self):
-        alphabet = [basis_ket([2], 0), Ket((2,), [math.nan, 0.0])]
-        with pytest.raises(InvalidStateError):
+        # refused where the state is built, so the check is never reached
+        with pytest.raises(InvalidStateError, match="non-finite amplitude"):
+            alphabet = [basis_ket([2], 0), Ket((2,), [math.nan, 0.0])]
             gram_preservation_check(swap_deleter(2), alphabet)
 
     def test_alphabet_dimension_must_match(self):

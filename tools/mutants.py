@@ -159,9 +159,10 @@ MUTANTS = (
            ("tests/test_deletion.py",)),
     Mutant("last_0.5-2^-20", "deletion.py", "_LAST = 0.5 - 2.0**-30", "_LAST = 0.5 - 2.0**-20",
            ("tests/test_deletion.py",)),
-    Mutant("scan_start_1/(2N)", "deletion.py",
-           "start = min(max(1.0 / (8.0 * nf), _EDGE), 0.25)",
-           "start = min(max(1.0 / (2.0 * nf), _EDGE), 0.25)", ("tests/test_deletion.py",)),
+    Mutant("scan_start_1/(2N)", "deletion.py", "wanted = 1.0 / (8.0 * nf)",
+           "wanted = 1.0 / (2.0 * nf)", ("tests/test_deletion.py",)),
+    Mutant("quality_answers_unresolved", "deletion.py", "if wanted < _EDGE:", "if False:",
+           ("tests/test_deletion.py",)),
     Mutant("root_bracket_shifted", "deletion.py",
            "xs[i : i + 2].tolist(), slopes[i : i + 2].tolist()",
            "xs[i + 1 : i + 3].tolist(), slopes[i + 1 : i + 3].tolist()",
@@ -177,11 +178,17 @@ MUTANTS = (
            "if not 0 <= index:", ("tests/test_hilbert.py",)),
     Mutant("keep_without_upper_bound", "hilbert.py", "if keep_set[0] < 0 or keep_set[-1] >= n:",
            "if keep_set[0] < 0:", ("tests/test_hilbert.py",)),
-    Mutant("bloch_ket_takes_any_angle", "hilbert.py",
-           "if not (math.isfinite(theta) and math.isfinite(phi)):", "if False:",
+    # the one angle check, then each of its callers without it
+    Mutant("angles_unchecked", "hilbert.py", "if not np.isfinite(angles).all():", "if False:",
            ("tests/test_hilbert.py",)),
-    Mutant("signalling_takes_any_angle", "signalling.py", "if not np.all(np.isfinite(thetas)):",
-           "if False:", ("tests/test_signalling.py",)),
+    Mutant("bloch_ket_takes_any_angle", "hilbert.py", "*_finite_angles((theta, phi)).tolist()",
+           "theta, phi", ("tests/test_hilbert.py",)),
+    Mutant("signalling_takes_any_angle", "signalling.py", "thetas = _finite_angles(thetas)",
+           "thetas = np.asarray(thetas, dtype=float)", ("tests/test_signalling.py",)),
+    Mutant("overlap_takes_any_phase", "nogo.py", "phase = _finite_angles(phase).item()",
+           "phase = float(phase)", ("tests/test_nogo.py",)),
+    Mutant("ket_takes_non_finite", "hilbert.py", "if not np.isfinite(amps).all():", "if False:",
+           ("tests/test_hilbert.py",)),
     Mutant("copy_layout_takes_one_subsystem", "machines.py",
            "if len(dims) not in (2, 3) or dims[0] != dims[1]:",
            "if len(dims) > 3 or len(dims) > 1 and dims[0] != dims[1]:", ("tests/test_cli.py",)),
