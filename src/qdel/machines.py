@@ -9,8 +9,13 @@ forces a quadratic, not linear, dependence on the input amplitudes.
 A batch's deletion residuals are `_output_residuals` of the outputs `_copies_output`
 forms on |psi>|psi>(|0>); `delete_demo_report` scatters its outputs and shares the rest.
 
+`classify_deleter` draws its samples deterministically from a seed. Its ancilla
+errors are half trace norms of rho - |u><u|, which has one negative eigenvalue at
+most: `_ancilla_errors` solves for it in closed form on a qubit or qutrit ancilla
+and calls the eigensolver on a larger one.
+
 Machines are immutable and all checks are pure functions; concurrent use is
-safe. `classify_deleter` draws its samples deterministically from a seed.
+safe.
 """
 
 from __future__ import annotations
@@ -124,7 +129,8 @@ class DeleterVerdict:
         they are orthonormal, so that the ancilla holds the input state.
     ancilla_errors: per-sample trace distance between the reduced ancilla and
         the state predicted by carrying the input amplitudes onto the ancilla
-        images of the identical-basis rules.
+        images of the identical-basis rules, normalized; 1 where that
+        prediction has norm below 1e-12 and no direction is left to predict.
     """
 
     kind: DeleterKind
@@ -454,6 +460,43 @@ def _swap_certificate(machine: BasisActionMachine) -> tuple[np.ndarray, float, f
     return images, float(deviation), float(np.max(np.abs(gram - np.eye(d))))
 
 
+def _ancilla_errors(differences: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each D = rho - |u><u| in an (m, m, S) stack, rho a density
+    matrix and u a unit vector, so that tr D = 0.
+
+    D is a rank-one downdate of a positive matrix, so by interlacing it has at most one
+    negative eigenvalue, and its half trace norm is -lambda_min(D). For m = 2 that is
+    r - t/2, with t = tr D and r = sqrt(((D00 - D11)/2)^2 + |D01|^2). For m = 3 it is the
+    smallest root of the characteristic cubic in trigonometric form, with q = t/3,
+    p = ||D - qI||_F / sqrt(6) and r = det(D - qI)/(2p^3): -(q + 2p cos(arccos(r)/3 + 2pi/3)),
+    and 0 where p = 0. The spectrum (a, b, -a - b) with a >= b >= 0 keeps r in [-1, 0],
+    where an arccos error enters the root only squared. Both forms are clamped at 0. For
+    m >= 4 the stack goes to `_half_trace_norms`.
+    """
+    m = differences.shape[0]
+    if m > 3:
+        return _half_trace_norms(np.moveaxis(differences, -1, 0))
+    diagonal = differences.reshape(m * m, -1)[:: m + 1].real  # (m, S)
+    t = np.sum(diagonal, axis=0)
+    if m == 2:
+        errors = np.hypot(0.5 * (diagonal[0] - diagonal[1]), np.abs(differences[0, 1])) - 0.5 * t
+    else:
+        q = t / 3.0
+        b = diagonal - q  # the diagonal of B = D - qI
+        d01, d02, d12 = differences[0, 1], differences[0, 2], differences[1, 2]
+        s01, s02, s12 = (z.real * z.real + z.imag * z.imag for z in (d01, d02, d12))
+        p = np.sqrt((np.sum(b * b, axis=0) + 2.0 * (s01 + s02 + s12)) / 6.0)  # ||B||_F/sqrt(6)
+        det = (b[0] * b[1] * b[2] + 2.0 * (d01 * d12 * d02.conj()).real
+               - b[0] * s12 - b[1] * s02 - b[2] * s01)
+        cube = 2.0 * p**3
+        solvable = cube > 0
+        r = np.divide(det, cube, out=np.zeros_like(cube), where=solvable)
+        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+        errors = np.where(solvable, -(q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)), 0.0)
+    # a D that is rounding noise can leave -lambda_min a few eps below 0
+    return np.maximum(errors, 0.0)
+
+
 def classify_deleter(
     machine: BasisActionMachine, samples: int, seed: int
 ) -> DeleterVerdict:
@@ -508,7 +551,8 @@ def classify_deleter(
     whole, residuals = _output_residuals(outs, psis)
 
     # Reduced ancilla of each normalized output, compared with the state the
-    # input amplitudes predict when carried onto the ancilla images.
+    # input amplitudes predict when carried onto the ancilla images; a prediction
+    # of norm below 1e-12 is lost, with error 1.
     # Both are (m, m, samples) stacks: the sum over the copies' d^2 basis states runs
     # one (m, samples) slice at a time, which holds less than an einsum's buffers.
     _require_nonzero(whole)
@@ -520,7 +564,7 @@ def classify_deleter(
     lost = pnorms < 1e-12
     predicted = predicted / np.where(lost, 1.0, pnorms)
     rho -= predicted[:, None] * predicted.conj()  # now the difference from the prediction
-    ancilla_errors = np.where(lost, 1.0, _half_trace_norms(np.moveaxis(rho, -1, 0)))
+    ancilla_errors = np.where(lost, 1.0, _ancilla_errors(rho))
 
     swap_like = deviation <= _DELETION_TOL and gram_deviation <= _DELETION_TOL
     return DeleterVerdict(

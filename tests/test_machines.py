@@ -383,6 +383,14 @@ class TestClassifyDeleter:
             for seed in range(5):
                 assert min(classify_deleter(machine, samples=150, seed=seed).residual_stats) >= 0.0
 
+    def test_ancilla_errors_are_never_negative(self):
+        # an exact deleter's rho - |u><u| is rounding noise, whose -lambda_min rounds to either
+        # side of 0; a sign bit would print as -0.0
+        for machine in (swap_deleter(2), swap_deleter(3)):
+            for seed in range(5):
+                errors = np.array(classify_deleter(machine, samples=150, seed=seed).ancilla_errors)
+                assert not np.any(np.signbit(errors))
+
     # Verdicts of the all-pairs eigensolve scan that preceded the swap
     # certificate: kind must not move, the per-sample statistics not by more
     # than 4 eps. Every swap value is rounding noise, and the swap2 row was
@@ -419,7 +427,7 @@ class TestClassifyDeleter:
         "swap3": (150, DeleterKind.SWAP_LIKE),
     }
     MACHINES = {"swap2": lambda: swap_deleter(2), "conditional": conditional_deleter,
-                "swap3": lambda: swap_deleter(3)}
+                "swap3": lambda: swap_deleter(3), "swap4": lambda: swap_deleter(4)}
 
     @pytest.mark.parametrize("name", ["swap2", "conditional", "swap3"])
     def test_verdict_matches_the_recorded_all_pairs_scan(self, name):
@@ -439,10 +447,14 @@ class TestClassifyDeleter:
     AUDIT_JOBS = [("swap2", 200, 3280387012), ("conditional", 150, 1095513148),
                   ("swap3", 150, 1930549411)]
 
-    @pytest.mark.parametrize("name, samples, seed", AUDIT_JOBS, ids=[job[0] for job in AUDIT_JOBS])
-    def test_pairwise_stage_work_is_pinned(self, monkeypatch, name, samples, seed):
-        """No pairwise stage is left: the per-sample ancilla errors are the only eigensolve,
-        and a return to solving pairs of samples fails here."""
+    @pytest.mark.parametrize("name, samples, seed", AUDIT_JOBS + [("swap4", 100, 1930549411)],
+                             ids=[job[0] for job in AUDIT_JOBS] + ["swap4"])
+    def test_only_an_ancilla_above_three_levels_is_eigensolved(
+        self, monkeypatch, name, samples, seed
+    ):
+        """The audit machines' ancilla errors (m = 2, 3) are solved in closed form, with no
+        eigensolve; a 4-level ancilla makes one (samples, 4, 4) stack, and a return to solving
+        pairs of samples fails here."""
         stacks = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -454,7 +466,7 @@ class TestClassifyDeleter:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         classify_deleter(machine, samples=samples, seed=seed)
         m = machine.input_dims[2]
-        assert stacks == [(samples, m, m)]
+        assert stacks == ([] if m <= 3 else [(samples, m, m)])
 
     def test_needs_ancilla_structure(self):
         with pytest.raises(ShapeError):
@@ -593,6 +605,128 @@ class TestClassifyDeleter:
         assert (verdict.samples, verdict.seed) == (7, 3)
         assert type(verdict.samples) is int and type(verdict.seed) is int
         assert len(verdict.residual_stats) == (7 if rules_normalized else 0)
+
+
+def gaussian(rng, *shape) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def random_deleting_isometry(rng, d, m) -> BasisActionMachine:
+    """A random unitary on [d, d, m] that deletes the identical basis inputs: |i i 0> goes to
+    |i, blank, a_i>, the a_i the columns of a QR of a complex Gaussian, and the other
+    columns complete those d to the Q of a QR of a complex Gaussian."""
+    dims = (d, d, m)
+    n = d * d * m
+    images = np.zeros((d, d, m, d), dtype=complex)  # [..., i] is |i, blank, a_i>
+    images[np.arange(d), machines.BLANK_INDEX, :, np.arange(d)] = np.linalg.qr(
+        gaussian(rng, m, d))[0].T
+    images = images.reshape(n, d)
+    deleting = [int(np.ravel_multi_index((i, i, 0), dims)) for i in range(d)]
+    matrix = np.empty((n, n), dtype=complex)
+    matrix[:, deleting] = images
+    matrix[:, np.setdiff1d(np.arange(n), deleting)] = np.linalg.qr(
+        np.hstack([images, gaussian(rng, n, n - d)]))[0][:, d:]
+    return BasisActionMachine(dims, dims, matrix)
+
+
+class TestAncillaErrors:
+    """`machines._ancilla_errors` against the eigensolver's half trace norm."""
+
+    @staticmethod
+    def classifier_stack(monkeypatch, machine, samples, seed) -> np.ndarray:
+        """The (m, m, S) stack rho - |u><u| that `classify_deleter` hands to the helper."""
+        stacks = []
+        solve = machines._ancilla_errors
+
+        def kept(differences):
+            stacks.append(differences.copy())
+            return solve(differences)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(machines, "_ancilla_errors", kept)
+            classify_deleter(machine, samples, seed)
+        return stacks[0]
+
+    @staticmethod
+    def eigensolved(stack) -> np.ndarray:
+        return hilbert._half_trace_norms(np.moveaxis(stack, -1, 0))
+
+    @staticmethod
+    def stacked(matrices) -> np.ndarray:
+        """An (S, m, m) stack of matrices laid out as the classifier lays them, (m, m, S)."""
+        return np.ascontiguousarray(np.moveaxis(matrices, 0, -1))
+
+    CLASSIFIED = {
+        "conditional": conditional_deleter,
+        "turned_swap": lambda: TestClassifyDeleter.turned_swap((0, 1, 0), (0, 1, 1), 0.3),
+        "without_isometry": TestClassifyDeleter.deleter_without_isometry,
+        "swap2": lambda: swap_deleter(2),
+        "swap3": lambda: swap_deleter(3),
+    }
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (3, 3, 3)])
+    def test_random_isometry_stacks_match_the_eigensolver(self, monkeypatch, dims):
+        rng = np.random.default_rng(sum(dims))
+        for seed in range(5):
+            machine = random_deleting_isometry(rng, dims[0], dims[2])
+            stack = self.classifier_stack(monkeypatch, machine, 200, seed)
+            np.testing.assert_allclose(machines._ancilla_errors(stack), self.eigensolved(stack),
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", CLASSIFIED)
+    def test_deleter_stacks_match_the_eigensolver(self, monkeypatch, name):
+        stack = self.classifier_stack(monkeypatch, self.CLASSIFIED[name](), 200, 3)
+        np.testing.assert_allclose(machines._ancilla_errors(stack), self.eigensolved(stack),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("machine", [lambda: swap_deleter(4),
+                                         lambda: random_deleting_isometry(
+                                             np.random.default_rng(4), 2, 4)])
+    def test_a_larger_ancilla_keeps_the_eigensolver_bytes(self, monkeypatch, machine):
+        stack = self.classifier_stack(monkeypatch, machine(), 100, 3)
+        np.testing.assert_array_equal(machines._ancilla_errors(stack), self.eigensolved(stack))
+
+    @pytest.mark.parametrize("spectrum, error", [((1.0, 1.0, -2.0), 2.0), ((1.0, 0.0, -1.0), 1.0)])
+    def test_hand_built_spectra_at_the_ends_of_the_cubic(self, spectrum, error):
+        # (a, a, -2a) puts det(D - qI)/(2p^3) at -1, where rounding steps past arccos's domain,
+        # and (a, 0, -a) at 0
+        rng = np.random.default_rng(5)
+        scales = 0.5 * 10.0 ** rng.uniform(-8.0, 0.0, 300)
+        turns = np.linalg.qr(gaussian(rng, 300, 3, 3))[0]
+        matrices = (turns * (scales[:, None] * spectrum)[:, None]) @ turns.conj().swapaxes(1, 2)
+        got = machines._ancilla_errors(self.stacked(matrices))
+        np.testing.assert_allclose(got, error * scales, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got, self.eigensolved(self.stacked(matrices)), rtol=0,
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_a_zero_difference_has_error_zero(self, m):
+        # p = 0 for m = 3: no division by it, so no warning, and no sign bit
+        got = machines._ancilla_errors(np.zeros((m, m, 4), dtype=complex))
+        assert got.tolist() == [0.0] * 4
+        assert not np.any(np.signbit(got))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_an_off_diagonal_coupling_alone(self, m):
+        # eigenvalues +-|z| and, for m = 3, 0: the error is |z|
+        matrices = np.zeros((1, m, m), dtype=complex)
+        matrices[0, 0, 1], matrices[0, 1, 0] = 0.3 + 0.4j, 0.3 - 0.4j
+        assert machines._ancilla_errors(self.stacked(matrices)).tolist() == pytest.approx(
+            [0.5], rel=0, abs=1e-15)
+
+    def test_thirty_digit_eigenvalues(self, monkeypatch):
+        mp = pytest.importorskip("mpmath").mp
+        rng = np.random.default_rng(6)
+        stacks = [self.classifier_stack(monkeypatch, random_deleting_isometry(rng, d, m), 20, 1)
+                  for d, m in ((2, 2), (2, 3), (3, 3))]
+        stacks.append(self.classifier_stack(monkeypatch, conditional_deleter(), 20, 2))
+        for stack in stacks:
+            with mp.workdps(30):
+                exact = [mp.fsum(abs(e) for e in mp.eighe(mp.matrix(matrix.tolist()),
+                                                          eigvals_only=True)) / 2
+                         for matrix in np.moveaxis(stack, -1, 0)]
+                exact = np.array([float(e) for e in exact])
+            np.testing.assert_allclose(machines._ancilla_errors(stack), exact, rtol=0, atol=1e-14)
 
 
 class TestTwoCopyKernel:

@@ -120,6 +120,20 @@ MUTANTS = (
     Mutant("classifier_rho_without_conj", "machines.py",
            "rho += ancilla[:, None] * ancilla.conj()", "rho += ancilla[:, None] * ancilla",
            ("tests/test_machines.py",)),
+    # the classifier's closed-form ancilla errors: the cubic's largest root in place of its
+    # smallest, the qubit form without |D01|^2, p = 0 divided by, r left unclipped at -1 - eps,
+    # and -lambda_min left a few eps below 0
+    Mutant("cubic_largest_root", "machines.py", "np.cos(phi + 2.0 * np.pi / 3.0)", "np.cos(phi)",
+           ("tests/test_machines.py",)),
+    Mutant("qubit_form_without_coupling", "machines.py",
+           "np.hypot(0.5 * (diagonal[0] - diagonal[1]), np.abs(differences[0, 1]))",
+           "np.abs(0.5 * (diagonal[0] - diagonal[1]))", ("tests/test_machines.py",)),
+    Mutant("cubic_divides_by_p_0", "machines.py", "solvable = cube > 0", "solvable = cube >= 0",
+           ("tests/test_machines.py",)),
+    Mutant("cubic_without_clip", "machines.py", "np.arccos(np.clip(r, -1.0, 1.0))",
+           "np.arccos(r)", ("tests/test_machines.py",)),
+    Mutant("ancilla_errors_unclamped", "machines.py", "return np.maximum(errors, 0.0)",
+           "return errors", ("tests/test_machines.py",)),
     Mutant("gram_in_through_abs", "nogo.py", "gram_in = (amps.conj() @ amps.T) ** 2",
            "gram_in = np.abs(amps.conj() @ amps.T) ** 2", ("tests/test_nogo.py",)),
     Mutant("haar_real_gaussian", "hilbert.py", "z = parts[:, 0] + 1j * parts[:, 1]",
