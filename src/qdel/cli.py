@@ -1,8 +1,9 @@
 """Command-line interface: every analysis as a subcommand with stable output.
 
 Outside --sweep, a subcommand emits the report of one analysis, which owns its
-thresholds. Exit codes: 0 success, 2 flag/usage error, 3 numeric error during
-computation (an allocation numpy refuses and a machine file nested too deeply included).
+thresholds and judges each flag's value once; flag types parse syntax only. Exit codes:
+0 success, 2 flag/usage error (an `InputError` from a library rule included), 3 numeric
+error during computation (an allocation numpy refuses, a file nested too deeply).
 Angles are radians by default; append ``deg`` for degrees (``--theta1 45deg``).
 argparse reads a value such as ``-45deg`` or ``-1e-3`` as an option, so a
 negative angle with ``deg`` or an exponent is written ``--theta1=-45deg``.
@@ -14,80 +15,62 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
 from .deletion import optimal_quality
-from .fidelity import _MIN_GRID, _batched_fidelities, fidelity_report
-from .hilbert import _bloch_amplitudes, _half_trace_norms
+from .errors import InputError
+from .fidelity import _batched_fidelities, fidelity_report
+from .hilbert import _bloch_amplitudes, _finite_angles, _half_trace_norms, _int_at_least
 from .machines import _copy_layout, delete_demo_report, machine_from_json
 # apply stays bound as apply_machine: perfbench's span test checks that this binding is wrapped
 from .machines import apply as apply_machine  # noqa: F401
-from .nogo import _sweep_max_residuals, _verify_report, overlap_constraints
+from .nogo import _positive_tol, _sweep_max_residuals, _verify_report, overlap_constraints
 from .reports import RunManifest, _csv, _json, emit_report
 from .signalling import _deletion_mixtures, signalling_distance
 
 __all__ = ["main", "entry"]
 
 
-# Flag types: argparse turns a ValueError raised here into a usage error (exit 2).
+def _syntax(expected: str, parse):
+    """`parse` as a flag type whose ValueError is a usage error naming what was expected."""
+    def flag_type(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+    return flag_type
 
 
 def _parse_angle(text: str) -> float:
-    text = text.strip().lower()
-    value = math.radians(float(text[:-3])) if text.endswith("deg") else float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
-    return value
+    try:  # radians, the common case, without the string work degrees need
+        return float(text)
+    except ValueError:
+        return math.radians(float(text.strip().lower().removesuffix("deg")))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2 or not all(part.isdigit() for part in parts):
-        raise argparse.ArgumentTypeError(f"grid must look like 256x256, got {text!r}")
-    grid = int(parts[0]), int(parts[1])
-    if min(grid) < _MIN_GRID:
-        raise argparse.ArgumentTypeError(f"grid must be at least {_MIN_GRID}x{_MIN_GRID}")
-    return grid
+    n_theta, n_phi = text.lower().split("x")
+    return int(n_theta), int(n_phi)
 
 
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
+@dataclass(slots=True)
+class _BlochToken:  # a bloch:THETA[:PHI] token's (theta, phi), not yet judged finite
+    angles: tuple[float, float]
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
-
-
-def _bounded_int(low: int, most: float = math.inf):
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        if value > most:
-            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text}")
-        return value
-
-    return integer
-
-
-# An alphabet state as the flag reads it: a basis index, which waits for the
-# machine's dimension, or the two amplitudes of a qubit state.
-AlphabetState = Union[int, tuple[complex, complex]]
+# A parsed alphabet state: a basis index, a bloch: token's angles, or + or -'s amplitudes
+AlphabetState = Union[int, _BlochToken, tuple[complex, complex]]
 
 _HALF = 1 / math.sqrt(2)
 
 
 def _parse_alphabet(spec: str) -> list[AlphabetState]:
-    """Amplitude pairs for +, - and bloch:THETA[:PHI]; basis indices as ints."""
+    """Amplitude pairs for + and -, angles for bloch:THETA[:PHI], basis indices as ints."""
     states: list[AlphabetState] = []
     for token in spec.split(","):
         token = token.strip()
@@ -99,25 +82,25 @@ def _parse_alphabet(spec: str) -> list[AlphabetState]:
             states.append((_HALF, -_HALF))
         elif token.startswith("bloch:"):
             theta, colon, phi = token[len("bloch:") :].partition(":")
-            theta = _parse_angle(theta)
-            states.append(_bloch_amplitudes(theta, _parse_angle(phi) if colon else 0.0))
+            states.append(_BlochToken((_parse_angle(theta), _parse_angle(phi) if colon else 0.0)))
         else:
             states.append(int(token))
     if not states:
-        raise argparse.ArgumentTypeError("alphabet is empty")
+        raise ValueError("alphabet is empty")
     return states
 
 
 def _alphabet_amplitudes(alphabet: list[AlphabetState], dim: int) -> np.ndarray:
     """The parsed alphabet on a machine with `dim`-level copies, one (K, dim) amplitude row
-    per state; a misfit is a usage error."""
-    if dim != 2 and any(isinstance(state, tuple) for state in alphabet):
-        raise argparse.ArgumentTypeError(f"--alphabet: qubit states given for {dim}-level copies")
+    per state; its Bloch angles are already judged finite, and a misfit is an InputError."""
+    if dim != 2 and any(not isinstance(state, int) for state in alphabet):
+        raise InputError(f"--alphabet: qubit states given for {dim}-level copies")
     bad = [i for i in alphabet if isinstance(i, int) and not 0 <= i < dim]
     if bad:
-        raise argparse.ArgumentTypeError(f"--alphabet: index {bad[0]} outside dimension {dim}")
+        raise InputError(f"--alphabet: index {bad[0]} outside dimension {dim}")
     basis = np.eye(dim, dtype=complex)
-    return np.array([basis[s] if isinstance(s, int) else s for s in alphabet], dtype=complex)
+    return np.array([basis[s] if isinstance(s, int) else _bloch_amplitudes(*s.angles)
+                     if isinstance(s, _BlochToken) else s for s in alphabet], dtype=complex)
 
 
 def _angle_help(flag: str, what: str) -> str:
@@ -126,6 +109,8 @@ def _angle_help(flag: str, what: str) -> str:
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and each subcommand's parser by name."""
+    angle = _syntax("an angle in radians, or in degrees with a deg suffix", _parse_angle)
+    alphabet = _syntax("basis indices, +, - or bloch:THETA[:PHI]", _parse_alphabet)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=None, help="output path (default stdout)")
     common.add_argument("--manifest", action="store_true", help="print a run manifest to stderr")
@@ -140,43 +125,41 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("quality", parents=[report], help="N-to-M deletion quality bound")
-    p.add_argument("--n", type=_bounded_int(1), required=True)
-    p.add_argument("--m", type=_bounded_int(1), required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("fidelity", parents=[report], help="conditional-deleter fidelities")
-    p.add_argument("--alpha-sq", type=_unit_interval, default=None)
+    p.add_argument("--alpha-sq", type=float, default=None)
     p.add_argument("--average", action="store_true", default=None,
                    help="average over a 256x256 grid instead of 64x64; no effect with --grid")
-    p.add_argument("--grid", type=_parse_grid, default=None, metavar="AxB",
+    p.add_argument("--grid", type=_syntax("a grid like 256x256", _parse_grid), metavar="AxB",
                    help="quadrature grid, e.g. 256x256; at most 4096 theta rows, 2^28 points")
-    p.add_argument("--sweep", type=_bounded_int(2), default=None, metavar="N",
+    p.add_argument("--sweep", type=int, default=None, metavar="N",
                    help="emit CSV of (alpha_sq, f_a, f_b) over an N-point sweep")
 
     p = sub.add_parser("nogo", parents=[report], help="non-orthogonal deletion constraints")
-    p.add_argument("--overlap", type=_unit_interval, default=None, metavar="S")
-    p.add_argument("--sweep", type=_bounded_int(2), default=None, metavar="N")
-    p.add_argument("--phase", type=_parse_angle, default=0.0, metavar="CHI",
+    p.add_argument("--overlap", type=float, default=None, metavar="S")
+    p.add_argument("--sweep", type=int, default=None, metavar="N")
+    p.add_argument("--phase", type=angle, default=0.0, metavar="CHI",
                    help=_angle_help("--phase", "phase of the overlap"))
 
     p = sub.add_parser("signal", parents=[report], help="no-signalling consistency check")
-    p.add_argument("--theta1", type=_parse_angle, default=None, metavar="T1",
+    p.add_argument("--theta1", type=angle, default=None, metavar="T1",
                    help=_angle_help("--theta1", "Alice's first basis angle"))
-    p.add_argument("--theta2", type=_parse_angle, default=None, metavar="T2",
+    p.add_argument("--theta2", type=angle, default=None, metavar="T2",
                    help=_angle_help("--theta2", "Alice's second basis angle"))
-    p.add_argument("--sweep", type=_bounded_int(2), default=None, metavar="N",
+    p.add_argument("--sweep", type=int, default=None, metavar="N",
                    help="emit CSV of trace distance to the theta=0 mixture")
 
     p = sub.add_parser("delete-demo", parents=[common], help="pair-deleter linearity obstruction")
-    # dim^2 <= 4096: the pair's total dimension stays where hilbert's tolerances hold
-    p.add_argument("--dim", type=_bounded_int(2, most=64), default=2)
-    p.add_argument("--alpha-sq", type=_unit_interval, default=0.5)
+    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--alpha-sq", type=float, default=0.5)
 
     p = sub.add_parser("verify", parents=[common], help="check a user-supplied machine")
     p.add_argument("--machine", required=True, metavar="FILE")
-    p.add_argument("--alphabet", type=_parse_alphabet, default=None, metavar="SPEC",
+    p.add_argument("--alphabet", type=alphabet, default=None, metavar="SPEC",
                    help="comma-separated states: basis indices, +, -, bloch:THETA[:PHI]")
-    p.add_argument("--tol", type=_positive_float, default=1e-10,
-                   help="isometry tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=1e-10, help="isometry tolerance (default 1e-10)")
 
     return parser, sub.choices
 
@@ -222,13 +205,10 @@ def _run_quality(args) -> str:
 
 def _run_fidelity(args) -> str:
     if args.sweep is not None:
-        xs = np.linspace(0.0, 1.0, args.sweep)
+        xs = np.linspace(0.0, 1.0, _int_at_least(args.sweep, 2, "n_points"))
         f_b, f_a = _batched_fidelities(np.sqrt(xs), np.sqrt(1.0 - xs))
         return _csv("alpha_sq,f_a,f_b", xs, f_a, f_b)
-    if args.grid is not None:
-        n_theta, n_phi = args.grid
-    else:
-        n_theta, n_phi = (256, 256) if args.average else (64, 64)
+    n_theta, n_phi = args.grid or ((256, 256) if args.average else (64, 64))
     report = fidelity_report(args.alpha_sq, n_theta=n_theta, n_phi=n_phi)
     return emit_report(report, args.format)
 
@@ -241,7 +221,7 @@ def _run_nogo(args) -> str:
 
 def _run_signal(args) -> str:
     if args.sweep is not None:
-        thetas = np.linspace(0.0, math.pi, args.sweep)
+        thetas = np.linspace(0.0, math.pi, _int_at_least(args.sweep, 2, "n_points"))
         mixtures = _deletion_mixtures(thetas)
         distances = _half_trace_norms(mixtures - mixtures[0])
         return _csv("theta,trace_distance_vs_theta0", thetas, distances)
@@ -253,6 +233,9 @@ def _run_delete_demo(args) -> str:
 
 
 def _run_verify(args) -> str:
+    # --tol, then all Bloch angles in one call (math.cos raises on inf), before the file is read
+    _positive_tol(args.tol)
+    _finite_angles([a for s in args.alphabet or () if isinstance(s, _BlochToken) for a in s.angles])
     try:
         with open(args.machine, "r", encoding="utf-8") as fh:
             machine = machine_from_json(json.load(fh), strict=False)
@@ -282,9 +265,10 @@ _SWEEP_IGNORED = {
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Rules that join two flags, then defaults; argparse types check each flag's range."""
-    if args.command == "quality" and args.m > args.n:
-        parser.error(f"need 1 <= m <= n, got n={args.n}, m={args.m}")
+    """The CLI's own rules (the --dim cap, flags --sweep or a format rules out), then defaults."""
+    # dim^2 <= 4096: delete-demo's pair dimension stays where hilbert's tolerances hold
+    if args.command == "delete-demo" and args.dim > 64:
+        parser.error(f"argument --dim: must be at most 64, got {args.dim}")
     ignored = _SWEEP_IGNORED.get(args.command, {})
     if getattr(args, "sweep", None) is not None:
         given = [f"--{d.replace('_', '-')}" for d in ignored if getattr(args, d) is not None]
@@ -312,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         try:
             text = _RUNNERS[args.command](args)
-        except argparse.ArgumentTypeError as exc:  # a flag value the input shows to be wrong
+        except InputError as exc:  # a library rule refused a flag's value
             parser.error(str(exc))
         except _NUMERIC_ERRORS:
             _emit_manifest(args, argv)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .hilbert import Ket, _alpha_sq, _int_at_least, qubit_ket
 
 __all__ = [
@@ -76,10 +77,10 @@ def symmetric_expand(alpha: complex, beta: complex, n: int) -> np.ndarray:
 
 
 def _copy_counts(n: object, m: object) -> tuple[int, int]:
-    """n and m as ints with 1 <= m <= n; bools and non-integers are a ValueError."""
+    """n and m as ints with 1 <= m <= n; bools, non-integers and m > n are an InputError."""
     n, m = _int_at_least(n, 1, "n"), _int_at_least(m, 1, "m")
     if m > n:
-        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
+        raise InputError(f"need 1 <= m <= n, got n={n}, m={m}")
     return n, m
 
 

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["ShapeError", "InvalidStateError", "UnsupportedFormatError"]
+__all__ = ["ShapeError", "InvalidStateError", "UnsupportedFormatError", "InputError"]
 
 
 class ShapeError(ValueError):
@@ -13,3 +13,7 @@ class InvalidStateError(ValueError):
 
 class UnsupportedFormatError(ValueError):
     """A report cannot be rendered in the requested output format."""
+
+
+class InputError(ValueError):
+    """A caller's scalar argument breaks its rule; the command line's usage error (exit 2)."""

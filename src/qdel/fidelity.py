@@ -30,8 +30,10 @@ size per process, by Newton's method on the Legendre recurrence
 pass and the averages are computed afresh on every call.
 The grid is never held whole: it goes through `_grid_rows` in bands of theta
 rows, about `_POINT_BLOCK` points each, and only the per-row phi means are
-kept, so a grid's memory does not grow with its size. A grid above
-`_MAX_GRID_POINTS` points, or above `_MAX_THETA_ROWS` theta rows, is refused.
+kept. Memory grows with n_phi, not n_theta: the (4, n_phi) phase table and at least
+one whole theta row are held, about 216 B per phi point (tracemalloc peaks: 0.85/13.5/54
+MiB at 8 x 4096/65,536/262,144, 0.64 MiB at 512 x 512; 8 x 2^25 would need some 7 GB).
+A grid above `_MAX_GRID_POINTS` points, or `_MAX_THETA_ROWS` theta rows, is refused.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InputError, InvalidStateError
 from .hilbert import (
     DensityMatrix,
     Ket,
@@ -114,8 +116,8 @@ _PHASE_FORMS = _phase_forms(_OPERATORS)
 _POINT_BLOCK = 4096
 
 # Largest grid `_grid_averages` accepts, 268,435,456 points: a 2048 x 131,072
-# grid took 14 s on a 2-core host. The grid is streamed, so a larger one would
-# not fail to allocate; it would run for minutes to hours instead.
+# grid took 14 s on a 2-core host. Streamed in bands of theta rows, a larger one of
+# short rows would not fail to allocate; it would run for minutes to hours instead.
 _MAX_GRID_POINTS = 2**28
 
 # Most theta rows `_grid_averages` accepts. `_gauss_legendre` is O(n^2) in time
@@ -296,7 +298,7 @@ def _grid_averages(n_theta: int, n_phi: int) -> tuple[float, float]:
 def average_fidelity(mode: str, n_theta: int, n_phi: int) -> float:
     """Bloch-sphere average of F_a or F_b over the full 2-D grid (see `_grid_averages`)."""
     if mode not in ("a", "b"):
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+        raise InputError(f"mode must be 'a' or 'b', got {mode!r}")
     avg_b, avg_a = _grid_averages(n_theta, n_phi)
     return avg_b if mode == "b" else avg_a
 

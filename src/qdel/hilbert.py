@@ -33,7 +33,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidStateError, ShapeError
+from .errors import InputError, InvalidStateError, ShapeError
 
 # 1e-12 for algebraic identities, 1e-10 for eigenvalue-based checks; dense
 # double precision on total dimensions <= 4096 supports nothing tighter.
@@ -74,29 +74,29 @@ def _dims(dims: Sequence[int]) -> tuple[int, ...]:
 
 
 def _int_at_least(value: object, least: int, name: str) -> int:
-    """`value` as an int if it is an integer, not a bool, and >= `least`; else ValueError."""
+    """`value` as an int if it is an integer, not a bool, and >= `least`; else InputError."""
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
     if number is None or number < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
     return number
 
 
-def _alpha_sq(value: object) -> float:
-    """`value` as a float probability |alpha|^2 in [0, 1]; else ValueError."""
+def _alpha_sq(value: object, name: str = "alpha_sq") -> float:
+    """`value` as a float in [0, 1] (|alpha|^2, or an overlap); else InputError naming `name`."""
     x = float(value)
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {x}")
+        raise InputError(f"{name} must lie in [0, 1], got {x}")
     return x
 
 
 def _finite_angles(angles: np.typing.ArrayLike) -> np.ndarray:
-    """`angles` as a float array; ValueError, naming the first, if one is not finite."""
+    """`angles` as a float array; InputError, naming the first, if one is not finite."""
     angles = np.asarray(angles, dtype=float)
     if not np.isfinite(angles).all():
-        raise ValueError(f"angle must be finite, got {float(angles[~np.isfinite(angles)][0])!r}")
+        raise InputError(f"angle must be finite, got {float(angles[~np.isfinite(angles)][0])!r}")
     return angles
 
 

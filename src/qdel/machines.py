@@ -413,7 +413,7 @@ class DeleteDemoReport:
 def delete_demo_report(dim: int, alpha_sq: float) -> DeleteDemoReport:
     """Run the pair deleter on two copies of the input `DeleteDemoReport` describes.
 
-    `dim` is at least 2 and `alpha_sq` lies in [0, 1]; anything else is a ValueError.
+    `dim` is at least 2 and `alpha_sq` lies in [0, 1]; anything else is an InputError.
     No matrix is built: the deleter's output on |psi psi> is the d^2 products psi_i psi_j
     scattered onto `_pair_targets`, each target summing at most two of them, so it holds
     the bits the matrix product gives. The residual arithmetic is `_output_residuals`'.
@@ -515,7 +515,7 @@ def classify_deleter(
     ancilla image is an InvalidStateError.
 
     `samples` is a positive and `seed` a non-negative integer (bool is
-    neither); anything else is a ValueError. The `samples` inputs are drawn
+    neither); anything else is an InputError. The `samples` inputs are drawn
     from `np.random.default_rng(seed)` in one call; their residuals and
     ancilla errors are reported, and the verdict records `samples` and `seed`.
     """

@@ -30,8 +30,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ShapeError
-from .hilbert import Ket, _finite_angles, _int_at_least, _require_unit, basis_ket, inner, tensor
+from .errors import InputError, ShapeError
+from .hilbert import (Ket, _alpha_sq, _finite_angles, _int_at_least, _require_unit, basis_ket,
+                      inner, tensor)
 from .machines import BasisActionMachine, _copies_output, _copy_layout, check_isometry
 
 __all__ = [
@@ -118,7 +119,9 @@ def nonorthogonal_constraints(psi1: Ket, psi2: Ket, sigma: Ket) -> ConstraintRep
 
 
 def overlap_constraints(s: float, phase: float = 0.0) -> ConstraintReport:
-    """The five conditions for psi1 = sigma = |0>, psi2 = s e^{i phase}|0> + sqrt(1-s^2)|1>."""
+    """The five conditions for psi1 = sigma = |0>, psi2 = s e^{i phase}|0> + sqrt(1-s^2)|1>;
+    s lies in [0, 1] and the phase is finite, else an InputError."""
+    s = _alpha_sq(s, "overlap s")
     phase = _finite_angles(phase).item()
     amp = complex(math.cos(phase), math.sin(phase)) * s
     psi2 = Ket((2,), [amp, math.sqrt(max(1.0 - s * s, 0.0))])
@@ -141,6 +144,7 @@ def _sweep_max_residuals(n_points: int, phase: float = 0.0) -> tuple[np.ndarray,
     the inner products are <psi1|psi2> = <sigma|psi2> = z, <sigma|psi1> = 1
     and <psi2|psi1> = conj(z).
     """
+    phase = _finite_angles(phase).item()
     s = _overlap_grid(n_points)
     z = complex(math.cos(phase), math.sin(phase)) * s
     rest = np.sqrt(np.maximum(1.0 - s * s, 0.0))
@@ -220,20 +224,24 @@ def verify_report(
 ) -> VerifyReport:
     """The `VerifyReport` of a machine, its isometry judged within `tol`.
 
-    `tol` is positive and finite, else a ValueError; the report records it.
+    `tol` is positive and finite, else an InputError; the report records it.
     Without an alphabet `max_gram_residual` is None.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    _positive_tol(tol)
     return _verify_report(machine, tol, None if alphabet is None else _stacked(alphabet))
+
+
+def _positive_tol(tol: float) -> None:
+    """The one rule on a `verify` tolerance: positive and finite, else an InputError."""
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"tol must be a positive finite number, got {tol}")
 
 
 def _verify_report(
     machine: BasisActionMachine, tol: float, amps: Optional[np.ndarray]
 ) -> VerifyReport:
     """`verify_report` with the alphabet given as (K, d) amplitudes, as `_gram_residual`
-    takes them, or None; `tol` is already known positive and finite (`verify_report`'s
-    check, or the CLI's `--tol` type)."""
+    takes them, or None; `tol` has already passed `_positive_tol`."""
     deviation = check_isometry(machine)
     return VerifyReport(
         is_isometry=deviation <= tol,

@@ -250,9 +250,8 @@ def bob_machine_and_reduce(theta: float, machine: BasisActionMachine) -> Density
     and the ancilla is traced out. Legal machines leave the mixture
     basis-independent.
     """
-    d, m = _copy_layout(machine)
-    if d != 2 or m == 1:
-        raise ShapeError(f"need a machine on [2, 2, m], got {machine.input_dims}")
+    if _copy_layout(machine)[0] != 2:
+        raise ShapeError(f"need a machine on [2, 2] or [2, 2, m], got {machine.input_dims}")
     if machine.output_dims[:2] != (2, 2):
         raise ShapeError(
             f"need an output that starts with Bob's two qubits (2, 2), got {machine.output_dims}"

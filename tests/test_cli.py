@@ -533,6 +533,24 @@ class TestManifest:
         assert captured.err.endswith("error: --alphabet: index 5 outside dimension 2\n")
         assert '"command"' not in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--tol", "nan"], "tol must be a positive finite number, got nan"),
+         (["--alphabet", "0,bloch:1:inf"], "angle must be finite, got inf")],
+        ids=["tol", "bloch_angle"],
+    )
+    def test_flag_values_are_judged_before_the_machine_file_is_read(
+        self, capsys, tmp_path, flags, message
+    ):
+        # a numeric error's manifest records these flags, so a missing file waits for them
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--machine", missing, *flags, "--manifest")
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+        assert '"command"' not in captured.err
+
     def test_a_numeric_error_keeps_its_manifest(self, capsys, tmp_path):
         path = tmp_path / "missing.json"
         code, out, err = run(capsys, "verify", "--machine", str(path), "--manifest")
@@ -550,8 +568,26 @@ class TestManifest:
      (["nogo", "--sweep", "3", "--overlap", "0.2"],
       "--sweep prints CSV and would ignore --overlap"),
      (["signal", "--format", "csv"], "the signal report is matrix-valued and has no CSV rendering"),
-     (["verify", "--alphabet", "0,+"], "--alphabet: qubit states given for 3-level copies")],
-    ids=["quality", "fidelity_sweep", "nogo_sweep", "signal_csv", "verify_alphabet"],
+     (["verify", "--alphabet", "0,+"], "--alphabet: qubit states given for 3-level copies"),
+     # a value a library rule refuses, in the words of that rule
+     (["quality", "--n", "0", "--m", "1"], "n must be an integer >= 1, got 0"),
+     (["fidelity", "--alpha-sq", "1.5"], "alpha_sq must lie in [0, 1], got 1.5"),
+     (["fidelity", "--grid", "4x64"], "n_theta must be an integer >= 8, got 4"),
+     (["fidelity", "--sweep", "1"], "n_points must be an integer >= 2, got 1"),
+     (["nogo", "--overlap", "-0.5"], "overlap s must lie in [0, 1], got -0.5"),
+     (["nogo", "--sweep", "1"], "n_points must be an integer >= 2, got 1"),
+     (["signal", "--theta1", "nan"], "angle must be finite, got nan"),
+     (["signal", "--sweep", "0"], "n_points must be an integer >= 2, got 0"),
+     (["delete-demo", "--dim", "1"], "qudit dimension must be an integer >= 2, got 1"),
+     (["delete-demo", "--alpha-sq", "nan"], "alpha_sq must lie in [0, 1], got nan"),
+     (["delete-demo", "--dim", "65"], "argument --dim: must be at most 64, got 65"),
+     (["verify", "--tol", "0"], "tol must be a positive finite number, got 0.0"),
+     (["verify", "--alphabet", "0,bloch:1:inf"], "angle must be finite, got inf")],
+    ids=["quality", "fidelity_sweep", "nogo_sweep", "signal_csv", "verify_alphabet",
+         "quality_n", "fidelity_alpha_sq", "fidelity_grid", "fidelity_sweep_points",
+         "nogo_overlap", "nogo_sweep_points", "signal_theta", "signal_sweep_points",
+         "delete_demo_dim", "delete_demo_alpha_sq", "delete_demo_dim_cap", "verify_tol",
+         "verify_angle"],
 )
 def test_usage_errors_after_parsing_read_like_argparse(capsys, tmp_path, argv, message):
     """Each prints its subcommand's usage line and `qdel <command>: error:`, as argparse does."""
@@ -565,6 +601,66 @@ def test_usage_errors_after_parsing_read_like_argparse(capsys, tmp_path, argv, m
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.startswith(f"usage: qdel {argv[0]} [-h] ")
     assert captured.err.endswith(f"qdel {argv[0]}: error: {message}\n")
+
+
+def test_a_flag_value_that_does_not_parse_names_what_the_flag_expected(capsys, tmp_path):
+    """Every flag that parses its value, given `abc`, is a usage error in words of its own,
+    never argparse's `invalid <function name> value`."""
+    machine = tmp_path / "machine.json"
+    machine.write_text(json.dumps(machine_to_json(swap_deleter(2))))
+    checked = []
+    for command, parser in cli._COMMANDS.items():
+        for action in parser._actions:
+            if not action.option_strings or (action.type is None and action.choices is None):
+                continue
+            flag = action.option_strings[0]
+            required = ["--machine", str(machine)] if command == "verify" else []
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, command, flag, "abc", *required)
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == "", (command, flag)
+            assert captured.err.startswith(f"usage: qdel {command} [-h] "), (command, flag)
+            assert f"error: argument {flag}: " in captured.err, (command, flag)
+            assert "invalid _" not in captured.err, (command, flag, captured.err)
+            checked.append(flag)
+    # every value-taking flag but --out and --machine, which name paths
+    assert len(checked) == 19
+
+
+# Each rule on a flag's value, the job that runs it, and how often one job calls it.
+RULE_CALLS = [
+    ("_copy_counts", ["quality", "--n", "12", "--m", "5"], 1),
+    ("_alpha_sq", ["fidelity", "--alpha-sq", "0.3"], 1),
+    ("_alpha_sq", ["delete-demo", "--dim", "3"], 1),
+    ("_alpha_sq", ["nogo", "--overlap", "0.5"], 1),
+    ("_int_at_least", ["fidelity", "--sweep", "5"], 1),
+    ("_finite_angles", ["signal", "--theta1", "0.3", "--theta2", "1.2"], 1),
+    ("_finite_angles", ["nogo", "--sweep", "5", "--phase", "0.3"], 1),
+    ("_finite_angles", ["verify", "--alphabet", "bloch:0.3:1.2,bloch:1,+,0"], 1),
+]
+
+
+@pytest.mark.parametrize("rule, argv, calls", RULE_CALLS,
+                         ids=[" ".join(argv) for _, argv, _ in RULE_CALLS])
+def test_each_rule_runs_once_per_job(capsys, monkeypatch, tmp_path, rule, argv, calls):
+    """A rule is counted wherever a module binds it, so a second copy of a check shows."""
+    if argv[0] == "verify":
+        path = tmp_path / "machine.json"
+        path.write_text(json.dumps(machine_to_json(swap_deleter(2))))
+        argv = [*argv, "--machine", str(path)]
+    seen = []
+    original = next(getattr(m, rule) for m in (qdel.hilbert, qdel.deletion) if hasattr(m, rule))
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    for name in ("cli", "hilbert", "machines", "deletion", "fidelity", "nogo", "signalling"):
+        module = getattr(qdel, name)
+        if getattr(module, rule, None) is original:
+            monkeypatch.setattr(module, rule, counted)
+    assert run(capsys, *argv)[0] == 0
+    assert len(seen) == calls, seen
 
 
 def run_fresh(*argv):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qdel.errors import InvalidStateError, ShapeError
+from qdel.errors import InputError, InvalidStateError, ShapeError
 from qdel.hilbert import (
     DensityMatrix,
     Ket,
@@ -345,7 +345,7 @@ class TestBlochKet:
         angles = {"theta": 0.3, "phi": 0.4, slot: bad}
         with pytest.raises(ValueError, match=f"^angle must be finite, got {bad!r}$") as info:
             bloch_ket(**angles)
-        assert type(info.value) is ValueError
+        assert type(info.value) is InputError
 
 
 class TestDensityMatrixInvariants:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qdel.cli import main
-from qdel.errors import InvalidStateError, ShapeError
+from qdel.errors import InputError, InvalidStateError, ShapeError
 from qdel.hilbert import Ket, basis_ket, bloch_ket, haar_qubit, inner, ket, tensor
 from qdel.machines import (
     BasisActionMachine,
@@ -19,6 +19,7 @@ from qdel.machines import (
 from qdel.nogo import (
     Constraint,
     ConstraintReport,
+    _conditions,
     _sweep_max_residuals,
     gram_preservation_check,
     ideal_deletion_map,
@@ -102,6 +103,21 @@ class TestNonorthogonalConstraints:
         with pytest.raises(ShapeError):
             nonorthogonal_constraints(basis_ket([3], 0), basis_ket([3], 0), basis_ket([3], 0))
 
+    def test_the_five_conditions_hold_together_only_at_unit_overlap(self):
+        """sympy solves the package's own conditions on symbols: s = s1 = s2 = s21 = 1."""
+        sympy = pytest.importorskip("sympy")
+        s, s1, s2, s21 = sympy.symbols("s s1 s2 s21")
+        # sympy reads the conditions' 1 + 0j as the float 1.0, so the solution is one too
+        equations = [lhs - rhs for _, lhs, rhs in _conditions(s, s1, s2, s21)]
+        assert sympy.solve(equations, [s, s1, s2, s21], dict=True) == [
+            {s: 1.0, s1: 1.0, s2: 1.0, s21: 1.0}
+        ]
+
+    @pytest.mark.parametrize("s", [-0.5, 1.5, -1e-300, 1.0 + 1e-15, math.nan, math.inf])
+    def test_an_overlap_outside_the_unit_interval_is_refused_by_name(self, s):
+        with pytest.raises(InputError, match=r"^overlap s must lie in \[0, 1\], got "):
+            overlap_constraints(s)
+
 
 class TestSweepOverlap:
     def test_endpoints(self):
@@ -134,10 +150,11 @@ class TestSweepOverlap:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_a_non_finite_phase_is_refused_by_name(self, bad):
-        for refused in (lambda: overlap_constraints(0.5, bad), lambda: sweep_overlap(5, bad)):
+        for refused in (lambda: overlap_constraints(0.5, bad), lambda: sweep_overlap(5, bad),
+                        lambda: _sweep_max_residuals(5, bad)):
             with pytest.raises(ValueError, match=f"^angle must be finite, got {bad!r}$") as info:
                 refused()
-            assert type(info.value) is ValueError
+            assert type(info.value) is InputError
 
     def test_too_few_points_rejected(self):
         for sweep in (sweep_overlap, _sweep_max_residuals):
@@ -273,7 +290,7 @@ class TestVerifyReport:
                              ids=["none", "empty", "mixed_spaces"])
     def test_tolerance_must_be_positive_and_finite(self, tol, alphabet):
         """A bad tol is named before anything about the alphabet."""
-        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        with pytest.raises(InputError, match="tol must be a positive finite number"):
             verify_report(swap_deleter(2), tol, alphabet)
 
 

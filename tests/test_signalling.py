@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdel import signalling
-from qdel.errors import InvalidStateError, ShapeError
+from qdel.errors import InputError, InvalidStateError, ShapeError
 from qdel.hilbert import (
     DensityMatrix,
     Ket,
@@ -22,6 +22,7 @@ from qdel.machines import (
     _pair_output,
     apply,
     conditional_deleter,
+    qudit_pair_deleter,
     swap_deleter,
 )
 from qdel.signalling import (
@@ -189,6 +190,16 @@ class TestSwapDeleterCannotSignal:
         with pytest.raises(ShapeError):
             bob_machine_and_reduce(0.0, swap_deleter(3))
 
+    def test_a_two_qubit_machine_without_an_ancilla_is_taken(self):
+        # a [2, 2] machine is a [2, 2, m] one with m = 1: a unitary leaves Bob's mixture I/4,
+        # and the pair deleter, no isometry, moves it
+        cnot = BasisActionMachine((2, 2), (2, 2), np.eye(4)[:, [0, 1, 3, 2]])
+        for theta in (0.0, 0.3, 1.1):
+            rho = bob_machine_and_reduce(theta, cnot).entries
+            assert np.max(np.abs(rho - np.eye(4) / 4)) <= 1e-15
+        pair = [bob_machine_and_reduce(theta, qudit_pair_deleter(2)) for theta in (0.0, 0.3)]
+        assert trace_distance(*pair) > 0.05
+
     def test_a_machine_that_loses_a_branch_is_refused(self):
         # zero on |1 1 0>: at theta = 0 one of Alice's outcomes leaves Bob |1 1>, whose output
         # vanishes; at theta = 0.3 no branch is a basis state, so none does
@@ -333,7 +344,7 @@ class TestNonFiniteAngles:
     def test_is_refused_by_name(self, name, bad):
         with pytest.raises(ValueError, match=f"^angle must be finite, got {bad!r}$") as info:
             self.ENTRY_POINTS[name](bad)
-        assert type(info.value) is ValueError
+        assert type(info.value) is InputError
 
 
 def reference_mixture(theta, branch):

@@ -199,8 +199,39 @@ MUTANTS = (
            "theta, phi", ("tests/test_hilbert.py",)),
     Mutant("signalling_takes_any_angle", "signalling.py", "thetas = _finite_angles(thetas)",
            "thetas = np.asarray(thetas, dtype=float)", ("tests/test_signalling.py",)),
-    Mutant("overlap_takes_any_phase", "nogo.py", "phase = _finite_angles(phase).item()",
-           "phase = float(phase)", ("tests/test_nogo.py",)),
+    Mutant("overlap_takes_any_phase", "nogo.py",
+           's = _alpha_sq(s, "overlap s")\n    phase = _finite_angles(phase).item()',
+           's = _alpha_sq(s, "overlap s")\n    phase = float(phase)', ("tests/test_nogo.py",)),
+    Mutant("sweep_residuals_take_any_phase", "nogo.py",
+           "    phase = _finite_angles(phase).item()\n    s = _overlap_grid(n_points)",
+           "    phase = float(phase)\n    s = _overlap_grid(n_points)", ("tests/test_nogo.py",)),
+    Mutant("alphabet_angles_unchecked", "cli.py",
+           "    _finite_angles([a for s in args.alphabet", "    ([a for s in args.alphabet",
+           ("tests/test_cli.py",)),
+    # each rule on a caller's scalar argument has one owner, whose InputError is a usage
+    # error: the owner raising a plain ValueError (exit 3), or without its rule
+    Mutant("alpha_sq_plain_value_error", "hilbert.py",
+           'raise InputError(f"{name} must lie in [0, 1], got {x}")',
+           'raise ValueError(f"{name} must lie in [0, 1], got {x}")', ("tests/test_cli.py",)),
+    Mutant("int_at_least_plain_value_error", "hilbert.py",
+           'raise InputError(f"{name} must be an integer >= {least}, got {value!r}")',
+           'raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")',
+           ("tests/test_cli.py",)),
+    Mutant("finite_angles_plain_value_error", "hilbert.py",
+           'raise InputError(f"angle must be finite, got',
+           'raise ValueError(f"angle must be finite, got', ("tests/test_hilbert.py",)),
+    Mutant("copy_counts_without_m_le_n", "deletion.py", "    if m > n:\n", "    if False:\n",
+           ("tests/test_cli.py",)),
+    Mutant("positive_tol_without_its_rule", "nogo.py", "if not 0.0 < tol < math.inf:",
+           "if False:", ("tests/test_nogo.py",)),
+    Mutant("verify_report_skips_the_tol_rule", "nogo.py", "    _positive_tol(tol)\n", "",
+           ("tests/test_nogo.py",)),
+    Mutant("verify_cli_skips_the_tol_rule", "cli.py", "    _positive_tol(args.tol)\n",
+           "", ("tests/test_cli.py",)),
+    Mutant("overlap_without_unit_rule", "nogo.py", 's = _alpha_sq(s, "overlap s")', "s = float(s)",
+           ("tests/test_nogo.py",)),
+    Mutant("any_value_error_is_a_usage_error", "cli.py", "except InputError as exc:",
+           "except ValueError as exc:", ("tests/test_cli.py",)),
     Mutant("ket_takes_non_finite", "hilbert.py", "if not np.isfinite(amps).all():", "if False:",
            ("tests/test_hilbert.py",)),
     Mutant("copy_layout_takes_one_subsystem", "machines.py",
