@@ -2,7 +2,7 @@
 
 N identical copies of a qubit live in the (N+1)-dimensional symmetric
 subspace; a deleting machine is supposed to keep M copies and blank the
-rest. This module builds the ideal and best-case actual outputs of such a
+rest. This module builds the ideal output and one actual output of such a
 machine, evaluates the closed-form upper bound on the overlap ("quality")
 between them, and sets the published optimum next to the bound's exact
 minimum over inputs. The bound depends on |alpha|^2 only through
@@ -98,20 +98,22 @@ def ideal_delete_output(alpha: complex, beta: complex, n: int, m: int) -> Ket:
 
 
 def actual_delete_output(alpha: complex, beta: complex, n: int, m: int) -> Ket:
-    """Best-case output of a linear N-to-M deleter on N unknown copies.
+    """Output of a linear N-to-M deleter on N unknown copies.
 
     Only the two basis terms delete cleanly:
 
         alpha^N |0..0>|blanks>|A_0>  +  beta^N |1..1>|blanks>|A_1>
         + sum_k f_k |k'>,
 
-    with the |k'> orthonormal and orthogonal to both leading terms. The
-    bound is reached when both final ancilla states are the ideal one,
-    A_0 = A_1 = |0>, so every term is a basis state of the [N+1, 3]
-    register with the ancilla in |0>: the leading terms take cells (0, 0)
-    and (M, 0), and the k-th garbage term, k = 1..N-1, the k-th of the
-    cells (j, 0) with j = 1..N, j != M. The garbage terms thereby line up
-    with the ideal output's middle Dicke components where they can.
+    with the |k'> orthonormal and orthogonal to both leading terms. Here
+    both final ancilla states are the ideal one, A_0 = A_1 = |0>, so every
+    term is a basis state of the [N+1, 3] register with the ancilla in |0>:
+    the leading terms take cells (0, 0) and (M, 0), and the k-th garbage
+    term, k = 1..N-1, the k-th of the cells (j, 0) with j = 1..N, j != M.
+    Its overlap with `ideal_delete_output` reaches `quality_bound` only for
+    M = 1 and M = N; for 1 < M < N it lies below, e.g. 0.7866 against
+    0.9659 at (3, 2) and |alpha|^2 = 1/2, because each garbage term sits on
+    a fixed cell, not along the ideal output's middle Dicke components.
     """
     n, m = _copy_counts(n, m)
     amps = np.zeros((n + 1, 3), dtype=complex)

@@ -10,9 +10,10 @@ of the four declared transformations
 (sigma is the blank). Spelling those out gives five scalar conditions in
 s = <psi1|psi2>; they hold simultaneously only in the trivial case
 psi1 = psi2 = sigma. This module evaluates the conditions numerically for
-concrete states and sweeps them over the overlap range, and provides a
-Gram-matrix preservation check for arbitrary machines and alphabets, which
-`verify_report` joins with the isometry check of a user's machine.
+concrete states and over one overlap family, `_overlap_family`, checked once
+per call; it also provides a Gram-matrix preservation check for arbitrary
+machines and alphabets, which `verify_report` joins with the isometry check
+of a user's machine.
 
 The check of a `BasisActionMachine` is one kernel on a (K, d) amplitude
 array, `_gram_residual`: it refuses states that are not the machine's
@@ -31,8 +32,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .hilbert import (Ket, _alpha_sq, _finite_angles, _int_at_least, _require_unit, basis_ket,
-                      inner, tensor)
+from .hilbert import Ket, _alpha_sq, _finite_angles, _int_at_least, _require_unit, inner, tensor
 from .machines import BasisActionMachine, _copies_output, _copy_layout, check_isometry
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _SAT_TOL = 1e-10
-_ZERO = basis_ket([2], 0)  # psi1 = sigma of the overlap family; kets are immutable
 
 
 @dataclass(frozen=True)
@@ -118,37 +117,41 @@ def nonorthogonal_constraints(psi1: Ket, psi2: Ket, sigma: Ket) -> ConstraintRep
     return ConstraintReport(overlap_s=s, constraints=tuple(Constraint(*c) for c in conditions))
 
 
-def overlap_constraints(s: float, phase: float = 0.0) -> ConstraintReport:
-    """The five conditions for psi1 = sigma = |0>, psi2 = s e^{i phase}|0> + sqrt(1-s^2)|1>;
-    s lies in [0, 1] and the phase is finite, else an InputError."""
-    s = _alpha_sq(s, "overlap s")
+def _overlap_family(s: np.ndarray, phase: float) -> np.ndarray:
+    """z = s e^{i phase} over the array s, for psi1 = sigma = |0>, psi2 = z|0> + sqrt(1-s^2)|1>,
+    so <psi1|psi2> = <sigma|psi2> = z, <sigma|psi1> = 1 and <psi2|psi1> = conj(z); the phase
+    is judged finite once (else an InputError) and every psi2 of unit norm."""
     phase = _finite_angles(phase).item()
-    amp = complex(math.cos(phase), math.sin(phase)) * s
-    psi2 = Ket((2,), [amp, math.sqrt(max(1.0 - s * s, 0.0))])
-    return nonorthogonal_constraints(_ZERO, psi2, _ZERO)
-
-
-def sweep_overlap(n_points: int, phase: float = 0.0) -> list[ConstraintReport]:
-    """`overlap_constraints` on the grid of n_points overlaps s spanning [0, 1].
-
-    The max residual vanishes only at s = 1 (for phase 0); a nonzero phase
-    breaks even that endpoint, since s^2 = s has no non-real solutions.
-    """
-    return [overlap_constraints(float(s), phase) for s in _overlap_grid(n_points)]
-
-
-def _sweep_max_residuals(n_points: int, phase: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """The overlap grid of `sweep_overlap` and the max residual at each point, as arrays.
-
-    With psi1 = sigma = |0> and psi2 = z|0> + sqrt(1-s^2)|1>, z = s e^{i phase},
-    the inner products are <psi1|psi2> = <sigma|psi2> = z, <sigma|psi1> = 1
-    and <psi2|psi1> = conj(z).
-    """
-    phase = _finite_angles(phase).item()
-    s = _overlap_grid(n_points)
     z = complex(math.cos(phase), math.sin(phase)) * s
     rest = np.sqrt(np.maximum(1.0 - s * s, 0.0))
     _require_unit(z.real * z.real + z.imag * z.imag + rest * rest)
+    return z
+
+
+def _family_report(z: complex) -> ConstraintReport:
+    """The report at a point z of `_overlap_family`, in Python complex scalars, which numpy's
+    product can round apart from; each `+ 0j` gives the signed zero `inner`'s vdot gives."""
+    z += 0j
+    conditions = _conditions(z, 1 + 0j, z, z.conjugate() + 0j)
+    return ConstraintReport(overlap_s=z, constraints=tuple(Constraint(*c) for c in conditions))
+
+
+def overlap_constraints(s: float, phase: float = 0.0) -> ConstraintReport:
+    """The five conditions of `_overlap_family` at one overlap s in [0, 1], else an InputError."""
+    return _family_report(_overlap_family(np.array([_alpha_sq(s, "overlap s")]), phase).item())
+
+
+def sweep_overlap(n_points: int, phase: float = 0.0) -> list[ConstraintReport]:
+    """`overlap_constraints` on the grid of n_points overlaps s spanning [0, 1]. The max
+    residual vanishes only at s = 1 (for phase 0); a nonzero phase breaks even that
+    endpoint, since s^2 = s has no non-real solutions."""
+    return [_family_report(z) for z in _overlap_family(_overlap_grid(n_points), phase).tolist()]
+
+
+def _sweep_max_residuals(n_points: int, phase: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The overlap grid of `sweep_overlap` and the max residual at each point, as arrays."""
+    s = _overlap_grid(n_points)
+    z = _overlap_family(s, phase)
     # hypot, not np.abs: the vectorised complex abs rounds up to 2 ulp away
     # from the scalar abs that Constraint.residual takes
     diffs = [lhs - rhs for _, lhs, rhs in _conditions(z, np.ones_like(z), z, z.conj())]

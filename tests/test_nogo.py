@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qdel import nogo
 from qdel.cli import main
 from qdel.errors import InputError, InvalidStateError, ShapeError
 from qdel.hilbert import Ket, basis_ket, bloch_ket, haar_qubit, inner, ket, tensor
@@ -20,6 +21,7 @@ from qdel.nogo import (
     Constraint,
     ConstraintReport,
     _conditions,
+    _overlap_grid,
     _sweep_max_residuals,
     gram_preservation_check,
     ideal_deletion_map,
@@ -177,6 +179,46 @@ class TestSweepOverlap:
                 assert float(got) == want
             else:
                 assert abs(float(got) - want) <= np.spacing(want)
+
+
+def _fields(report):
+    """The repr of each number a report holds: overlap_s and every lhs, rhs and residual."""
+    return [repr(report.overlap_s)] + [repr(x) for c in report.constraints
+                                       for x in (c.lhs, c.rhs, c.residual)]
+
+
+class TestOverlapFamily:
+    @pytest.mark.parametrize("phase", [0.0, -0.0, 0.3, math.pi / 2, 2.0, math.pi, -2.5,
+                                       3 * math.pi / 2], ids=repr)
+    def test_every_report_equals_the_general_states_route_repr_for_repr(self, phase):
+        """Each field, signed zeros included, as `nonorthogonal_constraints` gives it."""
+        zero = basis_ket([2], 0)
+
+        def reference(s):
+            psi2 = Ket((2,), [complex(math.cos(phase), math.sin(phase)) * s, math.sqrt(1 - s * s)])
+            return _fields(nonorthogonal_constraints(zero, psi2, zero))
+
+        grid = _overlap_grid(1001).tolist()
+        assert [_fields(r) for r in sweep_overlap(1001, phase)] == [reference(s) for s in grid]
+        for s in grid + [5e-324, 1.0 - 2.0**-53]:
+            assert _fields(overlap_constraints(s, phase)) == reference(s), s
+
+    def test_a_sweep_judges_its_phase_once_and_builds_no_ket(self, monkeypatch):
+        calls = {"_finite_angles": 0, "Ket": 0}
+        finite_angles, post_init = nogo._finite_angles, Ket.__post_init__
+
+        def counted_angles(angles):
+            calls["_finite_angles"] += 1
+            return finite_angles(angles)
+
+        def counted_post_init(self):
+            calls["Ket"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(nogo, "_finite_angles", counted_angles)
+        monkeypatch.setattr(Ket, "__post_init__", counted_post_init)
+        assert len(sweep_overlap(1000, 0.3)) == 1000
+        assert calls == {"_finite_angles": 1, "Ket": 0}
 
 
 class TestGramPreservation:

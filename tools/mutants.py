@@ -138,6 +138,10 @@ MUTANTS = (
            "gram_in = np.abs(amps.conj() @ amps.T) ** 2", ("tests/test_nogo.py",)),
     Mutant("haar_real_gaussian", "hilbert.py", "z = parts[:, 0] + 1j * parts[:, 1]",
            "z = parts[:, 0] + 0j * parts[:, 1]", ("tests/test_hilbert.py",)),
+    # the overlap family's <psi2|psi1> = conj(z) without the + 0j that turns its -0.0 into
+    # the +0.0 of vdot
+    Mutant("family_conj_keeps_negative_zero", "nogo.py", "z.conjugate() + 0j", "z.conjugate()",
+           ("tests/test_nogo.py",)),
     # guards and tolerances, each held at its edge
     Mutant("rules_normalized_1e-6", "nogo.py", "rules_normalized=machine.rule_norms_ok(1e-9)",
            "rules_normalized=machine.rule_norms_ok(1e-6)", ("tests/test_nogo.py",)),
@@ -199,12 +203,8 @@ MUTANTS = (
            "theta, phi", ("tests/test_hilbert.py",)),
     Mutant("signalling_takes_any_angle", "signalling.py", "thetas = _finite_angles(thetas)",
            "thetas = np.asarray(thetas, dtype=float)", ("tests/test_signalling.py",)),
-    Mutant("overlap_takes_any_phase", "nogo.py",
-           's = _alpha_sq(s, "overlap s")\n    phase = _finite_angles(phase).item()',
-           's = _alpha_sq(s, "overlap s")\n    phase = float(phase)', ("tests/test_nogo.py",)),
-    Mutant("sweep_residuals_take_any_phase", "nogo.py",
-           "    phase = _finite_angles(phase).item()\n    s = _overlap_grid(n_points)",
-           "    phase = float(phase)\n    s = _overlap_grid(n_points)", ("tests/test_nogo.py",)),
+    Mutant("overlap_family_takes_any_phase", "nogo.py", "phase = _finite_angles(phase).item()",
+           "phase = float(phase)", ("tests/test_nogo.py",)),
     Mutant("alphabet_angles_unchecked", "cli.py",
            "    _finite_angles([a for s in args.alphabet", "    ([a for s in args.alphabet",
            ("tests/test_cli.py",)),
@@ -228,7 +228,7 @@ MUTANTS = (
            ("tests/test_nogo.py",)),
     Mutant("verify_cli_skips_the_tol_rule", "cli.py", "    _positive_tol(args.tol)\n",
            "", ("tests/test_cli.py",)),
-    Mutant("overlap_without_unit_rule", "nogo.py", 's = _alpha_sq(s, "overlap s")', "s = float(s)",
+    Mutant("overlap_without_unit_rule", "nogo.py", '_alpha_sq(s, "overlap s")', "float(s)",
            ("tests/test_nogo.py",)),
     Mutant("any_value_error_is_a_usage_error", "cli.py", "except InputError as exc:",
            "except ValueError as exc:", ("tests/test_cli.py",)),
